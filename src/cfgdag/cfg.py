@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from enum import Enum
 
+from ._graph import reachable
+
 
 class EdgeKind(str, Enum):
     OUT = "out"       # fall-through to the next statement or construct
@@ -96,16 +98,9 @@ class ControlFlowGraph:
         out.stop_reachable = self.stop_reachable
         return out
 
-    def reachable_from(self, v: int) -> set[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self._succ[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    def reachable_from(self, v: int, blocked=()) -> set[int]:
+        """Vertices reachable from v without entering a blocked vertex; v included."""
+        return reachable(self._succ, v, blocked)
 
     # -- serialization -----------------------------------------------------
 

@@ -61,15 +61,20 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
     if args.kind == "cfg-json":
         cfg = ControlFlowGraph.from_json(text)
         cfg = prune_unreachable(cfg)
+        dom = None
         if getattr(args, "forest", None):
             forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
             forest = forest.restricted_to(cfg)
         else:
-            forest = recover_loop_forest(cfg, compute_dominators(cfg))
+            dom = compute_dominators(cfg)
+            forest = recover_loop_forest(cfg, dom)
         if getattr(args, "contract", False):
             cfg = contract_basic_blocks(cfg, forest)
             forest = forest.restricted_to(cfg)
-        loop_regions(cfg, forest, compute_dominators(cfg))
+            dom = None  # contraction changed the graph
+        if dom is None:
+            dom = compute_dominators(cfg)
+        loop_regions(cfg, forest, dom)
     else:
         cfg, forest = cfg_from_source(text, contract=getattr(args, "contract", False))
         loop_regions(cfg, forest)
@@ -107,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", help="run a pursuit and emit the trace JSON")
     _add_input_args(p)
-    p.add_argument("--cops", choices=["f"], default="f", help="cop strategy")
     p.add_argument("--robber", choices=["lazy", "optimal"], default="lazy")
     p.add_argument("--start", type=int, help="robber start vertex")
     p.add_argument("--tie", choices=["low", "high"], default="low")

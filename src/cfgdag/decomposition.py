@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._graph import toposort
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
 
@@ -115,20 +116,7 @@ class DagDecomposition:
 
     def topological_order(self) -> list[int] | None:
         """Kahn order, or None when the arc set has a cycle."""
-        indeg = {n: 0 for n in self.nodes}
-        succ = self.successors()
-        for _, j in self.arcs:
-            indeg[j] += 1
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order = []
-        while ready:
-            n = ready.pop()
-            order.append(n)
-            for m in succ[n]:
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    ready.append(m)
-        return order if len(order) == len(self.nodes) else None
+        return toposort(sorted(self.nodes), self.successors())
 
     def to_json_dict(self) -> dict:
         return {

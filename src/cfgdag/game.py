@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from ._graph import VertexBits, reachable, toposort
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
 
@@ -137,20 +138,8 @@ def exit_distances(cfg: ControlFlowGraph, forest: LoopForest, elem: LoopElement)
         succ[nu].add(nv)
 
     # longest path to the exit over the collapsed DAG
-    indeg = {n: 0 for n in succ}
-    for n, outs in succ.items():
-        for m in outs:
-            indeg[m] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    if len(order) != len(succ):
+    order = toposort(succ, succ)
+    if order is None:
         raise ValueError("loop interior is cyclic away from its entry; input is not structured")
 
     dp: dict[object, int | None] = {n: None for n in succ}
@@ -275,11 +264,12 @@ class OptimalCops:
 
     def move(self, r: int) -> tuple[tuple, str]:
         s = self.solver
+        bits = s.bits
         placed = self._placed()
-        x = s.mask_of(placed)
-        f = s.mask_of(self.vacated)
+        x = bits.of(placed)
+        f = bits.of(self.vacated)
         best = None
-        for x2 in s.winning_moves(x, s.index[r], f):
+        for x2 in s.winning_moves(x, bits.index[r], f):
             best = x2
             break
         if best is None:
@@ -290,9 +280,9 @@ class OptimalCops:
                 while len(target) > self.k:
                     dropped = max(target - {r})
                     target = target - {dropped}
-                best = s.mask_of(target)
+                best = bits.of(target)
         if best is not None:
-            new = s.set_of(best)
+            new = bits.set_of(best)
             self.vacated |= placed - new
             self._assign(new)
         return tuple(self.slots), "search"
@@ -308,20 +298,6 @@ class OptimalCops:
 
 # ---------------------------------------------------------------------------
 # robber strategies
-
-
-def _reachable_avoiding(cfg, src: int, blocked: frozenset) -> set[int]:
-    seen = {src}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v != src and v in blocked:
-            continue
-        for w in cfg.successors(v):
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 class LazyRobber:
@@ -379,7 +355,7 @@ class OptimalRobber:
 
     def initial(self) -> int:
         s = self.solver
-        safe = [v for v in self.vertices if not s.cops_win(0, s.index[v], 0)]
+        safe = [v for v in self.vertices if not s.cops_win(0, s.bits.index[v], 0)]
         if safe:
             return min(safe)
         return min(self.vertices)
@@ -388,26 +364,24 @@ class OptimalRobber:
         self.vacated |= set(self.prev) - set(cops)
         self.prev = cops
         s = self.solver
+        bits = s.bits
 
-        reach = _reachable_avoiding(self, r, stationary)
+        reach = reachable(self.succ, r, stationary)
         options = sorted(v for v in reach if v not in cops)
         if not options:
             return r
-        x = s.mask_of(cops)
-        f = s.mask_of(self.vacated)
+        x = bits.of(cops)
+        f = bits.of(self.vacated)
         for v in options:
-            if v in self.vacated or not s.cops_win(x, s.index[v], f):
+            if v in self.vacated or not s.cops_win(x, bits.index[v], f):
                 return v
         # All options lose; stall as far from the cops as possible.
         def score(v):
             dist = min((_hops(self.succ, v, c) for c in cops), default=0)
-            region = len(_reachable_avoiding(self, v, cops))
+            region = len(reachable(self.succ, v, cops))
             return (dist, region, -v)
 
         return max(options, key=score)
-
-    def successors(self, v):  # lets _reachable_avoiding treat us as a graph
-        return self.succ[v]
 
 
 def _hops(succ: dict, src: int, dst: int) -> int:
@@ -459,7 +433,7 @@ def play_game(
         placed = frozenset(x for x in roles if x is not None)
         stationary = prev & placed
         r2 = robber.move(r, placed, stationary)
-        if r2 != r and r2 not in _reachable_avoiding(cfg, r, stationary):
+        if r2 != r and r2 not in cfg.reachable_from(r, stationary):
             raise IllegalMoveError(len(steps), r, r2)
         steps.append(TraceStep(tuple(roles), r2, note))
         if r2 in placed:
@@ -493,36 +467,16 @@ class PursuitSolver:
 
     def __init__(self, vertices: list[int], succ: dict[int, list[int]], k: int,
                  max_states: int = 4_000_000):
-        self.order = sorted(vertices)
-        self.n = len(self.order)
-        self.index = {v: i for i, v in enumerate(self.order)}
+        self.bits = VertexBits(vertices)
+        self.n = len(self.bits.order)
         self.k = k
         self.max_states = max_states
         self.full = (1 << self.n) - 1
         self.succ_mask = [0] * self.n
         for v, ws in succ.items():
-            m = 0
-            for w in ws:
-                m |= 1 << self.index[w]
-            self.succ_mask[self.index[v]] = m
+            self.succ_mask[self.bits.index[v]] = self.bits.of(ws)
         self.memo: dict[tuple[int, int, int], bool] = {}
         self._move_cache: dict[int, tuple[int, ...]] = {}
-
-    # -- mask helpers ------------------------------------------------------
-
-    def mask_of(self, vertices) -> int:
-        m = 0
-        for v in vertices:
-            m |= 1 << self.index[v]
-        return m
-
-    def set_of(self, mask: int) -> set[int]:
-        out = set()
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out.add(self.order[b.bit_length() - 1])
-        return out
 
     def _reach(self, src: int, blocked: int) -> int:
         reach = src

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._graph import tree_children
 from .cfg import ControlFlowGraph, EdgeKind
 
 BACKWARD = "backward"
@@ -170,13 +171,6 @@ class DominatorInfo:
             return False
         return self._ptin[u] <= self._ptin[v] and self._ptout[v] <= self._ptout[u]
 
-    def dom_children(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {v: [] for v in self.idom}
-        for v, p in self.idom.items():
-            if v != p:
-                kids[p].append(v)
-        return kids
-
 
 def _ancestry_stamps(root: int, children: dict[int, list[int]]):
     tin, tout = {}, {}
@@ -274,17 +268,9 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
         ipdom = {}
 
     info = DominatorInfo(idom=idom, ipdom=ipdom, rpo=order)
-    kids: dict[int, list[int]] = {v: [] for v in idom}
-    for v, p in idom.items():
-        if v != p:
-            kids[p].append(v)
-    info._tin, info._tout = _ancestry_stamps(order[0], kids)
+    info._tin, info._tout = _ancestry_stamps(order[0], tree_children(idom))
     if ipdom:
-        pkids: dict[int, list[int]] = {v: [] for v in ipdom}
-        for v, p in ipdom.items():
-            if v != p:
-                pkids[p].append(v)
-        info._ptin, info._ptout = _ancestry_stamps(cfg.stop, pkids)
+        info._ptin, info._ptout = _ancestry_stamps(cfg.stop, tree_children(ipdom))
     return info
 
 
@@ -299,7 +285,7 @@ def loop_regions(cfg: ControlFlowGraph, forest: LoopForest, dom: DominatorInfo |
     """
     if dom is None:
         return _loop_regions_syntactic(cfg, forest)
-    kids = dom.dom_children()
+    kids = tree_children(dom.idom)
     stop = cfg.stop
 
     for elem in forest._preorder():

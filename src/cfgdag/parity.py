@@ -59,13 +59,13 @@ class GameGraph:
     priority: dict[int, int] = field(default_factory=dict)
     edges: list[tuple[int, int]] = field(default_factory=list)
     transitions: set[tuple[int, int]] = field(default_factory=set)
-    _edge_set: set[tuple[int, int]] = field(default_factory=set, repr=False)
+    _succ: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def vertex_ids(self) -> list[int]:
         return list(self.state_of)
 
     def successors(self, v: int) -> list[int]:
-        return [w for u, w in self.edges if u == v]
+        return list(self._succ.get(v, ()))
 
     def add_edge(self, u: int, v: int) -> None:
         su, sv = self.state_of[u][0], self.state_of[v][0]
@@ -73,8 +73,9 @@ class GameGraph:
             raise ValueError(
                 f"edge between groups {su} and {sv} requested, but that is not a transition"
             )
-        if (u, v) not in self._edge_set:
-            self._edge_set.add((u, v))
+        succ = self._succ.setdefault(u, [])
+        if v not in succ:
+            succ.append(v)
             self.edges.append((u, v))
 
     def to_json_dict(self) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._graph import VertexBits
 from .decomposition import DagDecomposition
 
 
@@ -58,106 +59,73 @@ class ValidationReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-class _Mask:
-    """Vertex set <-> bitmask translation for one fixed vertex universe."""
-
-    def __init__(self, vertices):
-        self.order = sorted(vertices)
-        self.index = {v: i for i, v in enumerate(self.order)}
-        self.full = (1 << len(self.order)) - 1
-
-    def of(self, vertices) -> int:
-        m = 0
-        for v in vertices:
-            m |= 1 << self.index[v]
-        return m
-
-    def set_of(self, mask: int) -> set:
-        out = set()
-        i = 0
-        while mask:
-            if mask & 1:
-                out.add(self.order[i])
-            mask >>= 1
-            i += 1
-        return out
-
-
-def _reach_masks(decomp: DagDecomposition, order: list[int], mask: _Mask) -> dict[int, int]:
-    """For each node, the union of bags over all nodes reachable from it."""
+def _closure(decomp: DagDecomposition, order: list[int], edges) -> tuple[VertexBits, dict[int, int]]:
+    """Bits over the bag vertices and edge endpoints, and for each node the
+    union of bags over all nodes reachable from it."""
+    universe = set().union(*decomp.bags.values())
+    for e in edges:
+        universe.update(e)
+    bits = VertexBits(universe)
     succ = decomp.successors()
     reach: dict[int, int] = {}
     for n in reversed(order):
-        m = mask.of(decomp.bags[n])
+        m = bits.of(decomp.bags[n])
         for s in succ[n]:
             m |= reach[s]
         reach[n] = m
-    return reach
+    return bits, reach
+
+
+def _sources(decomp: DagDecomposition) -> list[int]:
+    has_pred = {j for _, j in decomp.arcs}
+    return [n for n in decomp.nodes if n not in has_pred]
 
 
 def check_vertices_covered(decomp: DagDecomposition, vertices) -> bool:
-    return set().union(*decomp.bags.values()) == set(vertices) if decomp.bags else not set(vertices)
+    return set().union(*decomp.bags.values()) == set(vertices)
 
 
 def check_connectivity(decomp: DagDecomposition) -> bool:
     """Bags containing any given vertex must be convex under reachability."""
-    ok, _ = _connectivity(decomp)
-    return ok
-
-
-def _connectivity(decomp: DagDecomposition):
     order = decomp.topological_order()
-    if order is None:
-        return False, [("acyclic", ())]
-    universe = set().union(*decomp.bags.values()) if decomp.bags else set()
-    mask = _Mask(universe)
-    reach = _reach_masks(decomp, order, mask)
+    return order is not None and not _connectivity(decomp, *_closure(decomp, order, ()))
+
+
+def _connectivity(decomp: DagDecomposition, bits: VertexBits, reach: dict[int, int]) -> list:
     violations = []
     # Once a vertex is dropped along an arc it may never reappear below:
     # a reappearance at k with i -> j on a path i..k shows X_i and X_k
     # sharing a vertex that bag j lacks.
     for i, j in decomp.arcs:
-        dropped = mask.of(decomp.bags[i]) & ~mask.of(decomp.bags[j])
+        dropped = bits.of(decomp.bags[i]) & ~bits.of(decomp.bags[j])
         bad = dropped & reach[j]
         if bad:
-            for v in sorted(mask.set_of(bad)):
+            for v in sorted(bits.set_of(bad)):
                 violations.append(("connectivity", (i, j, v)))
-    return not violations, violations
+    return violations
 
 
 def check_edges_covered(decomp: DagDecomposition, edges) -> tuple[bool, bool]:
     """(source condition, arc condition); see the module docstring."""
-    _, _, ok_a, ok_b, viol = _edges_covered(decomp, edges)
+    order = decomp.topological_order()
+    if order is None:
+        return False, False
+    edges = list(edges)
+    ok_a, ok_b, _ = _edges_covered(decomp, edges, *_closure(decomp, order, edges))
     return ok_a, ok_b
 
 
-def _edges_covered(decomp: DagDecomposition, edges):
-    order = decomp.topological_order()
-    if order is None:
-        return None, None, False, False, [("acyclic", ())]
-    universe = set().union(*decomp.bags.values()) if decomp.bags else set()
-    edges = [e for e in edges]
-    for u, v in edges:
-        universe.add(u)
-        universe.add(v)
-    mask = _Mask(universe)
-    reach = _reach_masks(decomp, order, mask)
-
+def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dict[int, int]):
     out_edges: dict[int, list[int]] = {}
     for u, v in edges:
         out_edges.setdefault(u, []).append(v)
 
     violations = []
     ok_a = True
-    has_pred = {n: False for n in decomp.nodes}
-    for _, j in decomp.arcs:
-        has_pred[j] = True
-    for j in decomp.nodes:
-        if has_pred[j]:
-            continue
+    for j in _sources(decomp):
         for u in decomp.bags[j]:
             for v in out_edges.get(u, ()):
-                if not (reach[j] >> mask.index[v]) & 1:
+                if not (reach[j] >> bits.index[v]) & 1:
                     ok_a = False
                     violations.append(("edges_covered_3a", (j, u, v)))
 
@@ -166,10 +134,10 @@ def _edges_covered(decomp: DagDecomposition, edges):
         introduced = decomp.bags[j] - decomp.bags[i]
         for u in introduced:
             for v in out_edges.get(u, ()):
-                if not (reach[j] >> mask.index[v]) & 1:
+                if not (reach[j] >> bits.index[v]) & 1:
                     ok_b = False
                     violations.append(("edges_covered_3b", (i, j, u, v)))
-    return mask, reach, ok_a, ok_b, violations
+    return ok_a, ok_b, violations
 
 
 def guards(w: set, vp: set, edges) -> bool:
@@ -191,23 +159,15 @@ def check_d3(decomp: DagDecomposition, edges) -> bool:
     if order is None:
         return False
     edges = list(edges)
-    universe = set().union(*decomp.bags.values()) if decomp.bags else set()
-    for u, v in edges:
-        universe.add(u)
-        universe.add(v)
-    mask = _Mask(universe)
-    reach = _reach_masks(decomp, order, mask)
+    return _d3(decomp, edges, *_closure(decomp, order, edges))
 
-    has_pred = {n: False for n in decomp.nodes}
-    for _, j in decomp.arcs:
-        has_pred[j] = True
-    for j in decomp.nodes:
-        if not has_pred[j]:
-            below = mask.set_of(reach[j])
-            if not guards(set(), below, edges):
-                return False
+
+def _d3(decomp: DagDecomposition, edges: list, bits: VertexBits, reach: dict[int, int]) -> bool:
+    for j in _sources(decomp):
+        if not guards(set(), bits.set_of(reach[j]), edges):
+            return False
     for i, j in decomp.arcs:
-        below_minus_i = mask.set_of(reach[j] & ~mask.of(decomp.bags[i]))
+        below_minus_i = bits.set_of(reach[j] & ~bits.of(decomp.bags[i]))
         w = decomp.bags[i] & decomp.bags[j]
         if not guards(set(w), below_minus_i, edges):
             return False
@@ -236,11 +196,13 @@ def validate_decomposition(
             violations.append(("vertices_covered_extra", (v,)))
 
     if acyclic:
-        conn_ok, conn_viol = _connectivity(decomp)
+        bits, reach = _closure(decomp, order, edges)
+        conn_viol = _connectivity(decomp, bits, reach)
+        conn_ok = not conn_viol
         violations.extend(conn_viol)
-        _, _, ok_a, ok_b, edge_viol = _edges_covered(decomp, edges)
+        ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, bits, reach)
         violations.extend(edge_viol)
-        d3 = check_d3(decomp, edges) if with_d3 else None
+        d3 = _d3(decomp, edges, bits, reach) if with_d3 else None
     else:
         conn_ok = ok_a = ok_b = False
         d3 = False if with_d3 else None

@@ -147,3 +147,18 @@ def test_play_lazy_on_source(while_file, tmp_path):
 def test_stdout_default(while_file, capsys):
     assert main(["decompose", str(while_file)]) == 0
     assert json.loads(capsys.readouterr().out)["nodes"] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("contract, calls", [([], 1), (["--contract"], 2)])
+def test_cfg_json_load_computes_dominators_once_per_graph(while_file, tmp_path, monkeypatch,
+                                                           contract, calls):
+    import cfgdag.cli as cli
+
+    graph_path = tmp_path / "g.json"
+    assert main(["build", str(while_file), "--out", str(graph_path)]) == 0
+    seen = []
+    real = cli.compute_dominators
+    monkeypatch.setattr(cli, "compute_dominators", lambda cfg: seen.append(cfg) or real(cfg))
+    assert main(["validate", str(graph_path), "--kind", "cfg-json", *contract,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(seen) == calls

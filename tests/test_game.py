@@ -224,10 +224,8 @@ def test_robber_slipping_past_the_landing_exit_guard():
             if r not in cops:
                 return r
             free = [v for v in cfg.vertex_ids()
-                    if v not in cops and v in _reachable_avoiding(cfg, r, stationary)]
+                    if v not in cops and v in cfg.reachable_from(r, stationary)]
             return min(free) if free else r
-
-    from cfgdag.game import _reachable_avoiding
 
     strategy = LoopGuardStrategy(cfg, forest)
     trace = play_game(cfg, strategy, SlipOut())

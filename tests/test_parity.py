@@ -61,6 +61,15 @@ def test_cross_edges_only_along_transitions():
         assert su == sv or (su, sv) in edges
 
 
+def test_successors_agree_with_edges():
+    cfg, forest, _ = pipeline(generate_random_program(4, 25))
+    game = build_product_game(cfg, FormulaSkeleton.chain(3), seed=2)
+    u, v = game.edges[0]
+    game.add_edge(u, v)  # a repeated edge is kept once
+    for x in game.vertex_ids():
+        assert game.successors(x) == [w for y, w in game.edges if y == x]
+
+
 def test_add_edge_rejects_non_transition():
     cfg, forest, _ = pipeline("a; b;")
     game = build_product_game(cfg, FormulaSkeleton.chain(2), seed=0)

@@ -226,3 +226,27 @@ class _FakeGraph:
 
     def edges(self):
         return iter(self._e)
+
+
+def test_validation_sorts_and_closes_once(monkeypatch):
+    import cfgdag.validate as validate
+
+    cfg, forest, _ = pipeline(generate_random_program(7, 40))
+    d = build_decomposition(cfg, forest)
+    calls = {"order": 0, "closure": 0}
+    real_order, real_closure = DagDecomposition.topological_order, validate._closure
+
+    def order(self):
+        calls["order"] += 1
+        return real_order(self)
+
+    def closure(*args):
+        calls["closure"] += 1
+        return real_closure(*args)
+
+    monkeypatch.setattr(DagDecomposition, "topological_order", order)
+    monkeypatch.setattr(validate, "_closure", closure)
+    for with_d3 in (False, True):
+        calls.update(order=0, closure=0)
+        assert validate_cfg_decomposition(d, cfg, with_d3=with_d3).valid
+        assert calls == {"order": 1, "closure": 1}, with_d3
