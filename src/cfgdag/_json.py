@@ -1,0 +1,108 @@
+"""The one JSON writer: ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+
+On CPython, ``json`` runs its C encoder only when ``indent`` is None, so an
+indented dump goes through the pure-Python generator encoder. This writer
+hands whole runs of scalars to the C encoder instead, with the line break and
+the indentation put into its item separator, and recurses in Python only
+above those runs.
+
+Exactness rests on one fact: ``json`` escapes every newline inside a string,
+so a raw newline in the C encoder's output appears only in a separator. No
+string can therefore imitate the boundaries that ``_records`` re-indents.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+from itertools import chain
+
+_INDENT = "  "
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ARRAYS = (list, tuple)
+_scalar = json.JSONEncoder().encode
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for any JSON value."""
+    return _value(obj, 0) + "\n"
+
+
+@functools.cache
+def _encoder(level: int):
+    """C-encoded ``encode`` whose item separator starts a line at ``level``.
+
+    It only ever sees flat containers or lists of them, which cannot hold a
+    cycle, so the circular-reference check would be wasted work.
+    """
+    return json.JSONEncoder(separators=(",\n" + _INDENT * level, ": "),
+                            check_circular=False).encode
+
+
+def _flat(values) -> bool:
+    return set(map(type, values)) <= _SCALARS
+
+
+def _flat_containers(values) -> bool:
+    """Every value is a non-empty flat container, and all use one bracket kind."""
+    if not all(values):
+        return False
+    kinds = set(map(type, values))
+    if kinds == {dict}:
+        return _flat(chain.from_iterable(map(dict.values, values)))
+    return kinds <= set(_ARRAYS) and _flat(chain.from_iterable(values))
+
+
+def _value(obj, level: int) -> str:
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, _ARRAYS):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    values = obj.values() if is_dict else obj
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level
+    if _flat(values):
+        text = _encoder(level + 1)(obj)
+        return text[0] + inner + text[1:-1] + close + text[-1]
+    # _records finds the end of a dict key by its closing quote.
+    if _flat_containers(values) and (not is_dict or set(map(type, obj)) == {str}):
+        return _records(obj, level)
+    sep = "," + inner
+    if is_dict:
+        body = sep.join(_key(k) + ": " + _value(v, level + 1) for k, v in obj.items())
+        return "{" + inner + body + close + "}"
+    return "[" + inner + sep.join(_value(v, level + 1) for v in obj) + close + "]"
+
+
+def _records(obj, level: int) -> str:
+    """A list of flat containers, or a dict with str keys of them, in one C call.
+
+    The C encoder writes every separator as the field separator of level + 2.
+    A list is encoded as is; a dict as the list k1, v1, k2, v2, ... Field
+    values are scalars, which never end in a bracket and never start with
+    one, so a closing bracket before a separator ends a record, a key before
+    a separator and an opening bracket is followed by its record, and no
+    other separator matches either pattern.
+    """
+    dict_of_records = isinstance(obj, dict)
+    first = next(iter(obj.values() if dict_of_records else obj))
+    open_, close_ = "{}" if isinstance(first, dict) else "[]"
+    outer, mid, deep = ("\n" + _INDENT * n for n in (level, level + 1, level + 2))
+    sep = "," + deep
+    end = mid + close_ + outer
+    if dict_of_records:
+        text = _encoder(level + 2)(list(chain.from_iterable(obj.items())))
+        body = (text[1:-2].replace('"' + sep + open_, '": ' + open_ + deep)
+                .replace(close_ + sep + '"', mid + close_ + "," + mid + '"'))
+        return "{" + mid + body + end + "}"
+    text = _encoder(level + 2)(obj)
+    body = text[2:-2].replace(close_ + sep + open_, mid + close_ + "," + mid + open_ + deep)
+    return "[" + mid + open_ + deep + body + end + "]"
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _scalar(key)
+    # json turns int, float, bool and None keys into strings; let it.
+    return _scalar({key: None})[1:-len(": null}")]

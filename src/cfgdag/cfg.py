@@ -12,6 +12,7 @@ import json
 from enum import Enum
 
 from ._graph import reachable
+from ._json import dumps
 
 
 class EdgeKind(str, Enum):
@@ -116,7 +117,7 @@ class ControlFlowGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":

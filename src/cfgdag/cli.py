@@ -23,6 +23,7 @@ from .game import (
 )
 from .lang import ParseError
 from .loops import (
+    DominatorInfo,
     LoopForest,
     classify_edges,
     compute_dominators,
@@ -56,7 +57,8 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
+def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
+    """The graph, its loop forest, and the dominators when this path computed them."""
     text = _read(args.input)
     if args.kind == "cfg-json":
         cfg = ControlFlowGraph.from_json(text)
@@ -78,7 +80,8 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
     else:
         cfg, forest = cfg_from_source(text, contract=getattr(args, "contract", False))
         loop_regions(cfg, forest)
-    return cfg, forest
+        dom = None
+    return cfg, forest, dom
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -134,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    cfg, forest = _load(args)
+    cfg, forest, dom = _load(args)
 
     if args.command == "build":
         _write(args.out, cfg.to_json())
         if args.forest_out:
-            _write(args.forest_out, json.dumps(forest.to_json_dict(), indent=2) + "\n")
+            _write(args.forest_out, forest.to_json())
         return 0
 
     if args.command == "decompose":
@@ -184,7 +187,8 @@ def run(args) -> int:
 
     if args.command == "export-dot":
         if args.what == "cfg":
-            dom = compute_dominators(cfg)
+            if dom is None:  # the source path recovers no dominators
+                dom = compute_dominators(cfg)
             classes = classify_edges(cfg, forest, dom)
             backward = {e for e, c in classes.items() if c == "backward"}
             _write(args.out, cfg.to_dot(backward=backward))

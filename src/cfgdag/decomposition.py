@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from ._graph import toposort
+from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
 
@@ -126,7 +127,7 @@ class DagDecomposition:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DagDecomposition":

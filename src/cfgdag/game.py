@@ -19,11 +19,11 @@ entry guard into a nested loop, "4b" chase to stop, "4a" capture.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
 from ._graph import VertexBits, reachable, toposort
+from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
 
@@ -85,7 +85,7 @@ class GameTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
 
 def cop_monotone_violations(trace: GameTrace) -> list[tuple[int, int]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._graph import tree_children
+from ._json import dumps
 from .cfg import ControlFlowGraph, EdgeKind
 
 BACKWARD = "backward"
@@ -129,6 +130,9 @@ class LoopForest:
                 }
             )
         return {"loops": loops}
+
+    def to_json(self) -> str:
+        return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopForest":

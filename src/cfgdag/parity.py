@@ -11,10 +11,10 @@ product by replacing every vertex in every bag with its whole group.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
+from ._json import dumps
 from .decomposition import DagDecomposition
 
 
@@ -95,7 +95,7 @@ class GameGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
 
 def build_product_game(cfg, skeleton: FormulaSkeleton, seed: int = 0) -> GameGraph:

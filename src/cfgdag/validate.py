@@ -14,10 +14,10 @@ validation stays near linear in the decomposition size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ._graph import VertexBits
+from ._json import dumps
 from .decomposition import DagDecomposition
 
 
@@ -56,7 +56,7 @@ class ValidationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
 
 def _closure(decomp: DagDecomposition, order: list[int], edges) -> tuple[VertexBits, dict[int, int]]:
@@ -140,11 +140,16 @@ def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dic
     return ok_a, ok_b, violations
 
 
-def guards(w: set, vp: set, edges) -> bool:
-    """True iff every edge leaving vp lands back in vp or in w."""
-    for u, v in edges:
-        if u in vp and v not in vp and v not in w:
-            return False
+def guards(w: set, vp: set, out_edges: dict[int, list[int]]) -> bool:
+    """True iff every edge leaving vp lands back in vp or in w.
+
+    out_edges maps a vertex to its successors; only the vertices of vp are
+    looked up, so the cost is the out-degree of vp, not the edge count.
+    """
+    for u in vp:
+        for v in out_edges.get(u, ()):
+            if v not in vp and v not in w:
+                return False
     return True
 
 
@@ -159,19 +164,45 @@ def check_d3(decomp: DagDecomposition, edges) -> bool:
     if order is None:
         return False
     edges = list(edges)
-    return _d3(decomp, edges, *_closure(decomp, order, edges))
+    return _d3(decomp, edges, order, *_closure(decomp, order, edges))
 
 
-def _d3(decomp: DagDecomposition, edges: list, bits: VertexBits, reach: dict[int, int]) -> bool:
-    for j in _sources(decomp):
-        if not guards(set(), bits.set_of(reach[j]), edges):
-            return False
-    for i, j in decomp.arcs:
-        below_minus_i = bits.set_of(reach[j] & ~bits.of(decomp.bags[i]))
-        w = decomp.bags[i] & decomp.bags[j]
-        if not guards(set(w), below_minus_i, edges):
-            return False
-    return True
+def _d3(decomp: DagDecomposition, edges: list, order: list[int],
+        bits: VertexBits, reach: dict[int, int]) -> bool:
+    """``guards`` for every source and arc, on masks instead of vertex sets.
+
+    hit[n] is the union of the out-neighbourhoods of the vertices at or
+    below n, so hit[j] & ~(vp | w) holds every target that can break the
+    guard at j. Only edges out of the excluded bag i can reach such a target
+    without breaking it, so it breaks the guard iff one of its predecessors
+    lies in vp = reach[j] & ~bag(i).
+    """
+    index = bits.index
+    out_mask: dict[int, int] = {}
+    preds: dict[int, list[int]] = {}
+    for u, v in edges:
+        out_mask[u] = out_mask.get(u, 0) | 1 << index[v]
+        preds.setdefault(v, []).append(u)
+    succ = decomp.successors()
+    hit: dict[int, int] = {}
+    for n in reversed(order):
+        m = 0
+        for u in decomp.bags[n]:
+            m |= out_mask.get(u, 0)
+        for s in succ[n]:
+            m |= hit[s]
+        hit[n] = m
+
+    def guarded(j: int, excluded: frozenset, w: frozenset) -> bool:
+        vp = reach[j] & ~bits.of(excluded)
+        loose = hit[j] & ~(vp | bits.of(w))
+        return not any(vp >> index[u] & 1
+                       for v in bits.set_of(loose) for u in preds[v])
+
+    empty: frozenset = frozenset()
+    return (all(guarded(j, empty, empty) for j in _sources(decomp))
+            and all(guarded(j, decomp.bags[i], decomp.bags[i] & decomp.bags[j])
+                    for i, j in decomp.arcs))
 
 
 def validate_decomposition(
@@ -202,7 +233,7 @@ def validate_decomposition(
         violations.extend(conn_viol)
         ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, bits, reach)
         violations.extend(edge_viol)
-        d3 = _d3(decomp, edges, bits, reach) if with_d3 else None
+        d3 = _d3(decomp, edges, order, bits, reach) if with_d3 else None
     else:
         conn_ok = ok_a = ok_b = False
         d3 = False if with_d3 else None

@@ -144,3 +144,29 @@ def edges_covered_by_defn(decomp, edges) -> tuple[bool, bool]:
         covered(j, u) for i, j in decomp.arcs for u in decomp.bags[j] - decomp.bags[i]
     )
     return ok_sources, ok_arcs
+
+
+def guards_by_scan(w: set, vp: set, edges) -> bool:
+    """The guarding condition by a scan of every graph edge."""
+    return all(u not in vp or v in vp or v in w for u, v in edges)
+
+
+def guard_pairs(decomp) -> list[tuple[set, set]]:
+    """(w, vp) for every source (empty, bags at or below it) and every arc
+    (i, j) (bag i & bag j, bags at or below j minus bag i), from explicit
+    vertex sets."""
+    succ = decomp.successors()
+
+    def below(j):
+        return set().union(*(decomp.bags[n] for n in bfs_reachable(succ, j)))
+
+    has_pred = {j for _, j in decomp.arcs}
+    pairs = [(set(), below(j)) for j in decomp.nodes if j not in has_pred]
+    pairs += [(set(decomp.bags[i] & decomp.bags[j]), below(j) - decomp.bags[i])
+              for i, j in decomp.arcs]
+    return pairs
+
+
+def d3_by_scan(decomp, edges) -> bool:
+    """Guarding form of edge covering; the decomposition must be acyclic."""
+    return all(guards_by_scan(w, vp, edges) for w, vp in guard_pairs(decomp))

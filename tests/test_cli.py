@@ -162,3 +162,16 @@ def test_cfg_json_load_computes_dominators_once_per_graph(while_file, tmp_path, 
     assert main(["validate", str(graph_path), "--kind", "cfg-json", *contract,
                  "--out", str(tmp_path / "r.json")]) == 0
     assert len(seen) == calls
+
+
+def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, monkeypatch):
+    import cfgdag.cli as cli
+
+    graph_path = tmp_path / "g.json"
+    assert main(["build", str(while_file), "--out", str(graph_path)]) == 0
+    seen = []
+    real = cli.compute_dominators
+    monkeypatch.setattr(cli, "compute_dominators", lambda cfg: seen.append(cfg) or real(cfg))
+    assert main(["export-dot", str(graph_path), "--kind", "cfg-json",
+                 "--out", str(tmp_path / "g.dot")]) == 0
+    assert len(seen) == 1

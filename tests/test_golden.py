@@ -42,6 +42,7 @@ COMMANDS = {
     "play": (["play", "--robber", "lazy"], []),
     "lift": (["lift", "--m", "2", "--game-out", "{game}"], ["game"]),
     "oracle": (["oracle"], []),
+    "export-dot": (["export-dot"], []),
 }
 
 

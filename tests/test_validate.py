@@ -3,15 +3,25 @@ import random
 from cfgdag import (
     DagDecomposition,
     build_decomposition,
+    cfg_from_source,
     check_connectivity,
     check_d3,
     check_edges_covered,
     check_vertices_covered,
     generate_random_program,
     guards,
+    loop_regions,
     validate_cfg_decomposition,
 )
-from helpers import connectivity_by_triples, edges_covered_by_defn, pipeline
+from helpers import (
+    connectivity_by_triples,
+    d3_by_scan,
+    edges_covered_by_defn,
+    guard_pairs,
+    guards_by_scan,
+    pipeline,
+    succ_map,
+)
 
 
 def by_label(cfg):
@@ -106,15 +116,15 @@ def test_deleting_exit_to_entry_arc_breaks_edge_covering():
 
 def test_guards_whole_graph_by_nothing():
     cfg, _ = while_decomp()
-    assert guards(set(), set(cfg.vertex_ids()), list(cfg.edges()))
+    assert guards(set(), set(cfg.vertex_ids()), succ_map(cfg))
 
 
 def test_guards_loop_body():
     cfg, _ = while_decomp()
     ids = by_label(cfg)
-    edges = list(cfg.edges())
-    assert guards({ids["c"]}, {ids["b"]}, edges)
-    assert not guards(set(), {ids["c"]}, edges)
+    out = succ_map(cfg)
+    assert guards({ids["c"]}, {ids["b"]}, out)
+    assert not guards(set(), {ids["c"]}, out)
 
 
 # -- the guarding form and its equivalence --------------------------------------------
@@ -160,6 +170,20 @@ def test_equivalence_of_both_edge_covering_forms():
             assert (ok_a and ok_b) == check_d3(s, list(cfg.edges())), seed
             agreeing += 1
     assert agreeing >= 400
+
+
+def test_guarding_form_agrees_with_the_edge_scan_oracle():
+    """The samples of acceptance criterion 7, damaged ones included."""
+    rng = random.Random(0xC0FFEE)
+    for seed in range(1, 201):
+        cfg, forest = cfg_from_source(generate_random_program(seed, 16))
+        loop_regions(cfg, forest)
+        base = build_decomposition(cfg, forest)
+        edges, out = list(cfg.edges()), succ_map(cfg)
+        for s in [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]:
+            assert check_d3(s, edges) == d3_by_scan(s, edges), seed
+            for w, vp in guard_pairs(s):
+                assert guards(w, vp, out) == guards_by_scan(w, vp, edges), seed
 
 
 # -- oracles ----------------------------------------------------------------------
