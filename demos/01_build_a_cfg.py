@@ -26,9 +26,10 @@ for v in sorted(cfg.vertex_ids()):
     succ = ", ".join(str(w) for w in cfg.successors(v))
     print(f"  {v:2d} {cfg.labels[v]:<12} -> {succ}")
 
-dom = compute_dominators(cfg)
-loop_regions(cfg, forest, dom)
-classes = classify_edges(cfg, forest, dom)
+loop_regions(cfg, forest)
+# With dominators, classify_edges also checks each edge against the
+# head-dominates-tail definition of a backward edge.
+classes = classify_edges(cfg, forest, compute_dominators(cfg))
 backward = sorted(e for e, c in classes.items() if c == "backward")
 print("\nbackward edges:", backward)
 

@@ -3,7 +3,7 @@
 Run: python demos/02_loop_structure.py
 """
 
-from cfgdag import cfg_from_source, compute_dominators, loop_regions
+from cfgdag import cfg_from_source, loop_regions
 
 SOURCE = """\
 init;
@@ -19,7 +19,7 @@ done;
 """
 
 cfg, forest = cfg_from_source(SOURCE)
-loop_regions(cfg, forest, compute_dominators(cfg))
+loop_regions(cfg, forest)
 
 print("program:")
 print(SOURCE)

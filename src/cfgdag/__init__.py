@@ -2,11 +2,14 @@
 width-3 DAG decompositions, together with the pursuit game that certifies
 the width bound.
 
-Pipeline: parse_program -> build_cfg -> prune/contract -> compute_dominators
--> loop_regions -> classify_edges -> partition_edges -> build_decomposition
--> validate_decomposition. The game module plays the three-cop guard
-strategy and solves the exact cop-monotone game on small graphs; the parity
-module lifts decompositions to product game graphs.
+Pipeline: parse_program -> build_cfg -> prune/contract -> loop_regions ->
+partition_edges -> build_decomposition -> validate_decomposition. A graph
+given without its source takes prune -> compute_dominators ->
+recover_loop_forest -> contract in place of the first steps. Either way the
+loop forest carries an owner map, from which loop_regions derives the
+regions. The game module plays the three-cop guard strategy and solves the
+exact cop-monotone game on small graphs; the parity module lifts
+decompositions to product game graphs.
 """
 
 from .build import build_cfg, cfg_from_source
@@ -37,7 +40,6 @@ from .game import (
     brute_force_cop_number,
     check_cop_monotone,
     cop_monotone_violations,
-    distance_to_exit,
     exit_distances,
     play_game,
 )
@@ -48,12 +50,11 @@ from .loops import (
     DominatorInfo,
     LoopElement,
     LoopForest,
-    check_cycle_corollary,
+    assign_owners,
     classify_edges,
     compute_dominators,
     loop_regions,
     recover_loop_forest,
-    simple_cycles,
 )
 from .parity import FormulaSkeleton, GameGraph, build_product_game, lift_decomposition
 from .randprog import generate_random_program
@@ -63,7 +64,6 @@ from .validate import (
     check_d3,
     check_edges_covered,
     check_vertices_covered,
-    guards,
     validate_cfg_decomposition,
     validate_decomposition,
 )
@@ -95,6 +95,7 @@ __all__ = [
     "StructuredAst",
     "TraceStep",
     "ValidationReport",
+    "assign_owners",
     "brute_force_cop_number",
     "build_cfg",
     "build_decomposition",
@@ -102,7 +103,6 @@ __all__ = [
     "cfg_from_source",
     "check_connectivity",
     "check_cop_monotone",
-    "check_cycle_corollary",
     "check_d3",
     "check_edges_covered",
     "check_vertices_covered",
@@ -110,10 +110,8 @@ __all__ = [
     "compute_dominators",
     "contract_basic_blocks",
     "cop_monotone_violations",
-    "distance_to_exit",
     "exit_distances",
     "generate_random_program",
-    "guards",
     "lift_decomposition",
     "loop_regions",
     "parse_program",
@@ -121,7 +119,6 @@ __all__ = [
     "play_game",
     "prune_unreachable",
     "recover_loop_forest",
-    "simple_cycles",
     "two_loop_cfg",
     "validate_cfg_decomposition",
     "validate_decomposition",

@@ -59,12 +59,23 @@ class VertexBits:
         return m
 
     def set_of(self, mask: int) -> set:
+        # Linear in the mask's size. Peeling the lowest bit copies the whole
+        # mask, so only a mask of a few bits is peeled; a denser one is read
+        # in one pass over its binary digits, with find running in C.
         order = self.order
         out = set()
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out.add(order[b.bit_length() - 1])
+        if mask.bit_count() <= 8:
+            while mask:
+                b = mask & -mask
+                mask ^= b
+                out.add(order[b.bit_length() - 1])
+            return out
+        digits = bin(mask)
+        top = len(digits) - 1  # digits[top - i] is bit i
+        i = digits.find("1", 2)
+        while i >= 0:
+            out.add(order[top - i])
+            i = digits.find("1", i + 1)
         return out
 
 

@@ -61,7 +61,7 @@ class _Builder:
         v = self.g.add_vertex(label)
         if owner is None:
             owner = self.stack[-1].element if self.stack else self.forest.phi
-        self.forest.syntactic_owner[v] = owner
+        self.forest.owner[v] = owner
         for ctx in self.stack:
             if ctx.first_vertex is None:
                 ctx.first_vertex = v

@@ -25,6 +25,7 @@ from .lang import ParseError
 from .loops import (
     DominatorInfo,
     LoopForest,
+    assign_owners,
     classify_edges,
     compute_dominators,
     loop_regions,
@@ -58,29 +59,28 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
-    """The graph, its loop forest, and the dominators when this path computed them."""
+    """The graph, its loop forest with regions, and the dominators of that graph
+    when this path computed them."""
     text = _read(args.input)
+    contract = getattr(args, "contract", False)
     if args.kind == "cfg-json":
-        cfg = ControlFlowGraph.from_json(text)
-        cfg = prune_unreachable(cfg)
-        dom = None
+        cfg = prune_unreachable(ControlFlowGraph.from_json(text))
+        dom = compute_dominators(cfg)
         if getattr(args, "forest", None):
             forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
-            forest = forest.restricted_to(cfg)
+            forest = assign_owners(cfg, dom, forest.restricted_to(cfg))
         else:
-            dom = compute_dominators(cfg)
             forest = recover_loop_forest(cfg, dom)
-        if getattr(args, "contract", False):
+        if contract:
+            # Owners survive contraction: an absorbed vertex has the owner
+            # of the vertex that absorbs it.
             cfg = contract_basic_blocks(cfg, forest)
             forest = forest.restricted_to(cfg)
-            dom = None  # contraction changed the graph
-        if dom is None:
-            dom = compute_dominators(cfg)
-        loop_regions(cfg, forest, dom)
+            dom = None
     else:
-        cfg, forest = cfg_from_source(text, contract=getattr(args, "contract", False))
-        loop_regions(cfg, forest)
+        cfg, forest = cfg_from_source(text, contract=contract)
         dom = None
+    loop_regions(cfg, forest)
     return cfg, forest, dom
 
 
@@ -187,7 +187,7 @@ def run(args) -> int:
 
     if args.command == "export-dot":
         if args.what == "cfg":
-            if dom is None:  # the source path recovers no dominators
+            if dom is None:  # the source and contract paths keep no dominators
                 dom = compute_dominators(cfg)
             classes = classify_edges(cfg, forest, dom)
             backward = {e for e, c in classes.items() if c == "backward"}

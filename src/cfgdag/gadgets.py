@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .cfg import ControlFlowGraph, EdgeKind
-from .loops import LoopForest, compute_dominators, loop_regions
+from .loops import LoopForest, assign_owners, compute_dominators, loop_regions
 
 
 def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
@@ -41,5 +41,5 @@ def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
     right = forest.new_element(outer)
     right.entry, right.exit = 9, 12
 
-    loop_regions(g, forest, compute_dominators(g))
+    loop_regions(g, assign_owners(g, compute_dominators(g), forest))
     return g, forest

@@ -158,12 +158,6 @@ def exit_distances(cfg: ControlFlowGraph, forest: LoopForest, elem: LoopElement)
     return {v: dp[node_of[v]] for v in elem.inside}
 
 
-def distance_to_exit(cfg: ControlFlowGraph, forest: LoopForest, elem: LoopElement, v: int) -> int:
-    """Chase distance of v; 0 when no exit-reaching path exists."""
-    d = exit_distances(cfg, forest, elem).get(v)
-    return 0 if d is None else d
-
-
 # ---------------------------------------------------------------------------
 # cop strategies
 
@@ -180,7 +174,7 @@ class LoopGuardStrategy:
     """
 
     def __init__(self, cfg: ControlFlowGraph, forest: LoopForest):
-        if not forest.owner:
+        if not forest.phi.inside:
             raise ValueError("loop regions not computed; run loop_regions first")
         self.cfg = cfg
         self.forest = forest

@@ -1,11 +1,15 @@
-"""Dominators, loop regions, nesting, and backward/forward edge classification.
+"""Dominators, loop forests, loop regions, and backward/forward edge classification.
 
-A loop element pairs an entry vertex with an exit vertex. The region of an
-element is derived from the dominator tree: inside(L) holds the vertices
-dominated by the entry and not by the exit, and every vertex belongs to the
-nearest element whose inside contains it. The whole graph sits under a
-virtual root element (phi) that owns start, stop, and everything outside
-all loops.
+A loop element pairs an entry vertex with an exit vertex. Every forest
+carries one owner map: vertex -> the innermost element it belongs to, under
+a virtual root element (phi) that owns start, stop, and everything outside
+all loops. The builder records the map as it expands the source; a forest
+recovered from a bare graph, or given whole, gets it from one preorder walk
+of the dominator tree in which a loop opens at its entry and closes, with
+every loop inside it, at its exit. loop_regions derives the belongs and
+inside sets from the map. By definition inside(L) holds the vertices
+dominated by the entry and not by the exit; the tests keep that definition
+as their oracle.
 """
 
 from __future__ import annotations
@@ -45,10 +49,9 @@ class LoopForest:
     def __init__(self):
         self.phi = LoopElement(None, None, None)
         self.elements: list[LoopElement] = []
-        # vertex -> innermost element per the region computation (phi included)
+        # vertex -> innermost element it belongs to (phi included), filled
+        # where the forest is made
         self.owner: dict[int, LoopElement] = {}
-        # vertex -> element active at construction time, for cross-checks
-        self.syntactic_owner: dict[int, LoopElement] = {}
 
     def new_element(self, parent: LoopElement | None = None) -> LoopElement:
         elem = LoopElement(None, None, parent or self.phi)
@@ -57,7 +60,7 @@ class LoopForest:
         return elem
 
     def element_of(self, v: int) -> LoopElement:
-        """Innermost element that v belongs to (requires loop_regions)."""
+        """Innermost element that v belongs to."""
         return self.owner[v]
 
     def protected_vertices(self) -> set[int]:
@@ -108,9 +111,7 @@ class LoopForest:
             new.entry = elem.entry
             new.exit = elem.exit if elem.exit in alive else None
             mapping[elem] = new
-        out.syntactic_owner = {
-            v: mapping.get(e, out.phi) for v, e in self.syntactic_owner.items() if v in alive
-        }
+        out.owner = {v: mapping.get(e, out.phi) for v, e in self.owner.items() if v in alive}
         return out
 
     def to_json_dict(self) -> dict:
@@ -278,76 +279,85 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
     return info
 
 
-def loop_regions(cfg: ControlFlowGraph, forest: LoopForest, dom: DominatorInfo | None = None) -> LoopForest:
-    """Fill inside/belongs for every element; belongs sets partition V.
+def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
+    """Fill belongs and inside of every element from the forest's owner map.
 
-    With dominator info the regions follow the definitions: inside(L) is
-    dominated by the entry and not by the exit (stop always stays with the
-    root element). Without it the builder's syntactic record is used, which
-    is what keeps large pipelines linear; the test suite checks the two
-    agree on generated programs.
+    belongs(L) is the set of vertices L owns, so the belongs sets partition
+    V; inside(L) adds the inside of every child. The tests check the result
+    against the dominator definition of the regions.
     """
-    if dom is None:
-        return _loop_regions_syntactic(cfg, forest)
-    kids = tree_children(dom.idom)
-    stop = cfg.stop
-
-    for elem in forest._preorder():
-        entry, exit_ = elem.entry, elem.exit
-        inside: set[int] = set()
-        stack = [entry]
-        while stack:
-            v = stack.pop()
-            if v == exit_ or v == stop:
-                continue
-            inside.add(v)
-            stack.extend(kids.get(v, ()))
-        elem.inside = inside
-        if entry not in inside:
-            raise ValueError(f"loop entry {entry} fell outside its own region")
-
     all_vertices = set(cfg.vertex_ids())
-    forest.phi.inside = set(all_vertices)
-    for elem in forest._preorder():
-        elem.belongs = elem.inside - {v for c in elem.children for v in c.inside}
-    forest.phi.belongs = all_vertices - {v for c in forest.phi.children for v in c.inside}
-
-    owner: dict[int, LoopElement] = {}
-    total = 0
+    if forest.owner.keys() != all_vertices:
+        missing = sorted(all_vertices - forest.owner.keys())
+        raise ValueError(f"no loop owner for vertices {missing[:10]}")
     for elem in [forest.phi, *forest.elements]:
-        total += len(elem.belongs)
-        for v in elem.belongs:
-            if v in owner:
-                raise ValueError(f"vertex {v} belongs to two loop elements; input is not structured")
-            owner[v] = elem
-    if total != len(all_vertices):
-        missing = all_vertices - set(owner)
-        raise ValueError(f"belongs sets do not partition the vertices; missing {sorted(missing)}")
-    forest.owner = owner
+        elem.belongs = set()
+    for v, elem in forest.owner.items():
+        elem.belongs.add(v)
+    for elem in reversed(forest._preorder()):
+        elem.inside = elem.belongs.union(*(child.inside for child in elem.children))
+    forest.phi.inside = all_vertices
     return forest
 
 
-def _loop_regions_syntactic(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
-    all_vertices = set(cfg.vertex_ids())
-    if set(forest.syntactic_owner) != all_vertices:
-        raise ValueError("no construction-time loop record for this graph; pass dominators")
+def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, open_at) -> None:
+    """One preorder walk of the dominator tree that fills forest.owner.
 
-    belongs: dict[LoopElement, set[int]] = {forest.phi: set()}
+    The walk carries the innermost open loop. Reaching the exit of an open
+    loop closes it and every loop inside it; then open_at(v, loop) opens
+    the loops that start at v and returns the innermost loop open at v,
+    which owns v. stop always stays with the root.
+    """
+    kids = tree_children(dom.idom)
+    closes: dict[int, LoopElement] = {}  # exit -> element, for elements opened so far
+    owner = forest.owner
+    stack = [(cfg.start, forest.phi)]
+    while stack:
+        v, loop = stack.pop()
+        closing = closes.get(v)
+        if closing is not None:
+            elem = loop
+            while elem is not None and elem is not closing:
+                elem = elem.parent
+            if elem is closing:  # open here: close it with the loops inside it
+                loop = closing.parent
+        if v != cfg.stop:
+            inner = open_at(v, loop)
+            elem = inner
+            while elem is not loop:
+                if elem.exit is not None:
+                    closes[elem.exit] = elem
+                elem = elem.parent
+            loop = inner
+        owner[v] = loop
+        stack.extend((c, loop) for c in kids[v])
+    owner[cfg.stop] = forest.phi
+
+
+def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
+    """Fill the owner map of a forest given whole, such as one read from JSON.
+
+    Raises ValueError when an element's parent is not the loop open at its
+    entry, or when its entry is never reached.
+    """
+    by_entry = forest.entries()
+    opened: set[LoopElement] = set()
+
+    def open_at(v: int, loop: LoopElement) -> LoopElement:
+        for elem in by_entry.get(v, ()):
+            if elem.parent is not loop:
+                raise ValueError(
+                    f"loop at entry {v} is nested under {elem.parent!r}, "
+                    f"but the loop open there is {loop!r}; input is not structured"
+                )
+            opened.add(elem)
+            loop = elem
+        return loop
+
+    _fill_owners(cfg, dom, forest, open_at)
     for elem in forest.elements:
-        belongs[elem] = set()
-    for v, elem in forest.syntactic_owner.items():
-        belongs[elem].add(v)
-
-    for elem in forest._preorder():
-        elem.belongs = belongs[elem]
-    forest.phi.belongs = belongs[forest.phi]
-    for elem in reversed(forest._preorder()):
-        inside = set(elem.belongs)
-        for child in elem.children:
-            inside |= child.inside
-        elem.inside = inside
-    forest.phi.inside = set(all_vertices)
-    forest.owner = dict(forest.syntactic_owner)
+        if elem not in opened:
+            raise ValueError(f"loop entry {elem.entry} fell outside its own region")
     return forest
 
 
@@ -375,54 +385,16 @@ def classify_edges(
     return classes
 
 
-def simple_cycles(cfg: ControlFlowGraph, limit: int = 12) -> list[list[int]]:
-    """All simple directed cycles; exponential, guarded by a vertex limit."""
-    vertices = sorted(cfg.vertex_ids())
-    if len(vertices) > limit:
-        raise ValueError(f"cycle enumeration capped at {limit} vertices, got {len(vertices)}")
-    cycles: list[list[int]] = []
-    for root in vertices:
-        # Search only through vertices >= root so each cycle is found once,
-        # rooted at its smallest vertex.
-        path = [root]
-        on_path = {root}
-
-        def dfs(v: int):
-            for w in cfg.successors(v):
-                if w == root:
-                    cycles.append(list(path))
-                elif w > root and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    dfs(w)
-                    path.pop()
-                    on_path.remove(w)
-
-        dfs(root)
-    return cycles
-
-
-def check_cycle_corollary(cfg: ControlFlowGraph, forest: LoopForest, limit: int = 12) -> list[tuple]:
-    """Every cycle inside L that meets belongs(L) must pass through L's entry.
-
-    Returns violation witnesses (empty on structured inputs). Exhaustively
-    enumerates cycles, so only suitable for small graphs.
-    """
-    violations = []
-    for cycle in simple_cycles(cfg, limit=limit):
-        members = set(cycle)
-        for elem in forest.elements:
-            if members <= elem.inside and members & elem.belongs and elem.entry not in members:
-                violations.append((tuple(cycle), elem))
-    return violations
-
-
 def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest:
-    """Rebuild a loop forest for a graph loaded without one.
+    """Rebuild a loop forest, owner map included, for a graph loaded without one.
 
-    Entries are heads of backward edges; each loop's exit is the unique
-    target of edges leaving its natural-loop body (return edges aside).
-    Raises when exits are ambiguous; only structured graphs are supported.
+    Entries are heads of backward edges (the head dominates the tail). A
+    loop's exit is the nearest post-dominator of its entry outside its
+    natural body; where that chain meets another loop's entry it skips the
+    whole loop and goes on from the post-dominator of that loop's exit.
+    Loops nest by the dominator-tree walk that fills the owner map. Loops
+    with no backward edge cannot be seen in a bare graph and are not
+    recovered.
     """
     tails: dict[int, set[int]] = {}
     for u, v in cfg.edges():
@@ -443,34 +415,29 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
                     stack.append(p)
         bodies[head] = body
 
-    exits: dict[int, int] = {}
-    for head, body in bodies.items():
-        targets = set()
-        for u in body:
-            for v in cfg.successors(u):
-                if v in body or v == cfg.stop and cfg.edge_kind(u, v) is EdgeKind.STOP:
-                    continue
-                targets.add(v)
-        # Branch arms that only fall out of the loop sit outside its natural
-        # body and show up as extra targets; the exit is the target every
-        # return-free path from the head must cross.
-        candidates = {t for t in targets if dom.post_dominates(t, head)}
-        if len(candidates) > 1:
-            raise ValueError(f"loop at {head} has several exit targets {sorted(candidates)}")
-        exits[head] = candidates.pop() if candidates else None
+    # A loop met on the chain post-dominates the head, so it comes earlier
+    # in post-dominator preorder and its exit is already known.
+    ipdom = dom.ipdom
+    exits: dict[int, int | None] = {}
+    for head in sorted(bodies, key=lambda h: dom._ptin.get(h, -1)):
+        body = bodies[head]
+        x = ipdom.get(head)
+        while x in body or x in exits:
+            step = x if x in body else exits[x]
+            up = ipdom.get(step)
+            x = None if up == step else up
+        exits[head] = x
 
     forest = LoopForest()
-    order = sorted(bodies, key=lambda h: (-len(bodies[h]), h))
-    made: dict[int, LoopElement] = {}
-    for head in order:
-        parent = forest.phi
-        for other in order:
-            if other == head:
-                break
-            if head in bodies[other]:
-                parent = made[other]  # innermost seen so far wins; order is by size
-        elem = forest.new_element(parent)
-        elem.entry = head
-        elem.exit = exits[head]
-        made[head] = elem
+
+    def open_at(v: int, loop: LoopElement) -> LoopElement:
+        if v not in exits:
+            return loop
+        elem = forest.new_element(loop)
+        elem.entry, elem.exit = v, exits[v]
+        return elem
+
+    _fill_owners(cfg, dom, forest, open_at)
+    for elem in [forest.phi, *forest.elements]:
+        elem.children.sort(key=lambda c: (-len(bodies[c.entry]), c.entry))
     return forest

@@ -140,19 +140,6 @@ def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dic
     return ok_a, ok_b, violations
 
 
-def guards(w: set, vp: set, out_edges: dict[int, list[int]]) -> bool:
-    """True iff every edge leaving vp lands back in vp or in w.
-
-    out_edges maps a vertex to its successors; only the vertices of vp are
-    looked up, so the cost is the out-degree of vp, not the edge count.
-    """
-    for u in vp:
-        for v in out_edges.get(u, ()):
-            if v not in vp and v not in w:
-                return False
-    return True
-
-
 def check_d3(decomp: DagDecomposition, edges) -> bool:
     """Original guarding form of the edge-covering condition.
 
@@ -169,7 +156,8 @@ def check_d3(decomp: DagDecomposition, edges) -> bool:
 
 def _d3(decomp: DagDecomposition, edges: list, order: list[int],
         bits: VertexBits, reach: dict[int, int]) -> bool:
-    """``guards`` for every source and arc, on masks instead of vertex sets.
+    """The guarding condition (w guards vp: every edge leaving vp lands back
+    in vp or in w) for every source and arc, on bitmasks.
 
     hit[n] is the union of the out-neighbourhoods of the vertices at or
     below n, so hit[j] & ~(vp | w) holds every target that can break the

@@ -7,15 +7,118 @@ scans instead of dominator trees and bitmask sweeps.
 
 from __future__ import annotations
 
-from cfgdag import cfg_from_source, compute_dominators, loop_regions
+from cfgdag import (
+    ControlFlowGraph,
+    build_decomposition,
+    cfg_from_source,
+    compute_dominators,
+    exit_distances,
+    loop_regions,
+    recover_loop_forest,
+    validate_cfg_decomposition,
+)
+from cfgdag._graph import tree_children
 
 
 def pipeline(src, contract=False):
     """parse -> build -> prune (-> contract) -> dominator-based regions."""
     cfg, forest = cfg_from_source(src, contract=contract)
     dom = compute_dominators(cfg)
-    loop_regions(cfg, forest, dom)
+    dominator_regions(cfg, forest, dom)
     return cfg, forest, dom
+
+
+def dominator_regions(cfg, forest, dom):
+    """Regions and owner map straight from the definitions.
+
+    inside(L) is dominated by the entry and not by the exit (stop always
+    stays with the root element); belongs(L) is inside(L) minus the inside
+    of L's children. Raises when the belongs sets do not partition V.
+    """
+    kids = tree_children(dom.idom)
+    stop = cfg.stop
+
+    for elem in forest._preorder():
+        entry, exit_ = elem.entry, elem.exit
+        inside: set[int] = set()
+        stack = [entry]
+        while stack:
+            v = stack.pop()
+            if v == exit_ or v == stop:
+                continue
+            inside.add(v)
+            stack.extend(kids.get(v, ()))
+        elem.inside = inside
+        if entry not in inside:
+            raise ValueError(f"loop entry {entry} fell outside its own region")
+
+    all_vertices = set(cfg.vertex_ids())
+    forest.phi.inside = set(all_vertices)
+    for elem in forest._preorder():
+        elem.belongs = elem.inside - {v for c in elem.children for v in c.inside}
+    forest.phi.belongs = all_vertices - {v for c in forest.phi.children for v in c.inside}
+
+    owner = {}
+    total = 0
+    for elem in [forest.phi, *forest.elements]:
+        total += len(elem.belongs)
+        for v in elem.belongs:
+            if v in owner:
+                raise ValueError(f"vertex {v} belongs to two loop elements; input is not structured")
+            owner[v] = elem
+    if total != len(all_vertices):
+        missing = all_vertices - set(owner)
+        raise ValueError(f"belongs sets do not partition the vertices; missing {sorted(missing)}")
+    forest.owner = owner
+    return forest
+
+
+def simple_cycles(cfg, limit: int = 12) -> list[list[int]]:
+    """All simple directed cycles; exponential, guarded by a vertex limit."""
+    vertices = sorted(cfg.vertex_ids())
+    if len(vertices) > limit:
+        raise ValueError(f"cycle enumeration capped at {limit} vertices, got {len(vertices)}")
+    cycles: list[list[int]] = []
+    for root in vertices:
+        # Search only through vertices >= root so each cycle is found once,
+        # rooted at its smallest vertex.
+        path = [root]
+        on_path = {root}
+
+        def dfs(v: int):
+            for w in cfg.successors(v):
+                if w == root:
+                    cycles.append(list(path))
+                elif w > root and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    dfs(w)
+                    path.pop()
+                    on_path.remove(w)
+
+        dfs(root)
+    return cycles
+
+
+def check_cycle_corollary(cfg, forest, limit: int = 12) -> list[tuple]:
+    """Every cycle inside L that meets belongs(L) must pass through L's entry.
+
+    Returns violation witnesses (empty on structured inputs). Exhaustively
+    enumerates cycles, so only suitable for small graphs.
+    """
+    violations = []
+    for cycle in simple_cycles(cfg, limit=limit):
+        members = set(cycle)
+        for elem in forest.elements:
+            if members <= elem.inside and members & elem.belongs and elem.entry not in members:
+                violations.append((tuple(cycle), elem))
+    return violations
+
+
+def distance_to_exit(cfg, forest, elem, v) -> int:
+    """Chase distance of v; 0 when no exit-reaching path exists."""
+    d = exit_distances(cfg, forest, elem).get(v)
+    return 0 if d is None else d
 
 
 def bfs_reachable(succ: dict, start) -> set:
@@ -170,3 +273,40 @@ def guard_pairs(decomp) -> list[tuple[set, set]]:
 def d3_by_scan(decomp, edges) -> bool:
     """Guarding form of edge covering; the decomposition must be acyclic."""
     return all(guards_by_scan(w, vp, edges) for w, vp in guard_pairs(decomp))
+
+
+def recovery_facts(cfg, forest, decomp) -> dict:
+    """Recover the loops of a built graph from its CFG JSON alone and compare.
+
+    forest is the builder's forest with regions filled in, decomp the
+    decomposition built from it. A builder loop is seen when an edge into its
+    entry starts inside it; only seen loops can be recovered, and a seen
+    loop's parent is taken to be its nearest seen ancestor. Returns
+    {"error": message} when recovery raises.
+    """
+    seen = {e.entry: e for e in forest.elements
+            if any(u in e.inside for u in cfg.predecessors(e.entry))}
+
+    def seen_parent(elem):
+        elem = elem.parent
+        while elem is not forest.phi and elem.entry not in seen:
+            elem = elem.parent
+        return elem.entry
+
+    graph = ControlFlowGraph.from_json(cfg.to_json())
+    try:
+        recovered = loop_regions(graph, recover_loop_forest(graph, compute_dominators(graph)))
+        again = build_decomposition(graph, recovered)
+    except ValueError as err:
+        return {"error": str(err)}
+    entries = {r.entry for r in recovered.elements} == set(seen)
+    return {
+        "error": None,
+        "valid": again.width() <= 3 and validate_cfg_decomposition(again, graph).valid,
+        "entries": entries,
+        "exits": entries and all(r.exit == seen[r.entry].exit for r in recovered.elements),
+        "parents": entries and all(r.parent.entry == seen_parent(seen[r.entry])
+                                   for r in recovered.elements),
+        "all_seen": len(seen) == len(forest.elements),
+        "identical": again.to_json() == decomp.to_json(),
+    }

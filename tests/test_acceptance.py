@@ -40,7 +40,7 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.decomposition import DagDecomposition
-from helpers import dist_by_enumeration
+from helpers import dist_by_enumeration, recovery_facts
 
 
 def _verdict(number: int, name: str, detail: str = ""):
@@ -63,7 +63,8 @@ def _construction_sizes():
 
 @pytest.fixture(scope="module")
 def construction_fleet():
-    """1000 random programs up to 10^4 statements, decomposed and validated."""
+    """1000 random programs up to 10^4 statements, decomposed and validated,
+    with their loops recovered from CFG JSON (outside the timed build)."""
     rows = []
     build_seconds = 0.0
     for seed, size in enumerate(_construction_sizes()):
@@ -94,6 +95,7 @@ def construction_fleet():
                     report.edges_covered_3a,
                     report.edges_covered_3b,
                 ),
+                "recovery": recovery_facts(cfg, forest, decomp),
             }
         )
     return rows, build_seconds
@@ -134,6 +136,30 @@ def test_criterion_01_width_bound(construction_fleet):
         assert r["unique_introduction"], r["seed"]
     assert build_seconds < 30.0, f"construction took {build_seconds:.1f}s"
     _verdict(1, "width bound over 1000 programs", f"build time {build_seconds:.1f}s")
+
+
+def test_loop_recovery_agrees_with_the_builder_on_both_fleets(construction_fleet, pursuit_fleet):
+    """Loops recovered from CFG JSON alone against the builder's forest.
+
+    A CFG cannot show a loop with no backward edge (a body that always
+    breaks), and a natural body can end before the builder's exit, so the
+    forests agree only where both can: the exits are compared, parents where
+    all exits agree, and whole decompositions where every loop is seen too.
+    """
+    facts = [(f"fleet seed {r['seed']}", r["recovery"]) for r in construction_fleet[0]]
+    facts += [(f"pursuit seed {r['seed']}", recovery_facts(r["cfg"], r["forest"],
+                                                           build_decomposition(r["cfg"], r["forest"])))
+              for r in pursuit_fleet]
+    assert len(facts) == 1500
+    for name, f in facts:
+        assert f["error"] is None, (name, f["error"])
+        assert f["valid"] and f["entries"], name
+        assert f["parents"] or not f["exits"], name
+        assert f["identical"] or not (f["exits"] and f["all_seen"]), name
+    same_exits = sum(f["exits"] for _, f in facts)
+    identical = sum(f["identical"] for _, f in facts)
+    print(f"\nloop recovery: {len(facts)} programs, {same_exits} with the builder's exits, "
+          f"{identical} decompositions byte-identical")
 
 
 def test_criterion_02_validity(construction_fleet):

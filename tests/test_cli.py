@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cfgdag import DagDecomposition, two_loop_cfg
+from cfgdag import DagDecomposition, LoopForest, two_loop_cfg
 from cfgdag.cli import main
 
 WHILE_SRC = "while c { b; }\n"
@@ -149,7 +153,7 @@ def test_stdout_default(while_file, capsys):
     assert json.loads(capsys.readouterr().out)["nodes"] == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("contract, calls", [([], 1), (["--contract"], 2)])
+@pytest.mark.parametrize("contract, calls", [([], 1), (["--contract"], 1)])
 def test_cfg_json_load_computes_dominators_once_per_graph(while_file, tmp_path, monkeypatch,
                                                            contract, calls):
     import cfgdag.cli as cli
@@ -175,3 +179,48 @@ def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, 
     assert main(["export-dot", str(graph_path), "--kind", "cfg-json",
                  "--out", str(tmp_path / "g.dot")]) == 0
     assert len(seen) == 1
+
+
+# Loops that close with a break after a nested loop: the natural body of the
+# outer loop ends before the inner loop, so nesting by natural body put the
+# inner loop outside the outer one.
+BREAK_AFTER_INNER_LOOP = [
+    "while p { if q { continue; } while r { a; } break; }\n",
+    "do { if q { continue; } while r { a; } break; } while p;\n",
+]
+
+
+@pytest.mark.parametrize("source", BREAK_AFTER_INNER_LOOP)
+def test_cfg_json_decomposition_equals_the_source_one(source, tmp_path):
+    prog, graph = tmp_path / "prog.spl", tmp_path / "g.json"
+    prog.write_text(source)
+    assert main(["build", str(prog), "--out", str(graph)]) == 0
+    direct, recovered = tmp_path / "d1.json", tmp_path / "d2.json"
+    assert main(["decompose", str(prog), "--out", str(direct)]) == 0
+    assert main(["decompose", str(graph), "--kind", "cfg-json", "--out", str(recovered)]) == 0
+    assert recovered.read_bytes() == direct.read_bytes()
+
+
+def test_forest_file_nested_against_dominance_is_rejected(tmp_path):
+    cfg, _ = two_loop_cfg()
+    forest = LoopForest()
+    outer = forest.new_element()
+    outer.entry, outer.exit = 1, 3
+    left = forest.new_element(outer)
+    left.entry, left.exit = 5, 8
+    right = forest.new_element(left)  # the loop open at 9 is outer, not left
+    right.entry, right.exit = 9, 12
+    graph_path, forest_path = tmp_path / "g.json", tmp_path / "loops.json"
+    graph_path.write_text(cfg.to_json())
+    forest_path.write_text(forest.to_json())
+    with pytest.raises(ValueError, match="loop at entry 9 is nested under"):
+        main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)])
+
+
+def test_python_m_cfgdag_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cfgdag", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: cfgdag" in done.stdout

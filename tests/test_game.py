@@ -11,13 +11,12 @@ from cfgdag import (
     build_decomposition,
     check_cop_monotone,
     cop_monotone_violations,
-    distance_to_exit,
     exit_distances,
     generate_random_program,
     play_game,
     two_loop_cfg,
 )
-from helpers import dist_by_enumeration, pipeline
+from helpers import dist_by_enumeration, distance_to_exit, pipeline
 
 # Reference pursuits on the two-loop graph, frozen from first principles:
 # role order is (entry guard, exit guard, chaser), None = unplaced.

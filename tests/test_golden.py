@@ -30,7 +30,8 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
 SEEDS = (1, 2, 3, 4, 5)
 ORACLE_MAX_VERTICES = 15
-# Smallest known program whose CFG JSON fails loop-forest recovery.
+# A loop that ends in a break after a nested loop: its natural body stops
+# before the nested loop, which still nests inside it.
 REPRODUCER = "while p { if q { continue; } while r { a; } break; }\n"
 
 # name -> (arguments after the input path, extra output files)

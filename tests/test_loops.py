@@ -3,20 +3,26 @@ import pytest
 from cfgdag import (
     BACKWARD,
     FORWARD,
+    ControlFlowGraph,
     LoopForest,
+    assign_owners,
     build_cfg,
     cfg_from_source,
-    check_cycle_corollary,
     classify_edges,
     compute_dominators,
     generate_random_program,
     loop_regions,
     parse_program,
     recover_loop_forest,
-    simple_cycles,
     two_loop_cfg,
 )
-from helpers import dominators_by_paths, pipeline
+from helpers import (
+    check_cycle_corollary,
+    dominator_regions,
+    dominators_by_paths,
+    pipeline,
+    simple_cycles,
+)
 
 
 def by_label(cfg):
@@ -154,7 +160,7 @@ def test_syntactic_regions_equal_dominator_regions():
         src = generate_random_program(seed, 50)
         cfg, forest = cfg_from_source(src)
         syntactic = loop_regions(cfg, forest.restricted_to(cfg))
-        reference = loop_regions(cfg, forest, compute_dominators(cfg))
+        reference = dominator_regions(cfg, forest, compute_dominators(cfg))
         assert len(syntactic.elements) == len(reference.elements)
         for a, b in zip(syntactic.elements, reference.elements):
             assert (a.entry, a.exit) == (b.entry, b.exit)
@@ -279,10 +285,50 @@ def test_recover_loop_forest_from_fixture_graph():
     got = {(e.entry, e.exit) for e in recovered.elements}
     want = {(e.entry, e.exit) for e in forest.elements}
     assert got == want
-    loop_regions(cfg, recovered, dom)
+    loop_regions(cfg, recovered)
     for a in forest.elements:
         b = next(e for e in recovered.elements if e.entry == a.entry)
         assert a.inside == b.inside
+
+
+def _regions(forest):
+    return [(e.entry, e.exit, e.inside, e.belongs) for e in forest._preorder()], forest.phi.belongs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_recovered_regions_equal_dominator_regions(seed):
+    cfg, _ = cfg_from_source(generate_random_program(seed, 60))
+    dom = compute_dominators(cfg)
+    recovered = loop_regions(cfg, recover_loop_forest(cfg, dom))
+    from_owners = _regions(recovered)
+    assert _regions(dominator_regions(cfg, recovered, dom)) == from_owners
+
+
+def test_given_forest_gets_the_builders_owners():
+    for seed in range(40):
+        cfg, forest = cfg_from_source(generate_random_program(seed, 60))
+        given = LoopForest.from_json_dict(forest.to_json_dict())
+        assign_owners(cfg, compute_dominators(cfg), given)
+        assert {v: e.entry for v, e in given.owner.items()} == {
+            v: e.entry for v, e in forest.owner.items()}, seed
+
+
+def test_reaching_an_exit_closes_the_loops_inside_it():
+    # 2 leaves both loops at once for the outer exit 4; the inner loop has
+    # no exit of its own, so 4 must close it along with the outer loop.
+    cfg = ControlFlowGraph()
+    for v in range(6):
+        cfg.add_vertex(f"v{v}", v)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 2), (3, 1), (2, 4), (4, 5)]:
+        cfg.add_edge(u, v)
+    cfg.start, cfg.stop = 0, 5
+    forest = LoopForest()
+    outer = forest.new_element()
+    outer.entry, outer.exit = 1, 4
+    inner = forest.new_element(outer)
+    inner.entry = 2
+    loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest))
+    assert (outer.belongs, inner.belongs, forest.phi.belongs) == ({1}, {2, 3}, {0, 4, 5})
 
 
 def test_recover_matches_builder_on_random_programs():

@@ -9,7 +9,6 @@ from cfgdag import (
     check_edges_covered,
     check_vertices_covered,
     generate_random_program,
-    guards,
     loop_regions,
     validate_cfg_decomposition,
 )
@@ -17,10 +16,8 @@ from helpers import (
     connectivity_by_triples,
     d3_by_scan,
     edges_covered_by_defn,
-    guard_pairs,
     guards_by_scan,
     pipeline,
-    succ_map,
 )
 
 
@@ -116,15 +113,15 @@ def test_deleting_exit_to_entry_arc_breaks_edge_covering():
 
 def test_guards_whole_graph_by_nothing():
     cfg, _ = while_decomp()
-    assert guards(set(), set(cfg.vertex_ids()), succ_map(cfg))
+    assert guards_by_scan(set(), set(cfg.vertex_ids()), cfg.edges())
 
 
 def test_guards_loop_body():
     cfg, _ = while_decomp()
     ids = by_label(cfg)
-    out = succ_map(cfg)
-    assert guards({ids["c"]}, {ids["b"]}, out)
-    assert not guards(set(), {ids["c"]}, out)
+    edges = list(cfg.edges())
+    assert guards_by_scan({ids["c"]}, {ids["b"]}, edges)
+    assert not guards_by_scan(set(), {ids["c"]}, edges)
 
 
 # -- the guarding form and its equivalence --------------------------------------------
@@ -179,11 +176,9 @@ def test_guarding_form_agrees_with_the_edge_scan_oracle():
         cfg, forest = cfg_from_source(generate_random_program(seed, 16))
         loop_regions(cfg, forest)
         base = build_decomposition(cfg, forest)
-        edges, out = list(cfg.edges()), succ_map(cfg)
+        edges = list(cfg.edges())
         for s in [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]:
             assert check_d3(s, edges) == d3_by_scan(s, edges), seed
-            for w, vp in guard_pairs(s):
-                assert guards(w, vp, out) == guards_by_scan(w, vp, edges), seed
 
 
 # -- oracles ----------------------------------------------------------------------
