@@ -10,6 +10,10 @@ every loop inside it, at its exit. loop_regions derives the belongs and
 inside sets from the map. By definition inside(L) holds the vertices
 dominated by the entry and not by the exit; the tests keep that definition
 as their oracle.
+
+Dominators and post-dominators take one Semi-NCA pass each (Georgiadis,
+Tarjan & Werneck, "Finding dominators in practice", 2006): near-linear
+time, and iterative throughout, so no graph is too deep for it.
 """
 
 from __future__ import annotations
@@ -160,7 +164,6 @@ class DominatorInfo:
 
     idom: dict[int, int]
     ipdom: dict[int, int]
-    rpo: list[int]
     _tin: dict[int, int] = field(default_factory=dict, repr=False)
     _tout: dict[int, int] = field(default_factory=dict, repr=False)
     _ptin: dict[int, int] = field(default_factory=dict, repr=False)
@@ -177,68 +180,98 @@ class DominatorInfo:
         return self._ptin[u] <= self._ptin[v] and self._ptout[v] <= self._ptout[u]
 
 
-def _ancestry_stamps(root: int, children: dict[int, list[int]]):
-    tin, tout = {}, {}
-    clock = 0
-    stack = [(root, False)]
-    while stack:
-        v, closing = stack.pop()
-        if closing:
-            tout[v] = clock
-            continue
-        tin[v] = clock
-        clock += 1
-        stack.append((v, True))
-        for c in reversed(children.get(v, ())):
-            stack.append((c, False))
-    return tin, tout
+def _dominator_tree(root: int, succ, pred):
+    """Semi-NCA dominator tree of the vertices reachable from root.
 
+    Georgiadis, Tarjan & Werneck, "Finding dominators in practice" (2006).
+    succ(v) and pred(v) list the neighbours of v. One DFS numbers the
+    vertices in preorder; semidominators follow in reverse preorder, each
+    found by a path-compressed walk up the forest of vertices already done;
+    then each immediate dominator is the nearest ancestor of the DFS parent
+    whose number is at most the semidominator's. Every walk runs on an
+    explicit stack over arrays indexed by preorder number, so neither the
+    depth of the graph nor that of the tree meets the recursion limit.
 
-def _rpo(start: int, succ) -> list[int]:
-    seen = {start}
-    post: list[int] = []
-    stack: list[tuple[int, int]] = [(start, 0)]
+    Returns idom, keyed in reverse postorder with the root as its own idom,
+    and the entry and exit stamps of a preorder walk of the dominator tree
+    that takes each vertex's children in reverse postorder.
+    """
+    num = {root: 0}
+    vert = [root]
+    parent = [0]
+    post = []
+    stack = [(0, iter(succ(root)))]
     while stack:
-        v, i = stack.pop()
-        nxt = succ(v)
-        if i < len(nxt):
-            stack.append((v, i + 1))
-            w = nxt[i]
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, 0))
+        i, it = stack[-1]
+        for w in it:
+            if w not in num:
+                j = num[w] = len(vert)
+                vert.append(w)
+                parent.append(i)
+                stack.append((j, iter(succ(w))))
+                break
         else:
-            post.append(v)
+            stack.pop()
+            post.append(i)
+
+    # Vertices numbered above w are done and linked into a forest by anc;
+    # any other vertex is a forest root. low[x] is the least semidominator
+    # on x's forest path below its root.
+    n = len(vert)
+    semi = [0] * n
+    low = [0] * n
+    anc = parent[:]
+    for w in range(n - 1, 0, -1):
+        s = parent[w]
+        for v in pred(vert[w]):
+            u = num.get(v)
+            if u is None:
+                continue
+            if u > w:
+                path = []
+                while anc[u] > w:
+                    path.append(u)
+                    u = anc[u]
+                top, m = anc[u], low[u]
+                for x in reversed(path):
+                    anc[x] = top
+                    if low[x] > m:
+                        low[x] = m
+                    else:
+                        m = low[x]
+                u = m
+            if u < s:
+                s = u
+        semi[w] = low[w] = s
+
+    idom = parent
+    for w in range(1, n):
+        d = idom[w]
+        while d > semi[w]:
+            d = idom[d]
+        idom[w] = d
+
+    # A dominator is a proper DFS ancestor: it has the smaller number and
+    # comes first in reverse postorder, so subtree sizes add up in reverse
+    # preorder and stamps are handed out in reverse postorder.
+    size = [1] * n
+    for w in range(n - 1, 0, -1):
+        size[idom[w]] += size[w]
     post.reverse()
-    return post
-
-
-def _idom_tree(order: list[int], preds) -> dict[int, int]:
-    # Standard iterative scheme: intersect predecessor dominators in
-    # reverse postorder until a fixed point.
-    index = {v: i for i, v in enumerate(order)}
-    idom: dict[int, int] = {order[0]: order[0]}
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for v in order[1:]:
-            new = None
-            for p in preds(v):
-                if p in idom:
-                    new = p if new is None else intersect(new, p)
-            if new is not None and idom.get(v) != new:
-                idom[v] = new
-                changed = True
-    return idom
+    tin = [0] * n
+    free = [1] * n  # next stamp for a child of each vertex
+    for w in post[1:]:
+        d = idom[w]
+        t = tin[w] = free[d]
+        free[d] = t + size[w]
+        free[w] = t + 1
+    # Both stamp maps outlive this call; they share one int per value.
+    stamp = list(range(n + 1))
+    return (
+        {vert[w]: vert[idom[w]] for w in post},
+        {v: stamp[t] for v, t in zip(vert, tin)},
+        {v: stamp[t + k] for v, t, k in zip(vert, tin, size)},
+    )
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
@@ -247,36 +280,30 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
     Raises ValueError when a vertex other than an already-flagged stop is
     unreachable; prune first.
     """
-    order = _rpo(cfg.start, cfg.successors)
-    reached = set(order)
-    missing = [v for v in cfg.vertex_ids() if v not in reached]
+    idom, tin, tout = _dominator_tree(cfg.start, cfg.successors, cfg.predecessors)
+    missing = [v for v in cfg.vertex_ids() if v not in idom]
     if missing and missing != [cfg.stop]:
         raise ValueError(f"unreachable vertices {sorted(missing)}; prune the graph first")
 
-    idom = _idom_tree(order, cfg.predecessors)
+    # Post-dominators: the reversed graph, return edges left out.
+    ipdom, ptin, ptout = {}, {}, {}
+    if cfg.stop in idom:
+        heads: dict[int, set[int]] = {}
+        tails: dict[int, set[int]] = {}
+        for u, v in cfg.edges_of_kind(EdgeKind.STOP):
+            heads.setdefault(v, set()).add(u)
+            tails.setdefault(u, set()).add(v)
+        ipdom, ptin, ptout = _dominator_tree(
+            cfg.stop, _without(cfg.predecessors, heads), _without(cfg.successors, tails))
+    return DominatorInfo(idom, ipdom, tin, tout, ptin, ptout)
 
-    # Post-dominators: reversed graph, return edges removed.
-    fwd: dict[int, list[int]] = {v: [] for v in reached}
-    for u, v in cfg.edges():
-        if cfg.edge_kind(u, v) is EdgeKind.STOP:
-            continue
-        if u in fwd and v in fwd:
-            fwd[u].append(v)
-    if cfg.stop in fwd:
-        rev: dict[int, list[int]] = {v: [] for v in fwd}
-        for u, vs in fwd.items():
-            for v in vs:
-                rev[v].append(u)
-        porder = _rpo(cfg.stop, lambda v: rev[v])
-        ipdom = _idom_tree(porder, lambda v: fwd[v])
-    else:
-        ipdom = {}
 
-    info = DominatorInfo(idom=idom, ipdom=ipdom, rpo=order)
-    info._tin, info._tout = _ancestry_stamps(order[0], tree_children(idom))
-    if ipdom:
-        info._ptin, info._ptout = _ancestry_stamps(cfg.stop, tree_children(ipdom))
-    return info
+def _without(neighbours, cut: dict[int, set[int]]):
+    """neighbours(v) less cut[v]; only the few vertices in cut pay for a copy."""
+    def listed(v: int) -> list[int]:
+        drop = cut.get(v)
+        return neighbours(v) if drop is None else [w for w in neighbours(v) if w not in drop]
+    return listed
 
 
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:

@@ -1,14 +1,16 @@
 """Independent oracles the tests check the library against.
 
 These deliberately use different machinery from the implementation:
-plain path enumeration, transitive closures, and brute-force triple
-scans instead of dominator trees and bitmask sweeps.
+plain path enumeration, transitive closures, brute-force triple scans and
+the iterative dominator fixed point instead of dominator trees, bitmask
+sweeps and Semi-NCA.
 """
 
 from __future__ import annotations
 
 from cfgdag import (
     ControlFlowGraph,
+    EdgeKind,
     build_decomposition,
     cfg_from_source,
     compute_dominators,
@@ -177,6 +179,82 @@ def dominators_by_paths(cfg) -> dict:
     return doms
 
 
+def reverse_postorder(start, succ) -> list:
+    """Reverse postorder of a DFS from start; succ(v) lists v's successors."""
+    seen = {start}
+    post = []
+    stack = [(start, 0)]
+    while stack:
+        v, i = stack.pop()
+        nxt = succ(v)
+        if i < len(nxt):
+            stack.append((v, i + 1))
+            w = nxt[i]
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, 0))
+        else:
+            post.append(v)
+    post.reverse()
+    return post
+
+
+def idom_by_iteration(order, preds) -> dict:
+    """Immediate dominators by the Cooper-Harvey-Kennedy fixed point.
+
+    "A Simple, Fast Dominance Algorithm" (2001): intersect the dominators of
+    each vertex's predecessors, in reverse postorder, until nothing
+    changes. order is a reverse postorder from the root; quadratic on deep
+    dominator trees.
+    """
+    index = {v: i for i, v in enumerate(order)}
+    idom = {order[0]: order[0]}
+
+    def intersect(a, b):
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            new = None
+            for p in preds(v):
+                if p in idom:
+                    new = p if new is None else intersect(new, p)
+            if new is not None and idom.get(v) != new:
+                idom[v] = new
+                changed = True
+    return idom
+
+
+def dominators_by_iteration(cfg) -> tuple[dict, dict]:
+    """(idom, ipdom) of a graph whose vertices other than stop are reachable.
+
+    Post-dominators run on the reversed graph of the vertices reached from
+    start, with return edges (EdgeKind.STOP) removed; ipdom is empty when
+    stop is not reached.
+    """
+    order = reverse_postorder(cfg.start, cfg.successors)
+    idom = idom_by_iteration(order, cfg.predecessors)
+    if cfg.stop not in idom:
+        return idom, {}
+    fwd = {v: [] for v in order}
+    for u, v in cfg.edges():
+        if cfg.edge_kind(u, v) is not EdgeKind.STOP and u in fwd and v in fwd:
+            fwd[u].append(v)
+    rev = {v: [] for v in fwd}
+    for u, vs in fwd.items():
+        for v in vs:
+            rev[v].append(u)
+    porder = reverse_postorder(cfg.stop, rev.__getitem__)
+    return idom, idom_by_iteration(porder, fwd.__getitem__)
+
+
 def dist_by_enumeration(cfg, elem, v) -> int | None:
     """Longest |path-vertices in belongs(L)| over simple paths to the exit.
 
@@ -281,8 +359,9 @@ def recovery_facts(cfg, forest, decomp) -> dict:
     forest is the builder's forest with regions filled in, decomp the
     decomposition built from it. A builder loop is seen when an edge into its
     entry starts inside it; only seen loops can be recovered, and a seen
-    loop's parent is taken to be its nearest seen ancestor. Returns
-    {"error": message} when recovery raises.
+    loop's parent is taken to be its nearest seen ancestor. "dominators"
+    says whether the loaded graph's idom and ipdom equal the iterative
+    oracle's. Returns {"error": message} when recovery raises.
     """
     seen = {e.entry: e for e in forest.elements
             if any(u in e.inside for u in cfg.predecessors(e.entry))}
@@ -295,13 +374,15 @@ def recovery_facts(cfg, forest, decomp) -> dict:
 
     graph = ControlFlowGraph.from_json(cfg.to_json())
     try:
-        recovered = loop_regions(graph, recover_loop_forest(graph, compute_dominators(graph)))
+        dom = compute_dominators(graph)
+        recovered = loop_regions(graph, recover_loop_forest(graph, dom))
         again = build_decomposition(graph, recovered)
     except ValueError as err:
         return {"error": str(err)}
     entries = {r.entry for r in recovered.elements} == set(seen)
     return {
         "error": None,
+        "dominators": (dom.idom, dom.ipdom) == dominators_by_iteration(graph),
         "valid": again.width() <= 3 and validate_cfg_decomposition(again, graph).valid,
         "entries": entries,
         "exits": entries and all(r.exit == seen[r.entry].exit for r in recovered.elements),

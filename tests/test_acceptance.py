@@ -145,6 +145,8 @@ def test_loop_recovery_agrees_with_the_builder_on_both_fleets(construction_fleet
     breaks), and a natural body can end before the builder's exit, so the
     forests agree only where both can: the exits are compared, parents where
     all exits agree, and whole decompositions where every loop is seen too.
+    The dominator trees the recovery rests on must equal the iterative
+    oracle's on every program.
     """
     facts = [(f"fleet seed {r['seed']}", r["recovery"]) for r in construction_fleet[0]]
     facts += [(f"pursuit seed {r['seed']}", recovery_facts(r["cfg"], r["forest"],
@@ -153,6 +155,7 @@ def test_loop_recovery_agrees_with_the_builder_on_both_fleets(construction_fleet
     assert len(facts) == 1500
     for name, f in facts:
         assert f["error"] is None, (name, f["error"])
+        assert f["dominators"], name
         assert f["valid"] and f["entries"], name
         assert f["parents"] or not f["exits"], name
         assert f["identical"] or not (f["exits"] and f["all_seen"]), name

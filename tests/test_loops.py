@@ -1,9 +1,14 @@
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     BACKWARD,
     FORWARD,
     ControlFlowGraph,
+    EdgeKind,
     LoopForest,
     assign_owners,
     build_cfg,
@@ -19,6 +24,7 @@ from cfgdag import (
 from helpers import (
     check_cycle_corollary,
     dominator_regions,
+    dominators_by_iteration,
     dominators_by_paths,
     pipeline,
     simple_cycles,
@@ -88,6 +94,84 @@ def test_post_dominators_ignore_return_edges():
     for v in elem.inside:
         assert dom.post_dominates(elem.exit, v), cfg.labels[v]
     assert dom.post_dominates(ids["stop"], ids["a"])
+
+
+def _graph(n, edges, stop):
+    cfg = ControlFlowGraph()
+    for v in range(n):
+        cfg.add_vertex(f"v{v}", v)
+    for u, v, kind in edges:
+        cfg.add_edge(u, v, kind)
+    cfg.start, cfg.stop = 0, stop
+    return cfg
+
+
+@st.composite
+def digraphs(draw):
+    """Every vertex but stop reachable from start 0 by a random tree; extra
+    edges of any kind run in any direction, so a cycle can have several
+    entries. stop is reached by an ordinary edge, not at all, or only by
+    return edges."""
+    n = draw(st.integers(2, 40))
+    stop = n - 1
+    kinds = st.sampled_from(list(EdgeKind))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(kinds)) for v in range(1, stop)]
+    edges += draw(st.lists(st.tuples(st.integers(0, stop), st.integers(0, stop), kinds),
+                           max_size=n))
+    into_stop = draw(st.sampled_from(["ordinary", "none", "returns"]))
+    edges = [e for e in edges if e[1] != stop or into_stop == "ordinary"]
+    if into_stop != "none":
+        tails = draw(st.lists(st.integers(0, stop - 1), min_size=1, max_size=3))
+        kind = EdgeKind.OUT if into_stop == "ordinary" else EdgeKind.STOP
+        edges += [(u, stop, kind) for u in tails]
+    return _graph(n, edges, stop)
+
+
+@st.composite
+def programs(draw):
+    src = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 60)))
+    return cfg_from_source(src, contract=draw(st.booleans()))[0]
+
+
+# two entries into the cycle 1 <-> 2
+@example(_graph(4, [(0, 1, "out"), (0, 2, "out"), (1, 2, "out"), (2, 1, "out"), (2, 3, "out")], 3))
+# idom(5) needs a semidominator carried down a compressed path
+@example(_graph(6, [(0, 1, "out"), (0, 2, "out"), (0, 3, "out"), (3, 4, "out"), (4, 5, "out"),
+                    (1, 5, "out"), (4, 2, "out")], 5))
+# stop reached only by return edges, and not at all
+@example(_graph(3, [(0, 1, "out"), (1, 2, "stop"), (0, 2, "stop")], 2))
+@example(_graph(3, [(0, 1, "out"), (1, 0, "out"), (2, 1, "out")], 2))
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(programs(), digraphs()))
+def test_dominators_equal_the_iterative_oracle(cfg):
+    """Both trees equal the Cooper-Harvey-Kennedy fixed point's, and the
+    dominance queries equal ancestry in them."""
+    dom = compute_dominators(cfg)
+    idom, ipdom = dominators_by_iteration(cfg)
+    assert dom.idom == idom
+    assert dom.ipdom == ipdom
+    for tree, holds in ((idom, dom.dominates), (ipdom, dom.post_dominates)):
+        for v in tree:
+            above, x = {v}, v
+            while tree[x] != x:
+                x = tree[x]
+                above.add(x)
+            for u in tree:
+                assert holds(u, v) == (u in above), (u, v)
+
+
+def test_dominators_of_a_deep_graph_need_no_recursion():
+    # start 0 -> 1 -> 2 -> ... -> n-1 -> stop n, a back edge n-1 -> 1 and a
+    # branch 1 -> n-1 that skips the chain: both trees are ~n deep.
+    n = 10**5
+    assert sys.getrecursionlimit() < n
+    edges = [(v, v + 1, "out") for v in range(n)] + [(n - 1, 1, "out"), (1, n - 1, "out")]
+    dom = compute_dominators(_graph(n + 1, edges, n))
+    chain = range(2, n - 1)
+    assert dom.idom == {0: 0, 1: 0, **{v: v - 1 for v in chain}, n - 1: 1, n: n - 1}
+    assert dom.ipdom == {n: n, n - 1: n, **{v: v + 1 for v in chain}, 1: n - 1, 0: 1}
+    assert dom.dominates(1, n) and not dom.dominates(n // 2, n - 1)
+    assert dom.post_dominates(n - 1, 0) and not dom.post_dominates(n // 2, 1)
 
 
 # -- regions ------------------------------------------------------------------
