@@ -18,22 +18,13 @@ from .loops import LoopElement, LoopForest
 Pending = list[tuple[int, EdgeKind]]
 
 
-class _Patch:
-    """Collects pending edges whose target is not known yet."""
-
-    __slots__ = ("sources",)
-
-    def __init__(self):
-        self.sources: Pending = []
-
-
 class _LoopCtx:
     __slots__ = ("element", "entry_target", "breaks", "first_vertex")
 
     def __init__(self, element: LoopElement, entry_target):
         self.element = element
-        self.entry_target = entry_target  # vertex id or _Patch
-        self.breaks = _Patch()
+        self.entry_target = entry_target  # vertex id, or the Pending edges waiting for it
+        self.breaks: Pending = []
         self.first_vertex: int | None = None
 
 
@@ -55,24 +46,26 @@ class _Builder:
         self.g = ControlFlowGraph()
         self.forest = LoopForest()
         self.stack: list[_LoopCtx] = []
-        self.returns = _Patch()
+        self.returns: Pending = []
 
     def vertex(self, label: str, owner: LoopElement | None = None) -> int:
         v = self.g.add_vertex(label)
         if owner is None:
             owner = self.stack[-1].element if self.stack else self.forest.phi
         self.forest.owner[v] = owner
-        for ctx in self.stack:
-            if ctx.first_vertex is None:
-                ctx.first_vertex = v
+        # The contexts with no first vertex yet are always the top of the stack.
+        for ctx in reversed(self.stack):
+            if ctx.first_vertex is not None:
+                break
+            ctx.first_vertex = v
         return v
 
     def attach(self, pending: Pending, target: int) -> None:
         for u, kind in pending:
             self.g.add_edge(u, target, kind)
 
-    def divert(self, pending: Pending, patch: _Patch, kind: EdgeKind) -> None:
-        patch.sources.extend((u, kind) for u, _ in pending)
+    def divert(self, pending: Pending, waiting: Pending, kind: EdgeKind) -> None:
+        waiting.extend((u, kind) for u, _ in pending)
 
     def block(self, seq: lang.Sequence, pending: Pending) -> Pending:
         for stmt in seq.body:
@@ -104,11 +97,10 @@ class _Builder:
             return []
         if isinstance(node, lang.Continue):
             ctx = self.stack[-1]
-            if isinstance(ctx.entry_target, _Patch):
+            if isinstance(ctx.entry_target, list):
                 self.divert(pending, ctx.entry_target, EdgeKind.ENTRY)
             else:
-                for u, _ in pending:
-                    self.g.add_edge(u, ctx.entry_target, EdgeKind.ENTRY)
+                self.attach([(u, EdgeKind.ENTRY) for u, _ in pending], ctx.entry_target)
             return []
         if isinstance(node, lang.Return):
             self.divert(pending, self.returns, EdgeKind.STOP)
@@ -116,8 +108,7 @@ class _Builder:
         raise TypeError(f"unknown statement {node!r}")
 
     def while_loop(self, node: lang.While, pending: Pending) -> Pending:
-        parent = self.stack[-1].element if self.stack else self.forest.phi
-        elem = self.forest.new_element(parent)
+        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
         c = self.vertex(str(node.cond), owner=elem)
         self.attach(pending, c)
         elem.entry = c
@@ -128,21 +119,12 @@ class _Builder:
         self.attach(body_out, c)
         ctx = self.stack.pop()
 
-        x = self.vertex(f"exit({node.cond})")
-        elem.exit = x
-        self.attach(ctx.breaks.sources, x)
-        if isinstance(node.cond, int):
-            if node.cond == 0:
-                self.g.add_edge(c, x, EdgeKind.OUT)
-        else:
-            self.g.add_edge(c, x, EdgeKind.OUT)
-        return [(x, EdgeKind.OUT)]
+        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
 
     def do_while_loop(self, node: lang.DoWhile, pending: Pending) -> Pending:
-        parent = self.stack[-1].element if self.stack else self.forest.phi
-        elem = self.forest.new_element(parent)
-        entry_patch = _Patch()
-        self.stack.append(_LoopCtx(elem, entry_target=entry_patch))
+        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
+        continues: Pending = []
+        self.stack.append(_LoopCtx(elem, entry_target=continues))
 
         if _opens_with_loop(node.body):
             # A nested loop would otherwise share its entry vertex with
@@ -159,19 +141,20 @@ class _Builder:
         ctx = self.stack.pop()
         entry = ctx.first_vertex  # at worst the condition vertex itself
         elem.entry = entry
-        self.attach(entry_patch.sources, entry)
+        self.attach(continues, entry)
 
-        loops_back = not isinstance(node.cond, int) or node.cond != 0
-        if loops_back:
+        if node.cond != 0:  # a label may loop back; the constant 0 never does
             self.g.add_edge(c, entry, EdgeKind.OUT)
 
-        x = self.vertex(f"exit({node.cond})", owner=parent)
+        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
+
+    def exit_vertex(self, cond: str | int, elem: LoopElement, c: int, breaks: Pending) -> Pending:
+        """Add the loop's exit vertex; the condition vertex c falls through to
+        it unless the condition is a nonzero constant."""
+        x = self.vertex(f"exit({cond})", owner=elem.parent)
         elem.exit = x
-        self.attach(ctx.breaks.sources, x)
-        if isinstance(node.cond, int):
-            if node.cond == 0:
-                self.g.add_edge(c, x, EdgeKind.OUT)
-        else:
+        self.attach(breaks, x)
+        if not isinstance(cond, int) or cond == 0:
             self.g.add_edge(c, x, EdgeKind.OUT)
         return [(x, EdgeKind.OUT)]
 
@@ -185,7 +168,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     stop = b.vertex("stop", owner=b.forest.phi)
     b.g.stop = stop
     b.attach(out, stop)
-    b.attach(b.returns.sources, stop)
+    b.attach(b.returns, stop)
     b.g.stop_reachable = stop in b.g.reachable_from(start)
     return b.g, b.forest
 

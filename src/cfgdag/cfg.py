@@ -22,6 +22,16 @@ class EdgeKind(str, Enum):
     STOP = "stop"     # return: jump straight to program end
 
 
+# Each member and its value: add_edge normalises a kind with one dict lookup.
+_KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
+
+
+class CfgJsonError(ValueError):
+    """CFG JSON that does not describe a graph: a missing key, a duplicate
+    vertex id, an edge to an unknown vertex, an invalid edge kind, or a
+    start or stop that is not a vertex."""
+
+
 class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
@@ -38,9 +48,10 @@ class ControlFlowGraph:
     def add_vertex(self, label: str, vid: int | None = None) -> int:
         if vid is None:
             vid = self._next_id
-        if vid in self.labels:
+        elif vid in self.labels:
             raise ValueError(f"vertex {vid} already exists")
-        self._next_id = max(self._next_id, vid + 1)
+        if vid >= self._next_id:
+            self._next_id = vid + 1
         self.labels[vid] = label
         self._succ[vid] = []
         self._pred[vid] = []
@@ -51,9 +62,9 @@ class ControlFlowGraph:
             raise ValueError(f"edge ({u}, {v}) references a missing vertex")
         if (u, v) in self._kind:
             return
+        self._kind[(u, v)] = _KINDS.get(kind) or EdgeKind(kind)
         self._succ[u].append(v)
         self._pred[v].append(u)
-        self._kind[(u, v)] = EdgeKind(kind)
 
     # -- queries -----------------------------------------------------------
 
@@ -125,12 +136,19 @@ class ControlFlowGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":
         cfg = cls()
-        for rec in data["vertices"]:
-            cfg.add_vertex(rec["label"], rec["id"])
-        for rec in data["edges"]:
-            cfg.add_edge(rec["from"], rec["to"], EdgeKind(rec["kind"]))
-        cfg.start = data["start"]
-        cfg.stop = data["stop"]
+        try:
+            for rec in data["vertices"]:
+                cfg.add_vertex(rec["label"], rec["id"])
+            for rec in data["edges"]:
+                cfg.add_edge(rec["from"], rec["to"], rec["kind"])
+            cfg.start = data["start"]
+            cfg.stop = data["stop"]
+            if cfg.start not in cfg.labels or cfg.stop not in cfg.labels:
+                raise ValueError(f"start {cfg.start!r} or stop {cfg.stop!r} is not a vertex")
+        except KeyError as err:
+            raise CfgJsonError(f"missing key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise CfgJsonError(str(err)) from None
         cfg.stop_reachable = cfg.stop in cfg.reachable_from(cfg.start)
         return cfg
 
@@ -157,15 +175,24 @@ class ControlFlowGraph:
 
 
 def prune_unreachable(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Drop vertices unreachable from start; stop is kept but flagged."""
+    """Drop vertices unreachable from start; stop is kept but flagged.
+    Vertices come out sorted and edges in sorted (u, v) order."""
     reachable = cfg.reachable_from(cfg.start)
+    keep = sorted(v for v in cfg.labels if v in reachable or v == cfg.stop)
     out = ControlFlowGraph()
-    for v in sorted(cfg.labels):
-        if v in reachable or v == cfg.stop:
-            out.add_vertex(cfg.labels[v], v)
-    for (u, v) in sorted(cfg._kind):
-        if u in out.labels and v in out.labels and u in reachable:
-            out.add_edge(u, v, cfg._kind[(u, v)])
+    labels, succ, pred, kinds = out.labels, out._succ, out._pred, out._kind
+    for v in keep:
+        labels[v] = cfg.labels[v]
+        succ[v] = []
+        pred[v] = []
+    for u in keep:
+        if u in reachable:
+            for v in sorted(cfg._succ[u]):
+                if v in labels:
+                    succ[u].append(v)
+                    pred[v].append(u)
+                    kinds[(u, v)] = cfg._kind[(u, v)]
+    out._next_id = keep[-1] + 1 if keep else 0
     out.start, out.stop = cfg.start, cfg.stop
     out.stop_reachable = cfg.stop in reachable
     return out

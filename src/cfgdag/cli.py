@@ -2,7 +2,7 @@
 
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
-2 i/o error, 3 parse error.
+2 i/o error (bad JSON and bad CFG JSON included), 3 parse error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 
 from .build import cfg_from_source
-from .cfg import ControlFlowGraph, contract_basic_blocks, prune_unreachable
+from .cfg import CfgJsonError, ControlFlowGraph, contract_basic_blocks, prune_unreachable
 from .decomposition import DagDecomposition, build_decomposition
 from .game import (
     LazyRobber,
@@ -211,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as err:
         print(f"i/o error: bad JSON: {err}", file=sys.stderr)
+        return 2
+    except CfgJsonError as err:
+        print(f"i/o error: bad CFG JSON: {err}", file=sys.stderr)
         return 2
 
 

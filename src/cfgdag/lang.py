@@ -70,15 +70,13 @@ class Return:
     nid: int = -1
 
 
-Statement = Assign | Sequence | If | While | DoWhile | Break | Continue | Return
-
-
 @dataclass
 class StructuredAst:
     root: Sequence
 
 
 KEYWORDS = frozenset({"if", "else", "while", "do", "break", "continue", "return"})
+_JUMPS = {"break": Break, "continue": Continue, "return": Return}
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -91,34 +89,40 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    """Return (kind, text, line, col) tokens; keywords use their own kind."""
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Return (kind, text, offset) tokens; keywords use their own kind.
+
+    Tokens carry only their offset into source; line and column are counted
+    from it when a ParseError is raised.
+    """
     tokens = []
-    pos, line, col = 0, 1, 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+    pos = 0
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if start != pos:  # finditer skipped a character no token matches
+            break
+        pos = m.end()
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         text = m.group()
         if kind == "ident" and text in KEYWORDS:
             kind = text
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+        tokens.append((kind, text, start))
+    if pos != len(source):
+        raise _error_at(source, pos, f"unexpected character {source[pos]!r}")
+    tokens.append(("eof", "", pos))
     return tokens
 
 
+def _error_at(source: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset pos, with its 1-based line and column."""
+    return ParseError(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
+
+
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, source, tokens):
+        self.source = source
         self.tokens = tokens
         self.pos = 0
         self.next_id = 0
@@ -140,12 +144,11 @@ class _Parser:
     def _expect(self, kind: str, what: str):
         tok = self._cur()
         if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
+            self._error(f"expected {what}, found {tok[1] or 'end of input'!r}")
         return self._advance()
 
     def _error(self, message: str):
-        tok = self._cur()
-        raise ParseError(message, tok[2], tok[3])
+        raise _error_at(self.source, self._cur()[2], message)
 
     def program(self) -> Sequence:
         root = Sequence(nid=self._take_id())
@@ -176,14 +179,13 @@ class _Parser:
         raise AssertionError  # unreachable
 
     def statement(self):
-        kind, text, line, col = self._cur()
+        kind, text, _ = self._cur()
+        nid = self._take_id()  # unused when this raises, and a parse stops there
         if kind == "ident":
-            nid = self._take_id()
             self._advance()
             self._expect("semi", "';'")
             return Assign(text, nid=nid)
         if kind == "if":
-            nid = self._take_id()
             self._advance()
             cond = self.condition()
             if isinstance(cond, int):
@@ -195,7 +197,6 @@ class _Parser:
                 orelse = self.block()
             return If(cond, then, orelse, nid=nid)
         if kind == "while":
-            nid = self._take_id()
             self._advance()
             cond = self.condition()
             self.loop_depth += 1
@@ -203,7 +204,6 @@ class _Parser:
             self.loop_depth -= 1
             return While(cond, body, nid=nid)
         if kind == "do":
-            nid = self._take_id()
             self._advance()
             self.loop_depth += 1
             body = self.block()
@@ -212,28 +212,15 @@ class _Parser:
             cond = self.condition()
             self._expect("semi", "';'")
             return DoWhile(cond, body, nid=nid)
-        if kind == "break":
-            if self.loop_depth == 0:
-                self._error("break outside loop")
-            nid = self._take_id()
+        if kind in _JUMPS:
+            if kind != "return" and self.loop_depth == 0:
+                self._error(f"{kind} outside loop")
             self._advance()
             self._expect("semi", "';'")
-            return Break(nid=nid)
-        if kind == "continue":
-            if self.loop_depth == 0:
-                self._error("continue outside loop")
-            nid = self._take_id()
-            self._advance()
-            self._expect("semi", "';'")
-            return Continue(nid=nid)
-        if kind == "return":
-            nid = self._take_id()
-            self._advance()
-            self._expect("semi", "';'")
-            return Return(nid=nid)
+            return _JUMPS[kind](nid=nid)
         self._error(f"unexpected {text!r}")
 
 
 def parse_program(source: str) -> StructuredAst:
     """Parse source text into an AST; node ids follow source order."""
-    return StructuredAst(root=_Parser(tokenize(source)).program())
+    return StructuredAst(root=_Parser(source, tokenize(source)).program())

@@ -3,7 +3,8 @@
 These deliberately use different machinery from the implementation:
 plain path enumeration, transitive closures, brute-force triple scans and
 the iterative dominator fixed point instead of dominator trees, bitmask
-sweeps and Semi-NCA.
+sweeps and Semi-NCA; a tokenizer that counts lines and columns as it goes
+instead of on error; a prune that rebuilds through add_vertex/add_edge.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from cfgdag import (
     validate_cfg_decomposition,
 )
 from cfgdag._graph import tree_children
+from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
 
 
 def pipeline(src, contract=False):
@@ -137,6 +139,50 @@ def bfs_reachable(succ: dict, start) -> set:
 
 def succ_map(cfg) -> dict:
     return {v: list(cfg.successors(v)) for v in cfg.vertex_ids()}
+
+
+def tokenize_with_positions(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) tokens, the position kept by a running counter
+    over every token, comments and whitespace included; raises ParseError at
+    the first character no token matches."""
+    tokens = []
+    pos, line, col = 0, 1, 1
+    n = len(source)
+    while pos < n:
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "ident" and text in KEYWORDS:
+            kind = text
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def prune_by_rebuild(cfg):
+    """prune_unreachable by one add_vertex / add_edge call per kept element,
+    vertices sorted and edges in sorted (u, v) order."""
+    reachable = cfg.reachable_from(cfg.start)
+    out = ControlFlowGraph()
+    for v in sorted(cfg.labels):
+        if v in reachable or v == cfg.stop:
+            out.add_vertex(cfg.labels[v], v)
+    for (u, v) in sorted(cfg._kind):
+        if u in out.labels and v in out.labels and u in reachable:
+            out.add_edge(u, v, cfg._kind[(u, v)])
+    out.start, out.stop = cfg.start, cfg.stop
+    out.stop_reachable = cfg.stop in reachable
+    return out
 
 
 def all_simple_paths(succ: dict, src, dst, limit: int = 200000) -> list[list]:

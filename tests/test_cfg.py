@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     ControlFlowGraph,
@@ -12,7 +14,7 @@ from cfgdag import (
     parse_program,
     prune_unreachable,
 )
-from helpers import bfs_reachable, succ_map
+from helpers import bfs_reachable, prune_by_rebuild, succ_map
 
 
 def labels_of(cfg):
@@ -127,6 +129,53 @@ def test_prune_matches_reachability_oracle():
         assert set(pruned.vertex_ids()) == reach | {cfg.stop}
 
 
+def with_dead_code(rng, source):
+    """Make some loop conditions the constants 0 or 1 and put unguarded
+    returns after some assignments, so parts of the graph become unreachable."""
+    lines = []
+    for line in source.splitlines():
+        stmt = line.strip()
+        if stmt.startswith("while ") and rng.random() < 0.3:
+            line = line.replace(stmt, f"while {rng.choice((0, 1))} {{")
+        elif stmt.startswith("} while ") and rng.random() < 0.3:
+            line = line.replace(stmt, f"}} while {rng.choice((0, 1))};")
+        lines.append(line)
+        if stmt.startswith("a") and rng.random() < 0.05:
+            lines.append("return;")
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 80))
+def test_prune_fills_the_graph_as_the_rebuild_does(seed, size):
+    source = with_dead_code(random.Random(seed), generate_random_program(seed, size))
+    cfg, _ = build_cfg(parse_program(source))
+    for graph in (cfg, contract_basic_blocks(cfg)):
+        got, want = prune_unreachable(graph), prune_by_rebuild(graph)
+        assert got.labels == want.labels
+        assert got.vertex_ids() == want.vertex_ids()
+        assert list(got.edges()) == list(want.edges())
+        for v in want.vertex_ids():
+            assert got.successors(v) == want.successors(v)
+            assert got.predecessors(v) == want.predecessors(v)
+        for u, v in want.edges():
+            assert got.edge_kind(u, v) is want.edge_kind(u, v)
+        assert (got._next_id, got.start, got.stop, got.stop_reachable) == \
+            (want._next_id, want.start, want.stop, want.stop_reachable)
+
+
+def test_prune_drops_the_out_edges_of_an_unreachable_stop():
+    g = ControlFlowGraph()
+    start, a, stop = g.add_vertex("start"), g.add_vertex("a"), g.add_vertex("stop")
+    g.add_edge(start, a)
+    g.add_edge(a, a)
+    g.add_edge(stop, a)  # only CFG JSON can give stop a successor
+    g.start, g.stop = start, stop
+    pruned = prune_unreachable(g)
+    assert list(pruned.edges()) == list(prune_by_rebuild(g).edges()) == [(start, a), (a, a)]
+    assert pruned.predecessors(a) == [start, a] and not pruned.stop_reachable
+
+
 # -- contraction --------------------------------------------------------------
 
 
@@ -217,3 +266,38 @@ def test_add_edge_rejects_missing_vertex():
     g.add_vertex("a", 0)
     with pytest.raises(ValueError):
         g.add_edge(0, 5)
+
+
+def test_edge_kinds_are_members_whether_given_as_member_or_string():
+    g = ControlFlowGraph()
+    a, b, c = g.add_vertex("a"), g.add_vertex("b"), g.add_vertex("c")
+    g.add_edge(a, b, "out")
+    g.add_edge(b, c, EdgeKind.STOP)
+    assert g.edge_kind(a, b) is EdgeKind.OUT
+    assert g.edge_kind(b, c) is EdgeKind.STOP
+    g.start, g.stop = a, c
+    loaded = ControlFlowGraph.from_json(g.to_json())
+    assert loaded.edge_kind(a, b) is EdgeKind.OUT
+    assert loaded.edge_kind(b, c) is EdgeKind.STOP
+    for kind in EdgeKind:
+        h = ControlFlowGraph()
+        h.add_edge(h.add_vertex("u"), h.add_vertex("v"), kind.value)
+        assert h.edge_kind(0, 1) is kind
+
+
+def test_add_edge_rejects_an_invalid_kind_and_leaves_the_graph_as_it_was():
+    g = ControlFlowGraph()
+    a, b = g.add_vertex("a"), g.add_vertex("b")
+    with pytest.raises(ValueError, match="'sideways' is not a valid EdgeKind"):
+        g.add_edge(a, b, "sideways")
+    assert not g.has_edge(a, b)
+    assert g.successors(a) == [] and g.predecessors(b) == []
+
+
+def test_add_vertex_continues_after_the_largest_id():
+    g = ControlFlowGraph()
+    g.add_vertex("x", 7)
+    g.add_vertex("y", 3)
+    assert g.add_vertex("z") == 8
+    with pytest.raises(ValueError, match="vertex 3 already exists"):
+        g.add_vertex("w", 3)

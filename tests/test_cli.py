@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cfgdag import DagDecomposition, LoopForest, two_loop_cfg
+from cfgdag import DagDecomposition, LoopForest, cfg_from_source, two_loop_cfg
 from cfgdag.cli import main
 
 WHILE_SRC = "while c { b; }\n"
@@ -80,6 +80,28 @@ def test_parse_error_exits_three(tmp_path, capsys):
 
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", str(tmp_path / "absent.spl")]) == 2
+
+
+# Faults in CFG JSON input, each applied to the JSON of the empty program
+# (vertices 0 = start and 1 = stop, one edge 0 -> 1).
+BAD_CFG_JSON = [
+    (lambda data: data.pop("start"), "missing key 'start'"),
+    (lambda data: data["edges"][0].update(kind="sideways"), "'sideways' is not a valid EdgeKind"),
+    (lambda data: data["edges"].append({"from": 0, "to": 7, "kind": "out"}),
+     "edge (0, 7) references a missing vertex"),
+    (lambda data: data["vertices"].append({"id": 0, "label": "again"}), "vertex 0 already exists"),
+    (lambda data: data.update(start=9), "start 9 or stop 1 is not a vertex"),
+]
+
+
+@pytest.mark.parametrize("damage, what", BAD_CFG_JSON)
+def test_bad_cfg_json_exits_two_with_what_is_wrong(tmp_path, capsys, damage, what):
+    data = cfg_from_source("")[0].to_json_dict()
+    damage(data)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(data))
+    assert main(["decompose", str(graph_path), "--kind", "cfg-json"]) == 2
+    assert capsys.readouterr().err == f"i/o error: bad CFG JSON: {what}\n"
 
 
 def test_play_reference_pursuit(tmp_path):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfgdag import ParseError, parse_program
+from cfgdag import ParseError, generate_random_program, lang, parse_program
 from cfgdag.lang import Assign, Break, DoWhile, If, Sequence, While
+from helpers import tokenize_with_positions
 
 
 def test_single_assignment():
@@ -94,3 +97,58 @@ def test_unterminated_block():
 def test_garbage_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_program("a; $;")
+
+
+FRAGMENTS = ["a;", "x1;", "if p {", "} else {", "while c {", "while 1 {", "while 0 {", "do {",
+             "} while d;", "} while 0;", "}", "{", ";", "42", "while", "break;", "continue;",
+             "return;", "// note", "// { ;", " ", "  ", "\t", "\n", "\r\n", "\n\n", " \r\n\t"]
+STRAYS = ["$", "@", "#", "-", "(", "\x00", "\u00e9", "/"]
+
+
+@st.composite
+def sources(draw):
+    """Fragment soups and random programs with CRLF line ends, tabs and
+    comments; then maybe a stray character and a truncation at random offsets."""
+    if draw(st.booleans()):
+        text = "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=40)))
+    else:
+        text = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 25)))
+        if draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
+        if draw(st.booleans()):
+            text = text.replace("  ", "\t")
+        if draw(st.booleans()):
+            text = text.replace(";", "; // done\n\n", draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(sources())
+@example("")
+@example("a;\r\n\t$")
+@example("// c\n\n\t while {")
+@example("a;\n  while { b; }")
+@example("do { a; } while")
+def test_tokens_and_error_positions_equal_the_running_counter(source):
+    try:
+        expected = tokenize_with_positions(source)
+    except ParseError as want:
+        with pytest.raises(ParseError) as got:
+            parse_program(source)
+        assert (str(got.value), got.value.line, got.value.col) == (str(want), want.line, want.col)
+        return
+    tokens = lang.tokenize(source)
+    assert [t[:2] for t in tokens] == [t[:2] for t in expected]
+    # Every parse error is raised at the parser's current token.
+    parser = lang._Parser(source, tokens)
+    try:
+        parser.program()
+    except ParseError as err:
+        _, _, line, col = expected[parser.pos]
+        assert (err.line, err.col) == (line, col)
+        assert str(err).endswith(f"(line {line}, col {col})")
