@@ -2,7 +2,8 @@
 
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
-2 i/o error (bad JSON and bad CFG JSON included), 3 parse error.
+2 i/o error (bad JSON and bad CFG, loop forest or decomposition JSON
+included), 3 parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .build import cfg_from_source
 from .cfg import CfgJsonError, ControlFlowGraph, contract_basic_blocks, prune_unreachable
-from .decomposition import DagDecomposition, build_decomposition
+from .decomposition import DagDecomposition, DecompositionJsonError, build_decomposition
 from .game import (
     LazyRobber,
     LoopGuardStrategy,
@@ -25,6 +26,7 @@ from .lang import ParseError
 from .loops import (
     DominatorInfo,
     LoopForest,
+    LoopForestJsonError,
     assign_owners,
     classify_edges,
     compute_dominators,
@@ -214,6 +216,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CfgJsonError as err:
         print(f"i/o error: bad CFG JSON: {err}", file=sys.stderr)
+        return 2
+    except LoopForestJsonError as err:
+        print(f"i/o error: bad loop forest JSON: {err}", file=sys.stderr)
+        return 2
+    except DecompositionJsonError as err:
+        print(f"i/o error: bad decomposition JSON: {err}", file=sys.stderr)
         return 2
 
 

@@ -98,6 +98,12 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
     return part
 
 
+class DecompositionJsonError(ValueError):
+    """Decomposition JSON that does not describe a decomposition: a missing
+    key, an arc to an unknown node, a node without a bag or a bag without a
+    node, or a record of the wrong shape."""
+
+
 @dataclass
 class DagDecomposition:
     """DAG over the graph's vertices with a bag of at most width vertices each."""
@@ -131,11 +137,22 @@ class DagDecomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DagDecomposition":
-        return cls(
-            nodes=list(data["nodes"]),
-            arcs=[tuple(a) for a in data["arcs"]],
-            bags={int(n): frozenset(b) for n, b in data["bags"].items()},
-        )
+        try:
+            nodes = list(data["nodes"])
+            arcs = [tuple(a) for a in data["arcs"]]
+            bags = {int(n): frozenset(b) for n, b in data["bags"].items()}
+            known = set(nodes)
+            for arc in arcs:
+                if len(arc) != 2 or not known.issuperset(arc):
+                    raise ValueError(f"arc {list(arc)} references a missing node")
+            if known != set(bags):
+                n = min(known ^ set(bags))
+                raise ValueError(f"node {n} has no bag" if n in known else f"bag {n} has no node")
+        except KeyError as err:
+            raise DecompositionJsonError(f"missing key {err}") from None
+        except (AttributeError, TypeError, ValueError) as err:
+            raise DecompositionJsonError(str(err)) from None
+        return cls(nodes=nodes, arcs=arcs, bags=bags)
 
     @classmethod
     def from_json(cls, text: str) -> "DagDecomposition":

@@ -450,13 +450,26 @@ def _adjacency(graph) -> tuple[list[int], dict[int, list[int]]]:
 
 
 class PursuitSolver:
-    """Exhaustive search over (cops, robber, vacated) with memoisation.
+    """Exhaustive search over (cops, robber region, vacated) with memoisation.
 
     Monotonicity means cops may never return to a vacated vertex, so every
     cop move either vacates something or adds a cop: the search is acyclic
     and plain memoisation is sound. A robber that can reach any vacated
     vertex wins outright, because no cop may ever land there again.
     Skipping stand-still cop moves is safe: they help only the robber.
+
+    The search keeps robber regions, not vertices, as in the helicopter game
+    of Berwanger, Dawar, Hunter, Kreutzer & Obdrzalek ("The DAG-width of
+    directed graphs", 2012). A free robber at r, facing cops x, can be
+    anywhere in its region R = reach(r, x). Every stay set S of a cop move
+    lies within x, so reach(r, S) = reach(R, S), and the value depends on r
+    only through R: the memo is keyed by (x, R, f). The cops' value is also
+    monotone in the region, by induction on the acyclic game: a smaller
+    region leaves the robber a subset of destinations after every move. So
+    once the cops beat the robber at b after their move to x2, every other
+    destination in reach(b, x2) is beaten as well and is not searched.
+
+    max_states bounds the memo, counted in (cops, region, vacated) states.
     """
 
     def __init__(self, vertices: list[int], succ: dict[int, list[int]], k: int,
@@ -465,63 +478,50 @@ class PursuitSolver:
         self.n = len(self.bits.order)
         self.k = k
         self.max_states = max_states
-        self.full = (1 << self.n) - 1
         self.succ_mask = [0] * self.n
         for v, ws in succ.items():
             self.succ_mask[self.bits.index[v]] = self.bits.of(ws)
         self.memo: dict[tuple[int, int, int], bool] = {}
-        self._move_cache: dict[int, tuple[int, ...]] = {}
+        # blocked mask -> reach from each vertex index, 0 until walked
+        self._reach_rows: dict[int, list[int]] = {}
+        # every placement of at most k cops, by size, then in combinations order
+        singles = [1 << i for i in range(self.n)]
+        self._placements = [sum(c) for size in range(k + 1) for c in combinations(singles, size)]
 
-    def _reach(self, src: int, blocked: int) -> int:
-        reach = src
-        frontier = src
+    def _reach(self, r: int, blocked: int) -> int:
+        """Vertices the robber at index r reaches on paths avoiding blocked."""
+        row = self._reach_rows.get(blocked)
+        if row is None:
+            row = self._reach_rows[blocked] = [0] * self.n
+        reach = row[r]
+        if reach:
+            return reach
+        reach = frontier = 1 << r
         succ_mask = self.succ_mask
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
                 nxt |= succ_mask[b.bit_length() - 1]
-            nxt &= ~blocked & ~reach
-            reach |= nxt
-            frontier = nxt
+            frontier = nxt & ~blocked & ~reach
+            reach |= frontier
+        row[r] = reach
         return reach
-
-    def _moves(self, allowed: int) -> tuple[int, ...]:
-        cached = self._move_cache.get(allowed)
-        if cached is None:
-            bits = []
-            m = allowed
-            while m:
-                b = m & -m
-                m ^= b
-                bits.append(b)
-            masks = [0]
-            for size in range(1, self.k + 1):
-                for combo in combinations(bits, size):
-                    acc = 0
-                    for b in combo:
-                        acc |= b
-                    masks.append(acc)
-            cached = tuple(masks)
-            self._move_cache[allowed] = cached
-        return cached
 
     # -- game values -------------------------------------------------------
 
     def cops_win(self, x: int, r: int, f: int) -> bool:
         """Cop player to move at (cops x, robber index r, vacated f)."""
-        key = (x, r, f)
+        if (x >> r) & 1:
+            return True
+        key = (x, self._reach(r, x), f)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if (x >> r) & 1:
-            self.memo[key] = True
-            return True
         if len(self.memo) >= self.max_states:
             raise SearchBudgetError(
-                f"memo exceeded {self.max_states} states at k={self.k}"
+                f"memo exceeded {self.max_states} (cops, robber region, vacated) states at k={self.k}"
             )
         result = False
         for x2 in self._ordered_moves(x, r, f):
@@ -538,29 +538,26 @@ class PursuitSolver:
                 yield x2
 
     def _ordered_moves(self, x: int, r: int, f: int):
-        moves = self._moves(self.full & ~f)
         rbit = 1 << r
-        for x2 in moves:  # capture attempts first
-            if x2 != x and x2 & rbit:
+        for x2 in self._placements:  # capture attempts first
+            if x2 & rbit and not x2 & f and x2 != x:
                 yield x2
-        for x2 in moves:
-            if x2 != x and not (x2 & rbit):
+        for x2 in self._placements:
+            if not x2 & (rbit | f) and x2 != x:
                 yield x2
 
     def _move_wins(self, x: int, r: int, f: int, x2: int) -> bool:
-        stay = x & x2
         f2 = f | (x & ~x2)
-        dests = self._reach(1 << r, stay) & ~x2
+        dests = self._reach(r, x & x2) & ~x2
         if dests == 0:
             return True  # the robber has nowhere left to stand
         if dests & f2:
             return False  # the robber slips onto forbidden ground
-        d = dests
-        while d:
-            b = d & -d
-            d ^= b
-            if not self.cops_win(x2, b.bit_length() - 1, f2):
+        while dests:
+            b = (dests & -dests).bit_length() - 1
+            if not self.cops_win(x2, b, f2):
                 return False
+            dests &= ~self._reach(b, x2)  # regions within b's are beaten too
         return True
 
     def robber_safe_somewhere(self) -> bool:
@@ -568,7 +565,9 @@ class PursuitSolver:
 
 
 def brute_force_cop_number(graph, k_max: int = 4, max_states: int = 4_000_000) -> int:
-    """Fewest cops with a cop-monotone winning strategy, by exhaustive search."""
+    """Fewest cops with a cop-monotone winning strategy, by exhaustive search.
+
+    max_states bounds each solver's memo of (cops, robber region, vacated)."""
     vertices, succ = _adjacency(graph)
     for k in range(1, k_max + 1):
         solver = PursuitSolver(vertices, succ, k, max_states=max_states)

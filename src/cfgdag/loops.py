@@ -28,6 +28,12 @@ BACKWARD = "backward"
 FORWARD = "forward"
 
 
+class LoopForestJsonError(ValueError):
+    """Loop forest JSON that does not describe a forest: a missing key, an
+    entry or exit that is not a vertex id, a parent that is not the index of
+    an earlier record, or a record of the wrong shape."""
+
+
 @dataclass(eq=False)
 class LoopElement:
     entry: int | None
@@ -143,14 +149,22 @@ class LoopForest:
     def from_json_dict(cls, data: dict) -> "LoopForest":
         forest = cls()
         made: list[LoopElement] = []
-        for rec in data["loops"]:
-            parent = made[rec["parent"]] if rec["parent"] is not None else forest.phi
-            elem = forest.new_element(parent)
-            elem.entry = rec["entry"]
-            elem.exit = rec["exit"]
-            elem.inside = set(rec.get("inside", ()))
-            elem.belongs = set(rec.get("belongs", ()))
-            made.append(elem)
+        try:
+            for i, rec in enumerate(data["loops"]):
+                parent, entry, exit_ = rec["parent"], rec["entry"], rec["exit"]
+                if parent is not None and (type(parent) is not int or not 0 <= parent < i):
+                    raise ValueError(f"loop {i}: parent {parent!r} is not an earlier loop")
+                if type(entry) is not int or not (exit_ is None or type(exit_) is int):
+                    raise ValueError(f"loop {i}: entry {entry!r} or exit {exit_!r} is not a vertex id")
+                elem = forest.new_element(forest.phi if parent is None else made[parent])
+                elem.entry, elem.exit = entry, exit_
+                elem.inside = set(rec.get("inside", ()))
+                elem.belongs = set(rec.get("belongs", ()))
+                made.append(elem)
+        except KeyError as err:
+            raise LoopForestJsonError(f"missing key {err}") from None
+        except (AttributeError, TypeError, ValueError) as err:
+            raise LoopForestJsonError(str(err)) from None
         return forest
 
 

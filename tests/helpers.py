@@ -3,11 +3,14 @@
 These deliberately use different machinery from the implementation:
 plain path enumeration, transitive closures, brute-force triple scans and
 the iterative dominator fixed point instead of dominator trees, bitmask
-sweeps and Semi-NCA; a tokenizer that counts lines and columns as it goes
+sweeps and Semi-NCA; a pursuit solver keyed by the robber's vertex instead
+of its region; a tokenizer that counts lines and columns as it goes
 instead of on error; a prune that rebuilds through add_vertex/add_edge.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from cfgdag import (
     ControlFlowGraph,
@@ -20,7 +23,8 @@ from cfgdag import (
     recover_loop_forest,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import tree_children
+from cfgdag._graph import VertexBits, tree_children
+from cfgdag.game import SearchBudgetError, _adjacency
 from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
 
 
@@ -437,3 +441,133 @@ def recovery_facts(cfg, forest, decomp) -> dict:
         "all_seen": len(seen) == len(forest.elements),
         "identical": again.to_json() == decomp.to_json(),
     }
+
+
+class PursuitSolverByVertex:
+    """The exact solver keyed by the robber's vertex: the oracle for
+    game.PursuitSolver, which keys its memo by the robber's region.
+
+    Exhaustive search over (cops, robber, vacated) with memoisation.
+
+    Monotonicity means cops may never return to a vacated vertex, so every
+    cop move either vacates something or adds a cop: the search is acyclic
+    and plain memoisation is sound. A robber that can reach any vacated
+    vertex wins outright, because no cop may ever land there again.
+    Skipping stand-still cop moves is safe: they help only the robber.
+    """
+
+    def __init__(self, vertices: list[int], succ: dict[int, list[int]], k: int,
+                 max_states: int = 4_000_000):
+        self.bits = VertexBits(vertices)
+        self.n = len(self.bits.order)
+        self.k = k
+        self.max_states = max_states
+        self.full = (1 << self.n) - 1
+        self.succ_mask = [0] * self.n
+        for v, ws in succ.items():
+            self.succ_mask[self.bits.index[v]] = self.bits.of(ws)
+        self.memo: dict[tuple[int, int, int], bool] = {}
+        self._move_cache: dict[int, tuple[int, ...]] = {}
+
+    def _reach(self, src: int, blocked: int) -> int:
+        reach = src
+        frontier = src
+        succ_mask = self.succ_mask
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= succ_mask[b.bit_length() - 1]
+            nxt &= ~blocked & ~reach
+            reach |= nxt
+            frontier = nxt
+        return reach
+
+    def _moves(self, allowed: int) -> tuple[int, ...]:
+        cached = self._move_cache.get(allowed)
+        if cached is None:
+            bits = []
+            m = allowed
+            while m:
+                b = m & -m
+                m ^= b
+                bits.append(b)
+            masks = [0]
+            for size in range(1, self.k + 1):
+                for combo in combinations(bits, size):
+                    acc = 0
+                    for b in combo:
+                        acc |= b
+                    masks.append(acc)
+            cached = tuple(masks)
+            self._move_cache[allowed] = cached
+        return cached
+
+    # -- game values -------------------------------------------------------
+
+    def cops_win(self, x: int, r: int, f: int) -> bool:
+        """Cop player to move at (cops x, robber index r, vacated f)."""
+        key = (x, r, f)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        if (x >> r) & 1:
+            self.memo[key] = True
+            return True
+        if len(self.memo) >= self.max_states:
+            raise SearchBudgetError(
+                f"memo exceeded {self.max_states} states at k={self.k}"
+            )
+        result = False
+        for x2 in self._ordered_moves(x, r, f):
+            if self._move_wins(x, r, f, x2):
+                result = True
+                break
+        self.memo[key] = result
+        return result
+
+    def winning_moves(self, x: int, r: int, f: int):
+        """Yield cop moves from which the cops force capture."""
+        for x2 in self._ordered_moves(x, r, f):
+            if self._move_wins(x, r, f, x2):
+                yield x2
+
+    def _ordered_moves(self, x: int, r: int, f: int):
+        moves = self._moves(self.full & ~f)
+        rbit = 1 << r
+        for x2 in moves:  # capture attempts first
+            if x2 != x and x2 & rbit:
+                yield x2
+        for x2 in moves:
+            if x2 != x and not (x2 & rbit):
+                yield x2
+
+    def _move_wins(self, x: int, r: int, f: int, x2: int) -> bool:
+        stay = x & x2
+        f2 = f | (x & ~x2)
+        dests = self._reach(1 << r, stay) & ~x2
+        if dests == 0:
+            return True  # the robber has nowhere left to stand
+        if dests & f2:
+            return False  # the robber slips onto forbidden ground
+        d = dests
+        while d:
+            b = d & -d
+            d ^= b
+            if not self.cops_win(x2, b.bit_length() - 1, f2):
+                return False
+        return True
+
+    def robber_safe_somewhere(self) -> bool:
+        return any(not self.cops_win(0, i, 0) for i in range(self.n))
+
+
+def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
+    """Fewest cops with a cop-monotone winning strategy, by the vertex-keyed solver."""
+    vertices, succ = _adjacency(graph)
+    for k in range(1, k_max + 1):
+        if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
+            return k
+    raise ValueError(f"no cop-monotone win with up to {k_max} cops")

@@ -115,7 +115,7 @@ def pursuit_fleet():
             strategy = LoopGuardStrategy(cfg, forest)
             trace = play_game(cfg, strategy, LazyRobber(cfg, start=start))
             games.append(("lazy", strategy, trace))
-        if cfg.n_vertices <= 11:
+        if cfg.n_vertices <= 20:
             strategy = LoopGuardStrategy(cfg, forest)
             trace = play_game(cfg, strategy, OptimalRobber(cfg, 3))
             games.append(("optimal", strategy, trace))

@@ -104,6 +104,49 @@ def test_bad_cfg_json_exits_two_with_what_is_wrong(tmp_path, capsys, damage, wha
     assert capsys.readouterr().err == f"i/o error: bad CFG JSON: {what}\n"
 
 
+# Faults in a --forest file, each applied to the forest JSON of the two-loop
+# graph: loop 0 is the outer loop, loops 1 and 2 nest in it.
+BAD_FOREST_JSON = [
+    (lambda data: data.pop("loops"), "missing key 'loops'"),
+    (lambda data: data["loops"][0].pop("entry"), "missing key 'entry'"),
+    (lambda data: data["loops"][1].update(parent=2), "loop 1: parent 2 is not an earlier loop"),
+    (lambda data: data["loops"][1].update(parent=-1), "loop 1: parent -1 is not an earlier loop"),
+]
+
+
+@pytest.mark.parametrize("damage, what", BAD_FOREST_JSON)
+def test_bad_forest_json_exits_two_with_what_is_wrong(tmp_path, capsys, damage, what):
+    cfg, forest = two_loop_cfg()
+    data = forest.to_json_dict()
+    damage(data)
+    graph_path, forest_path = tmp_path / "g.json", tmp_path / "loops.json"
+    graph_path.write_text(cfg.to_json())
+    forest_path.write_text(json.dumps(data))
+    assert main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)]) == 2
+    assert capsys.readouterr().err == f"i/o error: bad loop forest JSON: {what}\n"
+
+
+# Faults in a --decomp file, each applied to the decomposition of WHILE_SRC
+# (nodes 0-4; bag 2 holds vertices 1, 2 and 3).
+BAD_DECOMP_JSON = [
+    (lambda data: data.pop("bags"), "missing key 'bags'"),
+    (lambda data: data["arcs"].append([0, 99]), "arc [0, 99] references a missing node"),
+    (lambda data: data["bags"].pop("2"), "node 2 has no bag"),
+]
+
+
+@pytest.mark.parametrize("damage, what", BAD_DECOMP_JSON)
+def test_bad_decomposition_json_exits_two_with_what_is_wrong(while_file, tmp_path, capsys,
+                                                             damage, what):
+    djson = tmp_path / "d.json"
+    assert main(["decompose", str(while_file), "--out", str(djson)]) == 0
+    data = json.loads(djson.read_text())
+    damage(data)
+    djson.write_text(json.dumps(data))
+    assert main(["validate", str(while_file), "--decomp", str(djson)]) == 2
+    assert capsys.readouterr().err == f"i/o error: bad decomposition JSON: {what}\n"
+
+
 def test_play_reference_pursuit(tmp_path):
     cfg, forest = two_loop_cfg()
     graph_path = tmp_path / "g.json"

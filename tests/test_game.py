@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     IllegalMoveError,
@@ -9,6 +11,7 @@ from cfgdag import (
     PursuitSolver,
     brute_force_cop_number,
     build_decomposition,
+    cfg_from_source,
     check_cop_monotone,
     cop_monotone_violations,
     exit_distances,
@@ -16,7 +19,14 @@ from cfgdag import (
     play_game,
     two_loop_cfg,
 )
-from helpers import dist_by_enumeration, distance_to_exit, pipeline
+from cfgdag.game import _adjacency
+from helpers import (
+    PursuitSolverByVertex,
+    brute_force_cop_number_by_vertex,
+    dist_by_enumeration,
+    distance_to_exit,
+    pipeline,
+)
 
 # Reference pursuits on the two-loop graph, frozen from first principles:
 # role order is (entry guard, exit guard, chaser), None = unplaced.
@@ -286,12 +296,90 @@ def test_cop_number_never_exceeds_three_on_cfgs():
         checked += 1
 
 
+def test_cop_number_never_exceeds_three_beyond_eleven_vertices():
+    sizes = []
+    seed = 0
+    while len(sizes) < 20:
+        seed += 1
+        cfg, forest, _ = pipeline(generate_random_program(seed, 8 + seed % 12))
+        if not 14 <= cfg.n_vertices <= 25:
+            continue
+        n = brute_force_cop_number(cfg, 4)
+        assert n <= 3, seed
+        assert n <= max(build_decomposition(cfg, forest).width(), 1), seed
+        sizes.append(cfg.n_vertices)
+    assert max(sizes) >= 20, sizes
+
+
 def test_budget_error_reports_partial_bound():
     cfg, _ = two_loop_cfg()
     from cfgdag import SearchBudgetError
 
     with pytest.raises(SearchBudgetError, match="cop number > 1"):
         brute_force_cop_number(cfg, 4, max_states=200)
+
+
+def test_region_solver_decides_the_fixture_in_few_states():
+    cfg, _ = two_loop_cfg()
+    solver = PursuitSolver(*_adjacency(cfg), k=3)
+    assert solver.robber_safe_somewhere() is False
+    assert len(solver.memo) <= 64  # the robber-vertex search needs 14,707
+
+
+def _cop_number_up_to_three(cop_number, graph):
+    try:
+        return cop_number(graph, 3)
+    except ValueError:
+        return None
+
+
+def _assert_solvers_agree(graph, k, data):
+    """Game values, winning-move lists and cop numbers of the region solver
+    equal the robber-vertex solver's at random (cops, vacated), for every robber."""
+    vertices, succ = _adjacency(graph)
+    n = len(vertices)
+    by_region = PursuitSolver(vertices, succ, k)
+    by_vertex = PursuitSolverByVertex(vertices, succ, k)
+    for _ in range(4):
+        x = sum(1 << i for i in data.draw(st.sets(st.integers(0, n - 1), max_size=k)))
+        f = data.draw(st.integers(0, (1 << n) - 1)) & ~x
+        for r in range(n):
+            assert by_region.cops_win(x, r, f) == by_vertex.cops_win(x, r, f), (x, r, f)
+            assert list(by_region.winning_moves(x, r, f)) == list(by_vertex.winning_moves(x, r, f))
+    assert (_cop_number_up_to_three(brute_force_cop_number, graph)
+            == _cop_number_up_to_three(brute_force_cop_number_by_vertex, graph))
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 9 vertices and any arcs, self-loops and cycles included."""
+    n = draw(st.integers(1, 9))
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return {v: sorted(w for u, w in arcs if u == v) for v in range(n)}
+
+
+@st.composite
+def small_programs(draw):
+    """Control-flow graphs of at most 13 vertices."""
+    size = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 10**6))
+    while True:
+        cfg, _ = cfg_from_source(generate_random_program(seed, size))
+        if cfg.n_vertices <= 13:
+            return cfg
+        seed += 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs(), st.integers(1, 3), st.data())
+def test_region_solver_equals_the_vertex_solver_on_digraphs(graph, k, data):
+    _assert_solvers_agree(graph, k, data)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_programs(), st.integers(1, 3), st.data())
+def test_region_solver_equals_the_vertex_solver_on_programs(cfg, k, data):
+    _assert_solvers_agree(cfg, k, data)
 
 
 # -- solver-backed players ------------------------------------------------------------
@@ -330,8 +418,6 @@ def test_guard_strategy_beats_optimal_robber_on_fixture():
 @pytest.mark.parametrize("seed", [3, 11, 17, 29])
 def test_guard_strategy_beats_optimal_robber_on_small_programs(seed):
     cfg, forest, _ = pipeline(generate_random_program(seed, 9))
-    if cfg.n_vertices > 11:
-        pytest.skip("solver state space")
     trace = play_game(cfg, LoopGuardStrategy(cfg, forest), OptimalRobber(cfg, 3))
     assert trace.outcome == "CopsWin"
     assert check_cop_monotone(trace)
