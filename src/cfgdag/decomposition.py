@@ -177,30 +177,43 @@ def build_decomposition(
     """Run the construction; the result always passes the full validator."""
     part = partition if partition is not None else partition_edges(cfg, forest)
 
-    arcs: set[Edge] = set(part.plain)
+    nodes = cfg.vertex_ids()
+    # Arc heads bucketed by tail: sorting each short bucket orders the arcs
+    # without a global sort, and the buckets double as the cycle check's
+    # successor map.
+    succ: dict[int, list[int]] = {v: [] for v in nodes}
+    for u, v in part.plain:
+        succ[u].append(v)
     entered_from_outside: set[int] = set()  # ids of elements fed by re-routed edges
     for (u, _v), elem in part.into_entry:
-        arcs.add((u, elem.exit))
+        succ[u].append(elem.exit)
         entered_from_outside.add(id(elem))
     for (_u, _v), elem in part.entry_to_exit:
-        arcs.add((elem.exit, elem.entry))
+        succ[elem.exit].append(elem.entry)
     for elem in forest.elements:
         # Entry edges were re-routed to the exit, so the entry must hang
         # below the exit for them to stay covered.
         if id(elem) in entered_from_outside:
-            arcs.add((elem.exit, elem.entry))
+            succ[elem.exit].append(elem.entry)
 
-    bags: dict[int, frozenset[int]] = {}
-    for v in cfg.vertex_ids():
-        elem = forest.element_of(v)
-        bag = {v}
-        if elem.entry is not None:
-            bag.add(elem.entry)
-        if elem.exit is not None:
-            bag.add(elem.exit)
-        bags[v] = frozenset(bag)
+    order = sorted(nodes)
+    arcs: list[Edge] = []
+    add_arc = arcs.append
+    for u in order:
+        heads = succ[u]
+        if len(heads) > 1:
+            heads[:] = sorted(set(heads))
+        for w in heads:
+            add_arc((u, w))
 
-    decomp = DagDecomposition(nodes=list(cfg.vertex_ids()), arcs=sorted(arcs), bags=bags)
-    if decomp.topological_order() is None:
+    # Each bag is a vertex plus the entry and exit of its element.
+    ends = {
+        elem: tuple(x for x in (elem.entry, elem.exit) if x is not None)
+        for elem in (forest.phi, *forest.elements)
+    }
+    element_of = forest.element_of
+    bags = {v: frozenset((v, *ends[element_of(v)])) for v in nodes}
+
+    if toposort(order, succ) is None:
         raise ValueError("decomposition arcs contain a cycle; input is not structured")
-    return decomp
+    return DagDecomposition(nodes=nodes, arcs=arcs, bags=bags)
