@@ -42,6 +42,7 @@ COMMANDS = {
     "validate-d3": (["validate", "--d3"], []),
     "play": (["play", "--robber", "lazy"], []),
     "lift": (["lift", "--m", "2", "--game-out", "{game}"], ["game"]),
+    "lift-m4": (["lift", "--m", "4", "--seed", "3", "--game-out", "{game}"], ["game"]),
     "oracle": (["oracle"], []),
     "export-dot": (["export-dot"], []),
 }
