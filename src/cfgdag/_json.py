@@ -8,7 +8,10 @@ above those runs.
 
 Exactness rests on one fact: ``json`` escapes every newline inside a string,
 so a raw newline in the C encoder's output appears only in a separator. No
-string can therefore imitate the boundaries that ``_records`` re-indents.
+string can therefore imitate the boundaries that ``_records`` re-indents, and
+splitting ``_uniform_records``' values at them gives each value's own text.
+``%s`` puts that text, or an int as json writes it, into a template whose
+only other ``%`` signs are those of keys, doubled.
 """
 
 from __future__ import annotations
@@ -43,14 +46,10 @@ def _flat(values) -> bool:
     return set(map(type, values)) <= _SCALARS
 
 
-def _flat_containers(values) -> bool:
-    """Every value is a non-empty flat container, and all use one bracket kind."""
-    if not all(values):
-        return False
-    kinds = set(map(type, values))
-    if kinds == {dict}:
-        return _flat(chain.from_iterable(map(dict.values, values)))
-    return kinds <= set(_ARRAYS) and _flat(chain.from_iterable(values))
+def _flat_lists(values) -> bool:
+    """Every value is a non-empty flat list or tuple."""
+    return (all(values) and set(map(type, values)) <= set(_ARRAYS)
+            and _flat(chain.from_iterable(values)))
 
 
 def _value(obj, level: int) -> str:
@@ -65,8 +64,10 @@ def _value(obj, level: int) -> str:
     if _flat(values):
         text = _encoder(level + 1)(obj)
         return text[0] + inner + text[1:-1] + close + text[-1]
+    if not is_dict and (text := _uniform_records(obj, level)) is not None:
+        return text
     # _records finds the end of a dict key by its closing quote.
-    if _flat_containers(values) and (not is_dict or set(map(type, obj)) == {str}):
+    if _flat_lists(values) and (not is_dict or set(map(type, obj)) == {str}):
         return _records(obj, level)
     sep = "," + inner
     if is_dict:
@@ -75,8 +76,28 @@ def _value(obj, level: int) -> str:
     return "[" + inner + sep.join(_value(v, level + 1) for v in obj) + close + "]"
 
 
+def _uniform_records(records: list, level: int) -> str | None:
+    """Flat dicts with one key sequence of str keys, as one template filled by
+    ``%``, the keys encoded once and the values in one C call; else None."""
+    keys = list(records[0]) if type(records[0]) is dict else []
+    if (not keys or set(map(type, keys)) != {str} or set(map(type, records)) != {dict}
+            or list(chain.from_iterable(records)) != keys * len(records)):
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, records)))
+    kinds = set(map(type, values))
+    if not kinds <= _SCALARS:
+        return None
+    if kinds != {int}:  # ints need no encoder, and so no string each
+        values = tuple(_encoder(0)(values)[1:-1].split(",\n"))
+    outer, mid, deep = ("\n" + _INDENT * n for n in (level, level + 1, level + 2))
+    fields = ("," + deep).join(_scalar(k).replace("%", "%%") + ": %s" for k in keys)
+    record = "{" + deep + fields + mid + "}"
+    # Brackets go into the template, so the one large string is never copied.
+    return ("[" + mid + ("," + mid).join([record] * len(records)) + outer + "]") % values
+
+
 def _records(obj, level: int) -> str:
-    """A list of flat containers, or a dict with str keys of them, in one C call.
+    """A list of flat lists, or a dict with str keys of them, in one C call.
 
     The C encoder writes every separator as the field separator of level + 2.
     A list is encoded as is; a dict as the list k1, v1, k2, v2, ... Field
@@ -85,20 +106,17 @@ def _records(obj, level: int) -> str:
     a separator and an opening bracket is followed by its record, and no
     other separator matches either pattern.
     """
-    dict_of_records = isinstance(obj, dict)
-    first = next(iter(obj.values() if dict_of_records else obj))
-    open_, close_ = "{}" if isinstance(first, dict) else "[]"
     outer, mid, deep = ("\n" + _INDENT * n for n in (level, level + 1, level + 2))
     sep = "," + deep
-    end = mid + close_ + outer
-    if dict_of_records:
+    end = mid + "]" + outer
+    if isinstance(obj, dict):
         text = _encoder(level + 2)(list(chain.from_iterable(obj.items())))
-        body = (text[1:-2].replace('"' + sep + open_, '": ' + open_ + deep)
-                .replace(close_ + sep + '"', mid + close_ + "," + mid + '"'))
+        body = (text[1:-2].replace('"' + sep + "[", '": [' + deep)
+                .replace("]" + sep + '"', mid + "]," + mid + '"'))
         return "{" + mid + body + end + "}"
     text = _encoder(level + 2)(obj)
-    body = text[2:-2].replace(close_ + sep + open_, mid + close_ + "," + mid + open_ + deep)
-    return "[" + mid + open_ + deep + body + end + "]"
+    body = text[2:-2].replace("]" + sep + "[", mid + "]," + mid + "[" + deep)
+    return "[" + mid + "[" + deep + body + end + "]"
 
 
 def _key(key) -> str:

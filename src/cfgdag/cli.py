@@ -9,6 +9,7 @@ included), 3 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -94,6 +95,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cfgdag",

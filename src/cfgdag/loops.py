@@ -31,7 +31,7 @@ FORWARD = "forward"
 class LoopForestJsonError(ValueError):
     """Loop forest JSON that does not describe a forest: a missing key, an
     entry or exit that is not a vertex id, a parent that is not the index of
-    an earlier record, or a record of the wrong shape."""
+    an earlier record, a record of the wrong shape, or nesting against dominance."""
 
 
 @dataclass(eq=False)
@@ -378,8 +378,8 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
 def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
     """Fill the owner map of a forest given whole, such as one read from JSON.
 
-    Raises ValueError when an element's parent is not the loop open at its
-    entry, or when its entry is never reached.
+    Raises LoopForestJsonError when an element's parent is not the loop open
+    at its entry, or when its entry is never reached.
     """
     by_entry = forest.entries()
     opened: set[LoopElement] = set()
@@ -387,7 +387,7 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
     def open_at(v: int, loop: LoopElement) -> LoopElement:
         for elem in by_entry.get(v, ()):
             if elem.parent is not loop:
-                raise ValueError(
+                raise LoopForestJsonError(
                     f"loop at entry {v} is nested under {elem.parent!r}, "
                     f"but the loop open there is {loop!r}; input is not structured"
                 )
@@ -398,7 +398,7 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
     _fill_owners(cfg, dom, forest, open_at)
     for elem in forest.elements:
         if elem not in opened:
-            raise ValueError(f"loop entry {elem.entry} fell outside its own region")
+            raise LoopForestJsonError(f"loop entry {elem.entry} fell outside its own region")
     return forest
 
 

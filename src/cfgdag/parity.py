@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._json import dumps
 from .decomposition import DagDecomposition
@@ -98,44 +99,53 @@ class GameGraph:
         return dumps(self.to_json_dict())
 
 
+def _below(rng: random.Random, n: int):
+    """Endless ``rng.randrange(n)`` draws, by randrange's own rule on getrandbits."""
+    bits, k = rng.getrandbits, n.bit_length()
+    while True:
+        r = bits(k)
+        if r < n:
+            yield r
+
+
 def build_product_game(cfg, skeleton: FormulaSkeleton, seed: int = 0) -> GameGraph:
-    """One group of skeleton.m game vertices per graph vertex.
-
-    Owners and priorities are not constrained by the construction, so they
-    are drawn reproducibly from the seed.
+    """One group of skeleton.m game vertices per graph vertex, and the edges
+    that add_edge would keep, in its order. Owners and priorities are not
+    constrained by the construction, so they are drawn reproducibly from the seed.
     """
-    rng = random.Random(seed)
     m = skeleton.m
-    groups: dict[int, list[int]] = {}
-    state_of: dict[int, tuple[int, int]] = {}
-    for s in sorted(cfg.vertex_ids()):
-        groups[s] = [s * m + q for q in range(m)]
-        for q in range(m):
-            state_of[s * m + q] = (s, q)
+    states = sorted(cfg.vertex_ids())
+    groups = {s: list(range(s * m, s * m + m)) for s in states}
+    state_of = {s * m + q: (s, q) for s in states for q in range(m)}
+    rng = random.Random(seed)
+    owner, priority = {}, {}
+    # zip draws each vertex's owner, then its priority, as randrange did.
+    for v, o, p in zip(state_of, _below(rng, 2), _below(rng, skeleton.d)):
+        owner[v] = o
+        priority[v] = p
 
-    game = GameGraph(m=m, groups=groups, state_of=state_of,
-                     transitions=set(cfg.edges()))
-    for v in sorted(state_of):
-        game.owner[v] = rng.randrange(2)
-        game.priority[v] = rng.randrange(skeleton.d)
-
-    for s in sorted(groups):
-        for q, p in skeleton.intra_edges:
-            game.add_edge(s * m + q, s * m + p)
-    for s, t in sorted(game.transitions):
-        for q, p in skeleton.cross_edges:
-            game.add_edge(s * m + q, t * m + p)
-    return game
+    # Repeats can only come from a repeated pattern pair, or from a self-loop
+    # transition whose cross pair is also an intra pair.
+    intra = list(dict.fromkeys(skeleton.intra_edges))
+    cross = list(dict.fromkeys(skeleton.cross_edges))
+    self_cross = [e for e in cross if e not in intra]
+    transitions = set(cfg.edges())
+    edges = [(b + q, b + p) for b in [s * m for s in states] for q, p in intra]
+    edges += [(s * m + q, t * m + p) for s, t in sorted(transitions)
+              for q, p in (cross if s != t else self_cross)]
+    succ: dict[int, list[int]] = {u: [] for u, _ in edges}
+    for u, v in edges:
+        succ[u].append(v)
+    return GameGraph(m=m, groups=groups, state_of=state_of, owner=owner, priority=priority,
+                     edges=edges, transitions=transitions, _succ=succ)
 
 
 def lift_decomposition(decomp: DagDecomposition, game: GameGraph) -> DagDecomposition:
     """Replace every vertex in every bag by its group; the DAG is unchanged."""
-    bags = {}
-    for node, bag in decomp.bags.items():
-        lifted = set()
-        for s in bag:
-            if s not in game.groups:
-                raise ValueError(f"bag vertex {s} has no group in the product game")
-            lifted.update(game.groups[s])
-        bags[node] = frozenset(lifted)
+    group = game.groups.__getitem__
+    try:
+        bags = {node: frozenset(chain.from_iterable(map(group, bag)))
+                for node, bag in decomp.bags.items()}
+    except KeyError as err:
+        raise ValueError(f"bag vertex {err.args[0]} has no group in the product game") from None
     return DagDecomposition(nodes=list(decomp.nodes), arcs=list(decomp.arcs), bags=bags)

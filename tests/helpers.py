@@ -5,16 +5,19 @@ plain path enumeration, transitive closures, brute-force triple scans and
 the iterative dominator fixed point instead of dominator trees, bitmask
 sweeps and Semi-NCA; a pursuit solver keyed by the robber's vertex instead
 of its region; a tokenizer that counts lines and columns as it goes
-instead of on error; a prune that rebuilds through add_vertex/add_edge.
+instead of on error; a prune that rebuilds through add_vertex/add_edge; a
+product game built one add_edge and one randrange call at a time.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from cfgdag import (
     ControlFlowGraph,
     EdgeKind,
+    GameGraph,
     build_decomposition,
     cfg_from_source,
     compute_dominators,
@@ -571,3 +574,31 @@ def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
         if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
             return k
     raise ValueError(f"no cop-monotone win with up to {k_max} cops")
+
+
+def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:
+    """build_product_game through GameGraph.add_edge, which checks every
+    cross edge against the transitions and drops repeats, with owners and
+    priorities from randrange."""
+    rng = random.Random(seed)
+    m = skeleton.m
+    groups: dict[int, list[int]] = {}
+    state_of: dict[int, tuple[int, int]] = {}
+    for s in sorted(cfg.vertex_ids()):
+        groups[s] = [s * m + q for q in range(m)]
+        for q in range(m):
+            state_of[s * m + q] = (s, q)
+
+    game = GameGraph(m=m, groups=groups, state_of=state_of,
+                     transitions=set(cfg.edges()))
+    for v in sorted(state_of):
+        game.owner[v] = rng.randrange(2)
+        game.priority[v] = rng.randrange(skeleton.d)
+
+    for s in sorted(groups):
+        for q, p in skeleton.intra_edges:
+            game.add_edge(s * m + q, s * m + p)
+    for s, t in sorted(game.transitions):
+        for q, p in skeleton.cross_edges:
+            game.add_edge(s * m + q, t * m + p)
+    return game

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cfgdag import DagDecomposition, LoopForest, cfg_from_source, two_loop_cfg
-from cfgdag.cli import main
+from cfgdag.cli import build_parser, main
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -194,6 +194,16 @@ def test_lift_writes_game_and_decomposition(while_file, tmp_path):
     assert len(game["vertices"]) == 10
 
 
+def test_parser_is_built_once_and_keeps_no_values_between_calls(while_file, tmp_path):
+    assert build_parser() is build_parser()
+    out = {name: tmp_path / name for name in ("m3", "plain", "m2")}
+    assert main(["lift", str(while_file), "--m", "3", "--game-out", str(out["m3"])]) == 0
+    assert main(["lift", str(while_file), "--game-out", str(out["plain"])]) == 0
+    assert main(["lift", str(while_file), "--m", "2", "--game-out", str(out["m2"])]) == 0
+    assert json.loads(out["m3"].read_text())["m"] == 3
+    assert out["plain"].read_bytes() == out["m2"].read_bytes()
+
+
 def test_export_dot_cfg(while_file, capsys):
     assert main(["export-dot", str(while_file)]) == 0
     dot = capsys.readouterr().out
@@ -266,7 +276,7 @@ def test_cfg_json_decomposition_equals_the_source_one(source, tmp_path):
     assert recovered.read_bytes() == direct.read_bytes()
 
 
-def test_forest_file_nested_against_dominance_is_rejected(tmp_path):
+def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
     cfg, _ = two_loop_cfg()
     forest = LoopForest()
     outer = forest.new_element()
@@ -278,8 +288,9 @@ def test_forest_file_nested_against_dominance_is_rejected(tmp_path):
     graph_path, forest_path = tmp_path / "g.json", tmp_path / "loops.json"
     graph_path.write_text(cfg.to_json())
     forest_path.write_text(forest.to_json())
-    with pytest.raises(ValueError, match="loop at entry 9 is nested under"):
-        main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)])
+    assert main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "i/o error: bad loop forest JSON: loop at entry 9 is nested under")
 
 
 def test_python_m_cfgdag_runs_the_cli():

@@ -5,7 +5,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgdag._json import dumps
+from cfgdag._json import _uniform_records, dumps
 
 # Strings that look like the item boundaries the writer re-indents.
 BOUNDARIES = ["},\n    {", "],\n  [", "},\n{", "],\n", "\n", '", "', "{", "]", ""]
@@ -63,4 +63,39 @@ def test_dumps_matches_json_dumps_indent_2(value):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(records)
 def test_dumps_matches_on_lists_of_flat_records(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+# Keys a per-record template could mistake for format codes, quotes, line
+# breaks or multi-byte text.
+record_keys = st.lists(
+    st.one_of(st.sampled_from(["%", "%s", "%%", "%(id)s", '"', '\\"', "\n", "é", "€", "\U0001F600"]), text),
+    min_size=1, max_size=5, unique=True,
+)
+
+
+@st.composite
+def uniform_records(draw):
+    keys = draw(record_keys)
+    return [{k: draw(scalars) for k in keys} for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(uniform_records())
+@example([{"id": 0, "state": 0, "part": 1, "owner": 1, "priority": 0}])
+@example([{"%d": -(10**40), "b": 0}, {"%d": 7, "b": -1}])
+@example([{"a": True}, {"a": 1}, {"a": False}])
+@example([{"%s": "%s", "a\n": "\n", '"': None}, {"%s": 1.5, "a\n": True, '"': -(10**30)}])
+def test_uniform_records_take_the_template_path(value):
+    assert _uniform_records(value, 0) is not None
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+    assert dumps({"records": value}) == json.dumps({"records": value}, indent=2) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(uniform_records().filter(lambda recs: len(recs) > 1 and len(recs[0]) > 1), st.data())
+def test_records_with_another_key_order_take_the_old_path(value, data):
+    i = data.draw(st.integers(0, len(value) - 1))
+    value[i] = dict(reversed(value[i].items()))
+    assert _uniform_records(value, 0) is None
     assert dumps(value) == json.dumps(value, indent=2) + "\n"

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     FormulaSkeleton,
@@ -9,7 +13,8 @@ from cfgdag import (
     two_loop_cfg,
     validate_decomposition,
 )
-from helpers import pipeline
+from cfgdag.parity import _below
+from helpers import pipeline, product_game_by_add_edge
 
 
 def test_skeleton_validation():
@@ -89,6 +94,50 @@ def test_owners_and_priorities_seeded():
     assert all(0 <= p < 4 for p in a.priority.values())
 
 
+SELF_LOOPS = ["while c { }", "do { } while c;", "while 1 { }", "a; while c { while d { } } b;"]
+
+
+@st.composite
+def skeletons(draw):
+    """Skeletons whose patterns may repeat a pair or share pairs between them."""
+    m = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    intra = draw(st.lists(pairs, max_size=2 * m))
+    cross = draw(st.lists(st.one_of(pairs, st.sampled_from(intra)) if intra else pairs,
+                          min_size=1, max_size=2 * m))
+    return FormulaSkeleton(m=m, intra_edges=tuple(intra), cross_edges=tuple(cross),
+                           d=draw(st.integers(2, 6)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(SELF_LOOPS),
+                 st.builds(generate_random_program, st.integers(0, 10**6), st.integers(1, 40))),
+       skeletons(), st.integers(0, 2**64))
+@example(SELF_LOOPS[0], FormulaSkeleton(2, ((0, 1), (0, 1), (1, 1)), ((1, 1), (0, 1), (1, 1)), 3), 0)
+@example("a;", FormulaSkeleton.chain(4, d=6), 7)
+def test_product_game_equals_the_add_edge_construction(source, skeleton, seed):
+    cfg, _, _ = pipeline(source)
+    got = build_product_game(cfg, skeleton, seed=seed)
+    want = product_game_by_add_edge(cfg, skeleton, seed=seed)
+    for name in ("owner", "priority", "_succ", "groups", "state_of"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    assert got.edges == want.edges
+    assert got.transitions == want.transitions
+    assert all(got.successors(v) == want.successors(v) for v in want.vertex_ids())
+    assert got.to_json() == want.to_json()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.one_of(st.integers(1, 9), st.integers(1, 2**70)))
+@example(0, 1)
+@example(5, 2**32)
+@example(5, 2**32 + 1)
+def test_below_draws_what_randrange_draws(seed, n):
+    rng = random.Random(seed)
+    draws = _below(random.Random(seed), n)
+    assert [next(draws) for _ in range(20)] == [rng.randrange(n) for _ in range(20)]
+
+
 # -- lifting -----------------------------------------------------------------
 
 
@@ -127,6 +176,14 @@ def test_lifted_decomposition_validates_against_the_product():
             report = validate_decomposition(lifted, game.vertex_ids(), game.edges)
             assert report.valid, (seed, m)
             assert lifted.width() == d.width() * m
+
+
+def test_lift_rejects_a_bag_vertex_without_a_group():
+    cfg, forest, _ = pipeline("while c { b; }")
+    small, _, _ = pipeline("a;")
+    game = build_product_game(small, FormulaSkeleton.chain(2), seed=0)
+    with pytest.raises(ValueError, match="has no group in the product game"):
+        lift_decomposition(build_decomposition(cfg, forest), game)
 
 
 def test_lift_keeps_arc_count():
