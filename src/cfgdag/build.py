@@ -159,8 +159,8 @@ class _Builder:
         return [(x, EdgeKind.OUT)]
 
 
-def _expand(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
-    """build_cfg without the reachability walk behind stop_reachable."""
+def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
+    """Expand the AST; returns the graph and the syntactic loop forest."""
     b = _Builder()
     start = b.vertex("start", owner=b.forest.phi)
     b.g.start = start
@@ -169,20 +169,13 @@ def _expand(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     b.g.stop = stop
     b.attach(out, stop)
     b.attach(b.returns, stop)
+    b.g.stop_reachable = None  # prune_unreachable, or the first read, walks it
     return b.g, b.forest
-
-
-def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
-    """Expand the AST; returns the graph and the syntactic loop forest."""
-    g, forest = _expand(ast)
-    g.stop_reachable = g.stop in g.reachable_from(g.start)
-    return g, forest
 
 
 def cfg_from_source(source: str, contract: bool = False) -> tuple[ControlFlowGraph, LoopForest]:
     """parse -> build -> prune (-> contract) in one call."""
-    # prune_unreachable walks reachability and sets stop_reachable itself.
-    cfg, forest = _expand(lang.parse_program(source))
+    cfg, forest = build_cfg(lang.parse_program(source))
     cfg = prune_unreachable(cfg)
     forest = forest.restricted_to(cfg)
     if contract:

@@ -9,6 +9,7 @@ load/dump round trip is byte identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from enum import Enum
 
 from ._graph import reachable
@@ -35,12 +36,13 @@ class CfgJsonError(ValueError):
 class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
-        self._succ: dict[int, list[int]] = {}
-        self._pred: dict[int, list[int]] = {}
+        # Lists while the graph is built; prune_unreachable makes tuples.
+        self._succ: dict[int, list[int] | tuple[int, ...]] = {}
+        self._pred: dict[int, list[int] | tuple[int, ...]] = {}
         self._kind: dict[tuple[int, int], EdgeKind] = {}
         self.start: int = -1
         self.stop: int = -1
-        self.stop_reachable: bool = True
+        self._stop_reachable: bool | None = True
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -63,18 +65,24 @@ class ControlFlowGraph:
         if (u, v) in self._kind:
             return
         self._kind[(u, v)] = _KINDS.get(kind) or EdgeKind(kind)
-        self._succ[u].append(v)
-        self._pred[v].append(u)
+        try:
+            self._succ[u].append(v)
+        except AttributeError:  # frozen by prune_unreachable
+            self._succ[u] += (v,)
+        try:
+            self._pred[v].append(u)
+        except AttributeError:
+            self._pred[v] += (u,)
 
     # -- queries -----------------------------------------------------------
 
     def vertex_ids(self) -> list[int]:
         return list(self.labels)
 
-    def successors(self, v: int) -> list[int]:
+    def successors(self, v: int) -> Sequence[int]:
         return self._succ[v]
 
-    def predecessors(self, v: int) -> list[int]:
+    def predecessors(self, v: int) -> Sequence[int]:
         return self._pred[v]
 
     def edges(self):
@@ -88,6 +96,18 @@ class ControlFlowGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._kind
+
+    @property
+    def stop_reachable(self) -> bool:
+        """Whether stop is reachable from start. A loader that does not walk
+        the graph sets it to None, and the first read walks it."""
+        if self._stop_reachable is None:
+            self._stop_reachable = self.stop in self.reachable_from(self.start)
+        return self._stop_reachable
+
+    @stop_reachable.setter
+    def stop_reachable(self, value: bool | None) -> None:
+        self._stop_reachable = value
 
     @property
     def n_vertices(self) -> int:
@@ -110,7 +130,7 @@ class ControlFlowGraph:
         for (u, v), kind in self._kind.items():
             out.add_edge(u, v, kind)
         out.start, out.stop = self.start, self.stop
-        out.stop_reachable = self.stop_reachable
+        out.stop_reachable = self._stop_reachable
         return out
 
     def reachable_from(self, v: int, blocked=()) -> set[int]:
@@ -149,7 +169,7 @@ class ControlFlowGraph:
             raise CfgJsonError(f"missing key {err}") from None
         except (TypeError, ValueError) as err:
             raise CfgJsonError(str(err)) from None
-        cfg.stop_reachable = cfg.stop in cfg.reachable_from(cfg.start)
+        cfg.stop_reachable = None  # prune_unreachable, or the first read, walks it
         return cfg
 
     @classmethod
@@ -176,22 +196,27 @@ class ControlFlowGraph:
 
 def prune_unreachable(cfg: ControlFlowGraph) -> ControlFlowGraph:
     """Drop vertices unreachable from start; stop is kept but flagged.
-    Vertices come out sorted and edges in sorted (u, v) order."""
+    Vertices come out sorted and edges in sorted (u, v) order.
+
+    The adjacency is built straight into tuples: a tuple is smaller than a
+    list filled by append, and the cyclic collector untracks a tuple of ints
+    the first time it examines one.
+    """
     reachable = cfg.reachable_from(cfg.start)
     keep = sorted(v for v in cfg.labels if v in reachable or v == cfg.stop)
     out = ControlFlowGraph()
     labels, succ, pred, kinds = out.labels, out._succ, out._pred, out._kind
     for v in keep:
         labels[v] = cfg.labels[v]
-        succ[v] = []
-        pred[v] = []
-    for u in keep:
-        if u in reachable:
-            for v in sorted(cfg._succ[u]):
-                if v in labels:
-                    succ[u].append(v)
-                    pred[v].append(u)
-                    kinds[(u, v)] = cfg._kind[(u, v)]
+        preds = [u for u in cfg._pred[v] if u in reachable]
+        preds.sort()
+        pred[v] = tuple(preds)
+        if v in reachable:  # so is every successor
+            succ[v] = ws = tuple(sorted(cfg._succ[v]))
+            for w in ws:
+                kinds[(v, w)] = cfg._kind[(v, w)]
+        else:  # an unreachable stop loses its out-edges
+            succ[v] = ()
     out._next_id = keep[-1] + 1 if keep else 0
     out.start, out.stop = cfg.start, cfg.stop
     out.stop_reachable = cfg.stop in reachable

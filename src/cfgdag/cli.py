@@ -3,13 +3,18 @@
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (bad JSON and bad CFG, loop forest or decomposition JSON
-included), 3 parse error.
+included) or a bad argument, 3 parse error.
+
+Each command runs with the cyclic garbage collector paused. Reference
+counting frees almost everything a command allocates, and collector passes
+over the graphs it keeps alive would otherwise grow faster than the input.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -87,6 +92,17 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     return cfg, forest, dom
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input path, or - for stdin")
     p.add_argument("--kind", choices=["source", "cfg-json"], default="source")
@@ -126,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="print the exact cop number (small graphs)")
     _add_input_args(p)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-max", type=_positive_int, default=4)
 
     p = sub.add_parser("lift", help="product game and lifted decomposition")
     _add_input_args(p)
-    p.add_argument("--m", type=int, default=2, help="formula skeleton size")
+    p.add_argument("--m", type=_positive_int, default=2, help="formula skeleton size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--game-out", help="also dump the product game JSON here")
 
@@ -164,6 +180,8 @@ def run(args) -> int:
         return 0 if report.valid else 1
 
     if args.command == "play":
+        if args.start is not None and args.start not in cfg.labels:
+            build_parser().error(f"argument --start: {args.start} is not a vertex of the CFG")
         strategy = LoopGuardStrategy(cfg, forest)
         if args.robber == "lazy":
             robber = LazyRobber(cfg, start=args.start, tie=args.tie)
@@ -205,6 +223,8 @@ def run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return run(args)
     except ParseError as err:
@@ -225,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except DecompositionJsonError as err:
         print(f"i/o error: bad decomposition JSON: {err}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

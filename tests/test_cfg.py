@@ -156,8 +156,8 @@ def test_prune_fills_the_graph_as_the_rebuild_does(seed, size):
         assert got.vertex_ids() == want.vertex_ids()
         assert list(got.edges()) == list(want.edges())
         for v in want.vertex_ids():
-            assert got.successors(v) == want.successors(v)
-            assert got.predecessors(v) == want.predecessors(v)
+            assert list(got.successors(v)) == want.successors(v)
+            assert list(got.predecessors(v)) == want.predecessors(v)
         for u, v in want.edges():
             assert got.edge_kind(u, v) is want.edge_kind(u, v)
         assert (got._next_id, got.start, got.stop, got.stop_reachable) == \
@@ -173,7 +173,20 @@ def test_prune_drops_the_out_edges_of_an_unreachable_stop():
     g.start, g.stop = start, stop
     pruned = prune_unreachable(g)
     assert list(pruned.edges()) == list(prune_by_rebuild(g).edges()) == [(start, a), (a, a)]
-    assert pruned.predecessors(a) == [start, a] and not pruned.stop_reachable
+    assert list(pruned.predecessors(a)) == [start, a] and not pruned.stop_reachable
+
+
+def test_prune_freezes_the_adjacency_and_add_edge_still_extends_it():
+    pruned, _ = cfg_from_source("while c { a; } b;")
+    assert all(type(ws) is tuple for ws in (*pruned._succ.values(), *pruned._pred.values()))
+    start, c = pruned.start, pruned.successors(pruned.start)[0]
+    a = pruned.successors(c)[0]
+    x = pruned.add_vertex("x")
+    pruned.add_edge(start, x)
+    pruned.add_edge(x, c, "entry")
+    assert list(pruned.successors(start)) == [c, x] and list(pruned.successors(x)) == [c]
+    assert list(pruned.predecessors(c)) == [start, a, x]
+    assert pruned.edge_kind(x, c) is EdgeKind.ENTRY
 
 
 # -- contraction --------------------------------------------------------------
@@ -243,6 +256,22 @@ def test_json_round_trip_byte_identical():
     text = cfg.to_json()
     again = ControlFlowGraph.from_json(text)
     assert again.to_json() == text
+
+
+@pytest.mark.parametrize("source, reached", [("while c { a; }", True), ("while 1 { a; }", False)])
+def test_from_json_walks_reachability_on_the_first_read_of_stop_reachable(monkeypatch, source,
+                                                                           reached):
+    import cfgdag.cfg as cfg_module
+
+    text = cfg_from_source(source)[0].to_json()
+    walks = []
+    real = cfg_module.reachable
+    monkeypatch.setattr(cfg_module, "reachable", lambda *a: walks.append(a[1]) or real(*a))
+    loaded = ControlFlowGraph.from_json(text)
+    assert walks == []
+    assert loaded.stop_reachable is reached and loaded.stop_reachable is reached
+    assert loaded.copy().stop_reachable is reached
+    assert walks == [loaded.start]
 
 
 def test_json_schema_fields():

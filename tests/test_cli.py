@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from cfgdag import DagDecomposition, LoopForest, cfg_from_source, two_loop_cfg
+from cfgdag import (
+    DagDecomposition,
+    LoopForest,
+    cfg_from_source,
+    generate_random_program,
+    two_loop_cfg,
+)
 from cfgdag.cli import build_parser, main
 
 WHILE_SRC = "while c { b; }\n"
@@ -147,6 +154,26 @@ def test_bad_decomposition_json_exits_two_with_what_is_wrong(while_file, tmp_pat
     assert capsys.readouterr().err == f"i/o error: bad decomposition JSON: {what}\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["lift", "--m", "0"], "argument --m: expected an integer >= 1, got '0'"),
+    (["lift", "--m", "-1"], "argument --m: expected an integer >= 1, got '-1'"),
+    (["oracle", "--k-max", "0"], "argument --k-max: expected an integer >= 1, got '0'"),
+])
+def test_out_of_range_argument_exits_two(while_file, capsys, argv, what):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(while_file), *argv[1:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"cfgdag {argv[0]}: error: {what}\n")
+
+
+def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["play", str(while_file), "--start", "99"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "cfgdag: error: argument --start: 99 is not a vertex of the CFG\n")
+
+
 def test_play_reference_pursuit(tmp_path):
     cfg, forest = two_loop_cfg()
     graph_path = tmp_path / "g.json"
@@ -243,6 +270,20 @@ def test_cfg_json_load_computes_dominators_once_per_graph(while_file, tmp_path, 
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("kind", ["source", "cfg-json"])
+def test_load_walks_reachability_once(while_file, tmp_path, monkeypatch, kind):
+    import cfgdag.cfg as cfg_module
+
+    graph_path = tmp_path / "g.json"
+    assert main(["build", str(while_file), "--out", str(graph_path)]) == 0
+    walks = []
+    real = cfg_module.reachable
+    monkeypatch.setattr(cfg_module, "reachable", lambda *a: walks.append(a[1]) or real(*a))
+    path = while_file if kind == "source" else graph_path
+    assert main(["validate", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")]) == 0
+    assert walks == [0]
+
+
 def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, monkeypatch):
     import cfgdag.cli as cli
 
@@ -300,3 +341,71 @@ def test_python_m_cfgdag_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: cfgdag" in done.stdout
+
+
+# -- the cyclic collector ---------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["lift", "--m", "4"]])
+def test_a_command_runs_without_a_collection(tmp_path, argv):
+    prog = tmp_path / "prog.spl"
+    prog.write_text(generate_random_program(7, 10**3))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        assert main([argv[0], str(prog), *argv[1:], "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+
+
+@pytest.fixture
+def exit_path_inputs(while_file, tmp_path):
+    """The directory of the inputs that take main down each of its exit paths."""
+    decomp = tmp_path / "damaged.json"
+    assert main(["decompose", str(while_file), "--out", str(decomp)]) == 0
+    data = json.loads(decomp.read_text())
+    data["bags"]["2"] = []
+    decomp.write_text(json.dumps(data))
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "bad.spl").write_text("while { b; }")
+    # One cycle with two entries, a and b: not a structured program.
+    (tmp_path / "irreducible.json").write_text(json.dumps({
+        "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "b", "stop"])],
+        "edges": [{"from": u, "to": v, "kind": "out"} for u, v in [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3)]],
+        "start": 0, "stop": 3}))
+    return tmp_path
+
+
+EXIT_PATHS = {
+    "exit 0": (["decompose", "{d}/prog.spl"], 0),
+    "exit 1": (["validate", "{d}/prog.spl", "--decomp", "{d}/damaged.json"], 1),
+    "exit 2": (["decompose", "{d}/bad.json", "--kind", "cfg-json"], 2),
+    "exit 3": (["decompose", "{d}/bad.spl"], 3),
+    "argparse": (["decompose", "{d}/prog.spl", "--kind", "binary"], SystemExit),
+    "parser.error": (["play", "{d}/prog.spl", "--start", "99"], SystemExit),
+    "uncaught": (["decompose", "{d}/irreducible.json", "--kind", "cfg-json"], ValueError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("argv, outcome", EXIT_PATHS.values(), ids=list(EXIT_PATHS))
+def test_main_leaves_the_collector_as_the_caller_had_it(exit_path_inputs, capsys, argv,
+                                                        outcome, enabled):
+    argv = [arg.format(d=exit_path_inputs) for arg in argv]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
