@@ -19,7 +19,7 @@ done;
 """
 
 cfg, forest = cfg_from_source(SOURCE)
-loop_regions(cfg, forest)
+regions = loop_regions(cfg, forest).regions()  # element -> (belongs, inside)
 
 print("program:")
 print(SOURCE)
@@ -29,12 +29,13 @@ def show(elem, depth=0):
     pad = "  " * depth
     names = lambda vs: "{" + ", ".join(cfg.labels[v] for v in sorted(vs)) + "}"
     print(f"{pad}loop entry={cfg.labels[elem.entry]} exit={cfg.labels[elem.exit]}")
-    print(f"{pad}  inside  = {names(elem.inside)}")
-    print(f"{pad}  belongs = {names(elem.belongs)}")
+    belongs, inside = regions[elem]
+    print(f"{pad}  inside  = {names(inside)}")
+    print(f"{pad}  belongs = {names(belongs)}")
     for child in elem.children:
         show(child, depth + 1)
 
 
 for top in forest.phi.children:
     show(top)
-print("root owns:", sorted(cfg.labels[v] for v in forest.phi.belongs))
+print("root owns:", sorted(cfg.labels[v] for v in regions[forest.phi][0]))

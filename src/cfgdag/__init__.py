@@ -2,14 +2,15 @@
 width-3 DAG decompositions, together with the pursuit game that certifies
 the width bound.
 
-Pipeline: parse_program -> build_cfg -> prune/contract -> loop_regions ->
-partition_edges -> build_decomposition -> validate_decomposition. A graph
-given without its source takes prune -> compute_dominators ->
-recover_loop_forest -> contract in place of the first steps. Either way the
-loop forest carries an owner map, from which loop_regions derives the
-regions. The game module plays the three-cop guard strategy and solves the
-exact cop-monotone game on small graphs; the parity module lifts
-decompositions to product game graphs.
+Pipeline: parse_program -> build_cfg -> prune/contract -> partition_edges ->
+build_decomposition -> validate_decomposition. A graph given without its
+source takes prune -> compute_dominators -> recover_loop_forest -> contract
+in place of the first steps. Either way the loop forest carries an owner
+map (vertex -> innermost loop), the only record of loop membership;
+loop_regions merely checks that it covers the graph. The game module plays
+the three-cop guard strategy and solves the exact cop-monotone game on
+small graphs; the parity module lifts decompositions to product game
+graphs.
 """
 
 from .build import build_cfg, cfg_from_source
@@ -19,12 +20,7 @@ from .cfg import (
     contract_basic_blocks,
     prune_unreachable,
 )
-from .decomposition import (
-    DagDecomposition,
-    EdgePartition,
-    build_decomposition,
-    partition_edges,
-)
+from .decomposition import DagDecomposition, build_decomposition, partition_edges
 from .gadgets import two_loop_cfg
 from .game import (
     GameTrace,
@@ -36,20 +32,17 @@ from .game import (
     PursuitSolver,
     SearchBudgetError,
     StrategyError,
-    TraceStep,
     brute_force_cop_number,
     check_cop_monotone,
-    cop_monotone_violations,
-    exit_distances,
     play_game,
 )
 from .lang import ParseError, StructuredAst, parse_program
 from .loops import (
     BACKWARD,
-    FORWARD,
     DominatorInfo,
     LoopElement,
     LoopForest,
+    NotStructuredError,
     assign_owners,
     classify_edges,
     compute_dominators,
@@ -58,26 +51,16 @@ from .loops import (
 )
 from .parity import FormulaSkeleton, GameGraph, build_product_game, lift_decomposition
 from .randprog import generate_random_program
-from .validate import (
-    ValidationReport,
-    check_connectivity,
-    check_d3,
-    check_edges_covered,
-    check_vertices_covered,
-    validate_cfg_decomposition,
-    validate_decomposition,
-)
+from .validate import ValidationReport, validate_cfg_decomposition, validate_decomposition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKWARD",
-    "FORWARD",
     "ControlFlowGraph",
     "DagDecomposition",
     "DominatorInfo",
     "EdgeKind",
-    "EdgePartition",
     "FormulaSkeleton",
     "GameGraph",
     "GameTrace",
@@ -86,6 +69,7 @@ __all__ = [
     "LoopElement",
     "LoopForest",
     "LoopGuardStrategy",
+    "NotStructuredError",
     "OptimalCops",
     "OptimalRobber",
     "ParseError",
@@ -93,7 +77,6 @@ __all__ = [
     "SearchBudgetError",
     "StrategyError",
     "StructuredAst",
-    "TraceStep",
     "ValidationReport",
     "assign_owners",
     "brute_force_cop_number",
@@ -101,16 +84,10 @@ __all__ = [
     "build_decomposition",
     "build_product_game",
     "cfg_from_source",
-    "check_connectivity",
     "check_cop_monotone",
-    "check_d3",
-    "check_edges_covered",
-    "check_vertices_covered",
     "classify_edges",
     "compute_dominators",
     "contract_basic_blocks",
-    "cop_monotone_violations",
-    "exit_distances",
     "generate_random_program",
     "lift_decomposition",
     "loop_regions",

@@ -28,9 +28,9 @@ _KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
 
 
 class CfgJsonError(ValueError):
-    """CFG JSON that does not describe a graph: a missing key, a duplicate
-    vertex id, an edge to an unknown vertex, an invalid edge kind, or a
-    start or stop that is not a vertex."""
+    """CFG JSON that does not describe a graph: a missing key, a vertex id
+    that is not an integer or is a duplicate, an edge to an unknown vertex,
+    an invalid edge kind, or a start or stop that is not a vertex."""
 
 
 class ControlFlowGraph:
@@ -158,7 +158,10 @@ class ControlFlowGraph:
         cfg = cls()
         try:
             for rec in data["vertices"]:
-                cfg.add_vertex(rec["label"], rec["id"])
+                vid = rec["id"]
+                if type(vid) is not int:
+                    raise ValueError(f"vertex id {vid!r} is not an integer")
+                cfg.add_vertex(rec["label"], vid)
             for rec in data["edges"]:
                 cfg.add_edge(rec["from"], rec["to"], rec["kind"])
             cfg.start = data["start"]

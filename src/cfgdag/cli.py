@@ -3,7 +3,8 @@
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (bad JSON and bad CFG, loop forest or decomposition JSON
-included) or a bad argument, 3 parse error.
+included) or a bad argument, 3 parse error, 4 a graph that is not the
+control-flow graph of a structured program.
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -33,6 +34,7 @@ from .loops import (
     DominatorInfo,
     LoopForest,
     LoopForestJsonError,
+    NotStructuredError,
     assign_owners,
     classify_edges,
     compute_dominators,
@@ -67,8 +69,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
-    """The graph, its loop forest with regions, and the dominators of that graph
-    when this path computed them."""
+    """The graph, its loop forest with the owner map checked, and the
+    dominators of that graph when this path computed them."""
     text = _read(args.input)
     contract = getattr(args, "contract", False)
     if args.kind == "cfg-json":
@@ -245,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except DecompositionJsonError as err:
         print(f"i/o error: bad decomposition JSON: {err}", file=sys.stderr)
         return 2
+    except NotStructuredError as err:
+        print(f"not structured: {err}", file=sys.stderr)
+        return 4
     finally:
         if enabled:
             gc.enable()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ._graph import toposort
 from ._json import dumps
 from .cfg import ControlFlowGraph
-from .loops import LoopElement, LoopForest
+from .loops import LoopElement, LoopForest, NotStructuredError
 
 Edge = tuple[int, int]
 
@@ -44,26 +44,26 @@ class EdgePartition:
 def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
     """Split E into backward / into-exit / into-entry / entry-to-exit / plain.
 
-    Requires loop regions to be filled in. Raises when an edge matches two
-    categories at once, which signals a malformed graph (for example a
-    vertex serving as both an entry and an exit).
+    Reads membership from the forest's owner map. Raises NotStructuredError
+    when a vertex serves as both a loop entry and a loop exit.
     """
     by_entry = forest.entries()
     by_exit = forest.exits()
+    owner = forest.owner
     part = EdgePartition()
 
     for u, v in cfg.edges():
         entry_elems = by_entry.get(v)
         exit_elem = by_exit.get(v)
         if entry_elems and exit_elem:
-            raise ValueError(f"vertex {v} is both a loop entry and a loop exit")
+            raise NotStructuredError(f"vertex {v} is both a loop entry and a loop exit")
 
-        if entry_elems and any(u in elem.belongs for elem in entry_elems):
+        if entry_elems and owner[u] in entry_elems:
             part.backward.append((u, v))
             continue
 
         if exit_elem is not None:
-            if u in exit_elem.belongs:
+            if owner[u] is exit_elem:
                 part.into_exit.append((u, v))
             elif u == exit_elem.entry:
                 part.entry_to_exit.append(((u, v), exit_elem))
@@ -75,7 +75,7 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
             # Outermost element the edge enters from outside.
             target = None
             for elem in entry_elems:
-                if u not in elem.inside and u != elem.exit:
+                if u != elem.exit and not forest.contains(elem, u):
                     target = elem
                     break
             if target is not None and target.exit is not None:
@@ -211,9 +211,9 @@ def build_decomposition(
         elem: tuple(x for x in (elem.entry, elem.exit) if x is not None)
         for elem in (forest.phi, *forest.elements)
     }
-    element_of = forest.element_of
-    bags = {v: frozenset((v, *ends[element_of(v)])) for v in nodes}
+    owner = forest.owner
+    bags = {v: frozenset((v, *ends[owner[v]])) for v in nodes}
 
     if toposort(order, succ) is None:
-        raise ValueError("decomposition arcs contain a cycle; input is not structured")
+        raise NotStructuredError("decomposition arcs contain a cycle")
     return DagDecomposition(nodes=nodes, arcs=arcs, bags=bags)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .cfg import ControlFlowGraph, EdgeKind
-from .loops import LoopForest, assign_owners, compute_dominators, loop_regions
+from .loops import LoopForest, assign_owners, compute_dominators
 
 
 def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
@@ -13,7 +13,7 @@ def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
     exit 8 and 9-10-11 with exit 12; both escape back to the outer entry.
     Two cops cannot corner a robber that alternates between the cycles, so
     its cop number (and width) is exactly three. Vertex ids deliberately
-    skip 4. Regions come filled in.
+    skip 4. The owner map comes filled in.
     """
     g = ControlFlowGraph()
     g.add_vertex("start", 0)
@@ -41,5 +41,5 @@ def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
     right = forest.new_element(outer)
     right.entry, right.exit = 9, 12
 
-    loop_regions(g, assign_owners(g, compute_dominators(g), forest))
+    assign_owners(g, compute_dominators(g), forest)
     return g, forest

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._graph import VertexBits, reachable, toposort
+from ._graph import VertexBits, reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
@@ -108,57 +108,6 @@ def check_cop_monotone(trace: GameTrace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the distance that drives the chase
-
-
-def exit_distances(cfg: ControlFlowGraph, forest: LoopForest, elem: LoopElement) -> dict[int, int | None]:
-    """Longest-path distance from each vertex of inside(L) to L's exit.
-
-    Only vertices of belongs(L) count toward the length; whole nested loops
-    collapse to single zero-weight nodes, which keeps the graph acyclic.
-    Paths may start at the entry but never pass through it. None marks
-    vertices with no such path.
-    """
-    if elem.exit is None:
-        return {v: None for v in elem.inside}
-
-    node_of: dict[int, object] = {v: v for v in elem.belongs}
-    for child in elem.children:
-        for v in child.inside:
-            node_of[v] = child
-    node_of[elem.exit] = elem.exit
-
-    succ: dict[object, set] = {n: set() for n in set(node_of.values())}
-    for u, v in cfg.edges():
-        nu, nv = node_of.get(u), node_of.get(v)
-        if nu is None or nv is None or nu == nv:
-            continue
-        if v == elem.entry:
-            continue  # paths must not pass through the entry
-        succ[nu].add(nv)
-
-    # longest path to the exit over the collapsed DAG
-    order = toposort(succ, succ)
-    if order is None:
-        raise ValueError("loop interior is cyclic away from its entry; input is not structured")
-
-    dp: dict[object, int | None] = {n: None for n in succ}
-    dp[elem.exit] = 0
-    for n in reversed(order):
-        if n == elem.exit:
-            continue
-        best = None
-        for m in succ[n]:
-            if dp[m] is not None:
-                best = dp[m] if best is None else max(best, dp[m])
-        if best is not None:
-            weight = 1 if isinstance(n, int) and n in elem.belongs else 0
-            dp[n] = best + weight
-
-    return {v: dp[node_of[v]] for v in elem.inside}
-
-
-# ---------------------------------------------------------------------------
 # cop strategies
 
 
@@ -174,8 +123,8 @@ class LoopGuardStrategy:
     """
 
     def __init__(self, cfg: ControlFlowGraph, forest: LoopForest):
-        if not forest.phi.inside:
-            raise ValueError("loop regions not computed; run loop_regions first")
+        if not forest.owner:
+            raise ValueError("loop forest has no owner map; run assign_owners or recover_loop_forest first")
         self.cfg = cfg
         self.forest = forest
         self.loop = forest.phi
@@ -218,17 +167,17 @@ class LoopGuardStrategy:
             self.x3 = self.cfg.stop
             return self._emit("4b")
 
-        if not self.loop.is_root and r not in self.loop.inside:
+        if not self.loop.is_root and not self.forest.contains(self.loop, r):
             raise StrategyError(f"robber at {r} escaped the current loop")
 
-        if self.pending_child is not None and r in self.pending_child.inside:
+        if self.pending_child is not None and self.forest.contains(self.pending_child, r):
             # Sealed loop still holds the robber: advance the entry guard.
             self.x1 = self.pending_child.entry
             self.entering = True
             return self._emit("5")
 
         self.pending_child = None
-        if r in self.loop.belongs:
+        if self.forest.owner[r] is self.loop:
             self.x3 = r
             return self._emit("2a")
 

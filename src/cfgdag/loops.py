@@ -6,10 +6,13 @@ a virtual root element (phi) that owns start, stop, and everything outside
 all loops. The builder records the map as it expands the source; a forest
 recovered from a bare graph, or given whole, gets it from one preorder walk
 of the dominator tree in which a loop opens at its entry and closes, with
-every loop inside it, at its exit. loop_regions derives the belongs and
-inside sets from the map. By definition inside(L) holds the vertices
-dominated by the entry and not by the exit; the tests keep that definition
-as their oracle.
+every loop inside it, at its exit. The map is the only record of
+membership: v belongs to L when L owns v, and v lies inside L when L is the
+owner of v or one of its ancestors (LoopForest.contains). Only the forest
+JSON needs the whole belongs and inside sets, which LoopForest.regions
+derives in one pass. By definition inside(L) holds the vertices dominated
+by the entry and not by the exit; the tests keep that definition as their
+oracle.
 
 Dominators and post-dominators take one Semi-NCA pass each (Georgiadis,
 Tarjan & Werneck, "Finding dominators in practice", 2006): near-linear
@@ -28,6 +31,11 @@ BACKWARD = "backward"
 FORWARD = "forward"
 
 
+class NotStructuredError(ValueError):
+    """The graph is not the control-flow graph of a structured program: its
+    loops do not nest, or a loop is entered other than through its entry."""
+
+
 class LoopForestJsonError(ValueError):
     """Loop forest JSON that does not describe a forest: a missing key, an
     entry or exit that is not a vertex id, a parent that is not the index of
@@ -40,8 +48,6 @@ class LoopElement:
     exit: int | None
     parent: "LoopElement | None" = None
     children: list["LoopElement"] = field(default_factory=list)
-    inside: set[int] = field(default_factory=set)
-    belongs: set[int] = field(default_factory=set)
 
     @property
     def is_root(self) -> bool:
@@ -69,9 +75,30 @@ class LoopForest:
         self.elements.append(elem)
         return elem
 
-    def element_of(self, v: int) -> LoopElement:
-        """Innermost element that v belongs to."""
-        return self.owner[v]
+    def contains(self, elem: LoopElement, v: int) -> bool:
+        """True iff v lies inside elem: elem owns v or an element nested in it does."""
+        e = self.owner[v]
+        while e is not None:
+            if e is elem:
+                return True
+            e = e.parent
+        return False
+
+    def regions(self) -> dict[LoopElement, tuple[set[int], set[int]]]:
+        """Element (phi included) -> (belongs, inside), from the owner map.
+
+        belongs(L) is the set of vertices L owns, so the belongs sets
+        partition the owned vertices; inside(L) adds the inside of every
+        child.
+        """
+        belongs: dict[LoopElement, set[int]] = {e: set() for e in (self.phi, *self.elements)}
+        for v, elem in self.owner.items():
+            belongs[elem].add(v)
+        out: dict[LoopElement, tuple[set[int], set[int]]] = {}
+        for elem in (*reversed(self._preorder()), self.phi):
+            own = belongs[elem]
+            out[elem] = (own, own.union(*(out[c][1] for c in elem.children)))
+        return out
 
     def protected_vertices(self) -> set[int]:
         out = set()
@@ -130,14 +157,16 @@ class LoopForest:
         order = self._preorder()
         for i, elem in enumerate(order):
             index[elem] = i
+        regions = self.regions()
         for elem in order:
+            belongs, inside = regions[elem]
             loops.append(
                 {
                     "entry": elem.entry,
                     "exit": elem.exit,
                     "parent": index.get(elem.parent),
-                    "inside": sorted(elem.inside),
-                    "belongs": sorted(elem.belongs),
+                    "inside": sorted(inside),
+                    "belongs": sorted(belongs),
                 }
             )
         return {"loops": loops}
@@ -147,6 +176,8 @@ class LoopForest:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopForest":
+        """The nesting of a forest JSON; its inside and belongs lists are not
+        read, since assign_owners derives membership from the graph."""
         forest = cls()
         made: list[LoopElement] = []
         try:
@@ -158,8 +189,6 @@ class LoopForest:
                     raise ValueError(f"loop {i}: entry {entry!r} or exit {exit_!r} is not a vertex id")
                 elem = forest.new_element(forest.phi if parent is None else made[parent])
                 elem.entry, elem.exit = entry, exit_
-                elem.inside = set(rec.get("inside", ()))
-                elem.belongs = set(rec.get("belongs", ()))
                 made.append(elem)
         except KeyError as err:
             raise LoopForestJsonError(f"missing key {err}") from None
@@ -321,23 +350,15 @@ def _without(neighbours, cut: dict[int, set[int]]):
 
 
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
-    """Fill belongs and inside of every element from the forest's owner map.
+    """Check that the forest's owner map covers exactly the graph's vertices.
 
-    belongs(L) is the set of vertices L owns, so the belongs sets partition
-    V; inside(L) adds the inside of every child. The tests check the result
-    against the dominator definition of the regions.
+    Readers take membership from the map itself (LoopForest.contains,
+    LoopForest.regions), so a forest is usable without this call.
     """
     all_vertices = set(cfg.vertex_ids())
     if forest.owner.keys() != all_vertices:
         missing = sorted(all_vertices - forest.owner.keys())
         raise ValueError(f"no loop owner for vertices {missing[:10]}")
-    for elem in [forest.phi, *forest.elements]:
-        elem.belongs = set()
-    for v, elem in forest.owner.items():
-        elem.belongs.add(v)
-    for elem in reversed(forest._preorder()):
-        elem.inside = elem.belongs.union(*(child.inside for child in elem.children))
-    forest.phi.inside = all_vertices
     return forest
 
 
@@ -408,20 +429,21 @@ def classify_edges(
     """Tag each edge backward/forward: backward edges run from belongs(L) to L's entry.
 
     Passing dominator info cross-checks against the head-dominates-tail
-    definition and raises on any disagreement.
+    definition and raises NotStructuredError on any disagreement.
     """
     by_entry = forest.entries()
+    owner = forest.owner
     classes: dict[tuple[int, int], str] = {}
     for u, v in cfg.edges():
-        backward = any(u in elem.belongs for elem in by_entry.get(v, ()))
+        backward = owner[u] in by_entry.get(v, ())
         classes[(u, v)] = BACKWARD if backward else FORWARD
         if dom is not None:
             dom_backward = dom.dominates(v, u)
             if dom_backward != backward:
-                raise ValueError(
+                raise NotStructuredError(
                     f"edge ({u}, {v}): region classification says "
                     f"{classes[(u, v)]} but domination says "
-                    f"{BACKWARD if dom_backward else FORWARD}; input is not structured"
+                    f"{BACKWARD if dom_backward else FORWARD}"
                 )
     return classes
 

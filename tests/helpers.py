@@ -21,18 +21,26 @@ from cfgdag import (
     build_decomposition,
     cfg_from_source,
     compute_dominators,
-    exit_distances,
-    loop_regions,
     recover_loop_forest,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import VertexBits, tree_children
+from cfgdag._graph import VertexBits, toposort, tree_children
 from cfgdag.game import SearchBudgetError, _adjacency
 from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
 
 
+# One cycle, a <-> b, with two entries from start: the CFG JSON of no
+# structured program.
+IRREDUCIBLE_CFG_JSON = {
+    "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "b", "stop"])],
+    "edges": [{"from": u, "to": v, "kind": "out"} for u, v in [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3)]],
+    "start": 0,
+    "stop": 3,
+}
+
+
 def pipeline(src, contract=False):
-    """parse -> build -> prune (-> contract) -> dominator-based regions."""
+    """parse -> build -> prune (-> contract) -> owner map from the dominator definitions."""
     cfg, forest = cfg_from_source(src, contract=contract)
     dom = compute_dominators(cfg)
     dominator_regions(cfg, forest, dom)
@@ -40,15 +48,19 @@ def pipeline(src, contract=False):
 
 
 def dominator_regions(cfg, forest, dom):
-    """Regions and owner map straight from the definitions.
+    """Regions straight from the definitions: element (phi included) ->
+    (belongs, inside), in the form of LoopForest.regions.
 
     inside(L) is dominated by the entry and not by the exit (stop always
     stays with the root element); belongs(L) is inside(L) minus the inside
-    of L's children. Raises when the belongs sets do not partition V.
+    of L's children. Replaces the forest's owner map with the one these
+    regions imply, and raises when the belongs sets do not partition V.
     """
     kids = tree_children(dom.idom)
     stop = cfg.stop
 
+    all_vertices = set(cfg.vertex_ids())
+    inside_of = {forest.phi: set(all_vertices)}
     for elem in forest._preorder():
         entry, exit_ = elem.entry, elem.exit
         inside: set[int] = set()
@@ -59,21 +71,20 @@ def dominator_regions(cfg, forest, dom):
                 continue
             inside.add(v)
             stack.extend(kids.get(v, ()))
-        elem.inside = inside
+        inside_of[elem] = inside
         if entry not in inside:
             raise ValueError(f"loop entry {entry} fell outside its own region")
 
-    all_vertices = set(cfg.vertex_ids())
-    forest.phi.inside = set(all_vertices)
-    for elem in forest._preorder():
-        elem.belongs = elem.inside - {v for c in elem.children for v in c.inside}
-    forest.phi.belongs = all_vertices - {v for c in forest.phi.children for v in c.inside}
+    regions = {
+        elem: (inside - {v for c in elem.children for v in inside_of[c]}, inside)
+        for elem, inside in inside_of.items()
+    }
 
     owner = {}
     total = 0
-    for elem in [forest.phi, *forest.elements]:
-        total += len(elem.belongs)
-        for v in elem.belongs:
+    for elem, (belongs, _) in regions.items():
+        total += len(belongs)
+        for v in belongs:
             if v in owner:
                 raise ValueError(f"vertex {v} belongs to two loop elements; input is not structured")
             owner[v] = elem
@@ -81,7 +92,7 @@ def dominator_regions(cfg, forest, dom):
         missing = all_vertices - set(owner)
         raise ValueError(f"belongs sets do not partition the vertices; missing {sorted(missing)}")
     forest.owner = owner
-    return forest
+    return regions
 
 
 def simple_cycles(cfg, limit: int = 12) -> list[list[int]]:
@@ -117,13 +128,64 @@ def check_cycle_corollary(cfg, forest, limit: int = 12) -> list[tuple]:
     Returns violation witnesses (empty on structured inputs). Exhaustively
     enumerates cycles, so only suitable for small graphs.
     """
+    regions = forest.regions()
     violations = []
     for cycle in simple_cycles(cfg, limit=limit):
         members = set(cycle)
         for elem in forest.elements:
-            if members <= elem.inside and members & elem.belongs and elem.entry not in members:
+            belongs, inside = regions[elem]
+            if members <= inside and members & belongs and elem.entry not in members:
                 violations.append((tuple(cycle), elem))
     return violations
+
+
+def exit_distances(cfg, forest, elem) -> dict[int, int | None]:
+    """Longest-path distance from each vertex of inside(L) to L's exit.
+
+    Only vertices of belongs(L) count toward the length; whole nested loops
+    collapse to single zero-weight nodes, which keeps the graph acyclic.
+    Paths may start at the entry but never pass through it. None marks
+    vertices with no such path.
+    """
+    regions = forest.regions()
+    belongs, inside = regions[elem]
+    if elem.exit is None:
+        return {v: None for v in inside}
+
+    node_of: dict[int, object] = {v: v for v in belongs}
+    for child in elem.children:
+        for v in regions[child][1]:
+            node_of[v] = child
+    node_of[elem.exit] = elem.exit
+
+    succ: dict[object, set] = {n: set() for n in set(node_of.values())}
+    for u, v in cfg.edges():
+        nu, nv = node_of.get(u), node_of.get(v)
+        if nu is None or nv is None or nu == nv:
+            continue
+        if v == elem.entry:
+            continue  # paths must not pass through the entry
+        succ[nu].add(nv)
+
+    # longest path to the exit over the collapsed DAG
+    order = toposort(succ, succ)
+    if order is None:
+        raise ValueError("loop interior is cyclic away from its entry; input is not structured")
+
+    dp: dict[object, int | None] = {n: None for n in succ}
+    dp[elem.exit] = 0
+    for n in reversed(order):
+        if n == elem.exit:
+            continue
+        best = None
+        for m in succ[n]:
+            if dp[m] is not None:
+                best = dp[m] if best is None else max(best, dp[m])
+        if best is not None:
+            weight = 1 if isinstance(n, int) and n in belongs else 0
+            dp[n] = best + weight
+
+    return {v: dp[node_of[v]] for v in inside}
 
 
 def distance_to_exit(cfg, forest, elem, v) -> int:
@@ -308,7 +370,7 @@ def dominators_by_iteration(cfg) -> tuple[dict, dict]:
     return idom, idom_by_iteration(porder, fwd.__getitem__)
 
 
-def dist_by_enumeration(cfg, elem, v) -> int | None:
+def dist_by_enumeration(cfg, forest, elem, v) -> int | None:
     """Longest |path-vertices in belongs(L)| over simple paths to the exit.
 
     Paths stay within inside(L) plus the exit and may not pass through the
@@ -316,14 +378,15 @@ def dist_by_enumeration(cfg, elem, v) -> int | None:
     """
     if elem.exit is None:
         return None
-    allowed = set(elem.inside) | {elem.exit}
+    belongs, inside = forest.regions()[elem]
+    allowed = inside | {elem.exit}
     succ = {
         u: [w for w in cfg.successors(u) if w in allowed and w != elem.entry]
         for u in allowed
     }
     best = None
     for path in all_simple_paths(succ, v, elem.exit):
-        count = sum(1 for x in path if x in elem.belongs)
+        count = sum(1 for x in path if x in belongs)
         if best is None or count > best:
             best = count
     return best
@@ -409,15 +472,14 @@ def d3_by_scan(decomp, edges) -> bool:
 def recovery_facts(cfg, forest, decomp) -> dict:
     """Recover the loops of a built graph from its CFG JSON alone and compare.
 
-    forest is the builder's forest with regions filled in, decomp the
-    decomposition built from it. A builder loop is seen when an edge into its
+    forest is the builder's forest, decomp the decomposition built from it. A builder loop is seen when an edge into its
     entry starts inside it; only seen loops can be recovered, and a seen
     loop's parent is taken to be its nearest seen ancestor. "dominators"
     says whether the loaded graph's idom and ipdom equal the iterative
     oracle's. Returns {"error": message} when recovery raises.
     """
     seen = {e.entry: e for e in forest.elements
-            if any(u in e.inside for u in cfg.predecessors(e.entry))}
+            if any(forest.contains(e, u) for u in cfg.predecessors(e.entry))}
 
     def seen_parent(elem):
         elem = elem.parent
@@ -428,7 +490,7 @@ def recovery_facts(cfg, forest, decomp) -> dict:
     graph = ControlFlowGraph.from_json(cfg.to_json())
     try:
         dom = compute_dominators(graph)
-        recovered = loop_regions(graph, recover_loop_forest(graph, dom))
+        recovered = recover_loop_forest(graph, dom)
         again = build_decomposition(graph, recovered)
     except ValueError as err:
         return {"error": str(err)}

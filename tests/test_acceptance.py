@@ -22,14 +22,9 @@ from cfgdag import (
     build_decomposition,
     build_product_game,
     cfg_from_source,
-    check_connectivity,
     check_cop_monotone,
-    check_d3,
-    check_edges_covered,
-    check_vertices_covered,
     classify_edges,
     compute_dominators,
-    exit_distances,
     generate_random_program,
     lift_decomposition,
     loop_regions,
@@ -40,7 +35,8 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.decomposition import DagDecomposition
-from helpers import dist_by_enumeration, recovery_facts
+from cfgdag.validate import check_connectivity, check_d3, check_edges_covered, check_vertices_covered
+from helpers import dist_by_enumeration, exit_distances, recovery_facts
 
 
 def _verdict(number: int, name: str, detail: str = ""):
@@ -75,7 +71,7 @@ def construction_fleet():
         decomp = build_decomposition(cfg, forest)
         build_seconds += time.perf_counter() - t0
         report = validate_cfg_decomposition(decomp, cfg)
-        belongs_total = len(forest.phi.belongs) + sum(len(e.belongs) for e in forest.elements)
+        belongs_total = sum(len(belongs) for belongs, _ in forest.regions().values())
         rows.append(
             {
                 "seed": seed,
@@ -263,7 +259,7 @@ def test_criterion_06_distance_monotone(pursuit_fleet):
                     continue
                 r_before = trace.steps[i].robber
                 r_after = trace.steps[i + 1].robber
-                assert r_after in loop.inside or r_after == cfg.stop
+                assert forest.contains(loop, r_after) or r_after == cfg.stop
                 if r_after == cfg.stop or loop.exit is None:
                     continue
                 if id(loop) not in dist_cache:
@@ -276,14 +272,16 @@ def test_criterion_06_distance_monotone(pursuit_fleet):
                     continue
                 eff_after = 0 if d_after is None else d_after
                 assert eff_after <= d_before, (row["seed"], i)
-                if r_before in loop.belongs and r_after != r_before:
+                if forest.owner[r_before] is loop and r_after != r_before:
                     assert eff_after < d_before, (row["seed"], i)
+        regions = forest.regions()
         for elem in forest.elements:
-            if elem.exit is None or len(elem.inside) + 1 > 8:
+            inside = regions[elem][1]
+            if elem.exit is None or len(inside) + 1 > 8:
                 continue
             dists = exit_distances(cfg, forest, elem)
-            for v in elem.inside:
-                assert dists[v] == dist_by_enumeration(cfg, elem, v), (row["seed"], v)
+            for v in inside:
+                assert dists[v] == dist_by_enumeration(cfg, forest, elem, v), (row["seed"], v)
                 oracle_checked += 1
     assert moves_checked > 500 and oracle_checked > 500
     _verdict(6, "chase distance never grew on any move",

@@ -15,6 +15,7 @@ from cfgdag import (
     two_loop_cfg,
 )
 from cfgdag.cli import build_parser, main
+from helpers import IRREDUCIBLE_CFG_JSON
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -98,6 +99,8 @@ BAD_CFG_JSON = [
      "edge (0, 7) references a missing vertex"),
     (lambda data: data["vertices"].append({"id": 0, "label": "again"}), "vertex 0 already exists"),
     (lambda data: data.update(start=9), "start 9 or stop 1 is not a vertex"),
+    (lambda data: data["vertices"][0].update(id="a"), "vertex id 'a' is not an integer"),
+    (lambda data: data["vertices"][1].update(id=True), "vertex id True is not an integer"),
 ]
 
 
@@ -334,6 +337,16 @@ def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
         "i/o error: bad loop forest JSON: loop at entry 9 is nested under")
 
 
+@pytest.mark.parametrize("argv", [["decompose"], ["validate", "--d3"]])
+def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(IRREDUCIBLE_CFG_JSON))
+    assert main([argv[0], str(graph_path), "--kind", "cfg-json", *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not structured: decomposition arcs contain a cycle\n"
+
+
 def test_python_m_cfgdag_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -374,11 +387,9 @@ def exit_path_inputs(while_file, tmp_path):
     decomp.write_text(json.dumps(data))
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "bad.spl").write_text("while { b; }")
-    # One cycle with two entries, a and b: not a structured program.
-    (tmp_path / "irreducible.json").write_text(json.dumps({
-        "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "b", "stop"])],
-        "edges": [{"from": u, "to": v, "kind": "out"} for u, v in [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3)]],
-        "start": 0, "stop": 3}))
+    (tmp_path / "irreducible.json").write_text(json.dumps(IRREDUCIBLE_CFG_JSON))
+    # Nesting deeper than the recursion limit, which the recursive parser meets.
+    (tmp_path / "deep.spl").write_text("while c { " * 1200 + "a;" + " }" * 1200)
     return tmp_path
 
 
@@ -387,9 +398,10 @@ EXIT_PATHS = {
     "exit 1": (["validate", "{d}/prog.spl", "--decomp", "{d}/damaged.json"], 1),
     "exit 2": (["decompose", "{d}/bad.json", "--kind", "cfg-json"], 2),
     "exit 3": (["decompose", "{d}/bad.spl"], 3),
+    "exit 4": (["decompose", "{d}/irreducible.json", "--kind", "cfg-json"], 4),
     "argparse": (["decompose", "{d}/prog.spl", "--kind", "binary"], SystemExit),
     "parser.error": (["play", "{d}/prog.spl", "--start", "99"], SystemExit),
-    "uncaught": (["decompose", "{d}/irreducible.json", "--kind", "cfg-json"], ValueError),
+    "uncaught": (["decompose", "{d}/deep.spl"], RecursionError),
 }
 
 

@@ -1,14 +1,27 @@
 import pytest
 
 from cfgdag import (
+    ControlFlowGraph,
     DagDecomposition,
+    LazyRobber,
+    LoopForest,
+    LoopGuardStrategy,
+    NotStructuredError,
+    OptimalRobber,
+    assign_owners,
     build_decomposition,
+    cfg_from_source,
+    classify_edges,
+    compute_dominators,
     generate_random_program,
+    loop_regions,
     partition_edges,
+    play_game,
+    recover_loop_forest,
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from helpers import pipeline
+from helpers import IRREDUCIBLE_CFG_JSON, pipeline
 
 
 def by_label(cfg):
@@ -57,8 +70,23 @@ def test_partition_rejects_entry_exit_collision():
     cfg, forest, _ = pipeline("while c { b; }")
     (elem,) = forest.elements
     elem.exit = elem.entry  # forge a vertex serving as both
-    with pytest.raises(ValueError, match="both"):
+    with pytest.raises(NotStructuredError, match="both"):
         partition_edges(cfg, forest)
+
+
+def test_irreducible_graph_is_not_structured():
+    cfg = ControlFlowGraph.from_json_dict(IRREDUCIBLE_CFG_JSON)
+    forest = recover_loop_forest(cfg, compute_dominators(cfg))
+    assert forest.elements == []  # neither entry of the cycle dominates the other
+    with pytest.raises(NotStructuredError, match="cycle"):
+        build_decomposition(cfg, forest)
+
+
+def test_classification_disagreeing_with_dominance_is_not_structured():
+    cfg, forest, dom = pipeline("while c { b; }")
+    forest.owner[cfg.start] = forest.elements[0]  # forge: start inside the loop
+    with pytest.raises(NotStructuredError, match="domination says forward"):
+        classify_edges(cfg, forest, dom)
 
 
 # -- the construction -----------------------------------------------------------
@@ -188,3 +216,53 @@ def test_decomposition_dot_contains_bags():
     d = build_decomposition(cfg, forest)
     dot = d.to_dot()
     assert "digraph" in dot and "{1,3}" in dot.replace(", ", ",")
+
+
+# -- membership from the owner map alone --------------------------------------------
+
+# A second backward edge, from a continue inside a branch.
+CONTINUE_SRC = "while p { a; if q { continue; } b; }"
+ORDER_SOURCES = [CONTINUE_SRC, "while c1 { while c2 { a; } b; } d;",
+                 *(generate_random_program(seed, 60) for seed in range(10))]
+
+
+def _recovered(src):
+    cfg, _ = cfg_from_source(src)
+    return cfg, recover_loop_forest(cfg, compute_dominators(cfg))
+
+
+def _given(src):
+    cfg, forest = cfg_from_source(src)
+    given = LoopForest.from_json_dict(forest.to_json_dict())
+    return cfg, assign_owners(cfg, compute_dominators(cfg), given)
+
+
+FOREST_ROUTES = {"source": cfg_from_source, "recovered": _recovered, "given": _given}
+
+
+def _cops_win(cfg, forest):
+    games = [LazyRobber(cfg, start=v) for v in sorted({cfg.start, max(cfg.vertex_ids())})]
+    if cfg.n_vertices <= 20:
+        games.append(OptimalRobber(cfg, 3))
+    return all(play_game(cfg, LoopGuardStrategy(cfg, forest), robber).outcome == "CopsWin"
+               for robber in games)
+
+
+@pytest.mark.parametrize("route", FOREST_ROUTES)
+def test_a_forest_needs_no_loop_regions_call(route):
+    make = FOREST_ROUTES[route]
+    for src in ORDER_SOURCES:
+        cfg, fresh = make(src)
+        checked = loop_regions(*make(src))
+        dom = compute_dominators(cfg)
+        assert (partition_edges(cfg, fresh).categories()
+                == partition_edges(cfg, checked).categories()), src
+        assert classify_edges(cfg, fresh, dom) == classify_edges(cfg, checked, dom), src
+        decomp = build_decomposition(cfg, fresh)
+        assert decomp.width() <= 3 and validate_cfg_decomposition(decomp, cfg).valid, src
+        assert _cops_win(cfg, fresh), src
+    if route == "source":
+        return  # no source program builds the two-loop graph
+    graph, fixture = two_loop_cfg()  # its forest is given whole
+    forest = fixture if route == "given" else recover_loop_forest(graph, compute_dominators(graph))
+    assert _cops_win(graph, forest)

@@ -13,18 +13,17 @@ from cfgdag import (
     build_decomposition,
     cfg_from_source,
     check_cop_monotone,
-    cop_monotone_violations,
-    exit_distances,
     generate_random_program,
     play_game,
     two_loop_cfg,
 )
-from cfgdag.game import _adjacency
+from cfgdag.game import _adjacency, cop_monotone_violations
 from helpers import (
     PursuitSolverByVertex,
     brute_force_cop_number_by_vertex,
     dist_by_enumeration,
     distance_to_exit,
+    exit_distances,
     pipeline,
 )
 
@@ -68,7 +67,7 @@ def test_distance_counts_only_own_vertices():
     (elem,) = forest.elements
     dists = exit_distances(cfg, forest, elem)
     assert dists[elem.entry] == 1  # straight to the exit, counting the entry
-    body = next(v for v in elem.inside if v != elem.entry)
+    body = next(v for v in forest.regions()[elem][1] if v != elem.entry)
     assert dists[body] is None  # the only way onward runs through the entry
     assert distance_to_exit(cfg, forest, elem, body) == 0
 
@@ -84,19 +83,21 @@ def test_nested_loop_contributes_nothing():
     cfg, forest, _ = pipeline("while c1 { a; while c2 { b; } d; }")
     outer, inner = forest.elements
     dists = exit_distances(cfg, forest, outer)
-    for v in inner.inside:
+    for v in forest.regions()[inner][1]:
         assert dists[v] == dists[inner.exit], cfg.labels[v]
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_distance_matches_enumeration_oracle(seed):
     cfg, forest, _ = pipeline(generate_random_program(seed, 14))
+    regions = forest.regions()
     for elem in forest.elements:
-        if len(elem.inside) + 1 > 8:
+        inside = regions[elem][1]
+        if len(inside) + 1 > 8:
             continue
         dists = exit_distances(cfg, forest, elem)
-        for v in elem.inside:
-            assert dists[v] == dist_by_enumeration(cfg, elem, v), (seed, v)
+        for v in inside:
+            assert dists[v] == dist_by_enumeration(cfg, forest, elem, v), (seed, v)
 
 
 def test_exitless_loop_distances_are_flagged():
@@ -198,7 +199,7 @@ def test_robber_confined_and_distance_monotone(seed):
             r_after = trace.steps[i + 1].robber
             if loop.is_root or note not in ("2a", "2b"):
                 continue
-            assert r_after in loop.inside or r_after == cfg.stop  # confinement
+            assert forest.contains(loop, r_after) or r_after == cfg.stop  # confinement
             if r_after == cfg.stop or loop.exit is None:
                 continue
             key = id(loop)
@@ -212,7 +213,7 @@ def test_robber_confined_and_distance_monotone(seed):
                 continue
             eff_after = 0 if d_after is None else d_after
             assert eff_after <= d_before, (seed, i)
-            if r_before in loop.belongs and r_after != r_before:
+            if forest.owner[r_before] is loop and r_after != r_before:
                 assert eff_after < d_before, (seed, i)
 
 
@@ -442,7 +443,7 @@ def test_monotone_checker_flags_revisits():
         ((2, None, None), 5, "x"),
         ((1, None, None), 5, "x"),  # cop returns to vertex 1
     ]
-    from cfgdag import GameTrace, TraceStep
+    from cfgdag.game import GameTrace, TraceStep
 
     trace = GameTrace(steps=[TraceStep(*s) for s in trace_steps], outcome="RobberWins(cutoff)")
     assert not check_cop_monotone(trace)
@@ -450,7 +451,7 @@ def test_monotone_checker_flags_revisits():
 
 
 def test_monotone_checker_accepts_short_traces():
-    from cfgdag import GameTrace, TraceStep
+    from cfgdag.game import GameTrace, TraceStep
 
     assert check_cop_monotone(GameTrace(steps=[], outcome="RobberWins(cutoff)"))
     one = GameTrace(steps=[TraceStep((None, None, None), 4, "1")], outcome="RobberWins(cutoff)")

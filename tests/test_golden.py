@@ -23,8 +23,9 @@ if __name__ == "__main__":
 
 import pytest
 
-from cfgdag import generate_random_program, two_loop_cfg
+from cfgdag import ControlFlowGraph, generate_random_program, two_loop_cfg
 from cfgdag.cli import main
+from helpers import IRREDUCIBLE_CFG_JSON
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
@@ -48,15 +49,16 @@ COMMANDS = {
 }
 
 
-def programs() -> dict[str, str | None]:
-    """Program name -> source text, or None for a graph given only as CFG JSON."""
-    out: dict[str, str | None] = {
+def programs() -> dict[str, str | ControlFlowGraph]:
+    """Program name -> source text, or the graph of one given only as CFG JSON."""
+    out: dict[str, str | ControlFlowGraph] = {
         f"rand-{size}-{seed}": generate_random_program(seed, size)
         for size in SIZES
         for seed in SEEDS
     }
     out["reproducer"] = REPRODUCER
-    out["two-loop"] = None
+    out["two-loop"] = two_loop_cfg()[0]
+    out["irreducible"] = ControlFlowGraph.from_json_dict(IRREDUCIBLE_CFG_JSON)
     return out
 
 
@@ -78,15 +80,14 @@ def _run(command: str, input_path: Path, kind: str, work: Path) -> dict:
     return {"exit": code, "sha256": digest.hexdigest()}
 
 
-def digests(name: str, source: str | None) -> dict[str, dict]:
+def digests(name: str, source: str | ControlFlowGraph) -> dict[str, dict]:
     """'<kind>/<command>' -> result for one program of the corpus."""
     out: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         cfg_json = work / "cfg.json"
-        if source is None:
-            cfg, _ = two_loop_cfg()
-            cfg_json.write_text(cfg.to_json())
+        if isinstance(source, ControlFlowGraph):
+            cfg_json.write_text(source.to_json())
             kinds = ["cfg-json"]
         else:
             (work / "prog.spl").write_text(source)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cfgdag import (
     BACKWARD,
-    FORWARD,
     ControlFlowGraph,
     EdgeKind,
     LoopForest,
@@ -21,6 +20,7 @@ from cfgdag import (
     recover_loop_forest,
     two_loop_cfg,
 )
+from cfgdag.loops import FORWARD
 from helpers import (
     check_cycle_corollary,
     dominator_regions,
@@ -91,7 +91,7 @@ def test_post_dominators_ignore_return_edges():
     ids = by_label(cfg)
     (elem,) = forest.elements
     # ignoring the return edge, the loop exit post-dominates the whole inside
-    for v in elem.inside:
+    for v in forest.regions()[elem][1]:
         assert dom.post_dominates(elem.exit, v), cfg.labels[v]
     assert dom.post_dominates(ids["stop"], ids["a"])
 
@@ -180,31 +180,33 @@ def test_dominators_of_a_deep_graph_need_no_recursion():
 def test_loop_free_program_belongs_to_root():
     cfg, forest, _ = pipeline("a; if c { b; } d;")
     assert forest.elements == []
-    assert forest.phi.belongs == set(cfg.vertex_ids())
+    assert forest.regions()[forest.phi][0] == set(cfg.vertex_ids())
 
 
 def test_while_regions():
     cfg, forest, _ = pipeline("while c { b; }")
     ids = by_label(cfg)
     (elem,) = forest.elements
-    assert elem.inside == {ids["c"], ids["b"]}
-    assert elem.belongs == {ids["c"], ids["b"]}
-    assert forest.phi.belongs == {ids["start"], ids["exit(c)"], ids["stop"]}
+    regions = forest.regions()
+    assert regions[elem] == ({ids["c"], ids["b"]}, {ids["c"], ids["b"]})
+    assert regions[forest.phi][0] == {ids["start"], ids["exit(c)"], ids["stop"]}
 
 
 def test_entry_inside_exit_outside():
     for seed in range(30):
         cfg, forest, _ = pipeline(generate_random_program(seed, 60))
+        regions = forest.regions()
         for elem in forest.elements:
-            assert elem.entry in elem.inside
-            assert elem.exit is None or elem.exit not in elem.inside
+            inside = regions[elem][1]
+            assert elem.entry in inside
+            assert elem.exit is None or elem.exit not in inside
 
 
 def test_belongs_partition():
     for seed in range(40):
-        cfg, forest, _ = pipeline(generate_random_program(seed, 80))
-        sizes = len(forest.phi.belongs) + sum(len(e.belongs) for e in forest.elements)
-        assert sizes == cfg.n_vertices
+        cfg, forest, dom = pipeline(generate_random_program(seed, 80))
+        regions = dominator_regions(cfg, forest, dom)
+        assert sum(len(belongs) for belongs, _ in regions.values()) == cfg.n_vertices
 
 
 def test_nesting_iff_exit_in_parent_belongs():
@@ -212,7 +214,7 @@ def test_nesting_iff_exit_in_parent_belongs():
         _, forest, _ = pipeline(generate_random_program(seed, 80))
         for elem in forest.elements:
             if elem.exit is not None:
-                assert elem.exit in elem.parent.belongs
+                assert forest.owner[elem.exit] is elem.parent
 
 
 def test_do_while_entry_is_first_body_vertex():
@@ -220,7 +222,7 @@ def test_do_while_entry_is_first_body_vertex():
     ids = by_label(cfg)
     (elem,) = forest.elements
     assert elem.entry == ids["a"]
-    assert elem.inside == {ids["a"], ids["b"], ids["c"]}
+    assert forest.regions()[elem][1] == {ids["a"], ids["b"], ids["c"]}
 
 
 def test_do_while_opening_with_loop_gets_skip_entry():
@@ -236,7 +238,7 @@ def test_do_while_opening_with_loop_gets_skip_entry():
 
 def test_stop_belongs_to_root_even_with_returns_inside_loops():
     cfg, forest, _ = pipeline("while c { if x { return; } a; }")
-    assert cfg.stop in forest.phi.belongs
+    assert forest.owner[cfg.stop] is forest.phi
 
 
 def test_syntactic_regions_equal_dominator_regions():
@@ -245,12 +247,12 @@ def test_syntactic_regions_equal_dominator_regions():
         cfg, forest = cfg_from_source(src)
         syntactic = loop_regions(cfg, forest.restricted_to(cfg))
         reference = dominator_regions(cfg, forest, compute_dominators(cfg))
-        assert len(syntactic.elements) == len(reference.elements)
-        for a, b in zip(syntactic.elements, reference.elements):
+        assert len(syntactic.elements) == len(forest.elements)
+        ours = syntactic.regions()
+        for a, b in zip(syntactic.elements, forest.elements):
             assert (a.entry, a.exit) == (b.entry, b.exit)
-            assert a.inside == b.inside
-            assert a.belongs == b.belongs
-        assert syntactic.phi.belongs == reference.phi.belongs
+            assert ours[a] == reference[b]
+        assert ours[syntactic.phi][0] == reference[forest.phi][0]
 
 
 # -- edge classification --------------------------------------------------------
@@ -313,9 +315,10 @@ def test_fixture_backward_edges():
 def test_fixture_regions():
     _, forest = two_loop_cfg()
     outer, left, right = forest.elements
-    assert left.belongs == {5, 6, 7}
-    assert right.belongs == {9, 10, 11}
-    assert outer.belongs >= {1, 2, 8, 12}
+    regions = forest.regions()
+    assert regions[left][0] == {5, 6, 7}
+    assert regions[right][0] == {9, 10, 11}
+    assert regions[outer][0] >= {1, 2, 8, 12}
 
 
 # -- cycles ---------------------------------------------------------------------
@@ -346,7 +349,7 @@ def test_cycle_corollary_flags_forged_forest():
     (elem,) = forest.elements
     real_entry = elem.entry
     elem.entry = elem.exit  # forge: the entry is no longer on the cycle
-    elem.inside = {real_entry, *elem.inside}
+    assert forest.contains(elem, real_entry)
     violations = check_cycle_corollary(cfg, forest)
     assert violations
 
@@ -355,9 +358,9 @@ def test_cycle_corollary_flags_forged_forest():
 
 
 def test_forest_json_round_trip():
-    cfg, forest, _ = pipeline("while c1 { while c2 { a; } b; } d;")
+    cfg, forest, dom = pipeline("while c1 { while c2 { a; } b; } d;")
     data = forest.to_json_dict()
-    again = LoopForest.from_json_dict(data)
+    again = assign_owners(cfg, dom, LoopForest.from_json_dict(data))
     assert again.to_json_dict() == data
     assert [e.entry for e in again.elements] == [e.entry for e in forest.elements]
 
@@ -369,14 +372,15 @@ def test_recover_loop_forest_from_fixture_graph():
     got = {(e.entry, e.exit) for e in recovered.elements}
     want = {(e.entry, e.exit) for e in forest.elements}
     assert got == want
-    loop_regions(cfg, recovered)
+    ours, theirs = forest.regions(), recovered.regions()
     for a in forest.elements:
         b = next(e for e in recovered.elements if e.entry == a.entry)
-        assert a.inside == b.inside
+        assert ours[a][1] == theirs[b][1]
 
 
-def _regions(forest):
-    return [(e.entry, e.exit, e.inside, e.belongs) for e in forest._preorder()], forest.phi.belongs
+def _regions(forest, regions):
+    return ([(e.entry, e.exit, *regions[e]) for e in forest._preorder()],
+            regions[forest.phi][0])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -384,8 +388,8 @@ def test_recovered_regions_equal_dominator_regions(seed):
     cfg, _ = cfg_from_source(generate_random_program(seed, 60))
     dom = compute_dominators(cfg)
     recovered = loop_regions(cfg, recover_loop_forest(cfg, dom))
-    from_owners = _regions(recovered)
-    assert _regions(dominator_regions(cfg, recovered, dom)) == from_owners
+    from_owners = _regions(recovered, recovered.regions())
+    assert _regions(recovered, dominator_regions(cfg, recovered, dom)) == from_owners
 
 
 def test_given_forest_gets_the_builders_owners():
@@ -411,8 +415,8 @@ def test_reaching_an_exit_closes_the_loops_inside_it():
     outer.entry, outer.exit = 1, 4
     inner = forest.new_element(outer)
     inner.entry = 2
-    loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest))
-    assert (outer.belongs, inner.belongs, forest.phi.belongs) == ({1}, {2, 3}, {0, 4, 5})
+    regions = loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest)).regions()
+    assert (regions[outer][0], regions[inner][0], regions[forest.phi][0]) == ({1}, {2, 3}, {0, 4, 5})
 
 
 def test_recover_matches_builder_on_random_programs():

@@ -4,14 +4,11 @@ from cfgdag import (
     DagDecomposition,
     build_decomposition,
     cfg_from_source,
-    check_connectivity,
-    check_d3,
-    check_edges_covered,
-    check_vertices_covered,
     generate_random_program,
     loop_regions,
     validate_cfg_decomposition,
 )
+from cfgdag.validate import check_connectivity, check_d3, check_edges_covered, check_vertices_covered
 from helpers import (
     connectivity_by_triples,
     d3_by_scan,
