@@ -169,7 +169,6 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     b.g.stop = stop
     b.attach(out, stop)
     b.attach(b.returns, stop)
-    b.g.stop_reachable = None  # prune_unreachable, or the first read, walks it
     return b.g, b.forest
 
 

@@ -3,7 +3,8 @@
 Vertices are integers with string labels; start and stop are distinguished.
 Every edge carries one EdgeKind telling which successor convention produced
 it. JSON serialization is canonical (sorted vertices and edges), so a
-load/dump round trip is byte identical.
+load/dump round trip is byte identical. Pruning and contraction write new
+graphs whose adjacency is frozen into tuples.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ class CfgJsonError(ValueError):
 class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
-        # Lists while the graph is built; prune_unreachable makes tuples.
+        # Lists while the graph is built; pruning and contraction make tuples.
         self._succ: dict[int, list[int] | tuple[int, ...]] = {}
         self._pred: dict[int, list[int] | tuple[int, ...]] = {}
         self._kind: dict[tuple[int, int], EdgeKind] = {}
         self.start: int = -1
         self.stop: int = -1
-        self._stop_reachable: bool | None = True
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -98,40 +98,12 @@ class ControlFlowGraph:
         return (u, v) in self._kind
 
     @property
-    def stop_reachable(self) -> bool:
-        """Whether stop is reachable from start. A loader that does not walk
-        the graph sets it to None, and the first read walks it."""
-        if self._stop_reachable is None:
-            self._stop_reachable = self.stop in self.reachable_from(self.start)
-        return self._stop_reachable
-
-    @stop_reachable.setter
-    def stop_reachable(self, value: bool | None) -> None:
-        self._stop_reachable = value
-
-    @property
     def n_vertices(self) -> int:
         return len(self.labels)
 
     @property
     def n_edges(self) -> int:
         return len(self._kind)
-
-    def out_degree(self, v: int) -> int:
-        return len(self._succ[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self._pred[v])
-
-    def copy(self) -> "ControlFlowGraph":
-        out = ControlFlowGraph()
-        for v, label in self.labels.items():
-            out.add_vertex(label, v)
-        for (u, v), kind in self._kind.items():
-            out.add_edge(u, v, kind)
-        out.start, out.stop = self.start, self.stop
-        out.stop_reachable = self._stop_reachable
-        return out
 
     def reachable_from(self, v: int, blocked=()) -> set[int]:
         """Vertices reachable from v without entering a blocked vertex; v included."""
@@ -172,7 +144,6 @@ class ControlFlowGraph:
             raise CfgJsonError(f"missing key {err}") from None
         except (TypeError, ValueError) as err:
             raise CfgJsonError(str(err)) from None
-        cfg.stop_reachable = None  # prune_unreachable, or the first read, walks it
         return cfg
 
     @classmethod
@@ -198,8 +169,9 @@ class ControlFlowGraph:
 
 
 def prune_unreachable(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Drop vertices unreachable from start; stop is kept but flagged.
-    Vertices come out sorted and edges in sorted (u, v) order.
+    """Drop vertices unreachable from start; stop is always kept, and loses
+    its out-edges when it is unreachable. Vertices come out sorted and edges
+    in sorted (u, v) order.
 
     The adjacency is built straight into tuples: a tuple is smaller than a
     list filled by append, and the cyclic collector untracks a tuple of ints
@@ -222,49 +194,56 @@ def prune_unreachable(cfg: ControlFlowGraph) -> ControlFlowGraph:
             succ[v] = ()
     out._next_id = keep[-1] + 1 if keep else 0
     out.start, out.stop = cfg.start, cfg.stop
-    out.stop_reachable = cfg.stop in reachable
     return out
 
 
 def contract_basic_blocks(cfg: ControlFlowGraph, forest=None) -> ControlFlowGraph:
-    """Merge straight-line chains into basic blocks.
+    """Merge straight-line chains into basic blocks, in one pass.
 
-    An edge (u, v) contracts when u has exactly one successor and v exactly
-    one predecessor; v's statements join u's block. start never absorbs,
-    and stop and loop entry/exit vertices are never absorbed, so they
-    survive as the representatives of their blocks.
+    A vertex v is absorbed when its only predecessor u is not v, is not
+    start and has no other successor. start, stop and loop entry/exit
+    vertices are never absorbed. Every other vertex heads a block that runs
+    along its chain of absorbed successors: the block keeps the head's id,
+    joins the labels in chain order and takes the out-edges of the chain's
+    last vertex. A cycle of absorbed vertices, which only an unpruned graph
+    holds, becomes one block at its smallest id with a self-loop. Labels
+    keep the input order and the adjacency is written straight into tuples,
+    predecessors ascending.
     """
     protected = {cfg.start, cfg.stop}
     if forest is not None:
         protected |= forest.protected_vertices()
+    succ, pred, names = cfg._succ, cfg._pred, cfg.labels
+    absorbed = {v for v, us in pred.items() if len(us) == 1 and v not in protected
+                and us[0] not in (v, cfg.start) and len(succ[us[0]]) == 1}
 
-    out = cfg.copy()
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(out.labels):
-            if u not in out.labels or u == cfg.start:
-                continue
-            while True:
-                succ = out._succ.get(u)
-                if succ is None or len(succ) != 1:
-                    break
-                v = succ[0]
-                if v == u or v in protected or out.in_degree(v) != 1:
-                    break
-                # fold v into u
-                out.labels[u] = f"{out.labels[u]}; {out.labels[v]}"
-                del out._kind[(u, v)]
-                out._succ[u] = []
-                for w in out._succ[v]:
-                    kind = out._kind.pop((v, w))
-                    out._pred[w].remove(v)
-                    if (u, w) not in out._kind:
-                        out._succ[u].append(w)
-                        out._pred[w].append(u)
-                        out._kind[(u, w)] = kind
-                del out.labels[v]
-                del out._succ[v]
-                del out._pred[v]
-                changed = True
+    head_of: dict[int, int] = {}
+    blocks: dict[int, tuple[str, int]] = {}  # head -> (label, last vertex)
+
+    # An absorbed vertex that no chain has reached by its turn is the
+    # smallest id of a cycle without a head.
+    for h in [v for v in names if v not in absorbed] + sorted(absorbed):
+        if h in head_of:
+            continue
+        parts, v = [names[h]], h
+        head_of[h] = h
+        while len(succ[v]) == 1 and succ[v][0] in absorbed and succ[v][0] != h:
+            v = succ[v][0]
+            head_of[v] = h
+            parts.append(names[v])
+        blocks[h] = ("; ".join(parts), v)
+
+    out = ControlFlowGraph()
+    labels, out_succ, out_pred, kinds = out.labels, out._succ, out._pred, out._kind
+    for h in names:
+        if h not in blocks:
+            continue
+        labels[h], last = blocks[h]
+        # Each successor of a chain's last vertex heads a block of its own.
+        out_succ[h] = ws = tuple(succ[last])
+        for w in ws:
+            kinds[(h, w)] = cfg._kind[(last, w)]
+        out_pred[h] = tuple(sorted(head_of[u] for u in pred[h]))
+    out._next_id = cfg._next_id
+    out.start, out.stop = cfg.start, cfg.stop
     return out

@@ -4,7 +4,8 @@ Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (bad JSON and bad CFG, loop forest or decomposition JSON
 included) or a bad argument, 3 parse error, 4 a graph that is not the
-control-flow graph of a structured program.
+control-flow graph of a structured program, 5 an exact search that hit its
+limit (oracle's --k-max or the solver's state budget).
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -26,6 +27,7 @@ from .game import (
     LazyRobber,
     LoopGuardStrategy,
     OptimalRobber,
+    SearchBudgetError,
     brute_force_cop_number,
     play_game,
 )
@@ -250,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotStructuredError as err:
         print(f"not structured: {err}", file=sys.stderr)
         return 4
+    except SearchBudgetError as err:
+        print(f"search limit: {err}", file=sys.stderr)
+        return 5
     finally:
         if enabled:
             gc.enable()

@@ -41,7 +41,8 @@ class IllegalMoveError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
-    """The exact solver exceeded its state budget; bounds are partial."""
+    """The exact solver exceeded its state budget or its cop limit; bounds
+    are partial."""
 
 
 # ---------------------------------------------------------------------------
@@ -525,4 +526,4 @@ def brute_force_cop_number(graph, k_max: int = 4, max_states: int = 4_000_000) -
                 return k
         except SearchBudgetError as err:
             raise SearchBudgetError(f"budget exceeded; cop number > {k - 1} known. {err}") from err
-    raise ValueError(f"no cop-monotone win with up to {k_max} cops")
+    raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")

@@ -24,13 +24,11 @@ class ParseError(ValueError):
 @dataclass
 class Assign:
     label: str
-    nid: int = -1
 
 
 @dataclass
 class Sequence:
     body: list = field(default_factory=list)
-    nid: int = -1
 
 
 @dataclass
@@ -38,36 +36,33 @@ class If:
     cond: str
     then: Sequence
     orelse: Sequence | None = None
-    nid: int = -1
 
 
 @dataclass
 class While:
     cond: str | int
     body: Sequence = None  # type: ignore[assignment]
-    nid: int = -1
 
 
 @dataclass
 class DoWhile:
     cond: str | int
     body: Sequence = None  # type: ignore[assignment]
-    nid: int = -1
 
 
 @dataclass
 class Break:
-    nid: int = -1
+    pass
 
 
 @dataclass
 class Continue:
-    nid: int = -1
+    pass
 
 
 @dataclass
 class Return:
-    nid: int = -1
+    pass
 
 
 @dataclass
@@ -125,13 +120,7 @@ class _Parser:
         self.source = source
         self.tokens = tokens
         self.pos = 0
-        self.next_id = 0
         self.loop_depth = 0
-
-    def _take_id(self) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        return nid
 
     def _cur(self):
         return self.tokens[self.pos]
@@ -151,15 +140,14 @@ class _Parser:
         raise _error_at(self.source, self._cur()[2], message)
 
     def program(self) -> Sequence:
-        root = Sequence(nid=self._take_id())
+        root = Sequence()
         while self._cur()[0] != "eof":
             root.body.append(self.statement())
         return root
 
     def block(self) -> Sequence:
-        nid = self._take_id()
         self._expect("lbrace", "'{'")
-        seq = Sequence(nid=nid)
+        seq = Sequence()
         while self._cur()[0] != "rbrace":
             if self._cur()[0] == "eof":
                 self._error("unterminated block")
@@ -180,11 +168,10 @@ class _Parser:
 
     def statement(self):
         kind, text, _ = self._cur()
-        nid = self._take_id()  # unused when this raises, and a parse stops there
         if kind == "ident":
             self._advance()
             self._expect("semi", "';'")
-            return Assign(text, nid=nid)
+            return Assign(text)
         if kind == "if":
             self._advance()
             cond = self.condition()
@@ -195,14 +182,14 @@ class _Parser:
             if self._cur()[0] == "else":
                 self._advance()
                 orelse = self.block()
-            return If(cond, then, orelse, nid=nid)
+            return If(cond, then, orelse)
         if kind == "while":
             self._advance()
             cond = self.condition()
             self.loop_depth += 1
             body = self.block()
             self.loop_depth -= 1
-            return While(cond, body, nid=nid)
+            return While(cond, body)
         if kind == "do":
             self._advance()
             self.loop_depth += 1
@@ -211,16 +198,16 @@ class _Parser:
             self._expect("while", "'while'")
             cond = self.condition()
             self._expect("semi", "';'")
-            return DoWhile(cond, body, nid=nid)
+            return DoWhile(cond, body)
         if kind in _JUMPS:
             if kind != "return" and self.loop_depth == 0:
                 self._error(f"{kind} outside loop")
             self._advance()
             self._expect("semi", "';'")
-            return _JUMPS[kind](nid=nid)
+            return _JUMPS[kind]()
         self._error(f"unexpected {text!r}")
 
 
 def parse_program(source: str) -> StructuredAst:
-    """Parse source text into an AST; node ids follow source order."""
+    """Parse source text into an AST."""
     return StructuredAst(root=_Parser(source, tokenize(source)).program())

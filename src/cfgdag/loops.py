@@ -320,8 +320,8 @@ def _dominator_tree(root: int, succ, pred):
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
     """Dominators from start plus post-dominators toward stop.
 
-    Raises ValueError when a vertex other than an already-flagged stop is
-    unreachable; prune first.
+    Raises ValueError when a vertex other than stop is unreachable; prune
+    first. An unreachable stop gets no post-dominators.
     """
     idom, tin, tout = _dominator_tree(cfg.start, cfg.successors, cfg.predecessors)
     missing = [v for v in cfg.vertex_ids() if v not in idom]
@@ -399,9 +399,14 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
 def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
     """Fill the owner map of a forest given whole, such as one read from JSON.
 
-    Raises LoopForestJsonError when an element's parent is not the loop open
-    at its entry, or when its entry is never reached.
+    Raises LoopForestJsonError when two elements share an exit, when an
+    element's parent is not the loop open at its entry, or when its entry is
+    never reached.
     """
+    try:
+        forest.exits()
+    except ValueError as err:
+        raise LoopForestJsonError(str(err)) from None
     by_entry = forest.entries()
     opened: set[LoopElement] = set()
 

@@ -6,6 +6,7 @@ the iterative dominator fixed point instead of dominator trees, bitmask
 sweeps and Semi-NCA; a pursuit solver keyed by the robber's vertex instead
 of its region; a tokenizer that counts lines and columns as it goes
 instead of on error; a prune that rebuilds through add_vertex/add_edge; a
+basic-block contraction by repeated sweeps that fold one edge at a time; a
 product game built one add_edge and one randrange call at a time.
 """
 
@@ -250,7 +251,50 @@ def prune_by_rebuild(cfg):
         if u in out.labels and v in out.labels and u in reachable:
             out.add_edge(u, v, cfg._kind[(u, v)])
     out.start, out.stop = cfg.start, cfg.stop
-    out.stop_reachable = cfg.stop in reachable
+    return out
+
+
+def contract_by_fixpoint(cfg, forest=None):
+    """contract_basic_blocks by sorted sweeps over a list-adjacency rebuild of
+    the graph, each folding one edge at a time, until a sweep folds nothing."""
+    protected = {cfg.start, cfg.stop}
+    if forest is not None:
+        protected |= forest.protected_vertices()
+
+    out = ControlFlowGraph()
+    for v, label in cfg.labels.items():
+        out.add_vertex(label, v)
+    for (u, v), kind in cfg._kind.items():
+        out.add_edge(u, v, kind)
+    out.start, out.stop = cfg.start, cfg.stop
+    changed = True
+    while changed:
+        changed = False
+        for u in sorted(out.labels):
+            if u not in out.labels or u == cfg.start:
+                continue
+            while True:
+                succ = out._succ.get(u)
+                if succ is None or len(succ) != 1:
+                    break
+                v = succ[0]
+                if v == u or v in protected or len(out._pred[v]) != 1:
+                    break
+                # fold v into u
+                out.labels[u] = f"{out.labels[u]}; {out.labels[v]}"
+                del out._kind[(u, v)]
+                out._succ[u] = []
+                for w in out._succ[v]:
+                    kind = out._kind.pop((v, w))
+                    out._pred[w].remove(v)
+                    if (u, w) not in out._kind:
+                        out._succ[u].append(w)
+                        out._pred[w].append(u)
+                        out._kind[(u, w)] = kind
+                del out.labels[v]
+                del out._succ[v]
+                del out._pred[v]
+                changed = True
     return out
 
 
@@ -635,7 +679,7 @@ def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
     for k in range(1, k_max + 1):
         if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
             return k
-    raise ValueError(f"no cop-monotone win with up to {k_max} cops")
+    raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
 
 
 def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from cfgdag import (
     parse_program,
     prune_unreachable,
 )
-from helpers import bfs_reachable, prune_by_rebuild, succ_map
+from helpers import bfs_reachable, contract_by_fixpoint, prune_by_rebuild, succ_map
 
 
 def labels_of(cfg):
@@ -54,8 +55,8 @@ def test_nested_while_forest():
 def test_start_is_source_stop_is_sink():
     for seed in range(40):
         cfg, _ = cfg_from_source(generate_random_program(seed, 40))
-        assert cfg.in_degree(cfg.start) == 0
-        assert cfg.out_degree(cfg.stop) == 0
+        assert len(cfg.predecessors(cfg.start)) == 0
+        assert len(cfg.successors(cfg.stop)) == 0
 
 
 def test_every_edge_has_one_kind():
@@ -114,7 +115,7 @@ def test_prune_infinite_loop_drops_exit_flags_stop():
     pruned = prune_unreachable(cfg)
     assert "exit(1)" not in labels_of(pruned)
     assert pruned.stop in pruned.vertex_ids()
-    assert not pruned.stop_reachable
+    assert pruned.stop not in pruned.reachable_from(pruned.start)
     restricted = forest.restricted_to(pruned)
     (elem,) = restricted.elements
     assert elem.exit is None  # the exit vertex is gone
@@ -160,8 +161,7 @@ def test_prune_fills_the_graph_as_the_rebuild_does(seed, size):
             assert list(got.predecessors(v)) == want.predecessors(v)
         for u, v in want.edges():
             assert got.edge_kind(u, v) is want.edge_kind(u, v)
-        assert (got._next_id, got.start, got.stop, got.stop_reachable) == \
-            (want._next_id, want.start, want.stop, want.stop_reachable)
+        assert (got._next_id, got.start, got.stop) == (want._next_id, want.start, want.stop)
 
 
 def test_prune_drops_the_out_edges_of_an_unreachable_stop():
@@ -173,20 +173,22 @@ def test_prune_drops_the_out_edges_of_an_unreachable_stop():
     g.start, g.stop = start, stop
     pruned = prune_unreachable(g)
     assert list(pruned.edges()) == list(prune_by_rebuild(g).edges()) == [(start, a), (a, a)]
-    assert list(pruned.predecessors(a)) == [start, a] and not pruned.stop_reachable
+    assert list(pruned.predecessors(a)) == [start, a]
+    assert stop not in pruned.reachable_from(start)
 
 
 def test_prune_freezes_the_adjacency_and_add_edge_still_extends_it():
-    pruned, _ = cfg_from_source("while c { a; } b;")
-    assert all(type(ws) is tuple for ws in (*pruned._succ.values(), *pruned._pred.values()))
-    start, c = pruned.start, pruned.successors(pruned.start)[0]
-    a = pruned.successors(c)[0]
-    x = pruned.add_vertex("x")
-    pruned.add_edge(start, x)
-    pruned.add_edge(x, c, "entry")
-    assert list(pruned.successors(start)) == [c, x] and list(pruned.successors(x)) == [c]
-    assert list(pruned.predecessors(c)) == [start, a, x]
-    assert pruned.edge_kind(x, c) is EdgeKind.ENTRY
+    for contract in (False, True):  # contraction freezes its graph too
+        graph, _ = cfg_from_source("while c { a; } b;", contract=contract)
+        assert all(type(ws) is tuple for ws in (*graph._succ.values(), *graph._pred.values()))
+        start, c = graph.start, graph.successors(graph.start)[0]
+        a = graph.successors(c)[0]
+        x = graph.add_vertex("x")
+        graph.add_edge(start, x)
+        graph.add_edge(x, c, "entry")
+        assert list(graph.successors(start)) == [c, x] and list(graph.successors(x)) == [c]
+        assert list(graph.predecessors(c)) == [start, a, x]
+        assert graph.edge_kind(x, c) is EdgeKind.ENTRY
 
 
 # -- contraction --------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_contract_fixpoint_no_mergeable_edge_left():
         for u, v in out.edges():
             if u == out.start or v in protected or u == v:
                 continue
-            assert not (out.out_degree(u) == 1 and out.in_degree(v) == 1), (seed, u, v)
+            assert not (len(out.successors(u)) == 1 and len(out.predecessors(v)) == 1), (seed, u, v)
 
 
 def test_contract_preserves_path_structure():
@@ -248,6 +250,55 @@ def test_contract_preserves_path_structure():
             assert reach_after >= (reach_before & set(survivors)) - {u}
 
 
+def assert_contracts_as_the_fixpoint(cfg, forest=None):
+    """contract_basic_blocks equals contract_by_fixpoint on labels and their
+    order, edges with kinds, successor order and predecessor sets; its
+    adjacency is tuples, predecessors ascending."""
+    got, want = contract_basic_blocks(cfg, forest), contract_by_fixpoint(cfg, forest)
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert {e: got.edge_kind(*e) for e in got.edges()} == {e: want.edge_kind(*e) for e in want.edges()}
+    for v in want.vertex_ids():
+        assert type(got.successors(v)) is tuple and type(got.predecessors(v)) is tuple
+        assert list(got.successors(v)) == want.successors(v)
+        assert list(got.predecessors(v)) == sorted(want.predecessors(v))
+    assert (got._next_id, got.start, got.stop) == (cfg._next_id, want.start, want.stop)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 80))
+def test_contraction_equals_the_fixpoint_oracle(seed, size):
+    rng = random.Random(seed)
+    source = with_dead_code(rng, generate_random_program(seed, size))
+    # A `while 1` loop right after a return is a cycle that no head reaches.
+    source = re.sub("^return;$", lambda m: m[0] + " while 1 { d; e; }" * (rng.random() < 0.5),
+                    source, flags=re.M)
+    cfg, forest = build_cfg(parse_program(source))
+    assert_contracts_as_the_fixpoint(cfg)  # unpruned, so dead cycles stay
+    pruned = prune_unreachable(cfg)
+    assert_contracts_as_the_fixpoint(pruned)
+    assert_contracts_as_the_fixpoint(pruned, forest.restricted_to(pruned))
+
+
+def test_contraction_folds_a_dead_cycle_into_its_smallest_id():
+    cfg, _ = build_cfg(parse_program("return; while 1 { a; b; }"))
+    assert_contracts_as_the_fixpoint(cfg)
+    out = contract_basic_blocks(cfg)
+    assert out.labels[1] == "1; a; b" and out.successors(1) == (1,)
+
+
+def test_contraction_keeps_the_head_id_when_members_have_smaller_ids():
+    g = ControlFlowGraph()
+    for vid, label in [(0, "start"), (1, "stop"), (2, "b"), (3, "c"), (5, "a")]:
+        g.add_vertex(label, vid)
+    for u, v in [(0, 5), (5, 2), (2, 3), (3, 1)]:
+        g.add_edge(u, v)
+    g.start, g.stop = 0, 1
+    assert_contracts_as_the_fixpoint(g)
+    out = contract_basic_blocks(g)
+    assert list(out.labels.items()) == [(0, "start"), (1, "stop"), (5, "a; b; c")]
+    assert sorted(out.edges()) == [(0, 5), (5, 1)]
+
+
 # -- serialization -------------------------------------------------------------
 
 
@@ -256,22 +307,6 @@ def test_json_round_trip_byte_identical():
     text = cfg.to_json()
     again = ControlFlowGraph.from_json(text)
     assert again.to_json() == text
-
-
-@pytest.mark.parametrize("source, reached", [("while c { a; }", True), ("while 1 { a; }", False)])
-def test_from_json_walks_reachability_on_the_first_read_of_stop_reachable(monkeypatch, source,
-                                                                           reached):
-    import cfgdag.cfg as cfg_module
-
-    text = cfg_from_source(source)[0].to_json()
-    walks = []
-    real = cfg_module.reachable
-    monkeypatch.setattr(cfg_module, "reachable", lambda *a: walks.append(a[1]) or real(*a))
-    loaded = ControlFlowGraph.from_json(text)
-    assert walks == []
-    assert loaded.stop_reachable is reached and loaded.stop_reachable is reached
-    assert loaded.copy().stop_reachable is reached
-    assert walks == [loaded.start]
 
 
 def test_json_schema_fields():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -121,6 +122,7 @@ BAD_FOREST_JSON = [
     (lambda data: data["loops"][0].pop("entry"), "missing key 'entry'"),
     (lambda data: data["loops"][1].update(parent=2), "loop 1: parent 2 is not an earlier loop"),
     (lambda data: data["loops"][1].update(parent=-1), "loop 1: parent -1 is not an earlier loop"),
+    (lambda data: data["loops"][2].update(exit=3), "vertex 3 is the exit of two loop elements"),
 ]
 
 
@@ -211,6 +213,26 @@ def test_oracle_on_fixture(tmp_path, capsys):
     graph_path.write_text(cfg.to_json())
     assert main(["oracle", str(graph_path), "--kind", "cfg-json"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_oracle_past_its_cop_limit_exits_five(tmp_path, capsys):
+    cfg, _ = two_loop_cfg()  # cop number 3
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(cfg.to_json())
+    assert main(["oracle", str(graph_path), "--kind", "cfg-json", "--k-max", "2"]) == 5
+    assert capsys.readouterr() == ("", "search limit: no cop-monotone win with up to 2 cops\n")
+
+
+def test_optimal_robber_past_its_state_budget_exits_five(tmp_path, capsys, monkeypatch):
+    import cfgdag.game as game
+
+    monkeypatch.setattr(game, "PursuitSolver", functools.partial(game.PursuitSolver, max_states=5))
+    cfg, _ = two_loop_cfg()
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(cfg.to_json())
+    assert main(["play", str(graph_path), "--kind", "cfg-json", "--robber", "optimal"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err == "search limit: memo exceeded 5 (cops, robber region, vacated) states at k=3\n"
 
 
 def test_lift_writes_game_and_decomposition(while_file, tmp_path):
@@ -399,6 +421,7 @@ EXIT_PATHS = {
     "exit 2": (["decompose", "{d}/bad.json", "--kind", "cfg-json"], 2),
     "exit 3": (["decompose", "{d}/bad.spl"], 3),
     "exit 4": (["decompose", "{d}/irreducible.json", "--kind", "cfg-json"], 4),
+    "exit 5": (["oracle", "{d}/prog.spl", "--k-max", "1"], 5),
     "argparse": (["decompose", "{d}/prog.spl", "--kind", "binary"], SystemExit),
     "parser.error": (["play", "{d}/prog.spl", "--start", "99"], SystemExit),
     "uncaught": (["decompose", "{d}/deep.spl"], RecursionError),

@@ -9,6 +9,7 @@ from cfgdag import (
     OptimalCops,
     OptimalRobber,
     PursuitSolver,
+    SearchBudgetError,
     brute_force_cop_number,
     build_decomposition,
     cfg_from_source,
@@ -250,7 +251,7 @@ def test_robber_slipping_past_the_landing_exit_guard():
 def test_strategy_handles_exitless_loops():
     cfg, forest, _ = pipeline("while 1 { a; if c { b; } }")
     for start in sorted(cfg.vertex_ids()):
-        if start == cfg.stop and not cfg.stop_reachable:
+        if start == cfg.stop and cfg.stop not in cfg.reachable_from(cfg.start):
             continue
         trace = play_game(cfg, LoopGuardStrategy(cfg, forest), LazyRobber(cfg, start=start))
         assert trace.outcome == "CopsWin", start
@@ -314,8 +315,6 @@ def test_cop_number_never_exceeds_three_beyond_eleven_vertices():
 
 def test_budget_error_reports_partial_bound():
     cfg, _ = two_loop_cfg()
-    from cfgdag import SearchBudgetError
-
     with pytest.raises(SearchBudgetError, match="cop number > 1"):
         brute_force_cop_number(cfg, 4, max_states=200)
 
@@ -330,7 +329,7 @@ def test_region_solver_decides_the_fixture_in_few_states():
 def _cop_number_up_to_three(cop_number, graph):
     try:
         return cop_number(graph, 3)
-    except ValueError:
+    except SearchBudgetError:
         return None
 
 

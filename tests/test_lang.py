@@ -11,7 +11,7 @@ def test_single_assignment():
     ast = parse_program("a;")
     assert isinstance(ast.root, Sequence)
     assert len(ast.root.body) == 1
-    assert ast.root.body[0] == Assign("a", nid=1)
+    assert ast.root.body[0] == Assign("a")
 
 
 def test_canonical_while():
@@ -19,7 +19,7 @@ def test_canonical_while():
     (loop,) = ast.root.body
     assert isinstance(loop, While)
     assert loop.cond == "c"
-    assert loop.body.body == [Assign("b", nid=3)]
+    assert loop.body.body == [Assign("b")]
 
 
 def test_do_while_and_int_conditions():
@@ -35,26 +35,6 @@ def test_if_else():
     assert isinstance(branch, If)
     assert branch.then.body[0].label == "a"
     assert branch.orelse.body[0].label == "b"
-
-
-def test_node_ids_in_source_order():
-    ast = parse_program("a; while c { b; } d;")
-    ids = []
-
-    def collect(node):
-        ids.append(node.nid)
-        for child in getattr(node, "body", []) if isinstance(node, Sequence) else []:
-            collect(child)
-        if isinstance(node, (While, DoWhile)):
-            collect(node.body)
-        if isinstance(node, If):
-            collect(node.then)
-            if node.orelse:
-                collect(node.orelse)
-
-    collect(ast.root)
-    assert sorted(ids) == list(range(len(ids)))
-    assert ids[0] == 0  # the root comes first
 
 
 def test_break_outside_loop_rejected():

@@ -72,7 +72,7 @@ def test_dominators_match_path_enumeration_oracle(seed):
     oracle = dominators_by_paths(cfg)
     for v in cfg.vertex_ids():
         if oracle[v] is None:
-            assert v == cfg.stop and not cfg.stop_reachable
+            assert v == cfg.stop and v not in cfg.reachable_from(cfg.start)
             continue
         for u in cfg.vertex_ids():
             if oracle[u] is not None:

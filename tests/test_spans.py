@@ -1,0 +1,39 @@
+"""The traced benchmark run wraps cfgdag names through perfbench/spans.py.
+
+A renamed or removed name drops its span and counters from every traced
+run, so these tests load that file as it is and check that it still finds
+and measures what it wraps.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cfgdag import generate_random_program
+from cfgdag.cli import main
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_finds_every_name_it_wraps():
+    assert load_spans().Tracer().missing == []
+
+
+def test_a_traced_decompose_records_graph_and_decomposition_sizes(tmp_path):
+    tracer = load_spans().Tracer()
+    source = tmp_path / "prog.spl"
+    source.write_text(generate_random_program(1, 30))
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["decompose", str(source), "--out", str(tmp_path / "d.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.counts[0]
+    assert counts["cfg.vertices"] > 0 and counts["decomposition.arcs"] > 0
