@@ -226,11 +226,11 @@ def run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return run(args)
+        # Building the parser allocates enough to start a collection.
+        return run(build_parser().parse_args(argv))
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 3

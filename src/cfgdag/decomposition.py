@@ -121,10 +121,6 @@ class DagDecomposition:
             succ[i].append(j)
         return succ
 
-    def topological_order(self) -> list[int] | None:
-        """Kahn order, or None when the arc set has a cycle."""
-        return toposort(sorted(self.nodes), self.successors())
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": sorted(self.nodes),

@@ -8,8 +8,21 @@ bags guards everything at or below j that is missing from bag i. They are
 equivalent on decompositions satisfying connectivity; the test suite checks
 the equivalence empirically on valid and randomly damaged samples.
 
-All set work runs on integer bitmasks, one bit per graph vertex, so
-validation stays near linear in the decomposition size.
+Connectivity and the per-arc/per-source form ask one question many times:
+does node j reach, itself included, a node whose bag holds v? One DFS over
+the arcs finds any cycle and gives each node a reverse-postorder position,
+and for each vertex v the last position of a bag holding v is kept. A
+query answers no at once when j comes after that last bag. Otherwise it
+looks in bag j and its direct successors' bags, and then searches from j
+through the nodes placed no later than the last bag. A node placed after
+it cannot lie on a path from j to a bag holding v, so the answer is exact
+for any decomposition, a damaged one included; the order is only a cost
+heuristic. On constructions a search visits a few nodes, but a crafted
+decomposition can make every query visit the whole DAG, so the time is
+O(queries x (nodes + arcs)) at worst. The memory stays linear.
+
+The guarding form needs the union of the bags below each node at once. It
+keeps two masks of V bits per node, so its time and memory are quadratic.
 """
 
 from __future__ import annotations
@@ -59,21 +72,84 @@ class ValidationReport:
         return dumps(self.to_json_dict())
 
 
-def _closure(decomp: DagDecomposition, order: list[int], edges) -> tuple[VertexBits, dict[int, int]]:
-    """Bits over the bag vertices and edge endpoints, and for each node the
-    union of bags over all nodes reachable from it."""
-    universe = set().union(*decomp.bags.values())
-    for e in edges:
-        universe.update(e)
-    bits = VertexBits(universe)
+def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int] | None]:
+    """Successor lists and the postorder of one iterative DFS that takes
+    roots in descending id and successors highest first; the postorder is
+    None when the arcs have a cycle (an arc back to a node on the DFS path).
+
+    A node id listed twice also gives None, the verdict of a Kahn count.
+    """
     succ = decomp.successors()
-    reach: dict[int, int] = {}
-    for n in reversed(order):
-        m = bits.of(decomp.bags[n])
-        for s in succ[n]:
-            m |= reach[s]
-        reach[n] = m
-    return bits, reach
+    for heads in succ.values():
+        if len(heads) > 1:
+            heads.sort()
+    if len(succ) != len(decomp.nodes):
+        return succ, None
+    # Every node starts on the stack as a root and is pushed again for each
+    # arc into it; the highest is popped first. On entry a node goes back on
+    # the stack under its successors, and it is finished when it surfaces.
+    finished: dict[int, bool] = {}  # False while on the DFS path
+    post: list[int] = []
+    stack = sorted(succ)
+    while stack:
+        n = stack.pop()
+        done = finished.get(n)
+        if done is None:
+            finished[n] = False
+            stack.append(n)
+            heads = succ[n]
+            for s in heads:
+                if finished.get(s) is False:
+                    return succ, None
+            stack.extend(heads)
+        elif not done:
+            finished[n] = True
+            post.append(n)
+    return succ, post
+
+
+def _reach_query(bags: dict[int, frozenset], succ: dict[int, list[int]], post: list[int]):
+    """reaches(j, v): does node j reach, itself included, a node whose bag
+    holds v? Needs the DFS postorder of an acyclic decomposition."""
+    top = len(post) - 1
+    pos = {n: top - k for k, n in enumerate(post)}  # reverse postorder
+    last: dict[int, int] = {}  # vertex -> largest pos of a bag holding it
+    for n in post:
+        p = pos[n]
+        for v in bags[n]:
+            if v not in last:
+                last[v] = p
+
+    def reaches(j: int, v: int) -> bool:
+        limit = last.get(v, -1)
+        if pos[j] > limit:
+            return False
+        if v in bags[j]:
+            return True
+        heads = succ[j]
+        for s in heads:
+            if v in bags[s]:
+                return True
+        # Every node on a path from j to a bag holding v lies between the
+        # two in the order, so nodes after the last such bag are skipped.
+        stack = [s for s in heads if pos[s] <= limit]
+        seen = set(stack)
+        while stack:
+            for s in succ[stack.pop()]:
+                if s not in seen and pos[s] <= limit:
+                    if v in bags[s]:
+                        return True
+                    seen.add(s)
+                    stack.append(s)
+        return False
+
+    return reaches
+
+
+def _queries(decomp: DagDecomposition):
+    """The reach query of an acyclic decomposition, or None."""
+    succ, post = _dfs_order(decomp)
+    return None if post is None else _reach_query(decomp.bags, succ, post)
 
 
 def _sources(decomp: DagDecomposition) -> list[int]:
@@ -87,35 +163,38 @@ def check_vertices_covered(decomp: DagDecomposition, vertices) -> bool:
 
 def check_connectivity(decomp: DagDecomposition) -> bool:
     """Bags containing any given vertex must be convex under reachability."""
-    order = decomp.topological_order()
-    return order is not None and not _connectivity(decomp, *_closure(decomp, order, ()))
+    reaches = _queries(decomp)
+    return reaches is not None and not _connectivity(decomp, reaches)
 
 
-def _connectivity(decomp: DagDecomposition, bits: VertexBits, reach: dict[int, int]) -> list:
+def _connectivity(decomp: DagDecomposition, reaches) -> list:
     violations = []
+    bags = decomp.bags
     # Once a vertex is dropped along an arc it may never reappear below:
     # a reappearance at k with i -> j on a path i..k shows X_i and X_k
     # sharing a vertex that bag j lacks.
     for i, j in decomp.arcs:
-        dropped = bits.of(decomp.bags[i]) & ~bits.of(decomp.bags[j])
-        bad = dropped & reach[j]
-        if bad:
-            for v in sorted(bits.set_of(bad)):
-                violations.append(("connectivity", (i, j, v)))
+        bag_j = bags[j]
+        for v in bags[i]:
+            if v not in bag_j and reaches(j, v):
+                # Rare: list every violation of the arc, in vertex order.
+                for w in sorted(bags[i] - bag_j):
+                    if reaches(j, w):
+                        violations.append(("connectivity", (i, j, w)))
+                break
     return violations
 
 
 def check_edges_covered(decomp: DagDecomposition, edges) -> tuple[bool, bool]:
     """(source condition, arc condition); see the module docstring."""
-    order = decomp.topological_order()
-    if order is None:
+    reaches = _queries(decomp)
+    if reaches is None:
         return False, False
-    edges = list(edges)
-    ok_a, ok_b, _ = _edges_covered(decomp, edges, *_closure(decomp, order, edges))
+    ok_a, ok_b, _ = _edges_covered(decomp, edges, reaches)
     return ok_a, ok_b
 
 
-def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dict[int, int]):
+def _edges_covered(decomp: DagDecomposition, edges, reaches):
     out_edges: dict[int, list[int]] = {}
     for u, v in edges:
         out_edges.setdefault(u, []).append(v)
@@ -125,7 +204,7 @@ def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dic
     for j in _sources(decomp):
         for u in decomp.bags[j]:
             for v in out_edges.get(u, ()):
-                if not (reach[j] >> bits.index[v]) & 1:
+                if not reaches(j, v):
                     ok_a = False
                     violations.append(("edges_covered_3a", (j, u, v)))
 
@@ -134,7 +213,7 @@ def _edges_covered(decomp: DagDecomposition, edges, bits: VertexBits, reach: dic
         introduced = decomp.bags[j] - decomp.bags[i]
         for u in introduced:
             for v in out_edges.get(u, ()):
-                if not (reach[j] >> bits.index[v]) & 1:
+                if not reaches(j, v):
                     ok_b = False
                     violations.append(("edges_covered_3b", (i, j, u, v)))
     return ok_a, ok_b, violations
@@ -147,38 +226,42 @@ def check_d3(decomp: DagDecomposition, edges) -> bool:
     bags at or below j minus bag i. For every source j: the union of bags
     at or below j is guarded by the empty set.
     """
-    order = decomp.topological_order()
-    if order is None:
-        return False
-    edges = list(edges)
-    return _d3(decomp, edges, order, *_closure(decomp, order, edges))
+    succ, post = _dfs_order(decomp)
+    return post is not None and _d3(decomp, list(edges), succ, post)
 
 
-def _d3(decomp: DagDecomposition, edges: list, order: list[int],
-        bits: VertexBits, reach: dict[int, int]) -> bool:
+def _d3(decomp: DagDecomposition, edges: list, succ: dict[int, list[int]], post: list[int]) -> bool:
     """The guarding condition (w guards vp: every edge leaving vp lands back
-    in vp or in w) for every source and arc, on bitmasks.
+    in vp or in w) for every source and arc, on bitmasks of V bits per node.
 
-    hit[n] is the union of the out-neighbourhoods of the vertices at or
-    below n, so hit[j] & ~(vp | w) holds every target that can break the
-    guard at j. Only edges out of the excluded bag i can reach such a target
-    without breaking it, so it breaks the guard iff one of its predecessors
-    lies in vp = reach[j] & ~bag(i).
+    reach[n] is the union of the bags at or below n, and hit[n] the union of
+    the out-neighbourhoods of their vertices, so hit[j] & ~(vp | w) holds
+    every target that can break the guard at j. Only edges out of the
+    excluded bag i can reach such a target without breaking it, so it breaks
+    the guard iff one of its predecessors lies in vp = reach[j] & ~bag(i).
     """
+    universe = set().union(*decomp.bags.values())
+    for e in edges:
+        universe.update(e)
+    bits = VertexBits(universe)
     index = bits.index
     out_mask: dict[int, int] = {}
     preds: dict[int, list[int]] = {}
     for u, v in edges:
         out_mask[u] = out_mask.get(u, 0) | 1 << index[v]
         preds.setdefault(v, []).append(u)
-    succ = decomp.successors()
+    reach: dict[int, int] = {}
     hit: dict[int, int] = {}
-    for n in reversed(order):
+    for n in post:  # successors come first
+        bag = decomp.bags[n]
+        r = bits.of(bag)
         m = 0
-        for u in decomp.bags[n]:
+        for u in bag:
             m |= out_mask.get(u, 0)
         for s in succ[n]:
+            r |= reach[s]
             m |= hit[s]
+        reach[n] = r
         hit[n] = m
 
     def guarded(j: int, excluded: frozenset, w: frozenset) -> bool:
@@ -201,8 +284,8 @@ def validate_decomposition(
 ) -> ValidationReport:
     """Run every check against the given graph and collect witnesses."""
     edges = list(edges)
-    order = decomp.topological_order()
-    acyclic = order is not None
+    succ, post = _dfs_order(decomp)
+    acyclic = post is not None
     width = decomp.width()
     covered = check_vertices_covered(decomp, vertices)
     violations: list[tuple[str, tuple]] = []
@@ -215,13 +298,13 @@ def validate_decomposition(
             violations.append(("vertices_covered_extra", (v,)))
 
     if acyclic:
-        bits, reach = _closure(decomp, order, edges)
-        conn_viol = _connectivity(decomp, bits, reach)
+        reaches = _reach_query(decomp.bags, succ, post)
+        conn_viol = _connectivity(decomp, reaches)
         conn_ok = not conn_viol
         violations.extend(conn_viol)
-        ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, bits, reach)
+        ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, reaches)
         violations.extend(edge_viol)
-        d3 = _d3(decomp, edges, order, bits, reach) if with_d3 else None
+        d3 = _d3(decomp, edges, succ, post) if with_d3 else None
     else:
         conn_ok = ok_a = ok_b = False
         d3 = False if with_d3 else None

@@ -3,7 +3,8 @@
 These deliberately use different machinery from the implementation:
 plain path enumeration, transitive closures, brute-force triple scans and
 the iterative dominator fixed point instead of dominator trees, bitmask
-sweeps and Semi-NCA; a pursuit solver keyed by the robber's vertex instead
+sweeps and Semi-NCA; a reach mask per decomposition node instead of pruned
+reachability queries; a pursuit solver keyed by the robber's vertex instead
 of its region; a tokenizer that counts lines and columns as it goes
 instead of on error; a prune that rebuilds through add_vertex/add_edge; a
 basic-block contraction by repeated sweeps that fold one edge at a time; a
@@ -28,6 +29,7 @@ from cfgdag import (
 from cfgdag._graph import VertexBits, toposort, tree_children
 from cfgdag.game import SearchBudgetError, _adjacency
 from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
+from cfgdag.validate import ValidationReport
 
 
 # One cycle, a <-> b, with two entries from start: the CFG JSON of no
@@ -511,6 +513,56 @@ def guard_pairs(decomp) -> list[tuple[set, set]]:
 def d3_by_scan(decomp, edges) -> bool:
     """Guarding form of edge covering; the decomposition must be acyclic."""
     return all(guards_by_scan(w, vp, edges) for w, vp in guard_pairs(decomp))
+
+
+def validate_by_masks(decomp, vertices, edges) -> ValidationReport:
+    """validate_decomposition without the guarding form, from a Kahn order
+    and one reach mask per node: the union of the bags at or below it, as a
+    bitmask over the bag vertices and edge endpoints."""
+    edges = list(edges)
+    bags = decomp.bags
+    order = toposort(sorted(decomp.nodes), decomp.successors())
+    union = set().union(*bags.values())
+    violations = [("vertices_covered_missing", (v,)) for v in sorted(set(vertices) - union)]
+    violations += [("vertices_covered_extra", (v,)) for v in sorted(union - set(vertices))]
+    report = ValidationReport(acyclic=order is not None, vertices_covered=not violations,
+                              connectivity=False, edges_covered_3a=False, edges_covered_3b=False,
+                              d3_original=None, width=decomp.width(), violations=violations)
+    if order is None:
+        violations.append(("acyclic", ()))
+        return report
+
+    bits = VertexBits(union.union(*edges))
+    succ = decomp.successors()
+    reach: dict = {}
+    for n in reversed(order):
+        m = bits.of(bags[n])
+        for s in succ[n]:
+            m |= reach[s]
+        reach[n] = m
+
+    conn = []
+    for i, j in decomp.arcs:
+        bad = bits.of(bags[i]) & ~bits.of(bags[j]) & reach[j]
+        conn += [("connectivity", (i, j, v)) for v in sorted(bits.set_of(bad))]
+    report.connectivity = not conn
+    violations += conn
+
+    out_edges: dict = {}
+    for u, v in edges:
+        out_edges.setdefault(u, []).append(v)
+
+    def missed(j, u):
+        return [v for v in out_edges.get(u, ()) if not reach[j] >> bits.index[v] & 1]
+
+    has_pred = {j for _, j in decomp.arcs}
+    miss_a = [("edges_covered_3a", (j, u, v)) for j in decomp.nodes if j not in has_pred
+              for u in bags[j] for v in missed(j, u)]
+    miss_b = [("edges_covered_3b", (i, j, u, v)) for i, j in decomp.arcs
+              for u in bags[j] - bags[i] for v in missed(j, u)]
+    report.edges_covered_3a, report.edges_covered_3b = not miss_a, not miss_b
+    violations += miss_a + miss_b
+    return report
 
 
 def recovery_facts(cfg, forest, decomp) -> dict:

@@ -1,12 +1,21 @@
 import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     DagDecomposition,
+    FormulaSkeleton,
     build_decomposition,
+    build_product_game,
     cfg_from_source,
     generate_random_program,
+    lift_decomposition,
     loop_regions,
     validate_cfg_decomposition,
+    validate_decomposition,
 )
 from cfgdag.validate import check_connectivity, check_d3, check_edges_covered, check_vertices_covered
 from helpers import (
@@ -15,6 +24,7 @@ from helpers import (
     edges_covered_by_defn,
     guards_by_scan,
     pipeline,
+    validate_by_masks,
 )
 
 
@@ -244,25 +254,111 @@ class _FakeGraph:
         return iter(self._e)
 
 
-def test_validation_sorts_and_closes_once(monkeypatch):
+def test_validation_orders_once_and_builds_masks_only_for_d3(monkeypatch):
     import cfgdag.validate as validate
 
     cfg, forest, _ = pipeline(generate_random_program(7, 40))
     d = build_decomposition(cfg, forest)
-    calls = {"order": 0, "closure": 0}
-    real_order, real_closure = DagDecomposition.topological_order, validate._closure
+    edges = list(cfg.edges())
+    calls = {"order": 0, "masks": 0}
+    real_order, real_bits = validate._dfs_order, validate.VertexBits
 
-    def order(self):
+    def order(decomp):
         calls["order"] += 1
-        return real_order(self)
+        return real_order(decomp)
 
-    def closure(*args):
-        calls["closure"] += 1
-        return real_closure(*args)
+    def bits(universe):
+        calls["masks"] += 1
+        return real_bits(universe)
 
-    monkeypatch.setattr(DagDecomposition, "topological_order", order)
-    monkeypatch.setattr(validate, "_closure", closure)
-    for with_d3 in (False, True):
-        calls.update(order=0, closure=0)
-        assert validate_cfg_decomposition(d, cfg, with_d3=with_d3).valid
-        assert calls == {"order": 1, "closure": 1}, with_d3
+    monkeypatch.setattr(validate, "_dfs_order", order)
+    monkeypatch.setattr(validate, "VertexBits", bits)
+    assert validate_cfg_decomposition(d, cfg).valid
+    assert calls == {"order": 1, "masks": 0}
+    rng = random.Random(3)
+    for s in [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(20)]:
+        calls.update(order=0, masks=0)
+        report = validate_cfg_decomposition(s, cfg, with_d3=True)
+        assert calls == {"order": 1, "masks": 1}
+        assert report.d3_original == d3_by_scan(s, edges)
+
+
+def test_validation_memory_grows_linearly():
+    """The tracemalloc peak of one validate, at 10^4 and 3x10^4 statements.
+    One reach mask of V bits per node grew 7.8x here; reach queries 3.5x."""
+    peaks = []
+    for n in (10**4, 3 * 10**4):
+        cfg, forest = cfg_from_source(generate_random_program(424242, n))
+        loop_regions(cfg, forest)
+        d = build_decomposition(cfg, forest)
+        tracemalloc.start()
+        try:
+            assert validate_cfg_decomposition(d, cfg).valid
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0], peaks
+
+
+# -- reach queries against one reach mask per node ---------------------------------
+
+
+def _damaged(draw, d: DagDecomposition, vertices) -> DagDecomposition:
+    """Dropped arcs, shrunk or grown bags, an added arc cycle."""
+    arcs, bags = list(d.arcs), dict(d.bags)
+    nodes = sorted(d.nodes)
+    for _ in range(draw(st.integers(1, 4))):
+        damage = draw(st.sampled_from(["drop arc", "shrink bag", "grow bag", "cycle"]))
+        n = draw(st.sampled_from(nodes))
+        if damage == "drop arc" and arcs:
+            del arcs[draw(st.integers(0, len(arcs) - 1))]
+        elif damage == "shrink bag" and bags[n]:
+            bags[n] -= {draw(st.sampled_from(sorted(bags[n])))}
+        elif damage == "grow bag":
+            bags[n] |= {draw(st.sampled_from([*vertices, max(vertices) + 1]))}
+        elif damage == "cycle":
+            succ = {m: [b for a, b in arcs if a == m] for m in nodes}
+            end = n
+            for _ in range(draw(st.integers(0, 5))):
+                if not succ[end]:
+                    break
+                end = draw(st.sampled_from(succ[end]))
+            arcs.append((end, n))
+    return DagDecomposition(nodes=list(d.nodes), arcs=arcs, bags=bags)
+
+
+def _shuffled(draw, d: DagDecomposition) -> DagDecomposition:
+    """Node ids permuted and nodes and arcs listed in a random order."""
+    ids = dict(zip(d.nodes, draw(st.permutations(d.nodes))))
+    return DagDecomposition(
+        nodes=draw(st.permutations([ids[n] for n in d.nodes])),
+        arcs=draw(st.permutations([(ids[i], ids[j]) for i, j in d.arcs])),
+        bags={ids[n]: bag for n, bag in d.bags.items()},
+    )
+
+
+@st.composite
+def decompositions(draw, kind: str):
+    """(decomposition, vertices, edges): a construction, a damaged one, a
+    lifted m = 4 one (sometimes damaged), or a shuffled one (sometimes
+    damaged), where the DFS order is poor."""
+    program = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 30)))
+    cfg, forest, _ = pipeline(program)
+    d = build_decomposition(cfg, forest)
+    vertices, edges = cfg.vertex_ids(), list(cfg.edges())
+    if kind == "lifted":
+        game = build_product_game(cfg, FormulaSkeleton.chain(4), seed=draw(st.integers(0, 99)))
+        d, vertices, edges = lift_decomposition(d, game), game.vertex_ids(), game.edges
+    elif kind == "shuffled":
+        d = _shuffled(draw, d)
+    if kind == "damaged" or kind != "construction" and draw(st.booleans()):
+        d = _damaged(draw, d, vertices)
+    return d, vertices, edges
+
+
+@pytest.mark.parametrize("kind", ["construction", "damaged", "lifted", "shuffled"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reach_queries_give_the_reports_of_the_masks(kind, data):
+    d, vertices, edges = data.draw(decompositions(kind))
+    assert validate_decomposition(d, vertices, edges) == validate_by_masks(d, vertices, edges)
