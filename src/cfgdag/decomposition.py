@@ -11,9 +11,10 @@ construction is a constant number of passes over the vertices and edges.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
-from ._graph import toposort
+from ._graph import postorder
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest, NotStructuredError
@@ -100,8 +101,8 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
 
 class DecompositionJsonError(ValueError):
     """Decomposition JSON that does not describe a decomposition: a missing
-    key, an arc to an unknown node, a node without a bag or a bag without a
-    node, or a record of the wrong shape."""
+    key, a node listed twice, an arc to an unknown node, a node without a
+    bag or a bag without a node, or a record of the wrong shape."""
 
 
 @dataclass
@@ -138,6 +139,9 @@ class DagDecomposition:
             arcs = [tuple(a) for a in data["arcs"]]
             bags = {int(n): frozenset(b) for n, b in data["bags"].items()}
             known = set(nodes)
+            if len(known) != len(nodes):
+                n = next(n for n, count in Counter(nodes).items() if count > 1)
+                raise ValueError(f"node {n} is listed twice")
             for arc in arcs:
                 if len(arc) != 2 or not known.issuperset(arc):
                     raise ValueError(f"arc {list(arc)} references a missing node")
@@ -210,6 +214,6 @@ def build_decomposition(
     owner = forest.owner
     bags = {v: frozenset((v, *ends[owner[v]])) for v in nodes}
 
-    if toposort(order, succ) is None:
+    if postorder(order, succ) is None:
         raise NotStructuredError("decomposition arcs contain a cycle")
     return DagDecomposition(nodes=nodes, arcs=arcs, bags=bags)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._graph import VertexBits, reachable
+from ._graph import reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
@@ -390,6 +390,35 @@ def play_game(
 
 # ---------------------------------------------------------------------------
 # exact solver for the cop-monotone game
+
+
+class VertexBits:
+    """Vertex set <-> bitmask translation over one fixed vertex universe.
+
+    Bit i stands for the i-th smallest vertex.
+    """
+
+    def __init__(self, vertices):
+        self.order = sorted(vertices)
+        self.index = {v: i for i, v in enumerate(self.order)}
+
+    def of(self, vertices) -> int:
+        index = self.index
+        m = 0
+        for v in vertices:
+            m |= 1 << index[v]
+        return m
+
+    def set_of(self, mask: int) -> set:
+        # Peeling the lowest bit copies the mask, so this is meant for masks
+        # of a few bits, such as the k cops of a move.
+        order = self.order
+        out = set()
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out.add(order[b.bit_length() - 1])
+        return out
 
 
 def _adjacency(graph) -> tuple[list[int], dict[int, list[int]]]:

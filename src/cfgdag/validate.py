@@ -1,4 +1,4 @@
-"""Checks for DAG decompositions: coverage, connectivity, edge covering.
+r"""Checks for DAG decompositions: coverage, connectivity, edge covering.
 
 Two formulations of the edge-covering condition are implemented. The
 per-arc/per-source form asks that whenever a vertex u is introduced at a
@@ -21,15 +21,38 @@ heuristic. On constructions a search visits a few nodes, but a crafted
 decomposition can make every query visit the whole DAG, so the time is
 O(queries x (nodes + arcs)) at worst. The memory stays linear.
 
-The guarding form needs the union of the bags below each node at once. It
-keeps two masks of V bits per node, so its time and memory are quadratic.
+The guarding form is answered by the same queries. Fix an acyclic
+decomposition, let B_n be the bag of node n and R(j) the union of the bags
+at or below j, and call a dropped target an arc (i, j), a vertex v in
+B_i \ B_j and a graph edge (u, v) with u not in B_i and reaches(j, u).
+Then the guarding form holds iff 3a and 3b hold and there is no dropped
+target.
+
+- Only if. The guard at a source j says that R(j) is closed under
+  out-edges, which gives 3a. The guard at an arc (i, j), applied to a
+  vertex u of B_j \ B_i, puts every out-neighbour of u in R(j), which gives
+  3b. A dropped target breaks the guard at its arc: u lies in R(j) \ B_i,
+  and v lies in neither R(j) \ B_i nor B_i & B_j.
+- If. The guard at an arc (i, j) breaks iff some edge (u, v) has u in
+  R(j) \ B_i and either v in B_i \ B_j, which is a dropped target, or v in
+  neither B_i nor R(j). 3b rules out the second way. On any path from j to
+  a bag holding u, the first node whose bag holds u is j itself, where the
+  arc (i, j) introduces u, or a node entered along an arc that introduces
+  u; either way 3b puts v in R(j). The same argument, where the first node
+  may be the source itself and 3a applies, gives the guards at the sources.
+
+The same argument shows that, once 3b holds, the v of a dropped target lies
+in R(j), so (i, j, v) is a connectivity violation. Only those are scanned,
+one query per predecessor of v. On a connected decomposition there are
+none, so the two forms agree there and the guarding form costs nothing
+beyond 3a and 3b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._graph import VertexBits
+from ._graph import postorder
 from ._json import dumps
 from .decomposition import DagDecomposition
 
@@ -73,11 +96,12 @@ class ValidationReport:
 
 
 def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int] | None]:
-    """Successor lists and the postorder of one iterative DFS that takes
-    roots in descending id and successors highest first; the postorder is
-    None when the arcs have a cycle (an arc back to a node on the DFS path).
+    """Successor lists and the DFS postorder that takes roots in descending
+    id and successors highest first; the postorder is None when the arcs
+    have a cycle.
 
-    A node id listed twice also gives None, the verdict of a Kahn count.
+    A node id listed twice also gives None. from_json_dict rejects such a
+    file, so this covers decompositions built in code only.
     """
     succ = decomp.successors()
     for heads in succ.values():
@@ -85,27 +109,7 @@ def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int
             heads.sort()
     if len(succ) != len(decomp.nodes):
         return succ, None
-    # Every node starts on the stack as a root and is pushed again for each
-    # arc into it; the highest is popped first. On entry a node goes back on
-    # the stack under its successors, and it is finished when it surfaces.
-    finished: dict[int, bool] = {}  # False while on the DFS path
-    post: list[int] = []
-    stack = sorted(succ)
-    while stack:
-        n = stack.pop()
-        done = finished.get(n)
-        if done is None:
-            finished[n] = False
-            stack.append(n)
-            heads = succ[n]
-            for s in heads:
-                if finished.get(s) is False:
-                    return succ, None
-            stack.extend(heads)
-        elif not done:
-            finished[n] = True
-            post.append(n)
-    return succ, post
+    return succ, postorder(sorted(succ), succ)
 
 
 def _reach_query(bags: dict[int, frozenset], succ: dict[int, list[int]], post: list[int]):
@@ -224,56 +228,30 @@ def check_d3(decomp: DagDecomposition, edges) -> bool:
 
     For every arc (i, j): bags(i) intersect bags(j) guards everything in
     bags at or below j minus bag i. For every source j: the union of bags
-    at or below j is guarded by the empty set.
+    at or below j is guarded by the empty set. Decided as 3a, 3b and no
+    dropped target; see the module docstring.
     """
-    succ, post = _dfs_order(decomp)
-    return post is not None and _d3(decomp, list(edges), succ, post)
+    reaches = _queries(decomp)
+    if reaches is None:
+        return False
+    edges = list(edges)
+    ok_a, ok_b, _ = _edges_covered(decomp, edges, reaches)
+    conn_viol = _connectivity(decomp, reaches)
+    return ok_a and ok_b and not _dropped_target(decomp, edges, reaches, conn_viol)
 
 
-def _d3(decomp: DagDecomposition, edges: list, succ: dict[int, list[int]], post: list[int]) -> bool:
-    """The guarding condition (w guards vp: every edge leaving vp lands back
-    in vp or in w) for every source and arc, on bitmasks of V bits per node.
-
-    reach[n] is the union of the bags at or below n, and hit[n] the union of
-    the out-neighbourhoods of their vertices, so hit[j] & ~(vp | w) holds
-    every target that can break the guard at j. Only edges out of the
-    excluded bag i can reach such a target without breaking it, so it breaks
-    the guard iff one of its predecessors lies in vp = reach[j] & ~bag(i).
-    """
-    universe = set().union(*decomp.bags.values())
-    for e in edges:
-        universe.update(e)
-    bits = VertexBits(universe)
-    index = bits.index
-    out_mask: dict[int, int] = {}
+def _dropped_target(decomp: DagDecomposition, edges: list, reaches, conn_violations: list) -> bool:
+    """Does some connectivity violation (i, j, v) have an edge (u, v) with u
+    outside bag i and reaches(j, u)? Once 3b holds, every dropped target is
+    such a violation."""
+    if not conn_violations:
+        return False
     preds: dict[int, list[int]] = {}
     for u, v in edges:
-        out_mask[u] = out_mask.get(u, 0) | 1 << index[v]
         preds.setdefault(v, []).append(u)
-    reach: dict[int, int] = {}
-    hit: dict[int, int] = {}
-    for n in post:  # successors come first
-        bag = decomp.bags[n]
-        r = bits.of(bag)
-        m = 0
-        for u in bag:
-            m |= out_mask.get(u, 0)
-        for s in succ[n]:
-            r |= reach[s]
-            m |= hit[s]
-        reach[n] = r
-        hit[n] = m
-
-    def guarded(j: int, excluded: frozenset, w: frozenset) -> bool:
-        vp = reach[j] & ~bits.of(excluded)
-        loose = hit[j] & ~(vp | bits.of(w))
-        return not any(vp >> index[u] & 1
-                       for v in bits.set_of(loose) for u in preds[v])
-
-    empty: frozenset = frozenset()
-    return (all(guarded(j, empty, empty) for j in _sources(decomp))
-            and all(guarded(j, decomp.bags[i], decomp.bags[i] & decomp.bags[j])
-                    for i, j in decomp.arcs))
+    bags = decomp.bags
+    return any(u not in bags[i] and reaches(j, u)
+               for _, (i, j, v) in conn_violations for u in preds.get(v, ()))
 
 
 def validate_decomposition(
@@ -304,7 +282,9 @@ def validate_decomposition(
         violations.extend(conn_viol)
         ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, reaches)
         violations.extend(edge_viol)
-        d3 = _d3(decomp, edges, succ, post) if with_d3 else None
+        d3 = None
+        if with_d3:
+            d3 = ok_a and ok_b and not _dropped_target(decomp, edges, reaches, conn_viol)
     else:
         conn_ok = ok_a = ok_b = False
         d3 = False if with_d3 else None

@@ -3,12 +3,14 @@
 These deliberately use different machinery from the implementation:
 plain path enumeration, transitive closures, brute-force triple scans and
 the iterative dominator fixed point instead of dominator trees, bitmask
-sweeps and Semi-NCA; a reach mask per decomposition node instead of pruned
-reachability queries; a pursuit solver keyed by the robber's vertex instead
-of its region; a tokenizer that counts lines and columns as it goes
-instead of on error; a prune that rebuilds through add_vertex/add_edge; a
-basic-block contraction by repeated sweeps that fold one edge at a time; a
-product game built one add_edge and one randrange call at a time.
+sweeps and Semi-NCA; a Kahn order and a reach mask per decomposition node
+instead of a DFS postorder and pruned reachability queries; every guard
+scanned against every edge instead of the dropped-target rule; a pursuit
+solver keyed by the robber's vertex instead of its region; a tokenizer that
+counts lines and columns as it goes instead of on error; a prune that
+rebuilds through add_vertex/add_edge; a basic-block contraction by repeated
+sweeps that fold one edge at a time; a product game built one add_edge and
+one randrange call at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from cfgdag import (
     recover_loop_forest,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import VertexBits, toposort, tree_children
-from cfgdag.game import SearchBudgetError, _adjacency
+from cfgdag._graph import tree_children
+from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
 from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
 from cfgdag.validate import ValidationReport
 
@@ -195,6 +197,28 @@ def distance_to_exit(cfg, forest, elem, v) -> int:
     """Chase distance of v; 0 when no exit-reaching path exists."""
     d = exit_distances(cfg, forest, elem).get(v)
     return 0 if d is None else d
+
+
+def toposort(nodes, succ) -> list | None:
+    """Kahn order of nodes under succ, or None when succ has a cycle.
+
+    Ready nodes are taken last in, first out, starting from the sources in
+    their order in nodes.
+    """
+    indeg = dict.fromkeys(nodes, 0)
+    for n in indeg:
+        for m in succ[n]:
+            indeg[m] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    order = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    return order if len(order) == len(nodes) else None
 
 
 def bfs_reachable(succ: dict, start) -> set:
@@ -515,10 +539,10 @@ def d3_by_scan(decomp, edges) -> bool:
     return all(guards_by_scan(w, vp, edges) for w, vp in guard_pairs(decomp))
 
 
-def validate_by_masks(decomp, vertices, edges) -> ValidationReport:
-    """validate_decomposition without the guarding form, from a Kahn order
-    and one reach mask per node: the union of the bags at or below it, as a
-    bitmask over the bag vertices and edge endpoints."""
+def validate_by_masks(decomp, vertices, edges, with_d3=False) -> ValidationReport:
+    """validate_decomposition from a Kahn order and one reach mask per node:
+    the union of the bags at or below it, as a bitmask over the bag vertices
+    and edge endpoints. The guarding form comes from d3_by_scan."""
     edges = list(edges)
     bags = decomp.bags
     order = toposort(sorted(decomp.nodes), decomp.successors())
@@ -527,10 +551,13 @@ def validate_by_masks(decomp, vertices, edges) -> ValidationReport:
     violations += [("vertices_covered_extra", (v,)) for v in sorted(union - set(vertices))]
     report = ValidationReport(acyclic=order is not None, vertices_covered=not violations,
                               connectivity=False, edges_covered_3a=False, edges_covered_3b=False,
-                              d3_original=None, width=decomp.width(), violations=violations)
+                              d3_original=False if with_d3 else None, width=decomp.width(),
+                              violations=violations)
     if order is None:
         violations.append(("acyclic", ()))
         return report
+    if with_d3:
+        report.d3_original = d3_by_scan(decomp, edges)
 
     bits = VertexBits(union.union(*edges))
     succ = decomp.successors()

@@ -144,6 +144,7 @@ BAD_DECOMP_JSON = [
     (lambda data: data.pop("bags"), "missing key 'bags'"),
     (lambda data: data["arcs"].append([0, 99]), "arc [0, 99] references a missing node"),
     (lambda data: data["bags"].pop("2"), "node 2 has no bag"),
+    (lambda data: data["nodes"].append(data["nodes"][0]), "node 0 is listed twice"),
 ]
 
 

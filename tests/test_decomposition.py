@@ -21,8 +21,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import toposort
-from helpers import IRREDUCIBLE_CFG_JSON, pipeline
+from helpers import IRREDUCIBLE_CFG_JSON, pipeline, toposort
 
 
 def by_label(cfg):

@@ -1,9 +1,37 @@
-"""cfgdag._graph.VertexBits: vertex sets survive the trip through a bitmask."""
+"""cfgdag._graph.postorder finds every cycle and orders every DAG, and
+cfgdag.game.VertexBits sets survive the trip through a bitmask."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgdag._graph import VertexBits
+from cfgdag._graph import postorder
+from cfgdag.game import VertexBits
+from helpers import toposort
+
+
+@st.composite
+def digraphs(draw):
+    nodes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=20, unique=True))
+    arcs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=40))
+    succ = {n: [] for n in nodes}
+    for u, v in arcs:
+        succ[u].append(v)
+    return nodes, succ
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs())
+@example(([0], {0: [0]}))
+@example(([0, 1, 2], {0: [1], 1: [2], 2: [0]}))
+@example(([0, 1, 2], {0: [1, 2], 1: [2], 2: []}))
+def test_postorder_orders_exactly_the_acyclic_graphs(graph):
+    nodes, succ = graph
+    post = postorder(nodes, succ)
+    assert (post is None) == (toposort(nodes, succ) is None)
+    if post is not None:
+        assert sorted(post) == sorted(nodes)
+        at = {n: k for k, n in enumerate(post)}
+        assert all(at[v] < at[u] for u in nodes for v in succ[u])
 
 
 @st.composite

@@ -143,6 +143,19 @@ def test_d3_on_constructions():
         assert check_d3(d, list(cfg.edges()))
 
 
+def test_only_an_edge_from_outside_bag_i_is_a_dropped_target():
+    """start -> a -> stop, with stop dropped along the arc (0, 1) and found
+    again below it: connectivity fails and 3a and 3b hold either way. The
+    in-edge of stop leaves a, so the guard at (0, 1) holds iff a is in bag 0."""
+    edges = [(0, 1), (1, 2)]
+    for bag_0, guarded in [({0, 1, 2}, True), ({0, 2}, False)]:
+        d = DagDecomposition(nodes=[0, 1, 2], arcs=[(0, 1), (1, 2)],
+                             bags={0: frozenset(bag_0), 1: frozenset({1}), 2: frozenset({2})})
+        report = validate_decomposition(d, [0, 1, 2], edges, with_d3=True)
+        assert report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
+        assert report.d3_original is check_d3(d, edges) is d3_by_scan(d, edges) is guarded
+
+
 def _perturb(d: DagDecomposition, rng: random.Random, vertices) -> DagDecomposition:
     bags = dict(d.bags)
     node = rng.choice(d.nodes)
@@ -156,7 +169,9 @@ def _perturb(d: DagDecomposition, rng: random.Random, vertices) -> DagDecomposit
 
 
 def test_equivalence_of_both_edge_covering_forms():
-    """Arc/source form agrees with the guarding form wherever connectivity holds."""
+    """Arc/source form agrees with the guarding form wherever connectivity
+    holds. check_d3 is 3a and 3b there by construction, so the guarding form
+    comes from the scan oracle."""
     rng = random.Random(20240817)
     agreeing = 0
     skipped = 0
@@ -170,8 +185,9 @@ def test_equivalence_of_both_edge_covering_forms():
             if not check_vertices_covered(s, cfg.vertex_ids()) or not check_connectivity(s):
                 skipped += 1  # the equivalence argument needs connectivity
                 continue
-            ok_a, ok_b = check_edges_covered(s, list(cfg.edges()))
-            assert (ok_a and ok_b) == check_d3(s, list(cfg.edges())), seed
+            edges = list(cfg.edges())
+            ok_a, ok_b = check_edges_covered(s, edges)
+            assert (ok_a and ok_b) == d3_by_scan(s, edges) == check_d3(s, edges), seed
             agreeing += 1
     assert agreeing >= 400
 
@@ -254,38 +270,37 @@ class _FakeGraph:
         return iter(self._e)
 
 
-def test_validation_orders_once_and_builds_masks_only_for_d3(monkeypatch):
+def test_validation_orders_once_with_and_without_d3(monkeypatch):
     import cfgdag.validate as validate
 
+    assert not hasattr(validate, "VertexBits")
     cfg, forest, _ = pipeline(generate_random_program(7, 40))
     d = build_decomposition(cfg, forest)
     edges = list(cfg.edges())
-    calls = {"order": 0, "masks": 0}
-    real_order, real_bits = validate._dfs_order, validate.VertexBits
+    calls = []
+    real_order = validate._dfs_order
 
     def order(decomp):
-        calls["order"] += 1
+        calls.append(decomp)
         return real_order(decomp)
 
-    def bits(universe):
-        calls["masks"] += 1
-        return real_bits(universe)
-
     monkeypatch.setattr(validate, "_dfs_order", order)
-    monkeypatch.setattr(validate, "VertexBits", bits)
     assert validate_cfg_decomposition(d, cfg).valid
-    assert calls == {"order": 1, "masks": 0}
+    assert len(calls) == 1
     rng = random.Random(3)
     for s in [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(20)]:
-        calls.update(order=0, masks=0)
+        calls.clear()
         report = validate_cfg_decomposition(s, cfg, with_d3=True)
-        assert calls == {"order": 1, "masks": 1}
+        assert len(calls) == 1
         assert report.d3_original == d3_by_scan(s, edges)
 
 
-def test_validation_memory_grows_linearly():
+@pytest.mark.parametrize("with_d3", [False, True])
+def test_validation_memory_grows_linearly(with_d3):
     """The tracemalloc peak of one validate, at 10^4 and 3x10^4 statements.
-    One reach mask of V bits per node grew 7.8x here; reach queries 3.5x."""
+    One reach mask of V bits per node grew 7.8x here, and the two masks per
+    node that once decided the guarding form 7.9x; the reach queries grow
+    3.6x, with the guarding form or without it."""
     peaks = []
     for n in (10**4, 3 * 10**4):
         cfg, forest = cfg_from_source(generate_random_program(424242, n))
@@ -293,7 +308,8 @@ def test_validation_memory_grows_linearly():
         d = build_decomposition(cfg, forest)
         tracemalloc.start()
         try:
-            assert validate_cfg_decomposition(d, cfg).valid
+            report = validate_cfg_decomposition(d, cfg, with_d3=with_d3)
+            assert report.valid and report.d3_original is (True if with_d3 else None)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -357,8 +373,24 @@ def decompositions(draw, kind: str):
 
 
 @pytest.mark.parametrize("kind", ["construction", "damaged", "lifted", "shuffled"])
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data())
-def test_reach_queries_give_the_reports_of_the_masks(kind, data):
-    d, vertices, edges = data.draw(decompositions(kind))
-    assert validate_decomposition(d, vertices, edges) == validate_by_masks(d, vertices, edges)
+def test_reach_queries_give_the_reports_of_the_masks(kind):
+    """Whole reports, violations in order; with_d3 is drawn too, and then the
+    guarding form must match the scan of every guard against every edge."""
+    dropped_target_only = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        d, vertices, edges = data.draw(decompositions(kind))
+        with_d3 = data.draw(st.booleans(), label="with_d3")
+        report = validate_decomposition(d, vertices, edges, with_d3=with_d3)
+        assert report == validate_by_masks(d, vertices, edges, with_d3=with_d3)
+        if (report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
+                and report.d3_original is False):
+            dropped_target_only.append(d)
+
+    check()
+    if kind == "damaged":
+        # 3a and 3b hold and connectivity fails, so only a dropped target
+        # can make the guarding form false.
+        assert dropped_target_only
