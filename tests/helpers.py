@@ -44,6 +44,20 @@ IRREDUCIBLE_CFG_JSON = {
 }
 
 
+# Programs at the edges of the liveness rules: a do loop whose body makes no
+# vertex, breaks before and after dead code, a loop after a return, loops on
+# the constants 0 and 1, and an empty branch.
+CORNER_CASES = {
+    "corner-do-continue-while-1": "do { continue; } while 1; b;\n",
+    "corner-do-break": "do { break; } while c;\n",
+    "corner-do-break-dead": "do { break; a; } while c;\n",
+    "corner-return-while-1": "return; while 1 { a; b; }\n",
+    "corner-while-0": "while 0 { a; }\n",
+    "corner-do-while-0": "do { a; } while 0;\n",
+    "corner-empty-then": "if c { } a;\n",
+}
+
+
 def pipeline(src, contract=False):
     """parse -> build -> prune (-> contract) -> owner map from the dominator definitions."""
     cfg, forest = cfg_from_source(src, contract=contract)

@@ -25,7 +25,7 @@ import pytest
 
 from cfgdag import ControlFlowGraph, generate_random_program, two_loop_cfg
 from cfgdag.cli import main
-from helpers import IRREDUCIBLE_CFG_JSON
+from helpers import CORNER_CASES, IRREDUCIBLE_CFG_JSON
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
@@ -57,6 +57,7 @@ def programs() -> dict[str, str | ControlFlowGraph]:
         for seed in SEEDS
     }
     out["reproducer"] = REPRODUCER
+    out.update(CORNER_CASES)
     out["two-loop"] = two_loop_cfg()[0]
     out["irreducible"] = ControlFlowGraph.from_json_dict(IRREDUCIBLE_CFG_JSON)
     return out
