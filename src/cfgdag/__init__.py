@@ -2,9 +2,11 @@
 width-3 DAG decompositions, together with the pursuit game that certifies
 the width bound.
 
-Pipeline: parse_program -> build_cfg -> prune/contract -> partition_edges ->
-build_decomposition -> validate_decomposition. A graph given without its
-source takes prune -> compute_dominators -> recover_loop_forest -> contract
+Pipeline: parse_program -> build_cfg (-> contract) -> partition_edges ->
+build_decomposition -> validate_decomposition. The parser and the builder
+are iterative, and the builder writes only the vertices reachable from
+start, so source is never pruned. A graph given without its source, as CFG
+JSON, takes prune -> compute_dominators -> recover_loop_forest -> contract
 in place of the first steps. Either way the loop forest carries an owner
 map (vertex -> innermost loop), the only record of loop membership;
 loop_regions merely checks that it covers the graph. The game module plays

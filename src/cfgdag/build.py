@@ -1,182 +1,253 @@
-"""Expand a structured AST into a control-flow graph plus its loop forest.
+"""Expand a structured AST into its pruned control-flow graph plus its loop forest.
 
 One vertex per assignment and per branch/loop condition, plus start and
 stop. A statement's successors follow the usual conventions: fall-through
 edges, break to the nearest loop's exit, continue to the nearest loop's
-entry, return straight to stop. Each while loop gets a fresh synthetic
-exit vertex so every loop element has distinct entry and exit points.
+entry, return straight to stop. Each loop gets a fresh synthetic exit
+vertex so every loop element has distinct entry and exit points; a do loop
+whose body opens with a loop gets a "skip" vertex as its own entry.
+
+The walk is iterative, with an explicit stack of open statements, so no
+nesting depth is too deep for it. It decides reachability from start as it
+goes, in the manner of Java's unreachable-statement rules (JLS 14.22), and
+writes only reachable vertices: the graph is the one prune_unreachable
+would make of the full expansion, with the same ids, because a dead
+statement still takes its id, and the forest is the one
+LoopForest.restricted_to would make of the full forest. Pruning stays for
+CFG JSON input only.
+
+Every edge into a vertex comes from a vertex made before it, except the
+back edges and continue edges into a loop's entry, whose sources the entry
+reaches first. So a vertex is live iff a live source waits for it when it
+is made. A do loop's entry is the first vertex its body makes, or its
+condition vertex if the body makes none; a continue met before that vertex
+waits for it too. An exit is live iff a live break reaches it or a live
+condition that can be false does. stop is always kept.
 """
 
 from __future__ import annotations
 
 from . import lang
-from .cfg import ControlFlowGraph, EdgeKind, contract_basic_blocks, prune_unreachable
-from .lang import StructuredAst
+from .cfg import ControlFlowGraph, EdgeKind, contract_basic_blocks
+from .lang import Assign, Break, Continue, DoWhile, If, Return, StructuredAst, While
 from .loops import LoopElement, LoopForest
 
-# (source vertex, kind) pairs waiting for their target vertex.
-Pending = list[tuple[int, EdgeKind]]
+OUT, EXIT, ENTRY, STOP = EdgeKind.OUT, EdgeKind.EXIT, EdgeKind.ENTRY, EdgeKind.STOP
 
 
-class _LoopCtx:
-    __slots__ = ("element", "entry_target", "breaks", "first_vertex")
+class _Loop:
+    """An open loop: its element, its condition vertex (a while loop makes it
+    first, a do loop last), and the live sources waiting for its exit and,
+    in a do loop, for its entry."""
 
-    def __init__(self, element: LoopElement, entry_target):
+    __slots__ = ("node", "element", "cond", "entry", "breaks", "continues")
+
+    def __init__(self, node, element: LoopElement, cond: int | None):
+        self.node = node
         self.element = element
-        self.entry_target = entry_target  # vertex id, or the Pending edges waiting for it
-        self.breaks: Pending = []
-        self.first_vertex: int | None = None
+        self.cond = cond
+        self.entry: int | None = None
+        self.breaks: list[int] = []
+        self.continues: list[int] = []
 
 
-def _opens_with_loop(seq: lang.Sequence) -> bool:
-    """Does control entering this block hit a loop construct first?"""
-    for stmt in seq.body:
-        if isinstance(stmt, (lang.While, lang.DoWhile)):
-            return True
-        if isinstance(stmt, lang.Sequence):
-            if stmt.body:
-                return _opens_with_loop(stmt)
-            continue
-        return False
-    return False
+class _Branch:
+    """An open if statement: its condition vertex, and the live sources
+    leaving its then branch once that branch is done."""
 
+    __slots__ = ("node", "cond", "then_out")
 
-class _Builder:
-    def __init__(self):
-        self.g = ControlFlowGraph()
-        self.forest = LoopForest()
-        self.stack: list[_LoopCtx] = []
-        self.returns: Pending = []
-
-    def vertex(self, label: str, owner: LoopElement | None = None) -> int:
-        v = self.g.add_vertex(label)
-        if owner is None:
-            owner = self.stack[-1].element if self.stack else self.forest.phi
-        self.forest.owner[v] = owner
-        # The contexts with no first vertex yet are always the top of the stack.
-        for ctx in reversed(self.stack):
-            if ctx.first_vertex is not None:
-                break
-            ctx.first_vertex = v
-        return v
-
-    def attach(self, pending: Pending, target: int) -> None:
-        for u, kind in pending:
-            self.g.add_edge(u, target, kind)
-
-    def divert(self, pending: Pending, waiting: Pending, kind: EdgeKind) -> None:
-        waiting.extend((u, kind) for u, _ in pending)
-
-    def block(self, seq: lang.Sequence, pending: Pending) -> Pending:
-        for stmt in seq.body:
-            pending = self.statement(stmt, pending)
-        return pending
-
-    def statement(self, node, pending: Pending) -> Pending:
-        if isinstance(node, lang.Assign):
-            v = self.vertex(node.label)
-            self.attach(pending, v)
-            return [(v, EdgeKind.OUT)]
-        if isinstance(node, lang.Sequence):
-            return self.block(node, pending)
-        if isinstance(node, lang.If):
-            c = self.vertex(node.cond)
-            self.attach(pending, c)
-            out = self.block(node.then, [(c, EdgeKind.OUT)])
-            if node.orelse is not None:
-                out += self.block(node.orelse, [(c, EdgeKind.OUT)])
-            else:
-                out += [(c, EdgeKind.OUT)]
-            return out
-        if isinstance(node, lang.While):
-            return self.while_loop(node, pending)
-        if isinstance(node, lang.DoWhile):
-            return self.do_while_loop(node, pending)
-        if isinstance(node, lang.Break):
-            self.divert(pending, self.stack[-1].breaks, EdgeKind.EXIT)
-            return []
-        if isinstance(node, lang.Continue):
-            ctx = self.stack[-1]
-            if isinstance(ctx.entry_target, list):
-                self.divert(pending, ctx.entry_target, EdgeKind.ENTRY)
-            else:
-                self.attach([(u, EdgeKind.ENTRY) for u, _ in pending], ctx.entry_target)
-            return []
-        if isinstance(node, lang.Return):
-            self.divert(pending, self.returns, EdgeKind.STOP)
-            return []
-        raise TypeError(f"unknown statement {node!r}")
-
-    def while_loop(self, node: lang.While, pending: Pending) -> Pending:
-        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
-        c = self.vertex(str(node.cond), owner=elem)
-        self.attach(pending, c)
-        elem.entry = c
-
-        enters_body = not isinstance(node.cond, int) or node.cond != 0
-        self.stack.append(_LoopCtx(elem, entry_target=c))
-        body_out = self.block(node.body, [(c, EdgeKind.OUT)] if enters_body else [])
-        self.attach(body_out, c)
-        ctx = self.stack.pop()
-
-        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
-
-    def do_while_loop(self, node: lang.DoWhile, pending: Pending) -> Pending:
-        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
-        continues: Pending = []
-        self.stack.append(_LoopCtx(elem, entry_target=continues))
-
-        if _opens_with_loop(node.body):
-            # A nested loop would otherwise share its entry vertex with
-            # this loop; give the body its own landing vertex.
-            s = self.vertex("skip")
-            self.attach(pending, s)
-            body_pending: Pending = [(s, EdgeKind.OUT)]
-        else:
-            body_pending = pending
-        body_out = self.block(node.body, body_pending)
-
-        c = self.vertex(str(node.cond))
-        self.attach(body_out, c)
-        ctx = self.stack.pop()
-        entry = ctx.first_vertex  # at worst the condition vertex itself
-        elem.entry = entry
-        self.attach(continues, entry)
-
-        if node.cond != 0:  # a label may loop back; the constant 0 never does
-            self.g.add_edge(c, entry, EdgeKind.OUT)
-
-        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
-
-    def exit_vertex(self, cond: str | int, elem: LoopElement, c: int, breaks: Pending) -> Pending:
-        """Add the loop's exit vertex; the condition vertex c falls through to
-        it unless the condition is a nonzero constant."""
-        x = self.vertex(f"exit({cond})", owner=elem.parent)
-        elem.exit = x
-        self.attach(breaks, x)
-        if not isinstance(cond, int) or cond == 0:
-            self.g.add_edge(c, x, EdgeKind.OUT)
-        return [(x, EdgeKind.OUT)]
+    def __init__(self, node: If, cond: int | None):
+        self.node = node
+        self.cond = cond
+        self.then_out: list[int] | None = None
 
 
 def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
-    """Expand the AST; returns the graph and the syntactic loop forest."""
-    b = _Builder()
-    start = b.vertex("start", owner=b.forest.phi)
-    b.g.start = start
-    out = b.block(ast.root, [(start, EdgeKind.OUT)])
-    stop = b.vertex("stop", owner=b.forest.phi)
-    b.g.stop = stop
-    b.attach(out, stop)
-    b.attach(b.returns, stop)
-    return b.g, b.forest
+    """Expand the AST; returns the pruned graph, its adjacency frozen into
+    sorted tuples, and the syntactic loop forest of its live loops."""
+    forest = LoopForest()
+    phi = forest.phi
+    labels: dict[int, str] = {}
+    owner: dict[int, LoopElement] = {}
+    # Live vertex -> its out-edges in the order made, as one flat tuple
+    # (target, kind, target, kind, ...): a vertex has at most two, and a
+    # tuple is smaller than a list of pairs.
+    out: dict[int, tuple] = {}
+    next_id = 0
+    loops: list[_Loop] = []  # open loops, innermost last
+    unentered: list[_Loop] = []  # open do loops whose body has made no vertex yet
+    dropped: list[LoopElement] = []  # elements whose entry is dead
+    returns: list[int] = []
+
+    def vertex(label: str, elem: LoopElement, sources: list[int], kind: EdgeKind = OUT,
+               live: bool = False) -> int | None:
+        """Take the next id. The vertex is live if it must be or if a live
+        source waits for it; then record it, attach the sources, and return it."""
+        nonlocal next_id
+        v = next_id
+        next_id += 1
+        live = live or bool(sources)
+        if unentered:
+            live = live or any(loop.continues for loop in unentered)
+            for loop in unentered:
+                loop.entry = v if live else None
+            unentered.clear()
+        if not live:
+            return None
+        labels[v] = label
+        owner[v] = elem
+        out[v] = ()
+        attach(sources, v, kind)
+        return v
+
+    def attach(sources: list[int], v: int, kind: EdgeKind) -> None:
+        for u in sources:
+            out[u] += (v, kind)
+
+    start = vertex("start", phi, [], live=True)
+    pending = [start]  # live sources falling through to the next vertex
+    inner = phi  # the element of the innermost open loop
+    work: list[tuple] = [(iter(ast.root.body), None)]  # statements left, and whose they are
+    while work:
+        stmts, opener = work[-1]
+        for node in stmts:
+            kind = type(node)
+            if kind is Assign:
+                v = vertex(node.label, inner, pending)
+                pending = [] if v is None else [v]
+            elif kind is If:
+                c = vertex(node.cond, inner, pending)
+                pending = [] if c is None else [c]
+                work.append((iter(node.then.body), _Branch(node, c)))
+                break
+            elif kind is While:
+                elem = forest.new_element(inner)
+                c = elem.entry = vertex(str(node.cond), elem, pending)
+                if c is None:
+                    dropped.append(elem)
+                loops.append(_Loop(node, elem, c))
+                inner = elem
+                pending = [c] if c is not None and node.cond != 0 else []
+                work.append((iter(node.body.body), loops[-1]))
+                break
+            elif kind is DoWhile:
+                elem = forest.new_element(inner)
+                loop = _Loop(node, elem, None)
+                loops.append(loop)
+                unentered.append(loop)
+                inner = elem
+                body = node.body.body
+                if body and type(body[0]) in (While, DoWhile):
+                    # A nested loop would otherwise share its entry vertex
+                    # with this loop; give the body its own landing vertex.
+                    s = vertex("skip", elem, pending)
+                    pending = [] if s is None else [s]
+                work.append((iter(body), loop))
+                break
+            elif kind is Break:
+                loops[-1].breaks += pending
+                pending = []
+            elif kind is Continue:
+                loop = loops[-1]
+                if type(loop.node) is While:
+                    attach(pending, loop.cond, ENTRY)
+                else:
+                    loop.continues += pending
+                pending = []
+            elif kind is Return:
+                returns += pending
+                pending = []
+            else:
+                raise TypeError(f"unknown statement {node!r}")
+        else:  # the statements ran out: finish what opened them
+            work.pop()
+            if opener is None:
+                continue
+            if type(opener) is _Branch:
+                c, orelse = opener.cond, opener.node.orelse
+                fallthrough = [] if c is None else [c]
+                # Each source in pending has an edge list of its own, so
+                # their order does not matter: the shorter list joins the
+                # longer, and nested branches stay linear in their depth.
+                if orelse is not None and opener.then_out is None:
+                    opener.then_out = pending
+                    pending = fallthrough
+                    work.append((iter(orelse.body), opener))
+                    continue
+                joined = fallthrough if orelse is None else opener.then_out
+                if len(pending) < len(joined):
+                    pending, joined = joined, pending
+                pending += joined
+                continue
+            loop, elem, cond = opener, opener.element, opener.node.cond
+            loops.pop()
+            inner = loops[-1].element if loops else phi
+            if type(loop.node) is While:
+                attach(pending, loop.cond, OUT)
+            else:
+                c = loop.cond = vertex(str(cond), elem, pending)
+                entry = elem.entry = loop.entry
+                if entry is None:
+                    dropped.append(elem)
+                else:
+                    attach(loop.continues, entry, ENTRY)
+                    if c is not None and cond != 0:
+                        out[c] += (entry, OUT)
+            # The exit belongs to the enclosing loop. The condition vertex
+            # falls through to it unless the condition is a nonzero constant.
+            c = loop.cond
+            falls = c is not None and (type(cond) is not int or cond == 0)
+            x = elem.exit = vertex(f"exit({cond})", inner, loop.breaks, EXIT, live=falls)
+            pending = [] if x is None else [x]
+            if falls:
+                out[c] += (x, OUT)
+    stop = vertex("stop", phi, pending, live=True)
+    attach(returns, stop, STOP)
+
+    g = ControlFlowGraph()
+    g.labels = labels
+    g._succ, g._pred, g._kind = _freeze(out)
+    g._next_id = next_id
+    g.start, g.stop = start, stop
+
+    if dropped:
+        gone = set(dropped)
+        forest.elements = [e for e in forest.elements if e not in gone]
+        for e in dropped:
+            if e.parent not in gone:
+                e.parent.children.remove(e)
+    forest.owner = owner
+    return g, forest
+
+
+def _freeze(out: dict[int, tuple]):
+    """Successor and predecessor tuples, ascending, and the edge kinds in
+    sorted (u, v) order. Of two edges u -> v, the one made first keeps its
+    kind, as add_edge keeps it."""
+    succ: dict[int, tuple[int, ...]] = {}
+    kinds: dict[tuple[int, int], EdgeKind] = {}
+    preds: dict[int, list[int]] = {v: [] for v in out}
+    for u, edges in out.items():  # ascending, so every predecessor list is too
+        if len(edges) == 2:
+            w, k = edges
+            succ[u] = (w,)
+            kinds[u, w] = k
+            preds[w].append(u)
+            continue
+        first: dict[int, EdgeKind] = {}
+        for w, k in zip(edges[::2], edges[1::2]):
+            first.setdefault(w, k)
+        succ[u] = ws = tuple(sorted(first))
+        for w in ws:
+            kinds[u, w] = first[w]
+            preds[w].append(u)
+    return succ, {v: tuple(us) for v, us in preds.items()}, kinds
 
 
 def cfg_from_source(source: str, contract: bool = False) -> tuple[ControlFlowGraph, LoopForest]:
-    """parse -> build -> prune (-> contract) in one call."""
+    """parse -> build (-> contract) in one call; the build already prunes."""
     cfg, forest = build_cfg(lang.parse_program(source))
-    cfg = prune_unreachable(cfg)
-    forest = forest.restricted_to(cfg)
     if contract:
         cfg = contract_basic_blocks(cfg, forest)
         forest = forest.restricted_to(cfg)

@@ -3,8 +3,8 @@
 Vertices are integers with string labels; start and stop are distinguished.
 Every edge carries one EdgeKind telling which successor convention produced
 it. JSON serialization is canonical (sorted vertices and edges), so a
-load/dump round trip is byte identical. Pruning and contraction write new
-graphs whose adjacency is frozen into tuples.
+load/dump round trip is byte identical. build_cfg, pruning and contraction
+write graphs whose adjacency is frozen into tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class CfgJsonError(ValueError):
 class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
-        # Lists while the graph is built; pruning and contraction make tuples.
+        # Lists when add_vertex fills the graph; build_cfg, pruning and
+        # contraction write tuples.
         self._succ: dict[int, list[int] | tuple[int, ...]] = {}
         self._pred: dict[int, list[int] | tuple[int, ...]] = {}
         self._kind: dict[tuple[int, int], EdgeKind] = {}
@@ -67,7 +68,7 @@ class ControlFlowGraph:
         self._kind[(u, v)] = _KINDS.get(kind) or EdgeKind(kind)
         try:
             self._succ[u].append(v)
-        except AttributeError:  # frozen by prune_unreachable
+        except AttributeError:  # frozen into a tuple
             self._succ[u] += (v,)
         try:
             self._pred[v].append(u)

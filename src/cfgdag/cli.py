@@ -2,10 +2,11 @@
 
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
-2 i/o error (bad JSON and bad CFG, loop forest or decomposition JSON
-included) or a bad argument, 3 parse error, 4 a graph that is not the
-control-flow graph of a structured program, 5 an exact search that hit its
-limit (oracle's --k-max or the solver's state budget).
+2 i/o error (an input that is not UTF-8, and bad JSON and bad CFG, loop
+forest or decomposition JSON included) or a bad argument, 3 parse error,
+4 a graph that is not the control-flow graph of a structured program, 5 an
+exact search that hit its limit (oracle's --k-max or the solver's state
+budget).
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -56,8 +57,9 @@ comments run '//' to end of line.
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file or of stdin, whatever the locale's encoding."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -73,6 +75,8 @@ def _write(path: str | None, text: str) -> None:
 def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     """The graph, its loop forest with the owner map checked, and the
     dominators of that graph when this path computed them."""
+    if getattr(args, "forest", None) and args.kind != "cfg-json":
+        build_parser().error("argument --forest: applies only to --kind cfg-json")
     text = _read(args.input)
     contract = getattr(args, "contract", False)
     if args.kind == "cfg-json":
@@ -234,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:

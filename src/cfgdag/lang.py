@@ -9,6 +9,7 @@ integer literals (nonzero spins forever, zero never enters the body).
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 
@@ -72,42 +73,50 @@ class StructuredAst:
 
 KEYWORDS = frozenset({"if", "else", "while", "do", "break", "continue", "return"})
 _JUMPS = {"break": Break, "continue": Continue, "return": Return}
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<lbrace>\{)"
-    r"|(?P<rbrace>\})"
-    r"|(?P<semi>;)"
-)
+# A token or a comment. In a source that holds no stray character, only
+# whitespace lies between the matches.
+_TOKEN = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]")
+# A token, a comment or whitespace: finditer leaves a gap at the first stray
+# character.
+_SPELL = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]|\s+")
+# Outside ASCII word characters, braces, semicolons and whitespace. A source
+# without one has no comment and no stray character.
+_ODD = re.compile(r"[^\s{};A-Za-z0-9_]")
 
 
-def tokenize(source: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, offset) tokens; keywords use their own kind.
+def tokenize(source: str) -> list[str]:
+    """The texts of the tokens of source, in order; a keyword is its own
+    token, and comments and whitespace are dropped.
 
-    Tokens carry only their offset into source; line and column are counted
-    from it when a ParseError is raised.
+    Tokens carry no position: a ParseError finds the offset of the one token
+    it reports by scanning the source again.
     """
-    tokens = []
+    stray = _first_stray(source)
+    if stray is not None:
+        raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
+    tokens = _TOKEN.findall(source)
+    if "//" in source:
+        tokens = [t for t in tokens if not t.startswith("//")]
+    return tokens
+
+
+def _first_stray(source: str) -> int | None:
+    """The offset of the first character that no token, comment or
+    whitespace spells, or None.
+
+    One scan in C settles a source of ASCII words, braces, semicolons and
+    whitespace; any other source is walked token by token.
+    """
+    if _ODD.search(source) is None:
+        return None
     pos = 0
-    for m in _TOKEN_RE.finditer(source):
-        start = m.start()
-        if start != pos:  # finditer skipped a character no token matches
+    for m in _SPELL.finditer(source):
+        if m.start() != pos:
             break
         pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        text = m.group()
-        if kind == "ident" and text in KEYWORDS:
-            kind = text
-        tokens.append((kind, text, start))
-    if pos != len(source):
-        raise _error_at(source, pos, f"unexpected character {source[pos]!r}")
-    tokens.append(("eof", "", pos))
-    return tokens
+    return pos if pos != len(source) else None
 
 
 def _error_at(source: str, pos: int, message: str) -> ParseError:
@@ -115,99 +124,110 @@ def _error_at(source: str, pos: int, message: str) -> ParseError:
     return ParseError(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
 
 
-class _Parser:
-    def __init__(self, source, tokens):
-        self.source = source
-        self.tokens = tokens
-        self.pos = 0
-        self.loop_depth = 0
+def _token_error(source: str, index: int, message: str) -> ParseError:
+    """A ParseError at token number index; one past the last token is the end
+    of input."""
+    pos = len(source)
+    tokens = (m for m in _TOKEN.finditer(source) if not m.group().startswith("//"))
+    for i, m in enumerate(tokens):
+        if i == index:
+            pos = m.start()
+            break
+    return _error_at(source, pos, message)
 
-    def _cur(self):
-        return self.tokens[self.pos]
 
-    def _advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+def _condition(tok: str) -> str | int | None:
+    """A loop or branch condition: a label, an integer literal, or None."""
+    if not tok or tok in KEYWORDS:
+        return None
+    if tok[0] in _IDENT_START:
         return tok
-
-    def _expect(self, kind: str, what: str):
-        tok = self._cur()
-        if tok[0] != kind:
-            self._error(f"expected {what}, found {tok[1] or 'end of input'!r}")
-        return self._advance()
-
-    def _error(self, message: str):
-        raise _error_at(self.source, self._cur()[2], message)
-
-    def program(self) -> Sequence:
-        root = Sequence()
-        while self._cur()[0] != "eof":
-            root.body.append(self.statement())
-        return root
-
-    def block(self) -> Sequence:
-        self._expect("lbrace", "'{'")
-        seq = Sequence()
-        while self._cur()[0] != "rbrace":
-            if self._cur()[0] == "eof":
-                self._error("unterminated block")
-            seq.body.append(self.statement())
-        self._advance()
-        return seq
-
-    def condition(self) -> str | int:
-        tok = self._cur()
-        if tok[0] == "ident":
-            self._advance()
-            return tok[1]
-        if tok[0] == "int":
-            self._advance()
-            return int(tok[1])
-        self._error("expected a condition label")
-        raise AssertionError  # unreachable
-
-    def statement(self):
-        kind, text, _ = self._cur()
-        if kind == "ident":
-            self._advance()
-            self._expect("semi", "';'")
-            return Assign(text)
-        if kind == "if":
-            self._advance()
-            cond = self.condition()
-            if isinstance(cond, int):
-                self._error("if conditions must be labels")
-            then = self.block()
-            orelse = None
-            if self._cur()[0] == "else":
-                self._advance()
-                orelse = self.block()
-            return If(cond, then, orelse)
-        if kind == "while":
-            self._advance()
-            cond = self.condition()
-            self.loop_depth += 1
-            body = self.block()
-            self.loop_depth -= 1
-            return While(cond, body)
-        if kind == "do":
-            self._advance()
-            self.loop_depth += 1
-            body = self.block()
-            self.loop_depth -= 1
-            self._expect("while", "'while'")
-            cond = self.condition()
-            self._expect("semi", "';'")
-            return DoWhile(cond, body)
-        if kind in _JUMPS:
-            if kind != "return" and self.loop_depth == 0:
-                self._error(f"{kind} outside loop")
-            self._advance()
-            self._expect("semi", "';'")
-            return _JUMPS[kind]()
-        self._error(f"unexpected {text!r}")
+    if tok[0].isdigit():
+        return int(tok)
+    return None
 
 
 def parse_program(source: str) -> StructuredAst:
-    """Parse source text into an AST."""
-    return StructuredAst(root=_Parser(source, tokenize(source)).program())
+    """Parse source text into an AST.
+
+    One pass over the tokens with an explicit stack of open blocks, so no
+    nesting depth is too deep for it. Each entry of the stack holds the
+    statement that opened the block and the body that statement belongs to.
+    """
+    toks = tokenize(source)
+    toks.append("")  # end of input
+    root = Sequence()
+    body = root.body
+    stack: list[tuple[If | While | DoWhile, list]] = []
+    loops = 0  # open loop bodies
+    i = 0
+
+    def fail(index: int, message: str):
+        raise _token_error(source, index, message)
+
+    def expect(index: int, text: str) -> None:
+        if toks[index] != text:
+            fail(index, f"expected {text!r}, found {toks[index] or 'end of input'!r}")
+
+    while True:
+        tok = toks[i]
+        if tok == "}" and stack:
+            node, outer = stack.pop()
+            i += 1
+            if type(node) is If and node.orelse is None and toks[i] == "else":
+                expect(i + 1, "{")
+                node.orelse = Sequence()
+                stack.append((node, outer))
+                body = node.orelse.body
+                i += 2
+                continue
+            if type(node) is DoWhile:
+                expect(i, "while")
+                node.cond = _condition(toks[i + 1])
+                if node.cond is None:
+                    fail(i + 1, "expected a condition label")
+                expect(i + 2, ";")
+                i += 3
+            if type(node) is not If:
+                loops -= 1
+            body = outer
+        elif tok in KEYWORDS:
+            if tok == "if" or tok == "while":
+                cond = _condition(toks[i + 1])
+                if cond is None:
+                    fail(i + 1, "expected a condition label")
+                if tok == "if" and type(cond) is int:
+                    fail(i + 2, "if conditions must be labels")
+                expect(i + 2, "{")
+                node = If(cond, Sequence()) if tok == "if" else While(cond, Sequence())
+                i += 3
+            elif tok == "do":
+                expect(i + 1, "{")
+                node = DoWhile(0, Sequence())
+                i += 2
+            elif tok in _JUMPS:
+                if tok != "return" and not loops:
+                    fail(i, f"{tok} outside loop")
+                expect(i + 1, ";")
+                body.append(_JUMPS[tok]())
+                i += 2
+                continue
+            else:  # an else that follows no if block
+                fail(i, f"unexpected {tok!r}")
+            body.append(node)
+            stack.append((node, body))
+            if type(node) is If:
+                body = node.then.body
+            else:
+                body = node.body.body
+                loops += 1
+        elif tok and tok[0] in _IDENT_START:
+            expect(i + 1, ";")
+            body.append(Assign(tok))
+            i += 2
+        elif tok:
+            fail(i, f"unexpected {tok!r}")
+        elif stack:
+            fail(i, "unterminated block")
+        else:
+            return StructuredAst(root=root)

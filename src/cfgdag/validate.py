@@ -97,8 +97,14 @@ class ValidationReport:
 
 def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int] | None]:
     """Successor lists and the DFS postorder that takes roots in descending
-    id and successors highest first; the postorder is None when the arcs
+    id and successors lowest first; the postorder is None when the arcs
     have a cycle.
+
+    Entering the lowest successor first finishes a loop's body before the
+    later vertices beside it, so those are placed ahead of the body and a
+    query for a vertex they hold stops short of it. Taken highest first, a
+    query inside nested do loops would search every deeper body, which is
+    quadratic in the nesting depth.
 
     A node id listed twice also gives None. from_json_dict rejects such a
     file, so this covers decompositions built in code only.
@@ -106,7 +112,7 @@ def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int
     succ = decomp.successors()
     for heads in succ.values():
         if len(heads) > 1:
-            heads.sort()
+            heads.sort(reverse=True)
     if len(succ) != len(decomp.nodes):
         return succ, None
     return succ, postorder(sorted(succ), succ)

@@ -7,8 +7,11 @@ sweeps and Semi-NCA; a Kahn order and a reach mask per decomposition node
 instead of a DFS postorder and pruned reachability queries; every guard
 scanned against every edge instead of the dropped-target rule; a pursuit
 solver keyed by the robber's vertex instead of its region; a tokenizer that
-counts lines and columns as it goes instead of on error; a prune that
-rebuilds through add_vertex/add_edge; a basic-block contraction by repeated
+counts lines and columns as it goes instead of on error, and a recursive
+descent parser over its tokens instead of one loop with a stack of open
+blocks; a recursive builder that expands every statement, dead or live,
+instead of one that decides liveness as it walks; a prune that rebuilds
+through add_vertex/add_edge; a basic-block contraction by repeated
 sweeps that fold one edge at a time; a product game built one add_edge and
 one randrange call at a time.
 """
@@ -16,12 +19,15 @@ one randrange call at a time.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 from cfgdag import (
     ControlFlowGraph,
     EdgeKind,
     GameGraph,
+    LoopElement,
+    LoopForest,
     build_decomposition,
     cfg_from_source,
     compute_dominators,
@@ -30,7 +36,8 @@ from cfgdag import (
 )
 from cfgdag._graph import tree_children
 from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
-from cfgdag.lang import _TOKEN_RE, KEYWORDS, ParseError
+from cfgdag import lang
+from cfgdag.lang import KEYWORDS, ParseError
 from cfgdag.validate import ValidationReport
 
 
@@ -59,7 +66,7 @@ CORNER_CASES = {
 
 
 def pipeline(src, contract=False):
-    """parse -> build -> prune (-> contract) -> owner map from the dominator definitions."""
+    """parse -> build (-> contract) -> owner map from the dominator definitions."""
     cfg, forest = cfg_from_source(src, contract=contract)
     dom = compute_dominators(cfg)
     dominator_regions(cfg, forest, dom)
@@ -251,6 +258,17 @@ def succ_map(cfg) -> dict:
     return {v: list(cfg.successors(v)) for v in cfg.vertex_ids()}
 
 
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<lbrace>\{)"
+    r"|(?P<rbrace>\})"
+    r"|(?P<semi>;)"
+)
+
+
 def tokenize_with_positions(source: str) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, col) tokens, the position kept by a running counter
     over every token, comments and whitespace included; raises ParseError at
@@ -277,6 +295,261 @@ def tokenize_with_positions(source: str) -> list[tuple[str, str, int, int]]:
         pos = m.end()
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+_JUMPS = {"break": lang.Break, "continue": lang.Continue, "return": lang.Return}
+
+
+class _DescentParser:
+    """Recursive descent over tokenize_with_positions; a ParseError carries
+    the line and column of the token it is raised at."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.loop_depth = 0
+
+    def _cur(self):
+        return self.tokens[self.pos]
+
+    def _advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _expect(self, kind: str, what: str):
+        tok = self._cur()
+        if tok[0] != kind:
+            self._error(f"expected {what}, found {tok[1] or 'end of input'!r}")
+        return self._advance()
+
+    def _error(self, message: str):
+        _, _, line, col = self._cur()
+        raise ParseError(message, line, col)
+
+    def program(self) -> lang.Sequence:
+        root = lang.Sequence()
+        while self._cur()[0] != "eof":
+            root.body.append(self.statement())
+        return root
+
+    def block(self) -> lang.Sequence:
+        self._expect("lbrace", "'{'")
+        seq = lang.Sequence()
+        while self._cur()[0] != "rbrace":
+            if self._cur()[0] == "eof":
+                self._error("unterminated block")
+            seq.body.append(self.statement())
+        self._advance()
+        return seq
+
+    def condition(self) -> str | int:
+        tok = self._cur()
+        if tok[0] == "ident":
+            self._advance()
+            return tok[1]
+        if tok[0] == "int":
+            self._advance()
+            return int(tok[1])
+        self._error("expected a condition label")
+
+    def statement(self):
+        kind, text, _, _ = self._cur()
+        if kind == "ident":
+            self._advance()
+            self._expect("semi", "';'")
+            return lang.Assign(text)
+        if kind == "if":
+            self._advance()
+            cond = self.condition()
+            if isinstance(cond, int):
+                self._error("if conditions must be labels")
+            then = self.block()
+            orelse = None
+            if self._cur()[0] == "else":
+                self._advance()
+                orelse = self.block()
+            return lang.If(cond, then, orelse)
+        if kind == "while":
+            self._advance()
+            cond = self.condition()
+            self.loop_depth += 1
+            body = self.block()
+            self.loop_depth -= 1
+            return lang.While(cond, body)
+        if kind == "do":
+            self._advance()
+            self.loop_depth += 1
+            body = self.block()
+            self.loop_depth -= 1
+            self._expect("while", "'while'")
+            cond = self.condition()
+            self._expect("semi", "';'")
+            return lang.DoWhile(cond, body)
+        if kind in _JUMPS:
+            if kind != "return" and self.loop_depth == 0:
+                self._error(f"{kind} outside loop")
+            self._advance()
+            self._expect("semi", "';'")
+            return _JUMPS[kind]()
+        self._error(f"unexpected {text!r}")
+
+
+def parse_by_descent(source: str) -> lang.StructuredAst:
+    """parse_program by recursive descent over tokenize_with_positions."""
+    return lang.StructuredAst(_DescentParser(tokenize_with_positions(source)).program())
+
+
+class _LoopCtx:
+    __slots__ = ("element", "entry_target", "breaks", "first_vertex")
+
+    def __init__(self, element: LoopElement, entry_target):
+        self.element = element
+        self.entry_target = entry_target  # vertex id, or the pending edges waiting for it
+        self.breaks = []
+        self.first_vertex: int | None = None
+
+
+def _opens_with_loop(seq: lang.Sequence) -> bool:
+    """Does control entering this block hit a loop construct first?"""
+    for stmt in seq.body:
+        if isinstance(stmt, (lang.While, lang.DoWhile)):
+            return True
+        if isinstance(stmt, lang.Sequence):
+            if stmt.body:
+                return _opens_with_loop(stmt)
+            continue
+        return False
+    return False
+
+
+class _UnprunedBuilder:
+    """Expands every statement, reachable or not, one add_vertex and
+    add_edge call at a time."""
+
+    def __init__(self):
+        self.g = ControlFlowGraph()
+        self.forest = LoopForest()
+        self.stack: list[_LoopCtx] = []
+        self.returns = []
+
+    def vertex(self, label: str, owner: LoopElement | None = None) -> int:
+        v = self.g.add_vertex(label)
+        if owner is None:
+            owner = self.stack[-1].element if self.stack else self.forest.phi
+        self.forest.owner[v] = owner
+        # The contexts with no first vertex yet are always the top of the stack.
+        for ctx in reversed(self.stack):
+            if ctx.first_vertex is not None:
+                break
+            ctx.first_vertex = v
+        return v
+
+    def attach(self, pending, target: int) -> None:
+        for u, kind in pending:
+            self.g.add_edge(u, target, kind)
+
+    def divert(self, pending, waiting, kind: EdgeKind) -> None:
+        waiting.extend((u, kind) for u, _ in pending)
+
+    def block(self, seq: lang.Sequence, pending):
+        for stmt in seq.body:
+            pending = self.statement(stmt, pending)
+        return pending
+
+    def statement(self, node, pending):
+        if isinstance(node, lang.Assign):
+            v = self.vertex(node.label)
+            self.attach(pending, v)
+            return [(v, EdgeKind.OUT)]
+        if isinstance(node, lang.Sequence):
+            return self.block(node, pending)
+        if isinstance(node, lang.If):
+            c = self.vertex(node.cond)
+            self.attach(pending, c)
+            out = self.block(node.then, [(c, EdgeKind.OUT)])
+            if node.orelse is not None:
+                out += self.block(node.orelse, [(c, EdgeKind.OUT)])
+            else:
+                out += [(c, EdgeKind.OUT)]
+            return out
+        if isinstance(node, lang.While):
+            return self.while_loop(node, pending)
+        if isinstance(node, lang.DoWhile):
+            return self.do_while_loop(node, pending)
+        if isinstance(node, lang.Break):
+            self.divert(pending, self.stack[-1].breaks, EdgeKind.EXIT)
+            return []
+        if isinstance(node, lang.Continue):
+            ctx = self.stack[-1]
+            if isinstance(ctx.entry_target, list):
+                self.divert(pending, ctx.entry_target, EdgeKind.ENTRY)
+            else:
+                self.attach([(u, EdgeKind.ENTRY) for u, _ in pending], ctx.entry_target)
+            return []
+        if isinstance(node, lang.Return):
+            self.divert(pending, self.returns, EdgeKind.STOP)
+            return []
+        raise TypeError(f"unknown statement {node!r}")
+
+    def while_loop(self, node: lang.While, pending):
+        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
+        c = self.vertex(str(node.cond), owner=elem)
+        self.attach(pending, c)
+        elem.entry = c
+
+        enters_body = not isinstance(node.cond, int) or node.cond != 0
+        self.stack.append(_LoopCtx(elem, entry_target=c))
+        body_out = self.block(node.body, [(c, EdgeKind.OUT)] if enters_body else [])
+        self.attach(body_out, c)
+        ctx = self.stack.pop()
+
+        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
+
+    def do_while_loop(self, node: lang.DoWhile, pending):
+        elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
+        continues = []
+        self.stack.append(_LoopCtx(elem, entry_target=continues))
+
+        if _opens_with_loop(node.body):
+            s = self.vertex("skip")
+            self.attach(pending, s)
+            body_pending = [(s, EdgeKind.OUT)]
+        else:
+            body_pending = pending
+        body_out = self.block(node.body, body_pending)
+
+        c = self.vertex(str(node.cond))
+        self.attach(body_out, c)
+        ctx = self.stack.pop()
+        entry = ctx.first_vertex  # at worst the condition vertex itself
+        elem.entry = entry
+        self.attach(continues, entry)
+
+        if node.cond != 0:  # a label may loop back; the constant 0 never does
+            self.g.add_edge(c, entry, EdgeKind.OUT)
+
+        return self.exit_vertex(node.cond, elem, c, ctx.breaks)
+
+    def exit_vertex(self, cond, elem: LoopElement, c: int, breaks):
+        x = self.vertex(f"exit({cond})", owner=elem.parent)
+        elem.exit = x
+        self.attach(breaks, x)
+        if not isinstance(cond, int) or cond == 0:
+            self.g.add_edge(c, x, EdgeKind.OUT)
+        return [(x, EdgeKind.OUT)]
+
+
+def build_unpruned(ast: lang.StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
+    """The graph and forest of every statement, reachable or not, with lists
+    for adjacency: build_cfg before pruning."""
+    b = _UnprunedBuilder()
+    b.g.start = b.vertex("start", owner=b.forest.phi)
+    out = b.block(ast.root, [(b.g.start, EdgeKind.OUT)])
+    b.g.stop = b.vertex("stop", owner=b.forest.phi)
+    b.attach(out, b.g.stop)
+    b.attach(b.returns, b.g.stop)
+    return b.g, b.forest
 
 
 def prune_by_rebuild(cfg):

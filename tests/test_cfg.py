@@ -15,7 +15,14 @@ from cfgdag import (
     parse_program,
     prune_unreachable,
 )
-from helpers import bfs_reachable, contract_by_fixpoint, prune_by_rebuild, succ_map
+from helpers import (
+    CORNER_CASES,
+    bfs_reachable,
+    build_unpruned,
+    contract_by_fixpoint,
+    prune_by_rebuild,
+    succ_map,
+)
 
 
 def labels_of(cfg):
@@ -102,7 +109,7 @@ def test_prune_keeps_fully_reachable_graph():
 
 def test_prune_removes_code_after_return():
     ast = parse_program("a; return; b; c;")
-    cfg, _ = build_cfg(ast)
+    cfg, _ = build_unpruned(ast)
     reach = bfs_reachable(succ_map(cfg), cfg.start)
     pruned = prune_unreachable(cfg)
     assert set(pruned.vertex_ids()) == reach | {cfg.stop}
@@ -111,7 +118,7 @@ def test_prune_removes_code_after_return():
 
 def test_prune_infinite_loop_drops_exit_flags_stop():
     ast = parse_program("while 1 { a; }")
-    cfg, forest = build_cfg(ast)
+    cfg, forest = build_unpruned(ast)
     pruned = prune_unreachable(cfg)
     assert "exit(1)" not in labels_of(pruned)
     assert pruned.stop in pruned.vertex_ids()
@@ -124,7 +131,7 @@ def test_prune_infinite_loop_drops_exit_flags_stop():
 def test_prune_matches_reachability_oracle():
     for seed in range(60):
         ast = parse_program(generate_random_program(seed, 50))
-        cfg, _ = build_cfg(ast)
+        cfg, _ = build_unpruned(ast)
         pruned = prune_unreachable(cfg)
         reach = bfs_reachable(succ_map(cfg), cfg.start)
         assert set(pruned.vertex_ids()) == reach | {cfg.stop}
@@ -146,11 +153,83 @@ def with_dead_code(rng, source):
     return "\n".join(lines)
 
 
+def with_jumps(rng, depth=0, in_loop=False):
+    """A small program with jumps anywhere, empty blocks, and loops on the
+    constants 0 and 1: a do body may open with a continue or a break."""
+    stmts = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if depth > 3 or roll < 0.3:
+            stmts.append(f"{rng.choice('abc')};")
+        elif roll < 0.5:
+            stmts.append(rng.choice(["break;", "continue;", "return;"] if in_loop else ["return;"]))
+        elif roll < 0.65:
+            branch = f"if p {{ {with_jumps(rng, depth + 1, in_loop)} }}"
+            if rng.random() < 0.5:
+                branch += f" else {{ {with_jumps(rng, depth + 1, in_loop)} }}"
+            stmts.append(branch)
+        elif roll < 0.82:
+            stmts.append(f"while {rng.choice('c01')} {{ {with_jumps(rng, depth + 1, True)} }}")
+        else:
+            stmts.append(f"do {{ {with_jumps(rng, depth + 1, True)} }} while {rng.choice('c01')};")
+    return " ".join(stmts)
+
+
+def assert_builds_the_pruned_oracle(source):
+    """build_cfg equals prune_unreachable of the unpruned oracle, and its
+    forest equals the oracle's forest restricted to that graph: labels,
+    adjacency tuples and edge kinds in order, ids, elements and owners."""
+    ast = parse_program(source)
+    got, forest = build_cfg(ast)
+    full, full_forest = build_unpruned(ast)
+    want = prune_unreachable(full)
+    want_forest = full_forest.restricted_to(want)
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert list(got._succ.items()) == list(want._succ.items())
+    assert list(got._pred.items()) == list(want._pred.items())
+    assert list(got._kind.items()) == list(want._kind.items())
+    assert (got._next_id, got.start, got.stop) == (want._next_id, want.start, want.stop)
+
+    def shape(f):
+        index = {e: i for i, e in enumerate(f.elements)}
+        index[f.phi] = None
+        return ([(e.entry, e.exit, index[e.parent], [index[c] for c in e.children])
+                 for e in f.elements],
+                [index[c] for c in f.phi.children],
+                [(v, index[e]) for v, e in f.owner.items()])
+
+    assert shape(forest) == shape(want_forest)
+
+
+@pytest.mark.parametrize("source", [
+    *CORNER_CASES.values(),
+    "do { break; while d { a; } } while c;",
+    "do { continue; while d { a; } } while c; b;",
+    "do { continue; do { a; } while c; } while d;",
+    "do { continue; a; } while c;",
+    "while c { if d { continue; } }",
+    "while 1 { if c { break; } } x;",
+    "if c { return; }",
+])
+def test_build_writes_the_pruned_graph_on_corner_cases(source):
+    assert_builds_the_pruned_oracle(source)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 80), st.booleans())
+def test_build_writes_the_pruned_graph_of_the_oracle(seed, size, jumpy):
+    rng = random.Random(seed)
+    if jumpy:
+        assert_builds_the_pruned_oracle(with_jumps(rng))
+    else:
+        assert_builds_the_pruned_oracle(with_dead_code(rng, generate_random_program(seed, size)))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 80))
 def test_prune_fills_the_graph_as_the_rebuild_does(seed, size):
     source = with_dead_code(random.Random(seed), generate_random_program(seed, size))
-    cfg, _ = build_cfg(parse_program(source))
+    cfg, _ = build_unpruned(parse_program(source))
     for graph in (cfg, contract_basic_blocks(cfg)):
         got, want = prune_unreachable(graph), prune_by_rebuild(graph)
         assert got.labels == want.labels
@@ -272,7 +351,7 @@ def test_contraction_equals_the_fixpoint_oracle(seed, size):
     # A `while 1` loop right after a return is a cycle that no head reaches.
     source = re.sub("^return;$", lambda m: m[0] + " while 1 { d; e; }" * (rng.random() < 0.5),
                     source, flags=re.M)
-    cfg, forest = build_cfg(parse_program(source))
+    cfg, forest = build_unpruned(parse_program(source))
     assert_contracts_as_the_fixpoint(cfg)  # unpruned, so dead cycles stay
     pruned = prune_unreachable(cfg)
     assert_contracts_as_the_fixpoint(pruned)
@@ -280,7 +359,7 @@ def test_contraction_equals_the_fixpoint_oracle(seed, size):
 
 
 def test_contraction_folds_a_dead_cycle_into_its_smallest_id():
-    cfg, _ = build_cfg(parse_program("return; while 1 { a; b; }"))
+    cfg, _ = build_unpruned(parse_program("return; while 1 { a; b; }"))
     assert_contracts_as_the_fixpoint(cfg)
     out = contract_basic_blocks(cfg)
     assert out.labels[1] == "1; a; b" and out.successors(1) == (1,)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import io
 import json
 import os
 import subprocess
@@ -91,6 +92,36 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["build", str(tmp_path / "absent.spl")]) == 2
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("kind", ["source", "cfg-json"])
+def test_an_input_file_that_is_not_utf8_exits_two(tmp_path, capsys, kind):
+    path = tmp_path / "bad.in"
+    path.write_bytes(NOT_UTF8)
+    assert main(["decompose", str(path), "--kind", kind]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_stdin_that_is_not_utf8_exits_two():
+    """stdin is decoded as files are, not in the locale's encoding, which in
+    a C locale would turn the bytes into a parse error."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cfgdag", "decompose", "-"], input=NOT_UTF8,
+                          env=env, capture_output=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"i/o error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_stdin_is_read_as_utf8(monkeypatch, capsys):
+    text = "a\u00e9;\n".encode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text), encoding="latin-1"))
+    assert main(["build", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"][1]["label"] == "a\u00e9"
+
+
 # Faults in CFG JSON input, each applied to the JSON of the empty program
 # (vertices 0 = start and 1 = stop, one edge 0 -> 1).
 BAD_CFG_JSON = [
@@ -170,6 +201,14 @@ def test_out_of_range_argument_exits_two(while_file, capsys, argv, what):
         main([argv[0], str(while_file), *argv[1:]])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"cfgdag {argv[0]}: error: {what}\n")
+
+
+def test_forest_with_a_source_input_exits_two(while_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", str(while_file), "--forest", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "cfgdag: error: argument --forest: applies only to --kind cfg-json\n")
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
@@ -307,7 +346,8 @@ def test_load_walks_reachability_once(while_file, tmp_path, monkeypatch, kind):
     monkeypatch.setattr(cfg_module, "reachable", lambda *a: walks.append(a[1]) or real(*a))
     path = while_file if kind == "source" else graph_path
     assert main(["validate", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")]) == 0
-    assert walks == [0]
+    # The source path builds the pruned graph and never walks it.
+    assert walks == ([0] if kind == "cfg-json" else [])
 
 
 def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, monkeypatch):
@@ -379,6 +419,26 @@ def test_python_m_cfgdag_runs_the_cli():
     assert "usage: cfgdag" in done.stdout
 
 
+DEPTH = 10**4
+DEEP = {
+    "while": "while c { " * DEPTH + "a;" + " }" * DEPTH,
+    "do": "do { " * DEPTH + "a;" + " } while c;" * DEPTH,
+    "if": "if c { " * DEPTH + "a;" + " }" * DEPTH,
+}
+
+
+@pytest.mark.parametrize("shape", list(DEEP))
+def test_deep_nesting_decomposes_and_validates_from_source(tmp_path, shape):
+    """No stage of the source path recurses: 10^4 nested statements run at
+    the default recursion limit."""
+    assert sys.getrecursionlimit() < DEPTH
+    prog = tmp_path / "deep.spl"
+    prog.write_text(DEEP[shape])
+    for command in ("decompose", "validate"):
+        assert main([command, str(prog), "--out", str(tmp_path / "out.json")]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["valid"] is True
+
+
 # -- the cyclic collector ---------------------------------------------------
 
 
@@ -411,8 +471,6 @@ def exit_path_inputs(while_file, tmp_path):
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "bad.spl").write_text("while { b; }")
     (tmp_path / "irreducible.json").write_text(json.dumps(IRREDUCIBLE_CFG_JSON))
-    # Nesting deeper than the recursion limit, which the recursive parser meets.
-    (tmp_path / "deep.spl").write_text("while c { " * 1200 + "a;" + " }" * 1200)
     return tmp_path
 
 
@@ -425,15 +483,21 @@ EXIT_PATHS = {
     "exit 5": (["oracle", "{d}/prog.spl", "--k-max", "1"], 5),
     "argparse": (["decompose", "{d}/prog.spl", "--kind", "binary"], SystemExit),
     "parser.error": (["play", "{d}/prog.spl", "--start", "99"], SystemExit),
-    "uncaught": (["decompose", "{d}/deep.spl"], RecursionError),
+    "uncaught": (["decompose", "{d}/prog.spl"], RuntimeError),
 }
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
 @pytest.mark.parametrize("argv, outcome", EXIT_PATHS.values(), ids=list(EXIT_PATHS))
-def test_main_leaves_the_collector_as_the_caller_had_it(exit_path_inputs, capsys, argv,
-                                                        outcome, enabled):
+def test_main_leaves_the_collector_as_the_caller_had_it(exit_path_inputs, capsys, monkeypatch,
+                                                        argv, outcome, enabled):
     argv = [arg.format(d=exit_path_inputs) for arg in argv]
+    if outcome is RuntimeError:  # no input raises what main does not map, so inject it
+        import cfgdag.cli as cli
+
+        def fault(*args):
+            raise RuntimeError("injected")
+        monkeypatch.setattr(cli, "build_decomposition", fault)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag import ParseError, generate_random_program, lang, parse_program
 from cfgdag.lang import Assign, Break, DoWhile, If, Sequence, While
-from helpers import tokenize_with_positions
+from helpers import parse_by_descent, tokenize_with_positions
 
 
 def test_single_assignment():
@@ -79,10 +81,11 @@ def test_garbage_character():
         parse_program("a; $;")
 
 
-FRAGMENTS = ["a;", "x1;", "if p {", "} else {", "while c {", "while 1 {", "while 0 {", "do {",
+FRAGMENTS = ["a;", "x1;", "if p {", "if 3 {", "} else {", "while c {", "while 1 {", "while 0 {", "do {",
              "} while d;", "} while 0;", "}", "{", ";", "42", "while", "break;", "continue;",
-             "return;", "// note", "// { ;", " ", "  ", "\t", "\n", "\r\n", "\n\n", " \r\n\t"]
-STRAYS = ["$", "@", "#", "-", "(", "\x00", "\u00e9", "/"]
+             "return;", "// note", "// { ;", "a\u00e9;", "\u0663", " ", "  ", "\t", "\n", "\r\n",
+             "\n\n", " \r\n\t"]
+STRAYS = ["$", "@", "#", "-", "(", "\x00", "\u00e9", "/", "\u0663"]
 
 
 @st.composite
@@ -114,21 +117,43 @@ def sources(draw):
 @example("// c\n\n\t while {")
 @example("a;\n  while { b; }")
 @example("do { a; } while")
+@example("a\u00e9; // \u0663 {\n if 7 { }")
+@example("do { x; } while 3 ; \u0663")
 def test_tokens_and_error_positions_equal_the_running_counter(source):
+    """Tokens, ASTs and every ParseError's message, line and column equal
+    those of the recursive descent parser over the running-counter tokens."""
     try:
         expected = tokenize_with_positions(source)
     except ParseError as want:
+        for run in (lang.tokenize, parse_program):
+            with pytest.raises(ParseError) as got:
+                run(source)
+            assert (str(got.value), got.value.line, got.value.col) == (str(want), want.line, want.col)
+        return
+    assert lang.tokenize(source) == [text for _, text, _, _ in expected[:-1]]
+    try:
+        want = parse_by_descent(source)
+    except ParseError as err:
         with pytest.raises(ParseError) as got:
             parse_program(source)
-        assert (str(got.value), got.value.line, got.value.col) == (str(want), want.line, want.col)
+        assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
+        assert str(err).endswith(f"(line {err.line}, col {err.col})")
         return
-    tokens = lang.tokenize(source)
-    assert [t[:2] for t in tokens] == [t[:2] for t in expected]
-    # Every parse error is raised at the parser's current token.
-    parser = lang._Parser(source, tokens)
+    assert parse_program(source) == want
+
+
+@pytest.mark.parametrize("comments", [False, True], ids=["plain", "commented"])
+def test_tokenize_allocates_little_beyond_its_tokens(comments):
+    """The stray check keeps no state per token, on the one-scan path of a
+    plain source and on the token walk of a commented one."""
+    source = generate_random_program(5, 2 * 10**4)
+    if comments:
+        source = source.replace(";\n", "; // done\n")
+    tracemalloc.start()
     try:
-        parser.program()
-    except ParseError as err:
-        _, _, line, col = expected[parser.pos]
-        assert (err.line, err.col) == (line, col)
-        assert str(err).endswith(f"(line {line}, col {col})")
+        tokens = lang.tokenize(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 10**4
+    assert peak < 12 * len(source), peak / len(source)

@@ -10,7 +10,6 @@ from cfgdag import (
     EdgeKind,
     LoopForest,
     assign_owners,
-    build_cfg,
     cfg_from_source,
     classify_edges,
     compute_dominators,
@@ -22,6 +21,7 @@ from cfgdag import (
 )
 from cfgdag.loops import FORWARD
 from helpers import (
+    build_unpruned,
     check_cycle_corollary,
     dominator_regions,
     dominators_by_iteration,
@@ -81,7 +81,7 @@ def test_dominators_match_path_enumeration_oracle(seed):
 
 def test_unreachable_vertex_rejected():
     ast = parse_program("a; return; b;")
-    cfg, _ = build_cfg(ast)  # not pruned
+    cfg, _ = build_unpruned(ast)
     with pytest.raises(ValueError, match="prune"):
         compute_dominators(cfg)
 

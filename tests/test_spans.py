@@ -37,3 +37,21 @@ def test_a_traced_decompose_records_graph_and_decomposition_sizes(tmp_path):
     assert code == 0
     counts = tracer.counts[0]
     assert counts["cfg.vertices"] > 0 and counts["decomposition.arcs"] > 0
+
+
+def test_a_traced_source_decompose_times_every_front_end_layer(tmp_path):
+    """cfg_from_source reaches parse_program and build_cfg through their
+    module attributes, where the tracer wraps them."""
+    tracer = load_spans().Tracer()
+    source = tmp_path / "prog.spl"
+    source.write_text(generate_random_program(1, 30))
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["decompose", str(source), "--out", str(tmp_path / "d.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spent = {name: end - start for name, start, end, *_ in tracer.spans}
+    for name in ("lang.parse_program", "build.build_cfg", "build.cfg_from_source"):
+        assert spent.get(name, 0) > 0, name
+    assert "cfg.prune_unreachable" not in spent
