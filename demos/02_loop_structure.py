@@ -32,10 +32,13 @@ def show(elem, depth=0):
     belongs, inside = regions[elem]
     print(f"{pad}  inside  = {names(inside)}")
     print(f"{pad}  belongs = {names(belongs)}")
-    for child in elem.children:
+    for child in children.get(elem, ()):
         show(child, depth + 1)
 
 
-for top in forest.phi.children:
+children = {}  # an element records only its parent; elements are in preorder
+for elem in forest.elements:
+    children.setdefault(elem.parent, []).append(elem)
+for top in children.get(forest.phi, ()):
     show(top)
 print("root owns:", sorted(cfg.labels[v] for v in regions[forest.phi][0]))

@@ -28,7 +28,7 @@ condition that can be false does. stop is always kept.
 from __future__ import annotations
 
 from . import lang
-from .cfg import ControlFlowGraph, EdgeKind, contract_basic_blocks
+from .cfg import ControlFlowGraph, EdgeKind
 from .lang import Assign, Break, Continue, DoWhile, If, Return, StructuredAst, While
 from .loops import LoopElement, LoopForest
 
@@ -214,9 +214,6 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     if dropped:
         gone = set(dropped)
         forest.elements = [e for e in forest.elements if e not in gone]
-        for e in dropped:
-            if e.parent not in gone:
-                e.parent.children.remove(e)
     forest.owner = owner
     return g, forest
 
@@ -245,10 +242,6 @@ def _freeze(out: dict[int, tuple]):
     return succ, {v: tuple(us) for v, us in preds.items()}, kinds
 
 
-def cfg_from_source(source: str, contract: bool = False) -> tuple[ControlFlowGraph, LoopForest]:
-    """parse -> build (-> contract) in one call; the build already prunes."""
-    cfg, forest = build_cfg(lang.parse_program(source))
-    if contract:
-        cfg = contract_basic_blocks(cfg, forest)
-        forest = forest.restricted_to(cfg)
-    return cfg, forest
+def cfg_from_source(source: str) -> tuple[ControlFlowGraph, LoopForest]:
+    """parse -> build in one call; the build already prunes."""
+    return build_cfg(lang.parse_program(source))

@@ -78,7 +78,6 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     if getattr(args, "forest", None) and args.kind != "cfg-json":
         build_parser().error("argument --forest: applies only to --kind cfg-json")
     text = _read(args.input)
-    contract = getattr(args, "contract", False)
     if args.kind == "cfg-json":
         cfg = prune_unreachable(ControlFlowGraph.from_json(text))
         dom = compute_dominators(cfg)
@@ -87,14 +86,14 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
             forest = assign_owners(cfg, dom, forest.restricted_to(cfg))
         else:
             forest = recover_loop_forest(cfg, dom)
-        if contract:
-            # Owners survive contraction: an absorbed vertex has the owner
-            # of the vertex that absorbs it.
-            cfg = contract_basic_blocks(cfg, forest)
-            forest = forest.restricted_to(cfg)
-            dom = None
     else:
-        cfg, forest = cfg_from_source(text, contract=contract)
+        cfg, forest = cfg_from_source(text)
+        dom = None
+    if getattr(args, "contract", False):
+        # Owners survive contraction: an absorbed vertex has the owner of
+        # the vertex that absorbs it.
+        cfg = contract_basic_blocks(cfg, forest)
+        forest = forest.restricted_to(cfg)
         dom = None
     loop_regions(cfg, forest)
     return cfg, forest, dom

@@ -3,7 +3,10 @@
 A loop element pairs an entry vertex with an exit vertex. Every forest
 carries one owner map: vertex -> the innermost element it belongs to, under
 a virtual root element (phi) that owns start, stop, and everything outside
-all loops. The builder records the map as it expands the source; a forest
+all loops. An element records only its parent, so a forest holds no
+reference cycle, and the forest lists its elements once, in preorder: each
+after its parent and before its next sibling, which is the one order every
+reader uses. The builder records the map as it expands the source; a forest
 recovered from a bare graph, or given whole, gets it from one preorder walk
 of the dominator tree in which a loop opens at its entry and closes, with
 every loop inside it, at its exit. The map is the only record of
@@ -47,7 +50,6 @@ class LoopElement:
     entry: int | None
     exit: int | None
     parent: "LoopElement | None" = None
-    children: list["LoopElement"] = field(default_factory=list)
 
     @property
     def is_root(self) -> bool:
@@ -64,6 +66,8 @@ class LoopForest:
 
     def __init__(self):
         self.phi = LoopElement(None, None, None)
+        # in preorder: each element after its parent, siblings in order, and
+        # each subtree in one run; new_element appends
         self.elements: list[LoopElement] = []
         # vertex -> innermost element it belongs to (phi included), filled
         # where the forest is made
@@ -71,18 +75,21 @@ class LoopForest:
 
     def new_element(self, parent: LoopElement | None = None) -> LoopElement:
         elem = LoopElement(None, None, parent or self.phi)
-        elem.parent.children.append(elem)
         self.elements.append(elem)
         return elem
 
     def contains(self, elem: LoopElement, v: int) -> bool:
-        """True iff v lies inside elem: elem owns v or an element nested in it does."""
-        e = self.owner[v]
-        while e is not None:
-            if e is elem:
-                return True
+        """True iff v lies inside elem: elem owns v or an element nested in it does.
+
+        The walk up from v's owner gives up at elem's parent, which lies
+        above elem; a vertex owned just outside elem costs one step.
+        """
+        e, above = self.owner[v], elem.parent
+        while e is not elem:
+            if e is None or e is above:
+                return False
             e = e.parent
-        return False
+        return True
 
     def regions(self) -> dict[LoopElement, tuple[set[int], set[int]]]:
         """Element (phi included) -> (belongs, inside), from the owner map.
@@ -94,11 +101,10 @@ class LoopForest:
         belongs: dict[LoopElement, set[int]] = {e: set() for e in (self.phi, *self.elements)}
         for v, elem in self.owner.items():
             belongs[elem].add(v)
-        out: dict[LoopElement, tuple[set[int], set[int]]] = {}
-        for elem in (*reversed(self._preorder()), self.phi):
-            own = belongs[elem]
-            out[elem] = (own, own.union(*(out[c][1] for c in elem.children)))
-        return out
+        inside = {e: set(own) for e, own in belongs.items()}
+        for elem in reversed(self.elements):  # each before its parent
+            inside[elem.parent] |= inside[elem]
+        return {e: (belongs[e], inside[e]) for e in belongs}
 
     def protected_vertices(self) -> set[int]:
         out = set()
@@ -112,7 +118,7 @@ class LoopForest:
     def entries(self) -> dict[int, list[LoopElement]]:
         """Entry vertex -> elements using it, outermost first."""
         by_entry: dict[int, list[LoopElement]] = {}
-        for elem in self._preorder():
+        for elem in self.elements:
             by_entry.setdefault(elem.entry, []).append(elem)
         return by_entry
 
@@ -126,20 +132,12 @@ class LoopForest:
             out[elem.exit] = elem
         return out
 
-    def _preorder(self) -> list[LoopElement]:
-        order, stack = [], list(reversed(self.phi.children))
-        while stack:
-            elem = stack.pop()
-            order.append(elem)
-            stack.extend(reversed(elem.children))
-        return order
-
     def restricted_to(self, cfg: ControlFlowGraph) -> "LoopForest":
         """Drop elements whose entry did not survive pruning; clear dead exits."""
         alive = set(cfg.vertex_ids())
         out = LoopForest()
         mapping = {self.phi: out.phi}
-        for elem in self._preorder():
+        for elem in self.elements:
             if elem.parent not in mapping:
                 continue  # ancestor dropped
             if elem.entry not in alive:
@@ -153,12 +151,9 @@ class LoopForest:
 
     def to_json_dict(self) -> dict:
         loops = []
-        index = {}
-        order = self._preorder()
-        for i, elem in enumerate(order):
-            index[elem] = i
+        index = {elem: i for i, elem in enumerate(self.elements)}
         regions = self.regions()
-        for elem in order:
+        for elem in self.elements:
             belongs, inside = regions[elem]
             loops.append(
                 {
@@ -179,7 +174,6 @@ class LoopForest:
         """The nesting of a forest JSON; its inside and belongs lists are not
         read, since assign_owners derives membership from the graph."""
         forest = cls()
-        made: list[LoopElement] = []
         try:
             for i, rec in enumerate(data["loops"]):
                 parent, entry, exit_ = rec["parent"], rec["entry"], rec["exit"]
@@ -187,14 +181,29 @@ class LoopForest:
                     raise ValueError(f"loop {i}: parent {parent!r} is not an earlier loop")
                 if type(entry) is not int or not (exit_ is None or type(exit_) is int):
                     raise ValueError(f"loop {i}: entry {entry!r} or exit {exit_!r} is not a vertex id")
-                elem = forest.new_element(forest.phi if parent is None else made[parent])
+                elem = forest.new_element(forest.phi if parent is None else forest.elements[parent])
                 elem.entry, elem.exit = entry, exit_
-                made.append(elem)
         except KeyError as err:
             raise LoopForestJsonError(f"missing key {err}") from None
         except (AttributeError, TypeError, ValueError) as err:
             raise LoopForestJsonError(str(err)) from None
+        # A record need only follow its parent.
+        forest.elements = _in_preorder(forest.phi, forest.elements)
         return forest
+
+
+def _in_preorder(phi: LoopElement, elements: list[LoopElement], key=None) -> list[LoopElement]:
+    """The elements, each listed after its parent, put into preorder under
+    phi: siblings keep their order, or are sorted by key."""
+    kids: dict[LoopElement, list[LoopElement]] = {}
+    for elem in elements if key is None else sorted(elements, key=key):
+        kids.setdefault(elem.parent, []).append(elem)
+    order, stack = [], kids.get(phi, [])[::-1]
+    while stack:
+        elem = stack.pop()
+        order.append(elem)
+        stack.extend(reversed(kids.get(elem, ())))
+    return order
 
 
 @dataclass
@@ -506,6 +515,6 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
         return elem
 
     _fill_owners(cfg, dom, forest, open_at)
-    for elem in [forest.phi, *forest.elements]:
-        elem.children.sort(key=lambda c: (-len(bodies[c.entry]), c.entry))
+    forest.elements = _in_preorder(
+        forest.phi, forest.elements, key=lambda e: (-len(bodies[e.entry]), e.entry))
     return forest

@@ -156,12 +156,6 @@ def _reach_query(bags: dict[int, frozenset], succ: dict[int, list[int]], post: l
     return reaches
 
 
-def _queries(decomp: DagDecomposition):
-    """The reach query of an acyclic decomposition, or None."""
-    succ, post = _dfs_order(decomp)
-    return None if post is None else _reach_query(decomp.bags, succ, post)
-
-
 def _sources(decomp: DagDecomposition) -> list[int]:
     has_pred = {j for _, j in decomp.arcs}
     return [n for n in decomp.nodes if n not in has_pred]
@@ -169,12 +163,6 @@ def _sources(decomp: DagDecomposition) -> list[int]:
 
 def check_vertices_covered(decomp: DagDecomposition, vertices) -> bool:
     return set().union(*decomp.bags.values()) == set(vertices)
-
-
-def check_connectivity(decomp: DagDecomposition) -> bool:
-    """Bags containing any given vertex must be convex under reachability."""
-    reaches = _queries(decomp)
-    return reaches is not None and not _connectivity(decomp, reaches)
 
 
 def _connectivity(decomp: DagDecomposition, reaches) -> list:
@@ -193,15 +181,6 @@ def _connectivity(decomp: DagDecomposition, reaches) -> list:
                         violations.append(("connectivity", (i, j, w)))
                 break
     return violations
-
-
-def check_edges_covered(decomp: DagDecomposition, edges) -> tuple[bool, bool]:
-    """(source condition, arc condition); see the module docstring."""
-    reaches = _queries(decomp)
-    if reaches is None:
-        return False, False
-    ok_a, ok_b, _ = _edges_covered(decomp, edges, reaches)
-    return ok_a, ok_b
 
 
 def _edges_covered(decomp: DagDecomposition, edges, reaches):
@@ -227,23 +206,6 @@ def _edges_covered(decomp: DagDecomposition, edges, reaches):
                     ok_b = False
                     violations.append(("edges_covered_3b", (i, j, u, v)))
     return ok_a, ok_b, violations
-
-
-def check_d3(decomp: DagDecomposition, edges) -> bool:
-    """Original guarding form of the edge-covering condition.
-
-    For every arc (i, j): bags(i) intersect bags(j) guards everything in
-    bags at or below j minus bag i. For every source j: the union of bags
-    at or below j is guarded by the empty set. Decided as 3a, 3b and no
-    dropped target; see the module docstring.
-    """
-    reaches = _queries(decomp)
-    if reaches is None:
-        return False
-    edges = list(edges)
-    ok_a, ok_b, _ = _edges_covered(decomp, edges, reaches)
-    conn_viol = _connectivity(decomp, reaches)
-    return ok_a and ok_b and not _dropped_target(decomp, edges, reaches, conn_viol)
 
 
 def _dropped_target(decomp: DagDecomposition, edges: list, reaches, conn_violations: list) -> bool:

@@ -31,6 +31,7 @@ from cfgdag import (
     build_decomposition,
     cfg_from_source,
     compute_dominators,
+    contract_basic_blocks,
     recover_loop_forest,
     validate_cfg_decomposition,
 )
@@ -66,8 +67,12 @@ CORNER_CASES = {
 
 
 def pipeline(src, contract=False):
-    """parse -> build (-> contract) -> owner map from the dominator definitions."""
-    cfg, forest = cfg_from_source(src, contract=contract)
+    """parse -> build (-> contract, as the CLI does) -> owner map from the
+    dominator definitions."""
+    cfg, forest = cfg_from_source(src)
+    if contract:
+        cfg = contract_basic_blocks(cfg, forest)
+        forest = forest.restricted_to(cfg)
     dom = compute_dominators(cfg)
     dominator_regions(cfg, forest, dom)
     return cfg, forest, dom
@@ -87,7 +92,7 @@ def dominator_regions(cfg, forest, dom):
 
     all_vertices = set(cfg.vertex_ids())
     inside_of = {forest.phi: set(all_vertices)}
-    for elem in forest._preorder():
+    for elem in forest.elements:
         entry, exit_ = elem.entry, elem.exit
         inside: set[int] = set()
         stack = [entry]
@@ -101,8 +106,11 @@ def dominator_regions(cfg, forest, dom):
         if entry not in inside:
             raise ValueError(f"loop entry {entry} fell outside its own region")
 
+    nested: dict[LoopElement, set[int]] = {}  # element -> the inside of its children
+    for elem in forest.elements:
+        nested.setdefault(elem.parent, set()).update(inside_of[elem])
     regions = {
-        elem: (inside - {v for c in elem.children for v in inside_of[c]}, inside)
+        elem: (inside - nested.get(elem, set()), inside)
         for elem, inside in inside_of.items()
     }
 
@@ -179,7 +187,7 @@ def exit_distances(cfg, forest, elem) -> dict[int, int | None]:
         return {v: None for v in inside}
 
     node_of: dict[int, object] = {v: v for v in belongs}
-    for child in elem.children:
+    for child in (c for c in forest.elements if c.parent is elem):
         for v in regions[child][1]:
             node_of[v] = child
     node_of[elem.exit] = elem.exit

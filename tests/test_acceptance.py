@@ -35,7 +35,6 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.decomposition import DagDecomposition
-from cfgdag.validate import check_connectivity, check_d3, check_edges_covered, check_vertices_covered
 from helpers import dist_by_enumeration, exit_distances, recovery_facts
 
 
@@ -314,11 +313,11 @@ def test_criterion_07_condition_equivalence():
         edges = list(cfg.edges())
         samples = [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]
         for s in samples:
-            if not check_vertices_covered(s, cfg.vertex_ids()) or not check_connectivity(s):
+            report = validate_decomposition(s, cfg.vertex_ids(), edges, with_d3=True)
+            if not report.vertices_covered or not report.connectivity:
                 excluded += 1  # the equivalence argument requires connectivity
                 continue
-            ok_a, ok_b = check_edges_covered(s, edges)
-            assert (ok_a and ok_b) == check_d3(s, edges), seed
+            assert (report.edges_covered_3a and report.edges_covered_3b) == report.d3_original, seed
             agreeing += 1
     _verdict(7, "both edge-covering forms agreed on every sample",
              f"{agreeing} samples, {excluded} non-connected excluded")

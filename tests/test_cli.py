@@ -16,6 +16,7 @@ from cfgdag import (
     generate_random_program,
     two_loop_cfg,
 )
+from cfgdag._json import dumps
 from cfgdag.cli import build_parser, main
 from helpers import IRREDUCIBLE_CFG_JSON
 
@@ -53,6 +54,49 @@ def test_build_forest_dump(while_file, tmp_path):
     assert loops[0]["entry"] == 1 and loops[0]["exit"] == 3
     assert loops[0]["parent"] is None
     assert set(loops[0]) == {"entry", "exit", "parent", "inside", "belongs"}
+
+
+# Loop r's natural body (r, a, b, c) is larger than its parent p's (p, q),
+# and p's is as large as its sibling t's.
+NESTED_SRC = "while p { if q { continue; } while r { a; b; c; } while s { d; } break; } while t { e; }"
+LOOP_P = (1, 11, None, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 7, 10])
+LOOP_R = (3, 7, 0, [3, 4, 5, 6], [3, 4, 5, 6])
+LOOP_S = (8, 10, 0, [8, 9], [8, 9])
+LOOP_T = (12, 14, None, [12, 13], [12, 13])
+
+
+def forest_bytes(*loops):
+    keys = ("entry", "exit", "parent", "inside", "belongs")
+    return dumps({"loops": [dict(zip(keys, loop)) for loop in loops]})
+
+
+def nested_cfg_json(tmp_path):
+    prog, graph = tmp_path / "nested.spl", tmp_path / "nested.json"
+    prog.write_text(NESTED_SRC)
+    assert main(["build", str(prog), "--out", str(graph)]) == 0
+    return graph
+
+
+def test_recovered_forest_lists_each_loop_after_its_parent(tmp_path):
+    """Siblings go by natural body, larger first, then by entry; a parent
+    comes before its children whatever their bodies."""
+    out = tmp_path / "loops.json"
+    assert main(["build", str(nested_cfg_json(tmp_path)), "--kind", "cfg-json",
+                 "--out", str(tmp_path / "c.json"), "--forest-out", str(out)]) == 0
+    assert out.read_text() == forest_bytes(LOOP_P, LOOP_R, LOOP_S, LOOP_T)
+
+
+def test_given_forest_is_written_in_preorder(tmp_path):
+    """Records need only follow their parent; the written forest keeps the
+    siblings' order and lists each loop's descendants right after it."""
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"loops": [
+        {"entry": entry, "exit": exit_, "parent": parent}
+        for entry, exit_, parent, *_ in (LOOP_P, LOOP_T, LOOP_S, LOOP_R)]}))
+    out = tmp_path / "loops.json"
+    assert main(["build", str(nested_cfg_json(tmp_path)), "--kind", "cfg-json", "--forest", str(given),
+                 "--out", str(tmp_path / "c.json"), "--forest-out", str(out)]) == 0
+    assert out.read_text() == forest_bytes(LOOP_P, LOOP_S, LOOP_R, LOOP_T)
 
 
 def test_decompose_width_three(while_file, tmp_path):

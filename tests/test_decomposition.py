@@ -1,3 +1,6 @@
+import gc
+import time
+
 import pytest
 
 from cfgdag import (
@@ -266,3 +269,29 @@ def test_a_forest_needs_no_loop_regions_call(route):
     graph, fixture = two_loop_cfg()  # its forest is given whole
     forest = fixture if route == "given" else recover_loop_forest(graph, compute_dominators(graph))
     assert _cops_win(graph, forest)
+
+
+@pytest.mark.parametrize("source", [
+    "while c { " * 10**4 + "a;" + " }" * 10**4,
+    "do { " * 10**4 + "a;" + " } while c;" * 10**4,
+], ids=["while", "do"])
+def test_partition_is_linear_in_the_nesting_depth(source):
+    """partition_edges asks LoopForest.contains once per loop entry. A walk
+    from the entry's predecessor up to the root would make that quadratic
+    in the depth; at depth 10^4 the partition takes less time than building
+    the graph. Best of three, with the collector paused as the CLI runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        build = partition = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            cfg, forest = cfg_from_source(source)
+            t1 = time.perf_counter()
+            partition_edges(cfg, forest)
+            t2 = time.perf_counter()
+            build, partition = min(build, t1 - t0), min(partition, t2 - t1)
+    finally:
+        if enabled:
+            gc.enable()
+    assert partition < build, (partition, build)

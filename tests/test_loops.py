@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from cfgdag import (
     cfg_from_source,
     classify_edges,
     compute_dominators,
+    contract_basic_blocks,
     generate_random_program,
     loop_regions,
     parse_program,
@@ -130,7 +133,8 @@ def digraphs(draw):
 @st.composite
 def programs(draw):
     src = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 60)))
-    return cfg_from_source(src, contract=draw(st.booleans()))[0]
+    cfg, forest = cfg_from_source(src)
+    return contract_basic_blocks(cfg, forest) if draw(st.booleans()) else cfg
 
 
 # two entries into the cycle 1 <-> 2
@@ -379,7 +383,7 @@ def test_recover_loop_forest_from_fixture_graph():
 
 
 def _regions(forest, regions):
-    return ([(e.entry, e.exit, *regions[e]) for e in forest._preorder()],
+    return ([(e.entry, e.exit, *regions[e]) for e in forest.elements],
             regions[forest.phi][0])
 
 
@@ -399,6 +403,26 @@ def test_given_forest_gets_the_builders_owners():
         assign_owners(cfg, compute_dominators(cfg), given)
         assert {v: e.entry for v, e in given.owner.items()} == {
             v: e.entry for v, e in forest.owner.items()}, seed
+
+
+def test_forests_are_freed_without_the_collector():
+    """A forest holds no reference cycle: once the builder's, the recovered
+    and the given forest are dropped, reference counting alone has freed
+    every element."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cfg, built = cfg_from_source("while p { while r { a; } do { b; } while s; } while t { e; }")
+        dom = compute_dominators(cfg)
+        forests = [built, recover_loop_forest(cfg, dom),
+                   assign_owners(cfg, dom, LoopForest.from_json_dict(built.to_json_dict()))]
+        assert all(len(f.elements) == 4 for f in forests)
+        refs = [weakref.ref(e) for f in forests for e in (f.phi, *f.elements)]
+        del built, forests
+        assert [r() for r in refs if r() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_reaching_an_exit_closes_the_loops_inside_it():

@@ -17,7 +17,7 @@ from cfgdag import (
     validate_cfg_decomposition,
     validate_decomposition,
 )
-from cfgdag.validate import check_connectivity, check_d3, check_edges_covered, check_vertices_covered
+from cfgdag.validate import check_vertices_covered
 from helpers import (
     connectivity_by_triples,
     d3_by_scan,
@@ -37,6 +37,11 @@ def while_decomp():
     return cfg, build_decomposition(cfg, forest)
 
 
+def report_on_bags(d, edges=()):
+    """The report on d against the vertices its bags hold."""
+    return validate_decomposition(d, set().union(*d.bags.values()), edges)
+
+
 # -- individual checks -----------------------------------------------------------
 
 
@@ -54,8 +59,8 @@ def test_vertices_covered_detects_missing():
 
 
 def test_connectivity_on_construction():
-    _, d = while_decomp()
-    assert check_connectivity(d)
+    cfg, d = while_decomp()
+    assert validate_cfg_decomposition(d, cfg).connectivity
 
 
 def test_connectivity_detects_dropped_guard():
@@ -65,7 +70,7 @@ def test_connectivity_detects_dropped_guard():
         arcs=[(0, 1), (1, 2)],
         bags={0: frozenset({0, 9}), 1: frozenset({1}), 2: frozenset({2, 9})},
     )
-    assert not check_connectivity(d)
+    assert not report_on_bags(d).connectivity
 
 
 def test_connectivity_detects_exit_dropped_from_mid_path_bag():
@@ -85,13 +90,14 @@ def test_singleton_chain_connectivity():
         arcs=[(0, 1), (1, 2)],
         bags={0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})},
     )
-    assert check_connectivity(d)
-    assert check_edges_covered(d, [(0, 1), (1, 2)]) == (True, True)
+    report = report_on_bags(d, [(0, 1), (1, 2)])
+    assert report.connectivity and report.edges_covered_3a and report.edges_covered_3b
 
 
 def test_edges_covered_on_construction():
     cfg, d = while_decomp()
-    assert check_edges_covered(d, list(cfg.edges())) == (True, True)
+    report = validate_cfg_decomposition(d, cfg)
+    assert report.edges_covered_3a and report.edges_covered_3b
 
 
 def test_edges_covered_backward_edge_served_by_own_bag():
@@ -106,9 +112,8 @@ def test_deleting_exit_to_entry_arc_breaks_edge_covering():
     ids = by_label(cfg)
     d = build_decomposition(cfg, forest)
     d.arcs.remove((ids["exit(c)"], ids["c"]))
-    ok_sources, ok_arcs = check_edges_covered(d, list(cfg.edges()))
-    assert not (ok_sources and ok_arcs)
     report = validate_cfg_decomposition(d, cfg)
+    assert not (report.edges_covered_3a and report.edges_covered_3b)
     assert not report.valid
     # the witness is the re-routed entry edge, now uncovered
     witnesses = {w[-2:] for kind, w in report.violations if kind.startswith("edges_covered")}
@@ -138,9 +143,9 @@ def test_d3_on_constructions():
     for seed in range(25):
         cfg, forest, _ = pipeline(generate_random_program(seed, 40))
         d = build_decomposition(cfg, forest)
-        ok_a, ok_b = check_edges_covered(d, list(cfg.edges()))
-        assert ok_a and ok_b
-        assert check_d3(d, list(cfg.edges()))
+        report = validate_cfg_decomposition(d, cfg, with_d3=True)
+        assert report.edges_covered_3a and report.edges_covered_3b
+        assert report.d3_original
 
 
 def test_only_an_edge_from_outside_bag_i_is_a_dropped_target():
@@ -153,7 +158,7 @@ def test_only_an_edge_from_outside_bag_i_is_a_dropped_target():
                              bags={0: frozenset(bag_0), 1: frozenset({1}), 2: frozenset({2})})
         report = validate_decomposition(d, [0, 1, 2], edges, with_d3=True)
         assert report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
-        assert report.d3_original is check_d3(d, edges) is d3_by_scan(d, edges) is guarded
+        assert report.d3_original is d3_by_scan(d, edges) is guarded
 
 
 def _perturb(d: DagDecomposition, rng: random.Random, vertices) -> DagDecomposition:
@@ -170,8 +175,8 @@ def _perturb(d: DagDecomposition, rng: random.Random, vertices) -> DagDecomposit
 
 def test_equivalence_of_both_edge_covering_forms():
     """Arc/source form agrees with the guarding form wherever connectivity
-    holds. check_d3 is 3a and 3b there by construction, so the guarding form
-    comes from the scan oracle."""
+    holds. The validator's guarding form is 3a and 3b there by construction,
+    so the guarding form also comes from the scan oracle."""
     rng = random.Random(20240817)
     agreeing = 0
     skipped = 0
@@ -182,12 +187,12 @@ def test_equivalence_of_both_edge_covering_forms():
         d = build_decomposition(cfg, forest)
         samples = [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(3)]
         for s in samples:
-            if not check_vertices_covered(s, cfg.vertex_ids()) or not check_connectivity(s):
+            report = validate_cfg_decomposition(s, cfg, with_d3=True)
+            if not report.vertices_covered or not report.connectivity:
                 skipped += 1  # the equivalence argument needs connectivity
                 continue
-            edges = list(cfg.edges())
-            ok_a, ok_b = check_edges_covered(s, edges)
-            assert (ok_a and ok_b) == d3_by_scan(s, edges) == check_d3(s, edges), seed
+            ok = report.edges_covered_3a and report.edges_covered_3b
+            assert ok == d3_by_scan(s, list(cfg.edges())) == report.d3_original, seed
             agreeing += 1
     assert agreeing >= 400
 
@@ -201,7 +206,8 @@ def test_guarding_form_agrees_with_the_edge_scan_oracle():
         base = build_decomposition(cfg, forest)
         edges = list(cfg.edges())
         for s in [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]:
-            assert check_d3(s, edges) == d3_by_scan(s, edges), seed
+            report = validate_cfg_decomposition(s, cfg, with_d3=True)
+            assert report.d3_original == d3_by_scan(s, edges), seed
 
 
 # -- oracles ----------------------------------------------------------------------
@@ -218,7 +224,7 @@ def test_connectivity_matches_triple_enumeration():
             continue
         d = build_decomposition(cfg, forest)
         for s in [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(2)]:
-            assert check_connectivity(s) == connectivity_by_triples(s), seed
+            assert validate_cfg_decomposition(s, cfg).connectivity == connectivity_by_triples(s), seed
             checked += 1
 
 
@@ -234,7 +240,9 @@ def test_edge_covering_matches_direct_definition():
         d = build_decomposition(cfg, forest)
         edges = list(cfg.edges())
         for s in [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(2)]:
-            assert check_edges_covered(s, edges) == edges_covered_by_defn(s, edges), seed
+            report = validate_cfg_decomposition(s, cfg)
+            got = (report.edges_covered_3a, report.edges_covered_3b)
+            assert got == edges_covered_by_defn(s, edges), seed
             checked += 1
 
 
