@@ -1,17 +1,19 @@
-"""The one JSON writer: ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+"""JSON in the layout of ``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
 On CPython, ``json`` runs its C encoder only when ``indent`` is None, so an
-indented dump goes through the pure-Python generator encoder. This writer
+indented dump goes through the pure-Python generator encoder. ``dumps``
 hands whole runs of scalars to the C encoder instead, with the line break and
 the indentation put into its item separator, and recurses in Python only
 above those runs.
 
 Exactness rests on one fact: ``json`` escapes every newline inside a string,
-so a raw newline in the C encoder's output appears only in a separator. No
-string can therefore imitate the boundaries that ``_records`` re-indents, and
-splitting ``_uniform_records``' values at them gives each value's own text.
-``%s`` puts that text, or an int as json writes it, into a template whose
-only other ``%`` signs are those of keys, doubled.
+so a raw newline in the C encoder's output appears only in a separator.
+Splitting ``_uniform_records``' values at them therefore gives each value's
+own text. ``%s`` puts that text, or an int as json writes it, into a
+template whose only other ``%`` signs are those of keys, doubled.
+
+Writers whose model holds only ints skip ``dumps`` and fill one template per
+section with ``section``.
 """
 
 from __future__ import annotations
@@ -31,12 +33,29 @@ def dumps(obj) -> str:
     return _value(obj, 0) + "\n"
 
 
+# An [int, int] item of a top-level key's list, for section.
+PAIR = "[\n      %d,\n      %d\n    ]"
+
+
+def section(items: list[str], values: tuple, brackets: str = "[]") -> str:
+    """The ``json.dumps(indent=2)`` text of a list, or with ``brackets="{}"``
+    a dict, that is the value of a key of the top-level dict.
+
+    Each item is a template as it stands at indent 4, with its inner lines
+    at indent 6 (a dict item starts with its key). One ``%`` fills all of
+    them from ``values``, every item's values in order.
+    """
+    if not items:
+        return brackets
+    return (brackets[0] + "\n    " + ",\n    ".join(items) + "\n  " + brackets[1]) % values
+
+
 @functools.cache
 def _encoder(level: int):
     """C-encoded ``encode`` whose item separator starts a line at ``level``.
 
-    It only ever sees flat containers or lists of them, which cannot hold a
-    cycle, so the circular-reference check would be wasted work.
+    It only ever sees flat containers, which cannot hold a cycle, so the
+    circular-reference check would be wasted work.
     """
     return json.JSONEncoder(separators=(",\n" + _INDENT * level, ": "),
                             check_circular=False).encode
@@ -44,12 +63,6 @@ def _encoder(level: int):
 
 def _flat(values) -> bool:
     return set(map(type, values)) <= _SCALARS
-
-
-def _flat_lists(values) -> bool:
-    """Every value is a non-empty flat list or tuple."""
-    return (all(values) and set(map(type, values)) <= set(_ARRAYS)
-            and _flat(chain.from_iterable(values)))
 
 
 def _value(obj, level: int) -> str:
@@ -66,9 +79,6 @@ def _value(obj, level: int) -> str:
         return text[0] + inner + text[1:-1] + close + text[-1]
     if not is_dict and (text := _uniform_records(obj, level)) is not None:
         return text
-    # _records finds the end of a dict key by its closing quote.
-    if _flat_lists(values) and (not is_dict or set(map(type, obj)) == {str}):
-        return _records(obj, level)
     sep = "," + inner
     if is_dict:
         body = sep.join(_key(k) + ": " + _value(v, level + 1) for k, v in obj.items())
@@ -94,29 +104,6 @@ def _uniform_records(records: list, level: int) -> str | None:
     record = "{" + deep + fields + mid + "}"
     # Brackets go into the template, so the one large string is never copied.
     return ("[" + mid + ("," + mid).join([record] * len(records)) + outer + "]") % values
-
-
-def _records(obj, level: int) -> str:
-    """A list of flat lists, or a dict with str keys of them, in one C call.
-
-    The C encoder writes every separator as the field separator of level + 2.
-    A list is encoded as is; a dict as the list k1, v1, k2, v2, ... Field
-    values are scalars, which never end in a bracket and never start with
-    one, so a closing bracket before a separator ends a record, a key before
-    a separator and an opening bracket is followed by its record, and no
-    other separator matches either pattern.
-    """
-    outer, mid, deep = ("\n" + _INDENT * n for n in (level, level + 1, level + 2))
-    sep = "," + deep
-    end = mid + "]" + outer
-    if isinstance(obj, dict):
-        text = _encoder(level + 2)(list(chain.from_iterable(obj.items())))
-        body = (text[1:-2].replace('"' + sep + "[", '": [' + deep)
-                .replace("]" + sep + '"', mid + "]," + mid + '"'))
-        return "{" + mid + body + end + "}"
-    text = _encoder(level + 2)(obj)
-    body = text[2:-2].replace("]" + sep + "[", mid + "]," + mid + "[" + deep)
-    return "[" + mid + "[" + deep + body + end + "]"
 
 
 def _key(key) -> str:

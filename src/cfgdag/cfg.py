@@ -29,9 +29,10 @@ _KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
 
 
 class CfgJsonError(ValueError):
-    """CFG JSON that does not describe a graph: a missing key, a vertex id
-    that is not an integer or is a duplicate, an edge to an unknown vertex,
-    an invalid edge kind, or a start or stop that is not a vertex."""
+    """CFG JSON that does not describe a graph: a missing key, a vertex id,
+    edge end, start or stop that is not an integer, a duplicate vertex id,
+    an edge to an unknown vertex, an invalid edge kind, or a start or stop
+    that is not a vertex."""
 
 
 class ControlFlowGraph:
@@ -136,9 +137,15 @@ class ControlFlowGraph:
                     raise ValueError(f"vertex id {vid!r} is not an integer")
                 cfg.add_vertex(rec["label"], vid)
             for rec in data["edges"]:
-                cfg.add_edge(rec["from"], rec["to"], rec["kind"])
+                u, v = rec["from"], rec["to"]
+                if type(u) is not int or type(v) is not int:
+                    raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an integer")
+                cfg.add_edge(u, v, rec["kind"])
             cfg.start = data["start"]
             cfg.stop = data["stop"]
+            for name, v in (("start", cfg.start), ("stop", cfg.stop)):
+                if type(v) is not int:
+                    raise ValueError(f"{name} {v!r} is not an integer")
             if cfg.start not in cfg.labels or cfg.stop not in cfg.labels:
                 raise ValueError(f"start {cfg.start!r} or stop {cfg.stop!r} is not a vertex")
         except KeyError as err:

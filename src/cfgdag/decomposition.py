@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._graph import postorder
-from ._json import dumps
+from ._json import PAIR, section
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest, NotStructuredError
 
@@ -101,8 +102,9 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
 
 class DecompositionJsonError(ValueError):
     """Decomposition JSON that does not describe a decomposition: a missing
-    key, a node listed twice, an arc to an unknown node, a node without a
-    bag or a bag without a node, or a record of the wrong shape."""
+    key, a node id, arc end or bag member that is not an integer, a node
+    listed twice, an arc to an unknown node, a node without a bag or a bag
+    without a node, or a record of the wrong shape."""
 
 
 @dataclass
@@ -122,27 +124,47 @@ class DagDecomposition:
             succ[i].append(j)
         return succ
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "arcs": [list(a) for a in sorted(self.arcs)],
-            "bags": {str(n): sorted(self.bags[n]) for n in sorted(self.nodes)},
-        }
-
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        """``json.dumps(indent=2)`` of nodes, arcs and bags, each sorted, the
+        bags keyed by their node's id as a string."""
+        order = sorted(self.nodes)
+        arcs = sorted(self.arcs)
+        values, lengths = [], []
+        for n in order:
+            bag = sorted(self.bags[n])
+            values.append(n)
+            values += bag
+            lengths.append(len(bag))
+        # One template per bag length: the node's key, then its members.
+        record = {k: '"%d": [\n      ' + ",\n      ".join(["%d"] * k) + "\n    ]" if k
+                  else '"%d": []' for k in set(lengths)}
+        return '{\n  "nodes": %s,\n  "arcs": %s,\n  "bags": %s\n}\n' % (
+            section(["%d"] * len(order), tuple(order)),
+            section([PAIR] * len(arcs), tuple(chain.from_iterable(arcs))),
+            section(list(map(record.__getitem__, lengths)), tuple(values), "{}"),
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DagDecomposition":
         try:
             nodes = list(data["nodes"])
+            for n in nodes:
+                if type(n) is not int:
+                    raise ValueError(f"node id {n!r} is not an integer")
             arcs = [tuple(a) for a in data["arcs"]]
-            bags = {int(n): frozenset(b) for n, b in data["bags"].items()}
+            bags = {}
+            for key, members in data["bags"].items():
+                for v in members:
+                    if type(v) is not int:
+                        raise ValueError(f"bag {key} holds {v!r}, which is not an integer")
+                bags[int(key)] = frozenset(members)
             known = set(nodes)
             if len(known) != len(nodes):
                 n = next(n for n, count in Counter(nodes).items() if count > 1)
                 raise ValueError(f"node {n} is listed twice")
             for arc in arcs:
+                if not {int}.issuperset(map(type, arc)):
+                    raise ValueError(f"arc {list(arc)} has an end that is not an integer")
                 if len(arc) != 2 or not known.issuperset(arc):
                     raise ValueError(f"arc {list(arc)} references a missing node")
             if known != set(bags):

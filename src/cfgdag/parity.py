@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
-from ._json import dumps
+from ._json import PAIR, section
 from .decomposition import DagDecomposition
 
 
@@ -49,6 +50,11 @@ class FormulaSkeleton:
         return cls(m=m, intra_edges=intra, cross_edges=cross, d=d)
 
 
+# One vertex record of GameGraph.to_json, for section.
+_VERTEX = ('{\n      "id": %d,\n      "state": %d,\n      "part": %d,'
+           '\n      "owner": %d,\n      "priority": %d\n    }')
+
+
 @dataclass
 class GameGraph:
     """Two-player priority game arena grouped by originating graph vertex."""
@@ -79,24 +85,20 @@ class GameGraph:
             succ.append(v)
             self.edges.append((u, v))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "vertices": [
-                {
-                    "id": v,
-                    "state": self.state_of[v][0],
-                    "part": self.state_of[v][1],
-                    "owner": self.owner[v],
-                    "priority": self.priority[v],
-                }
-                for v in sorted(self.state_of)
-            ],
-            "edges": [list(e) for e in sorted(self.edges)],
-        }
-
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        """``json.dumps(indent=2)`` of m, one record per vertex in id order
+        and the sorted edges."""
+        ids = sorted(self.state_of)
+        states = list(map(self.state_of.__getitem__, ids))
+        vertices = chain.from_iterable(zip(
+            ids, map(itemgetter(0), states), map(itemgetter(1), states),
+            map(self.owner.__getitem__, ids), map(self.priority.__getitem__, ids)))
+        edges = sorted(self.edges)
+        return '{\n  "m": %d,\n  "vertices": %s,\n  "edges": %s\n}\n' % (
+            self.m,
+            section([_VERTEX] * len(ids), tuple(vertices)),
+            section([PAIR] * len(edges), tuple(chain.from_iterable(edges))),
+        )
 
 
 def _below(rng: random.Random, n: int):

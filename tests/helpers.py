@@ -13,7 +13,8 @@ blocks; a recursive builder that expands every statement, dead or live,
 instead of one that decides liveness as it walks; a prune that rebuilds
 through add_vertex/add_edge; a basic-block contraction by repeated
 sweeps that fold one edge at a time; a product game built one add_edge and
-one randrange call at a time.
+one randrange call at a time; dict trees for json.dumps instead of the
+template writers of decomposition and product game JSON.
 """
 
 from __future__ import annotations
@@ -1082,3 +1083,30 @@ def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:
         for q, p in skeleton.cross_edges:
             game.add_edge(s * m + q, t * m + p)
     return game
+
+
+def decomposition_json_dict(decomp) -> dict:
+    """What DagDecomposition.to_json writes, as the tree json.dumps reads."""
+    return {
+        "nodes": sorted(decomp.nodes),
+        "arcs": [list(a) for a in sorted(decomp.arcs)],
+        "bags": {str(n): sorted(decomp.bags[n]) for n in sorted(decomp.nodes)},
+    }
+
+
+def game_json_dict(game) -> dict:
+    """What GameGraph.to_json writes, as the tree json.dumps reads."""
+    return {
+        "m": game.m,
+        "vertices": [
+            {
+                "id": v,
+                "state": game.state_of[v][0],
+                "part": game.state_of[v][1],
+                "owner": game.owner[v],
+                "priority": game.priority[v],
+            }
+            for v in sorted(game.state_of)
+        ],
+        "edges": [list(e) for e in sorted(game.edges)],
+    }

@@ -381,22 +381,27 @@ def test_criterion_09_lift():
 
 
 def test_criterion_10_linear_time():
-    """Construction time per statement stays flat from 10^3 to 10^5."""
-    per_statement = {}
+    """Construction time per statement stays flat from 10^3 to 10^5.
+
+    Each repeat times every size in turn, in CPU time of this process, so
+    that a slow phase of a shared machine falls on all sizes alike.
+    """
+    graphs = {}
     for n in (10**3, 10**4, 10**5):
-        src = generate_random_program(424242, n)
-        cfg, forest = cfg_from_source(src)
+        cfg, forest = cfg_from_source(generate_random_program(424242, n))
         loop_regions(cfg, forest)
-        best = float("inf")
-        for _ in range(5):
+        graphs[n] = cfg, forest
+    best = dict.fromkeys(graphs, float("inf"))
+    for _ in range(5):
+        for n, (cfg, forest) in graphs.items():
             gc.collect()
             gc.disable()
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             part = partition_edges(cfg, forest)
             build_decomposition(cfg, forest, part)
-            best = min(best, time.perf_counter() - t0)
+            best[n] = min(best[n], time.process_time() - t0)
             gc.enable()
-        per_statement[n] = best / n
+    per_statement = {n: t / n for n, t in best.items()}
     spread = max(per_statement.values()) / min(per_statement.values())
     assert spread <= 2.0, per_statement
     detail = ", ".join(f"1e{len(str(n)) - 1}: {v * 1e6:.2f}us" for n, v in per_statement.items())

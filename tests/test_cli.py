@@ -177,6 +177,10 @@ BAD_CFG_JSON = [
     (lambda data: data.update(start=9), "start 9 or stop 1 is not a vertex"),
     (lambda data: data["vertices"][0].update(id="a"), "vertex id 'a' is not an integer"),
     (lambda data: data["vertices"][1].update(id=True), "vertex id True is not an integer"),
+    (lambda data: data.update(start=False), "start False is not an integer"),
+    (lambda data: data.update(stop=1.0), "stop 1.0 is not an integer"),
+    (lambda data: data["edges"][0].update({"from": 0.0}), "edge (0.0, 1) has an end that is not an integer"),
+    (lambda data: data["edges"][0].update(to=True), "edge (0, True) has an end that is not an integer"),
 ]
 
 
@@ -187,6 +191,26 @@ def test_bad_cfg_json_exits_two_with_what_is_wrong(tmp_path, capsys, damage, wha
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(data))
     assert main(["decompose", str(graph_path), "--kind", "cfg-json"]) == 2
+    assert capsys.readouterr().err == f"i/o error: bad CFG JSON: {what}\n"
+
+
+# An id that is not an int but equals one, in the CFG JSON of WHILE_SRC
+# (start 0, loop entry 1, body 2, exit 3, stop 4).
+@pytest.mark.parametrize("damage, what", [
+    (lambda data: data.update(start=True), "start True is not an integer"),
+    (lambda data: data["edges"][1].update({"from": 1.0}), "edge (1.0, 2) has an end that is not an integer"),
+])
+@pytest.mark.parametrize("command", ["build", "validate"])
+def test_cfg_json_id_that_only_equals_an_int_exits_two(while_file, tmp_path, capsys, damage, what,
+                                                       command):
+    graph_path = tmp_path / "g.json"
+    assert main(["build", str(while_file), "--out", str(graph_path)]) == 0
+    data = json.loads(graph_path.read_text())
+    assert data["start"] == 0 and data["edges"][1]["from"] == 1 and data["edges"][1]["to"] == 2
+    damage(data)
+    graph_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([command, str(graph_path), "--kind", "cfg-json"]) == 2
     assert capsys.readouterr().err == f"i/o error: bad CFG JSON: {what}\n"
 
 
@@ -220,6 +244,10 @@ BAD_DECOMP_JSON = [
     (lambda data: data["arcs"].append([0, 99]), "arc [0, 99] references a missing node"),
     (lambda data: data["bags"].pop("2"), "node 2 has no bag"),
     (lambda data: data["nodes"].append(data["nodes"][0]), "node 0 is listed twice"),
+    (lambda data: data["bags"].update({"0": ["a", 0]}), "bag 0 holds 'a', which is not an integer"),
+    (lambda data: data["bags"]["2"].append(True), "bag 2 holds True, which is not an integer"),
+    (lambda data: data.update(nodes=[float(n) for n in data["nodes"]]), "node id 0.0 is not an integer"),
+    (lambda data: data["arcs"][0].__setitem__(0, False), "arc [False, 3] has an end that is not an integer"),
 ]
 
 

@@ -1,11 +1,15 @@
 import gc
+import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
     ControlFlowGraph,
     DagDecomposition,
+    FormulaSkeleton,
     LazyRobber,
     LoopForest,
     LoopGuardStrategy,
@@ -13,10 +17,12 @@ from cfgdag import (
     OptimalRobber,
     assign_owners,
     build_decomposition,
+    build_product_game,
     cfg_from_source,
     classify_edges,
     compute_dominators,
     generate_random_program,
+    lift_decomposition,
     loop_regions,
     partition_edges,
     play_game,
@@ -24,7 +30,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from helpers import IRREDUCIBLE_CFG_JSON, pipeline, toposort
+from helpers import IRREDUCIBLE_CFG_JSON, decomposition_json_dict, pipeline, toposort
 
 
 def by_label(cfg):
@@ -210,8 +216,47 @@ def test_decomposition_json_round_trip():
     text = d.to_json()
     again = DagDecomposition.from_json(text)
     assert again.to_json() == text
-    data = again.to_json_dict()
+    data = decomposition_json_dict(again)
+    assert json.loads(text) == data
     assert set(data) == {"nodes", "arcs", "bags"}
+
+
+def written_by_json_dumps(decomp) -> str:
+    return json.dumps(decomposition_json_dict(decomp), indent=2) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.builds(generate_random_program, st.integers(0, 10**6), st.integers(1, 60)),
+       st.integers(1, 5))
+@example("while c { }", 5)
+def test_json_of_constructions_and_their_lifts_is_what_json_dumps_writes(source, m):
+    cfg, forest, _ = pipeline(source)
+    d = build_decomposition(cfg, forest)
+    assert d.to_json() == written_by_json_dumps(d)
+    lifted = lift_decomposition(d, build_product_game(cfg, FormulaSkeleton.chain(m), seed=m))
+    assert lifted.width() == m * d.width()  # bags of up to 15 at m = 5
+    assert lifted.to_json() == written_by_json_dumps(lifted)
+
+
+@st.composite
+def decomposition_json(draw):
+    """Decomposition JSON with nodes and arcs in any order, empty bags, repeated
+    bag members and arcs, and ids of any sign and size."""
+    ids = st.one_of(st.integers(-5, 40), st.integers(-(10**30), 10**30))
+    nodes = draw(st.lists(ids, unique=True, max_size=12))
+    arcs = draw(st.lists(st.lists(st.sampled_from(nodes), min_size=2, max_size=2),
+                         max_size=20)) if nodes else []
+    return {"nodes": nodes, "arcs": arcs,
+            "bags": {str(n): draw(st.lists(ids, max_size=16)) for n in draw(st.permutations(nodes))}}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(decomposition_json())
+@example({"nodes": [], "arcs": [], "bags": {}})
+@example({"nodes": [7, 2], "arcs": [[7, 2], [2, 7], [7, 2]], "bags": {"2": [], "7": [9, 9, -1, 8]}})
+def test_json_of_loaded_decompositions_is_what_json_dumps_writes(data):
+    d = DagDecomposition.from_json(json.dumps(data))
+    assert d.to_json() == written_by_json_dumps(d)
 
 
 def test_decomposition_dot_contains_bags():

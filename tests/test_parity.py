@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cfgdag import (
     FormulaSkeleton,
+    GameGraph,
     build_decomposition,
     build_product_game,
     generate_random_program,
@@ -14,7 +16,7 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.parity import _below
-from helpers import pipeline, product_game_by_add_edge
+from helpers import game_json_dict, pipeline, product_game_by_add_edge
 
 
 def test_skeleton_validation():
@@ -127,6 +129,31 @@ def test_product_game_equals_the_add_edge_construction(source, skeleton, seed):
     assert got.to_json() == want.to_json()
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(SELF_LOOPS),
+                 st.builds(generate_random_program, st.integers(0, 10**6), st.integers(1, 40))),
+       skeletons().filter(lambda sk: sk.m <= 4), st.integers(0, 2**64))
+@example(SELF_LOOPS[1], FormulaSkeleton(4, ((0, 1), (3, 3)), ((3, 3), (1, 0)), 9), 1)
+def test_game_json_is_what_json_dumps_writes(source, skeleton, seed):
+    cfg, _, _ = pipeline(source)
+    game = build_product_game(cfg, skeleton, seed=seed)
+    want = json.dumps(game_json_dict(game), indent=2) + "\n"
+    assert game.to_json() == want
+    # The same game with its vertices and edges stored in another order.
+    rng = random.Random(seed)
+    order = rng.sample(list(game.state_of), len(game.state_of))
+    for name in ("state_of", "owner", "priority"):
+        table = getattr(game, name)
+        setattr(game, name, {v: table[v] for v in order})
+    rng.shuffle(game.edges)
+    assert game.to_json() == want
+
+
+def test_json_of_a_game_without_vertices_is_what_json_dumps_writes():
+    game = GameGraph(m=3, groups={}, state_of={})
+    assert game.to_json() == json.dumps(game_json_dict(game), indent=2) + "\n"
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 2**64), st.one_of(st.integers(1, 9), st.integers(1, 2**70)))
 @example(0, 1)
@@ -198,6 +225,7 @@ def test_lift_keeps_arc_count():
 def test_game_json_shape():
     cfg, forest, _ = pipeline("a;")
     game = build_product_game(cfg, FormulaSkeleton.chain(2), seed=0)
-    data = game.to_json_dict()
+    data = json.loads(game.to_json())
+    assert data == game_json_dict(game)
     assert set(data) == {"m", "vertices", "edges"}
     assert all(set(v) == {"id", "state", "part", "owner", "priority"} for v in data["vertices"])
