@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from enum import Enum
+from itertools import chain
 
 from ._graph import reachable
-from ._json import dumps
+from ._json import section
 
 
 class EdgeKind(str, Enum):
@@ -30,9 +31,15 @@ _KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
 
 class CfgJsonError(ValueError):
     """CFG JSON that does not describe a graph: a missing key, a vertex id,
-    edge end, start or stop that is not an integer, a duplicate vertex id,
-    an edge to an unknown vertex, an invalid edge kind, or a start or stop
-    that is not a vertex."""
+    edge end, start or stop that is not an integer, a label that is not a
+    string, a duplicate vertex id, an edge to an unknown vertex, an invalid
+    edge kind, or a start or stop that is not a vertex."""
+
+
+# One vertex and one edge record of ControlFlowGraph.to_json, for section.
+_VERTEX = '{\n      "id": %d,\n      "label": %s\n    }'
+_EDGE = '{\n      "from": %d,\n      "to": %d,\n      "kind": "%s"\n    }'
+_encode = json.JSONEncoder().encode
 
 
 class ControlFlowGraph:
@@ -113,19 +120,20 @@ class ControlFlowGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [{"id": v, "label": self.labels[v]} for v in sorted(self.labels)],
-            "edges": [
-                {"from": u, "to": v, "kind": self._kind[(u, v)].value}
-                for u, v in sorted(self._kind)
-            ],
-            "start": self.start,
-            "stop": self.stop,
-        }
-
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        """``json.dumps(indent=2)`` of the vertices in id order, the sorted
+        edges, start and stop. Labels are strings, so ``%s`` of their JSON
+        text is exact."""
+        ids = sorted(self.labels)
+        edges = sorted(self._kind)
+        labels = map(_encode, map(self.labels.__getitem__, ids))
+        kind = self._kind
+        return '{\n  "vertices": %s,\n  "edges": %s,\n  "start": %d,\n  "stop": %d\n}\n' % (
+            section([_VERTEX] * len(ids), tuple(chain.from_iterable(zip(ids, labels)))),
+            section([_EDGE] * len(edges),
+                    tuple(chain.from_iterable((u, v, kind[u, v].value) for u, v in edges))),
+            self.start, self.stop,
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":
@@ -135,7 +143,10 @@ class ControlFlowGraph:
                 vid = rec["id"]
                 if type(vid) is not int:
                     raise ValueError(f"vertex id {vid!r} is not an integer")
-                cfg.add_vertex(rec["label"], vid)
+                label = rec["label"]
+                if type(label) is not str:
+                    raise ValueError(f"label {label!r} of vertex {vid} is not a string")
+                cfg.add_vertex(label, vid)
             for rec in data["edges"]:
                 u, v = rec["from"], rec["to"]
                 if type(u) is not int or type(v) is not int:
@@ -159,11 +170,13 @@ class ControlFlowGraph:
         return cls.from_json_dict(json.loads(text))
 
     def to_dot(self, backward: set[tuple[int, int]] | None = None) -> str:
+        """DOT text; a label's backslashes, quotes and line breaks are escaped."""
         backward = backward or set()
         lines = ["digraph cfg {", "    node [shape=box];"]
         for v in sorted(self.labels):
             shape = ' shape=oval' if v in (self.start, self.stop) else ""
-            lines.append(f'    n{v} [label="{self.labels[v]}"{shape}];')
+            label = self.labels[v].replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+            lines.append(f'    n{v} [label="{label}"{shape}];')
         for u, v in sorted(self._kind):
             attrs = []
             if (u, v) in backward:

@@ -157,7 +157,10 @@ class DagDecomposition:
                 for v in members:
                     if type(v) is not int:
                         raise ValueError(f"bag {key} holds {v!r}, which is not an integer")
-                bags[int(key)] = frozenset(members)
+                n = int(key)
+                if str(n) != key:  # "01" or " 1" would replace the bag of 1
+                    raise ValueError(f"bag key {key!r} does not spell a node id exactly")
+                bags[n] = frozenset(members)
             known = set(nodes)
             if len(known) != len(nodes):
                 n = next(n for n, count in Counter(nodes).items() if count > 1)

@@ -14,7 +14,7 @@ instead of one that decides liveness as it walks; a prune that rebuilds
 through add_vertex/add_edge; a basic-block contraction by repeated
 sweeps that fold one edge at a time; a product game built one add_edge and
 one randrange call at a time; dict trees for json.dumps instead of the
-template writers of decomposition and product game JSON.
+template writers of CFG, decomposition and product game JSON.
 """
 
 from __future__ import annotations
@@ -1083,6 +1083,19 @@ def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:
         for q, p in skeleton.cross_edges:
             game.add_edge(s * m + q, t * m + p)
     return game
+
+
+def cfg_json_dict(cfg) -> dict:
+    """What ControlFlowGraph.to_json writes, as the tree json.dumps reads."""
+    return {
+        "vertices": [{"id": v, "label": cfg.labels[v]} for v in sorted(cfg.labels)],
+        "edges": [
+            {"from": u, "to": v, "kind": cfg.edge_kind(u, v).value}
+            for u, v in sorted(cfg.edges())
+        ],
+        "start": cfg.start,
+        "stop": cfg.stop,
+    }
 
 
 def decomposition_json_dict(decomp) -> dict:

@@ -1,8 +1,9 @@
+import json
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag import (
@@ -19,10 +20,13 @@ from helpers import (
     CORNER_CASES,
     bfs_reachable,
     build_unpruned,
+    cfg_json_dict,
     contract_by_fixpoint,
+    pipeline,
     prune_by_rebuild,
     succ_map,
 )
+from test_json import text
 
 
 def labels_of(cfg):
@@ -388,11 +392,68 @@ def test_json_round_trip_byte_identical():
 
 def test_json_schema_fields():
     cfg, _ = cfg_from_source("while c { b; }")
-    data = cfg.to_json_dict()
+    data = cfg_json_dict(cfg)
+    assert json.loads(cfg.to_json()) == data
     assert set(data) == {"vertices", "edges", "start", "stop"}
     assert all(set(v) == {"id", "label"} for v in data["vertices"])
     assert all(set(e) == {"from", "to", "kind"} for e in data["edges"])
     assert all(e["kind"] in ("out", "exit", "entry", "stop") for e in data["edges"])
+
+
+def graph(labels: dict, edges=(), start=None, stop=None) -> ControlFlowGraph:
+    g = ControlFlowGraph()
+    for vid, label in labels.items():
+        g.add_vertex(label, vid)
+    for u, v, kind in edges:
+        g.add_edge(u, v, kind)
+    if labels:
+        g.start = min(labels) if start is None else start
+        g.stop = max(labels) if stop is None else stop
+    return g
+
+
+def assert_written_as_json_dumps(cfg):
+    written = cfg.to_json()
+    assert written == json.dumps(cfg_json_dict(cfg), indent=2) + "\n"
+    if cfg.labels:
+        assert ControlFlowGraph.from_json(written).to_json() == written
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.builds(generate_random_program, st.integers(0, 10**6), st.integers(1, 60)),
+       st.booleans(), st.randoms(use_true_random=False))
+@example("while c { }", True, random.Random(0))
+def test_json_of_random_programs_is_what_json_dumps_writes(source, contract, rng):
+    cfg = pipeline(source, contract=contract)[0]
+    assert_written_as_json_dumps(cfg)
+    # Loaded back from JSON whose vertices and edges come in any order.
+    data = cfg_json_dict(cfg)
+    rng.shuffle(data["vertices"])
+    rng.shuffle(data["edges"])
+    assert ControlFlowGraph.from_json(json.dumps(data)).to_json() == cfg.to_json()
+
+
+# Labels a template writer or a DOT label could mistake for format codes,
+# quotes, escapes or line breaks.
+labels = st.one_of(text, st.sampled_from(["", "%", "%s", "%%d", "\\", '"', "\ud800", "a\udfffb"]))
+
+
+@st.composite
+def labelled_graphs(draw):
+    vertices = draw(st.dictionaries(st.integers(-(10**20), 10**20), labels, max_size=8))
+    ids = sorted(vertices)
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.sampled_from(EdgeKind)), max_size=16)) if ids else []
+    return graph(vertices, edges, *(draw(st.sampled_from(ids)) for _ in range(2) if ids))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(labelled_graphs())
+@example(graph({}))
+@example(graph({3: "a", 1: "b", 2: "%s"}))
+@example(graph({-4: "start", 0: 'x"y', 5: "x\ny"}, [(-4, 0, "out"), (0, 5, "stop")], start=-4))
+def test_json_of_any_labels_is_what_json_dumps_writes(cfg):
+    assert_written_as_json_dumps(cfg)
 
 
 def test_dot_marks_backward_edges_dashed():
@@ -400,6 +461,23 @@ def test_dot_marks_backward_edges_dashed():
     dot = cfg.to_dot(backward={(2, 1)})
     assert "n2 -> n1 [style=dashed];" in dot
     assert "digraph" in dot
+
+
+DOT_NODE = re.compile(r'    n(-?\d+) \[label="((?:[^"\\]|\\.)*)"(?: shape=oval)?\];')
+
+
+def read_dot_label(text: str) -> str:
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text, flags=re.DOTALL)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(labelled_graphs())
+@example(graph({0: 'x"y', 1: "a\\", 2: "x\ny", 3: '\\"', 4: "\\n"}))
+def test_dot_labels_read_back(cfg):
+    node_lines = cfg.to_dot().split("\n")[2:2 + cfg.n_vertices]
+    matches = [DOT_NODE.fullmatch(line) for line in node_lines]
+    assert all(matches), node_lines
+    assert {int(m[1]): read_dot_label(m[2]) for m in matches} == cfg.labels
 
 
 def test_add_edge_rejects_missing_vertex():

@@ -18,7 +18,7 @@ from cfgdag import (
 )
 from cfgdag._json import dumps
 from cfgdag.cli import build_parser, main
-from helpers import IRREDUCIBLE_CFG_JSON
+from helpers import IRREDUCIBLE_CFG_JSON, cfg_json_dict
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -181,12 +181,17 @@ BAD_CFG_JSON = [
     (lambda data: data.update(stop=1.0), "stop 1.0 is not an integer"),
     (lambda data: data["edges"][0].update({"from": 0.0}), "edge (0.0, 1) has an end that is not an integer"),
     (lambda data: data["edges"][0].update(to=True), "edge (0, True) has an end that is not an integer"),
+    (lambda data: data["vertices"][0].update(label=3), "label 3 of vertex 0 is not a string"),
+    (lambda data: data["vertices"][1].update(label=None), "label None of vertex 1 is not a string"),
+    (lambda data: data["vertices"][0].update(label=["a"]), "label ['a'] of vertex 0 is not a string"),
+    (lambda data: data["vertices"][0].update(label={"a": [1, 2]}),
+     "label {'a': [1, 2]} of vertex 0 is not a string"),
 ]
 
 
 @pytest.mark.parametrize("damage, what", BAD_CFG_JSON)
 def test_bad_cfg_json_exits_two_with_what_is_wrong(tmp_path, capsys, damage, what):
-    data = cfg_from_source("")[0].to_json_dict()
+    data = cfg_json_dict(cfg_from_source("")[0])
     damage(data)
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(data))
@@ -248,6 +253,8 @@ BAD_DECOMP_JSON = [
     (lambda data: data["bags"]["2"].append(True), "bag 2 holds True, which is not an integer"),
     (lambda data: data.update(nodes=[float(n) for n in data["nodes"]]), "node id 0.0 is not an integer"),
     (lambda data: data["arcs"][0].__setitem__(0, False), "arc [False, 3] has an end that is not an integer"),
+    *((lambda data, key=key: data["bags"].update({key: [0, 1, 2]}),
+       f"bag key {key!r} does not spell a node id exactly") for key in ["01", " 1", "+1", "1_0"]),
 ]
 
 

@@ -1,13 +1,14 @@
-"""cfgdag._json.dumps writes exactly what json.dumps(indent=2) writes."""
+"""cfgdag._json writes exactly what json.dumps(indent=2) writes."""
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgdag._json import _uniform_records, dumps
+from cfgdag._json import PAIR, dumps, section
 
-# Strings that look like the item boundaries the writer re-indents.
+# Strings that look like the item boundaries of the indented layout.
 BOUNDARIES = ["},\n    {", "],\n  [", "},\n{", "],\n", "\n", '", "', "{", "]", ""]
 
 text = st.one_of(
@@ -66,36 +67,19 @@ def test_dumps_matches_on_lists_of_flat_records(value):
     assert dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
-# Keys a per-record template could mistake for format codes, quotes, line
-# breaks or multi-byte text.
-record_keys = st.lists(
-    st.one_of(st.sampled_from(["%", "%s", "%%", "%(id)s", '"', '\\"', "\n", "é", "€", "\U0001F600"]), text),
-    min_size=1, max_size=5, unique=True,
-)
+RECORD = '{\n      "s": %s,\n      "n": %d\n    }'
+BAG = '"%d": [\n      %d,\n      %d\n    ]'
 
 
-@st.composite
-def uniform_records(draw):
-    keys = draw(record_keys)
-    return [{k: draw(scalars) for k in keys} for _ in range(draw(st.integers(1, 6)))]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(uniform_records())
-@example([{"id": 0, "state": 0, "part": 1, "owner": 1, "priority": 0}])
-@example([{"%d": -(10**40), "b": 0}, {"%d": 7, "b": -1}])
-@example([{"a": True}, {"a": 1}, {"a": False}])
-@example([{"%s": "%s", "a\n": "\n", '"': None}, {"%s": 1.5, "a\n": True, '"': -(10**30)}])
-def test_uniform_records_take_the_template_path(value):
-    assert _uniform_records(value, 0) is not None
-    assert dumps(value) == json.dumps(value, indent=2) + "\n"
-    assert dumps({"records": value}) == json.dumps({"records": value}, indent=2) + "\n"
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(uniform_records().filter(lambda recs: len(recs) > 1 and len(recs[0]) > 1), st.data())
-def test_records_with_another_key_order_take_the_old_path(value, data):
-    i = data.draw(st.integers(0, len(value) - 1))
-    value[i] = dict(reversed(value[i].items()))
-    assert _uniform_records(value, 0) is None
-    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+@pytest.mark.parametrize("items, values, brackets, value", [
+    ([], (), "[]", []),
+    ([], (), "{}", {}),
+    ([PAIR] * 2, (0, 1, 2, -3), "[]", [[0, 1], [2, -3]]),
+    ([BAG, '"7": []'], (-1, 5, 7), "{}", {"-1": [5, 7], "7": []}),
+    # Values may hold % signs and quotes: only the templates are formats.
+    ([RECORD] * 3, (json.dumps("%s"), 0, json.dumps('"%%d"'), 1, json.dumps("\\"), 2), "[]",
+     [{"s": "%s", "n": 0}, {"s": '"%%d"', "n": 1}, {"s": "\\", "n": 2}]),
+])
+def test_section_writes_the_value_of_a_top_level_key(items, values, brackets, value):
+    written = '{\n  "key": ' + section(items, values, brackets) + "\n}"
+    assert written == json.dumps({"key": value}, indent=2)
