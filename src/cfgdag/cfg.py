@@ -32,8 +32,9 @@ _KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
 class CfgJsonError(ValueError):
     """CFG JSON that does not describe a graph: a missing key, a vertex id,
     edge end, start or stop that is not an integer, a label that is not a
-    string, a duplicate vertex id, an edge to an unknown vertex, an invalid
-    edge kind, or a start or stop that is not a vertex."""
+    string or holds a lone surrogate (which no UTF-8 output can write), a
+    duplicate vertex id, an edge to an unknown vertex, an invalid edge
+    kind, or a start or stop that is not a vertex."""
 
 
 # One vertex and one edge record of ControlFlowGraph.to_json, for section.
@@ -103,9 +104,6 @@ class ControlFlowGraph:
     def edges_of_kind(self, kind: EdgeKind) -> list[tuple[int, int]]:
         return [e for e, k in self._kind.items() if k is kind]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._kind
-
     @property
     def n_vertices(self) -> int:
         return len(self.labels)
@@ -147,6 +145,17 @@ class ControlFlowGraph:
                 if type(label) is not str:
                     raise ValueError(f"label {label!r} of vertex {vid} is not a string")
                 cfg.add_vertex(label, vid)
+            # A JSON escape can spell a lone surrogate, which no UTF-8 output
+            # can write. One encode of all labels finds it.
+            try:
+                "".join(cfg.labels.values()).encode()
+            except UnicodeEncodeError as err:
+                at = err.start
+                for vid, label in cfg.labels.items():
+                    if at < len(label):
+                        raise ValueError(
+                            f"label of vertex {vid} holds the lone surrogate {label[at]!r}") from None
+                    at -= len(label)
             for rec in data["edges"]:
                 u, v = rec["from"], rec["to"]
                 if type(u) is not int or type(v) is not int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._graph import reachable
+from ._graph import postorder, reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
@@ -448,6 +448,19 @@ class PursuitSolver:
     once the cops beat the robber at b after their move to x2, every other
     destination in reach(b, x2) is beaten as well and is not searched.
 
+    The value does not depend on the vacated vertices outside U, the
+    robber's reach from r with no cops at all, so the memo keeps f & U.
+    Every run the robber will make lies in U, as each starts where the last
+    one ended. So a cop outside U blocks no run and captures nothing, and a
+    vacated vertex outside U does nothing but forbid the cops to land on
+    it. Hence the value at f is at most the value at f & U, where fewer
+    vertices are forbidden. Conversely, take a winning strategy at f & U
+    and drop every cop outside U from each of its moves. The robber keeps
+    the same runs and the vacated vertices inside U stay the same, so the
+    strategy still wins, and it never lands on f. (A move that becomes a
+    stand-still is skipped, as above.) R determines U, the vertices that R
+    reaches, so the key stays a function of the state.
+
     max_states bounds the memo, counted in (cops, region, vacated) states.
     """
 
@@ -494,7 +507,7 @@ class PursuitSolver:
         """Cop player to move at (cops x, robber index r, vacated f)."""
         if (x >> r) & 1:
             return True
-        key = (x, self._reach(r, x), f)
+        key = (x, self._reach(r, x), f & self._reach(r, 0))
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -546,9 +559,26 @@ class PursuitSolver:
 def brute_force_cop_number(graph, k_max: int = 4, max_states: int = 4_000_000) -> int:
     """Fewest cops with a cop-monotone winning strategy, by exhaustive search.
 
+    One cop wins iff the graph without its self-loops is acyclic, so the
+    search starts at two cops. A self-loop is no escape: a cop that lands on
+    the robber's vertex leaves it no destination there.
+    - A cycle of two or more vertices beats one cop. Two distinct placements
+      of at most one cop are disjoint, so no cop ever stays put and the
+      robber's runs are never blocked. The robber stands on the cycle, and
+      when the cop lands on its vertex it runs on to the next vertex of the
+      cycle.
+    - On an acyclic graph, one cop wins by landing on the robber's vertex.
+      The robber must run to a vertex it reaches from there, so its reach
+      set shrinks strictly. The cop vacates only vertices the robber left,
+      and the robber never gets back to one. So it is caught within n
+      rounds.
+
     max_states bounds each solver's memo of (cops, robber region, vacated)."""
     vertices, succ = _adjacency(graph)
-    for k in range(1, k_max + 1):
+    loopless = {v: [w for w in ws if w != v] for v, ws in succ.items()}
+    if k_max >= 1 and postorder(vertices, loopless) is not None:
+        return 1
+    for k in range(2, k_max + 1):
         solver = PursuitSolver(vertices, succ, k, max_states=max_states)
         try:
             if not solver.robber_safe_somewhere():

@@ -225,12 +225,6 @@ class DominatorInfo:
         """True iff u lies on every path from start to v (reflexive)."""
         return self._tin[u] <= self._tin[v] and self._tout[v] <= self._tout[u]
 
-    def post_dominates(self, u: int, v: int) -> bool:
-        """True iff u lies on every return-free path from v to stop."""
-        if v not in self._ptin or u not in self._ptin:
-            return False
-        return self._ptin[u] <= self._ptin[v] and self._ptout[v] <= self._ptout[u]
-
 
 def _dominator_tree(root: int, succ, pred):
     """Semi-NCA dominator tree of the vertices reachable from root.

@@ -34,6 +34,7 @@ from cfgdag import (
     compute_dominators,
     contract_basic_blocks,
     recover_loop_forest,
+    two_loop_cfg,
     validate_cfg_decomposition,
 )
 from cfgdag._graph import tree_children
@@ -265,6 +266,11 @@ def bfs_reachable(succ: dict, start) -> set:
 
 def succ_map(cfg) -> dict:
     return {v: list(cfg.successors(v)) for v in cfg.vertex_ids()}
+
+
+def has_edge(cfg, u, v) -> bool:
+    """u -> v is an edge of cfg: it has a kind."""
+    return (u, v) in set(cfg.edges())
 
 
 _TOKEN_RE = re.compile(
@@ -736,6 +742,14 @@ def dominators_by_iteration(cfg) -> tuple[dict, dict]:
     return idom, idom_by_iteration(porder, fwd.__getitem__)
 
 
+def post_dominates(dom, u, v) -> bool:
+    """u lies on every return-free path from v to stop: u is an ancestor of
+    v in the post-dominator tree, by the entry and exit stamps of its walk."""
+    if v not in dom._ptin or u not in dom._ptin:
+        return False
+    return dom._ptin[u] <= dom._ptin[v] and dom._ptout[v] <= dom._ptout[u]
+
+
 def dist_by_enumeration(cfg, forest, elem, v) -> int | None:
     """Longest |path-vertices in belongs(L)| over simple paths to the exit.
 
@@ -1055,6 +1069,33 @@ def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
         if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
             return k
     raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
+
+
+def two_loop_cfg_in_loops(depth: int) -> ControlFlowGraph:
+    """two_loop_cfg nested in depth while loops, as build lays them out:
+    start -> w0 -> ... -> w(depth-1) -> the gadget, whose exit returns to
+    w(depth-1); each wi also leaves to exit(wi), which returns to w(i-1),
+    and exit(w0) goes on to stop."""
+    gadget, _ = two_loop_cfg()
+    g = ControlFlowGraph()
+    g.start = g.add_vertex("start")
+    ids = {v: g.add_vertex(gadget.labels[v]) for v in sorted(gadget.labels)
+           if v not in (gadget.start, gadget.stop)}
+    for u, v in gadget.edges():
+        if u in ids and v in ids:
+            g.add_edge(ids[u], ids[v])
+    (entry,), (exit_,) = gadget.successors(gadget.start), gadget.predecessors(gadget.stop)
+    entry, exit_ = ids[entry], ids[exit_]
+    for i in reversed(range(depth)):
+        w, x = g.add_vertex(f"w{i}"), g.add_vertex(f"exit(w{i})")
+        g.add_edge(w, entry)
+        g.add_edge(exit_, w)
+        g.add_edge(w, x)
+        entry, exit_ = w, x
+    g.stop = g.add_vertex("stop")
+    g.add_edge(g.start, entry)
+    g.add_edge(exit_, g.stop)
+    return g
 
 
 def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:

@@ -186,6 +186,8 @@ BAD_CFG_JSON = [
     (lambda data: data["vertices"][0].update(label=["a"]), "label ['a'] of vertex 0 is not a string"),
     (lambda data: data["vertices"][0].update(label={"a": [1, 2]}),
      "label {'a': [1, 2]} of vertex 0 is not a string"),
+    (lambda data: data["vertices"][1].update(label="a\ud800"),
+     "label of vertex 1 holds the lone surrogate '\\ud800'"),
 ]
 
 
@@ -340,6 +342,24 @@ def test_oracle_past_its_cop_limit_exits_five(tmp_path, capsys):
     graph_path.write_text(cfg.to_json())
     assert main(["oracle", str(graph_path), "--kind", "cfg-json", "--k-max", "2"]) == 5
     assert capsys.readouterr() == ("", "search limit: no cop-monotone win with up to 2 cops\n")
+
+
+def test_oracle_with_one_cop_on_a_loop_exits_five_without_a_search(while_file, capsys, monkeypatch):
+    import cfgdag.game as game
+
+    monkeypatch.setattr(game, "PursuitSolver", None)
+    assert main(["oracle", str(while_file), "--k-max", "1"]) == 5
+    assert capsys.readouterr() == ("", "search limit: no cop-monotone win with up to 1 cops\n")
+
+
+def test_oracle_with_one_cop_on_a_dag_prints_one_without_a_search(tmp_path, capsys, monkeypatch):
+    import cfgdag.game as game
+
+    monkeypatch.setattr(game, "PursuitSolver", None)
+    src = tmp_path / "dag.spl"
+    src.write_text("a; if c { b; } else { return; } d;\n")
+    assert main(["oracle", str(src), "--k-max", "1"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_optimal_robber_past_its_state_budget_exits_five(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# Demos whose whole output is pinned: a change to the solver must not move a
+# printed cop number or the duel's outcome unseen.
+PINNED_OUTPUT = {
+    "06_cop_number": """\
+'a; b; c;'                   cop number = 1
+'if c { a; } else { b; }'    cop number = 1
+'while c { b; }'             cop number = 2
+'do { a; } while c;'         cop number = 2
+two-loop graph                cop number = 3
+
+two optimal cops vs optimal robber: RobberWins(cutoff) after 200 rounds
+robber finished at 1, vacated ground: [1]
+""",
+}
+
 
 def test_demos_exist():
     assert len(DEMOS) >= 7
@@ -21,3 +36,5 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if demo.stem in PINNED_OUTPUT:
+        assert done.stdout == PINNED_OUTPUT[demo.stem]

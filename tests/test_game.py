@@ -14,9 +14,12 @@ from cfgdag import (
     build_decomposition,
     cfg_from_source,
     check_cop_monotone,
+    compute_dominators,
     generate_random_program,
     play_game,
+    recover_loop_forest,
     two_loop_cfg,
+    validate_cfg_decomposition,
 )
 from cfgdag.game import _adjacency, cop_monotone_violations
 from helpers import (
@@ -26,6 +29,8 @@ from helpers import (
     distance_to_exit,
     exit_distances,
     pipeline,
+    toposort,
+    two_loop_cfg_in_loops,
 )
 
 # Reference pursuits on the two-loop graph, frozen from first principles:
@@ -313,6 +318,40 @@ def test_cop_number_never_exceeds_three_beyond_eleven_vertices():
     assert max(sizes) >= 20, sizes
 
 
+def test_cop_number_never_exceeds_the_width_at_forty_to_sixty_vertices():
+    sizes = []
+    seed = 0
+    while len(sizes) < 40:
+        seed += 1
+        cfg, forest, _ = pipeline(generate_random_program(seed, 30 + seed % 26))
+        if not 40 <= cfg.n_vertices <= 60:
+            continue
+        n = brute_force_cop_number(cfg, 4)
+        assert n <= max(build_decomposition(cfg, forest).width(), 1), seed
+        sizes.append(cfg.n_vertices)
+    assert min(sizes) <= 45 and max(sizes) >= 55, sizes
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_two_loop_gadget_nested_in_loops_needs_three_cops(depth):
+    cfg = two_loop_cfg_in_loops(depth)
+    assert cfg.n_vertices == 13 + 2 * depth
+    forest = recover_loop_forest(cfg, compute_dominators(cfg))
+    decomp = build_decomposition(cfg, forest)
+    assert validate_cfg_decomposition(decomp, cfg).valid
+    assert brute_force_cop_number(cfg, 4) == 3 == decomp.width()
+
+
+# Programs whose cop number is 2. A search at k = 1 spent 270,419 states on
+# the first and ran out of its 4,000,000 on the second; at k = 2, a memo
+# keyed by every vacated vertex needs 1,305 and 712 states.
+@pytest.mark.parametrize("seed, size, vertices", [(2 * 7919 + 40, 34, 41), (5 * 7919 + 37, 37, 43)])
+def test_cop_number_two_at_forty_vertices_in_few_states(seed, size, vertices):
+    cfg, _ = cfg_from_source(generate_random_program(seed, size))
+    assert cfg.n_vertices == vertices
+    assert brute_force_cop_number(cfg, 4, max_states=200) == 2
+
+
 def test_budget_error_reports_partial_bound():
     cfg, _ = two_loop_cfg()
     with pytest.raises(SearchBudgetError, match="cop number > 1"):
@@ -374,6 +413,16 @@ def small_programs(draw):
 @given(digraphs(), st.integers(1, 3), st.data())
 def test_region_solver_equals_the_vertex_solver_on_digraphs(graph, k, data):
     _assert_solvers_agree(graph, k, data)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs())
+def test_one_cop_wins_iff_the_graph_without_self_loops_is_acyclic(graph):
+    """The search at k = 1 agrees with the cycle check that
+    brute_force_cop_number runs in its place; Kahn's order is the oracle."""
+    loopless = {v: [w for w in ws if w != v] for v, ws in graph.items()}
+    acyclic = toposort(list(graph), loopless) is not None
+    assert PursuitSolver(*_adjacency(graph), k=1).robber_safe_somewhere() is not acyclic
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

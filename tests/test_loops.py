@@ -1,3 +1,4 @@
+import functools
 import gc
 import sys
 import weakref
@@ -30,6 +31,7 @@ from helpers import (
     dominators_by_iteration,
     dominators_by_paths,
     pipeline,
+    post_dominates,
     simple_cycles,
 )
 
@@ -95,8 +97,8 @@ def test_post_dominators_ignore_return_edges():
     (elem,) = forest.elements
     # ignoring the return edge, the loop exit post-dominates the whole inside
     for v in forest.regions()[elem][1]:
-        assert dom.post_dominates(elem.exit, v), cfg.labels[v]
-    assert dom.post_dominates(ids["stop"], ids["a"])
+        assert post_dominates(dom, elem.exit, v), cfg.labels[v]
+    assert post_dominates(dom, ids["stop"], ids["a"])
 
 
 def _graph(n, edges, stop):
@@ -154,7 +156,7 @@ def test_dominators_equal_the_iterative_oracle(cfg):
     idom, ipdom = dominators_by_iteration(cfg)
     assert dom.idom == idom
     assert dom.ipdom == ipdom
-    for tree, holds in ((idom, dom.dominates), (ipdom, dom.post_dominates)):
+    for tree, holds in ((idom, dom.dominates), (ipdom, functools.partial(post_dominates, dom))):
         for v in tree:
             above, x = {v}, v
             while tree[x] != x:
@@ -175,7 +177,7 @@ def test_dominators_of_a_deep_graph_need_no_recursion():
     assert dom.idom == {0: 0, 1: 0, **{v: v - 1 for v in chain}, n - 1: 1, n: n - 1}
     assert dom.ipdom == {n: n, n - 1: n, **{v: v + 1 for v in chain}, 1: n - 1, 0: 1}
     assert dom.dominates(1, n) and not dom.dominates(n // 2, n - 1)
-    assert dom.post_dominates(n - 1, 0) and not dom.post_dominates(n // 2, 1)
+    assert post_dominates(dom, n - 1, 0) and not post_dominates(dom, n // 2, 1)
 
 
 # -- regions ------------------------------------------------------------------
