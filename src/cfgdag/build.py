@@ -14,7 +14,7 @@ writes only reachable vertices: the graph is the one prune_unreachable
 would make of the full expansion, with the same ids, because a dead
 statement still takes its id, and the forest is the one
 LoopForest.restricted_to would make of the full forest. Pruning stays for
-CFG JSON input only.
+CFG JSON input that holds dead vertices.
 
 Every edge into a vertex comes from a vertex made before it, except the
 back edges and continue edges into a loop's entry, whose sources the entry
@@ -28,7 +28,7 @@ condition that can be false does. stop is always kept.
 from __future__ import annotations
 
 from . import lang
-from .cfg import ControlFlowGraph, EdgeKind
+from .cfg import ControlFlowGraph, EdgeKind, _freeze
 from .lang import Assign, Break, Continue, DoWhile, If, Return, StructuredAst, While
 from .loops import LoopElement, LoopForest
 
@@ -205,41 +205,13 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     stop = vertex("stop", phi, pending, live=True)
     attach(returns, stop, STOP)
 
-    g = ControlFlowGraph()
-    g.labels = labels
-    g._succ, g._pred, g._kind = _freeze(out)
-    g._next_id = next_id
-    g.start, g.stop = start, stop
+    g = _freeze(labels, out, next_id, start, stop)
 
     if dropped:
         gone = set(dropped)
         forest.elements = [e for e in forest.elements if e not in gone]
     forest.owner = owner
     return g, forest
-
-
-def _freeze(out: dict[int, tuple]):
-    """Successor and predecessor tuples, ascending, and the edge kinds in
-    sorted (u, v) order. Of two edges u -> v, the one made first keeps its
-    kind, as add_edge keeps it."""
-    succ: dict[int, tuple[int, ...]] = {}
-    kinds: dict[tuple[int, int], EdgeKind] = {}
-    preds: dict[int, list[int]] = {v: [] for v in out}
-    for u, edges in out.items():  # ascending, so every predecessor list is too
-        if len(edges) == 2:
-            w, k = edges
-            succ[u] = (w,)
-            kinds[u, w] = k
-            preds[w].append(u)
-            continue
-        first: dict[int, EdgeKind] = {}
-        for w, k in zip(edges[::2], edges[1::2]):
-            first.setdefault(w, k)
-        succ[u] = ws = tuple(sorted(first))
-        for w in ws:
-            kinds[u, w] = first[w]
-            preds[w].append(u)
-    return succ, {v: tuple(us) for v, us in preds.items()}, kinds
 
 
 def cfg_from_source(source: str) -> tuple[ControlFlowGraph, LoopForest]:

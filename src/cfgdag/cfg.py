@@ -3,8 +3,9 @@
 Vertices are integers with string labels; start and stop are distinguished.
 Every edge carries one EdgeKind telling which successor convention produced
 it. JSON serialization is canonical (sorted vertices and edges), so a
-load/dump round trip is byte identical. build_cfg, pruning and contraction
-write graphs whose adjacency is frozen into tuples.
+load/dump round trip is byte identical. Loading, build_cfg and pruning
+write through _freeze, so their graphs have their vertices sorted and their
+adjacency frozen into sorted tuples; contraction writes tuples of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class EdgeKind(str, Enum):
     STOP = "stop"     # return: jump straight to program end
 
 
-# Each member and its value: add_edge normalises a kind with one dict lookup.
+# Each member and its value: add_edge and from_json_dict normalise a kind
+# with one dict lookup.
 _KINDS = {**{k: k for k in EdgeKind}, **{k.value: k for k in EdgeKind}}
 
 
@@ -46,8 +48,8 @@ _encode = json.JSONEncoder().encode
 class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
-        # Lists when add_vertex fills the graph; build_cfg, pruning and
-        # contraction write tuples.
+        # Lists when add_vertex fills the graph; loading, build_cfg, pruning
+        # and contraction write tuples.
         self._succ: dict[int, list[int] | tuple[int, ...]] = {}
         self._pred: dict[int, list[int] | tuple[int, ...]] = {}
         self._kind: dict[tuple[int, int], EdgeKind] = {}
@@ -75,14 +77,9 @@ class ControlFlowGraph:
         if (u, v) in self._kind:
             return
         self._kind[(u, v)] = _KINDS.get(kind) or EdgeKind(kind)
-        try:
-            self._succ[u].append(v)
-        except AttributeError:  # frozen into a tuple
-            self._succ[u] += (v,)
-        try:
-            self._pred[v].append(u)
-        except AttributeError:
-            self._pred[v] += (u,)
+        # += extends a list in place, and replaces a tuple the graph froze.
+        self._succ[u] += (v,)
+        self._pred[v] += (u,)
 
     # -- queries -----------------------------------------------------------
 
@@ -135,7 +132,9 @@ class ControlFlowGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":
-        cfg = cls()
+        """The graph in the form _freeze writes. Every edge record's kind is
+        checked; of two records of one edge, the first keeps its kind."""
+        labels: dict[int, str] = {}
         try:
             for rec in data["vertices"]:
                 vid = rec["id"]
@@ -144,35 +143,42 @@ class ControlFlowGraph:
                 label = rec["label"]
                 if type(label) is not str:
                     raise ValueError(f"label {label!r} of vertex {vid} is not a string")
-                cfg.add_vertex(label, vid)
+                if vid in labels:
+                    raise ValueError(f"vertex {vid} already exists")
+                labels[vid] = label
             # A JSON escape can spell a lone surrogate, which no UTF-8 output
             # can write. One encode of all labels finds it.
             try:
-                "".join(cfg.labels.values()).encode()
+                "".join(labels.values()).encode()
             except UnicodeEncodeError as err:
                 at = err.start
-                for vid, label in cfg.labels.items():
+                for vid, label in labels.items():
                     if at < len(label):
                         raise ValueError(
                             f"label of vertex {vid} holds the lone surrogate {label[at]!r}") from None
                     at -= len(label)
+            out: dict[int, list] = {v: [] for v in sorted(labels)}  # a tuple would copy per edge
             for rec in data["edges"]:
                 u, v = rec["from"], rec["to"]
                 if type(u) is not int or type(v) is not int:
                     raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an integer")
-                cfg.add_edge(u, v, rec["kind"])
-            cfg.start = data["start"]
-            cfg.stop = data["stop"]
-            for name, v in (("start", cfg.start), ("stop", cfg.stop)):
+                if u not in labels or v not in labels:
+                    raise ValueError(f"edge ({u}, {v}) references a missing vertex")
+                kind = rec["kind"]
+                if type(kind) is not str:
+                    raise ValueError(f"kind {kind!r} of edge ({u}, {v}) is not a string")
+                out[u] += (v, _KINDS.get(kind) or EdgeKind(kind))
+            start, stop = data["start"], data["stop"]
+            for name, v in (("start", start), ("stop", stop)):
                 if type(v) is not int:
                     raise ValueError(f"{name} {v!r} is not an integer")
-            if cfg.start not in cfg.labels or cfg.stop not in cfg.labels:
-                raise ValueError(f"start {cfg.start!r} or stop {cfg.stop!r} is not a vertex")
+            if start not in labels or stop not in labels:
+                raise ValueError(f"start {start!r} or stop {stop!r} is not a vertex")
         except KeyError as err:
             raise CfgJsonError(f"missing key {err}") from None
         except (TypeError, ValueError) as err:
             raise CfgJsonError(str(err)) from None
-        return cfg
+        return _freeze({v: labels[v] for v in out}, out, max(out) + 1, start, stop)
 
     @classmethod
     def from_json(cls, text: str) -> "ControlFlowGraph":
@@ -200,31 +206,46 @@ class ControlFlowGraph:
 
 def prune_unreachable(cfg: ControlFlowGraph) -> ControlFlowGraph:
     """Drop vertices unreachable from start; stop is always kept, and loses
-    its out-edges when it is unreachable. Vertices come out sorted and edges
-    in sorted (u, v) order.
-
-    The adjacency is built straight into tuples: a tuple is smaller than a
-    list filled by append, and the cyclic collector untracks a tuple of ints
-    the first time it examines one.
-    """
+    its out-edges when it is unreachable. The result is in _freeze's form."""
     reachable = cfg.reachable_from(cfg.start)
     keep = sorted(v for v in cfg.labels if v in reachable or v == cfg.stop)
-    out = ControlFlowGraph()
-    labels, succ, pred, kinds = out.labels, out._succ, out._pred, out._kind
-    for v in keep:
-        labels[v] = cfg.labels[v]
-        preds = [u for u in cfg._pred[v] if u in reachable]
-        preds.sort()
-        pred[v] = tuple(preds)
-        if v in reachable:  # so is every successor
-            succ[v] = ws = tuple(sorted(cfg._succ[v]))
-            for w in ws:
-                kinds[(v, w)] = cfg._kind[(v, w)]
-        else:  # an unreachable stop loses its out-edges
-            succ[v] = ()
-    out._next_id = keep[-1] + 1 if keep else 0
-    out.start, out.stop = cfg.start, cfg.stop
-    return out
+    succ, kind = cfg._succ, cfg._kind
+    # Every successor of a reachable vertex is reachable too.
+    out = {v: [x for w in succ[v] for x in (w, kind[v, w])] if v in reachable else ()
+           for v in keep}
+    return _freeze({v: cfg.labels[v] for v in keep}, out, keep[-1] + 1 if keep else 0,
+                   cfg.start, cfg.stop)
+
+
+def _freeze(labels: dict[int, str], out: dict[int, Sequence], next_id: int, start: int,
+            stop: int) -> ControlFlowGraph:
+    """The graph whose adjacency comes from out, which maps each vertex, in
+    ascending order, to its out-edges as one flat sequence (target, kind,
+    target, kind, ...): its successor and predecessor tuples ascend and its
+    edge kinds run in sorted (u, v) order. Of two edges u -> v, the one
+    listed first keeps its kind, as add_edge keeps it. Tuples are smaller
+    than lists, and the cyclic collector untracks a tuple of ints."""
+    succ: dict[int, tuple[int, ...]] = {}
+    kinds: dict[tuple[int, int], EdgeKind] = {}
+    preds: dict[int, list[int]] = {v: [] for v in out}
+    for u, edges in out.items():  # ascending, so every predecessor list is too
+        if len(edges) == 2:
+            w, k = edges
+            succ[u] = (w,)
+            kinds[u, w] = k
+            preds[w].append(u)
+            continue
+        first: dict[int, EdgeKind] = {}
+        for w, k in zip(edges[::2], edges[1::2]):
+            first.setdefault(w, k)
+        succ[u] = ws = tuple(sorted(first))
+        for w in ws:
+            kinds[u, w] = first[w]
+            preds[w].append(u)
+    g = ControlFlowGraph()
+    g.labels, g._next_id, g.start, g.stop = labels, next_id, start, stop
+    g._succ, g._pred, g._kind = succ, {v: tuple(us) for v, us in preds.items()}, kinds
+    return g
 
 
 def contract_basic_blocks(cfg: ControlFlowGraph, forest=None) -> ControlFlowGraph:

@@ -79,7 +79,10 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
         build_parser().error("argument --forest: applies only to --kind cfg-json")
     text = _read(args.input)
     if args.kind == "cfg-json":
-        cfg = prune_unreachable(ControlFlowGraph.from_json(text))
+        cfg = ControlFlowGraph.from_json(text)
+        # The loaded graph is already in pruned form unless something is dead.
+        if len(cfg.reachable_from(cfg.start)) < cfg.n_vertices:
+            cfg = prune_unreachable(cfg)
         dom = compute_dominators(cfg)
         if getattr(args, "forest", None):
             forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robber", choices=["lazy", "optimal"], default="lazy")
     p.add_argument("--start", type=int, help="robber start vertex")
     p.add_argument("--tie", choices=["low", "high"], default="low")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_positive_int, default=None)
 
     p = sub.add_parser("oracle", help="print the exact cop number (small graphs)")
     _add_input_args(p)

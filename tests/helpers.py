@@ -11,10 +11,12 @@ counts lines and columns as it goes instead of on error, and a recursive
 descent parser over its tokens instead of one loop with a stack of open
 blocks; a recursive builder that expands every statement, dead or live,
 instead of one that decides liveness as it walks; a prune that rebuilds
-through add_vertex/add_edge; a basic-block contraction by repeated
-sweeps that fold one edge at a time; a product game built one add_edge and
-one randrange call at a time; dict trees for json.dumps instead of the
-template writers of CFG, decomposition and product game JSON.
+through add_vertex/add_edge, and a CFG JSON loader that fills the graph one
+record at a time through them, instead of writing sorted tuples in one
+pass; a basic-block contraction by repeated sweeps that fold one edge at a
+time; a product game built one add_edge and one randrange call at a time;
+dict trees for json.dumps instead of the template writers of CFG,
+decomposition and product game JSON.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from cfgdag import (
     validate_cfg_decomposition,
 )
 from cfgdag._graph import tree_children
+from cfgdag.cfg import CfgJsonError
 from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
 from cfgdag.lang import KEYWORDS, ParseError
@@ -52,6 +55,34 @@ IRREDUCIBLE_CFG_JSON = {
     "start": 0,
     "stop": 3,
 }
+
+
+def _cfg_json(labels: list[str], edges: list[tuple[int, int, str]], stop: int) -> dict:
+    return {
+        "vertices": [{"id": v, "label": label} for v, label in enumerate(labels)],
+        "edges": [{"from": u, "to": v, "kind": kind} for u, v, kind in edges],
+        "start": 0,
+        "stop": stop,
+    }
+
+
+# A while loop beside vertices that start does not reach: d (id 3, between
+# live ids) enters the loop body, and the dead cycle e <-> f leaves for stop.
+DEAD_CFG_JSON = _cfg_json(
+    ["start", "c", "a", "d", "exit(c)", "e", "f", "stop"],
+    [(0, 1, "out"), (1, 2, "out"), (2, 1, "out"), (1, 4, "out"), (4, 7, "out"),
+     (3, 2, "out"), (5, 6, "out"), (6, 5, "entry"), (6, 7, "stop")],
+    stop=7,
+)
+
+# while 1 { a; if p { continue; } b; } with its dead exit kept, and an edge
+# out of the unreachable stop, which only CFG JSON can give it.
+UNREACHABLE_STOP_CFG_JSON = _cfg_json(
+    ["start", "1", "a", "p", "b", "stop", "exit(1)"],
+    [(0, 1, "out"), (1, 2, "out"), (2, 3, "out"), (3, 4, "out"), (3, 1, "entry"),
+     (4, 1, "out"), (5, 2, "out"), (6, 5, "out")],
+    stop=5,
+)
 
 
 # Programs at the edges of the liveness rules: a do loop whose body makes no
@@ -580,6 +611,43 @@ def prune_by_rebuild(cfg):
             out.add_edge(u, v, cfg._kind[(u, v)])
     out.start, out.stop = cfg.start, cfg.stop
     return out
+
+
+def cfg_from_json_by_add_edge(data: dict) -> ControlFlowGraph:
+    """ControlFlowGraph.from_json_dict by one add_vertex call per vertex
+    record and one add_edge call per edge record, in file order, with the
+    same checks, except that add_edge ignores a repeated edge's kind."""
+    cfg = ControlFlowGraph()
+    try:
+        for rec in data["vertices"]:
+            vid = rec["id"]
+            if type(vid) is not int:
+                raise ValueError(f"vertex id {vid!r} is not an integer")
+            label = rec["label"]
+            if type(label) is not str:
+                raise ValueError(f"label {label!r} of vertex {vid} is not a string")
+            cfg.add_vertex(label, vid)
+        for vid, label in cfg.labels.items():
+            for ch in label:
+                if "\ud800" <= ch <= "\udfff":
+                    raise ValueError(f"label of vertex {vid} holds the lone surrogate {ch!r}")
+        for rec in data["edges"]:
+            u, v = rec["from"], rec["to"]
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an integer")
+            cfg.add_edge(u, v, rec["kind"])
+        cfg.start = data["start"]
+        cfg.stop = data["stop"]
+        for name, v in (("start", cfg.start), ("stop", cfg.stop)):
+            if type(v) is not int:
+                raise ValueError(f"{name} {v!r} is not an integer")
+        if cfg.start not in cfg.labels or cfg.stop not in cfg.labels:
+            raise ValueError(f"start {cfg.start!r} or stop {cfg.stop!r} is not a vertex")
+    except KeyError as err:
+        raise CfgJsonError(f"missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise CfgJsonError(str(err)) from None
+    return cfg
 
 
 def contract_by_fixpoint(cfg, forest=None):

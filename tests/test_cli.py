@@ -5,20 +5,32 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgdag import (
+    ControlFlowGraph,
     DagDecomposition,
+    EdgeKind,
     LoopForest,
     cfg_from_source,
     generate_random_program,
+    prune_unreachable,
     two_loop_cfg,
 )
 from cfgdag._json import dumps
 from cfgdag.cli import build_parser, main
-from helpers import IRREDUCIBLE_CFG_JSON, cfg_json_dict
+from helpers import (
+    DEAD_CFG_JSON,
+    IRREDUCIBLE_CFG_JSON,
+    UNREACHABLE_STOP_CFG_JSON,
+    cfg_from_json_by_add_edge,
+    cfg_json_dict,
+)
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -188,6 +200,10 @@ BAD_CFG_JSON = [
      "label {'a': [1, 2]} of vertex 0 is not a string"),
     (lambda data: data["vertices"][1].update(label="a\ud800"),
      "label of vertex 1 holds the lone surrogate '\\ud800'"),
+    # A repeated edge record keeps the first kind, but its own is checked too.
+    (lambda data: data["edges"].append({"from": 0, "to": 1, "kind": "bogus"}),
+     "'bogus' is not a valid EdgeKind"),
+    (lambda data: data["edges"][0].update(kind=["out"]), "kind ['out'] of edge (0, 1) is not a string"),
 ]
 
 
@@ -276,6 +292,8 @@ def test_bad_decomposition_json_exits_two_with_what_is_wrong(while_file, tmp_pat
     (["lift", "--m", "0"], "argument --m: expected an integer >= 1, got '0'"),
     (["lift", "--m", "-1"], "argument --m: expected an integer >= 1, got '-1'"),
     (["oracle", "--k-max", "0"], "argument --k-max: expected an integer >= 1, got '0'"),
+    (["play", "--max-rounds", "-3"], "argument --max-rounds: expected an integer >= 1, got '-3'"),
+    (["play", "--max-rounds", "0"], "argument --max-rounds: expected an integer >= 1, got '0'"),
 ])
 def test_out_of_range_argument_exits_two(while_file, capsys, argv, what):
     with pytest.raises(SystemExit) as exc:
@@ -447,6 +465,109 @@ def test_load_walks_reachability_once(while_file, tmp_path, monkeypatch, kind):
     assert main(["validate", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")]) == 0
     # The source path builds the pruned graph and never walks it.
     assert walks == ([0] if kind == "cfg-json" else [])
+
+
+def counting_prunes(monkeypatch) -> list:
+    """The graphs cli._load hands to prune_unreachable from now on."""
+    import cfgdag.cli as cli
+
+    prunes = []
+    real = cli.prune_unreachable
+    monkeypatch.setattr(cli, "prune_unreachable", lambda cfg: prunes.append(cfg) or real(cfg))
+    return prunes
+
+
+def test_cfg_json_route_prunes_only_a_graph_with_dead_vertices(while_file, tmp_path, monkeypatch):
+    built, dead = tmp_path / "g.json", tmp_path / "dead.json"
+    assert main(["build", str(while_file), "--out", str(built)]) == 0
+    dead.write_text(json.dumps(DEAD_CFG_JSON))
+    prunes = counting_prunes(monkeypatch)
+    for path, rebuilds in [(built, 0), (dead, 1)]:
+        prunes.clear()
+        assert main(["validate", str(path), "--kind", "cfg-json", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(prunes) == rebuilds
+
+
+class _Loaded(Exception):
+    """Stops the CLI once its CFG JSON route has the graph."""
+
+
+def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int]:
+    """The graph that cli._load's CFG JSON route hands to compute_dominators,
+    and how many prune_unreachable calls it took."""
+    import cfgdag.cli as cli
+
+    def stop_at_dominators(cfg):
+        seen.append(cfg)
+        raise _Loaded
+
+    seen: list = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        prunes = counting_prunes(mp)
+        mp.setattr(cli, "compute_dominators", stop_at_dominators)
+        with pytest.raises(_Loaded):
+            main(["build", str(path), "--kind", "cfg-json"])
+    return seen[0], len(prunes)
+
+
+def fields(cfg) -> tuple:
+    """Everything a graph holds, in order, each edge kind by identity."""
+    return (list(cfg.labels.items()), list(cfg._succ.items()), list(cfg._pred.items()),
+            [(e, k, type(k)) for e, k in cfg._kind.items()], cfg._next_id, cfg.start, cfg.stop)
+
+
+KINDS = [k.value for k in EdgeKind]
+
+
+@st.composite
+def cfg_json_data(draw) -> dict:
+    """CFG JSON with records in any order and edge records repeated with any
+    kind. Either a small digraph with ids anywhere and start and stop drawn
+    from them, so dead vertices, dead cycles and an unreachable stop with
+    out-edges come up, or a built program with dead vertices put beside it."""
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(-5, 30), min_size=1, max_size=9, unique=True))
+        ends = st.sampled_from(ids)
+        edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(KINDS)), max_size=20))
+        data = {"vertices": [{"id": v, "label": f"v{v}"} for v in ids],
+                "edges": [{"from": u, "to": v, "kind": k} for u, v, k in edges],
+                "start": draw(ends), "stop": draw(ends)}
+    else:
+        data = cfg_json_dict(cfg_from_source(
+            generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 40))))[0])
+        live = [v["id"] for v in data["vertices"]]
+        dead = [-1 - i for i in range(draw(st.integers(0, 3)))]
+        data["vertices"] += [{"id": v, "label": f"dead{v}"} for v in dead]
+        if dead:
+            pairs = st.tuples(st.sampled_from(dead), st.sampled_from(dead + live), st.sampled_from(KINDS))
+            data["edges"] += [{"from": u, "to": v, "kind": k}
+                              for u, v, k in draw(st.lists(pairs, max_size=6))]
+    if data["edges"]:
+        again = draw(st.lists(st.tuples(st.sampled_from(data["edges"]), st.sampled_from(KINDS)),
+                              max_size=4))
+        data["edges"] += [{**rec, "kind": k} for rec, k in again]
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(data["vertices"])
+    rng.shuffle(data["edges"])
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cfg_json_data())
+@example(DEAD_CFG_JSON)
+@example(UNREACHABLE_STOP_CFG_JSON)
+@example(cfg_json_dict(two_loop_cfg()[0]))
+def test_cfg_json_route_equals_the_record_by_record_loader_and_prune(data):
+    text = json.dumps(data)
+    got, prunes = load_as_the_cli_does(text)
+    assert fields(got) == fields(prune_unreachable(cfg_from_json_by_add_edge(data)))
+    loaded = ControlFlowGraph.from_json(text)
+    dead = len(loaded.reachable_from(loaded.start)) < loaded.n_vertices
+    assert prunes == dead
+    if not dead:  # so the route may skip the prune
+        assert fields(prune_unreachable(loaded)) == fields(loaded) == fields(got)
 
 
 def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, monkeypatch):

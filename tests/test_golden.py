@@ -25,7 +25,7 @@ import pytest
 
 from cfgdag import ControlFlowGraph, generate_random_program, two_loop_cfg
 from cfgdag.cli import main
-from helpers import CORNER_CASES, IRREDUCIBLE_CFG_JSON
+from helpers import CORNER_CASES, DEAD_CFG_JSON, IRREDUCIBLE_CFG_JSON, UNREACHABLE_STOP_CFG_JSON
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
@@ -60,6 +60,9 @@ def programs() -> dict[str, str | ControlFlowGraph]:
     out.update(CORNER_CASES)
     out["two-loop"] = two_loop_cfg()[0]
     out["irreducible"] = ControlFlowGraph.from_json_dict(IRREDUCIBLE_CFG_JSON)
+    # Loaded unpruned, so the CFG JSON route has vertices to drop.
+    out["dead-vertices"] = ControlFlowGraph.from_json_dict(DEAD_CFG_JSON)
+    out["unreachable-stop"] = ControlFlowGraph.from_json_dict(UNREACHABLE_STOP_CFG_JSON)
     return out
 
 
