@@ -98,9 +98,6 @@ class ControlFlowGraph:
     def edge_kind(self, u: int, v: int) -> EdgeKind:
         return self._kind[(u, v)]
 
-    def edges_of_kind(self, kind: EdgeKind) -> list[tuple[int, int]]:
-        return [e for e, k in self._kind.items() if k is kind]
-
     @property
     def n_vertices(self) -> int:
         return len(self.labels)

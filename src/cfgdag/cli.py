@@ -4,9 +4,9 @@ Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (an input that is not UTF-8, and bad JSON and bad CFG, loop
 forest or decomposition JSON included) or a bad argument, 3 parse error,
-4 a graph that is not the control-flow graph of a structured program, 5 an
-exact search that hit its limit (oracle's --k-max or the solver's state
-budget).
+4 a graph that no structured program has (or, for play, a --forest under
+which the guard strategy loses the robber), 5 an exact search that hit
+its limit (oracle's --k-max or the solver's state budget).
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -29,6 +29,7 @@ from .game import (
     LoopGuardStrategy,
     OptimalRobber,
     SearchBudgetError,
+    StrategyError,
     brute_force_cop_number,
     play_game,
 )
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except DecompositionJsonError as err:
         print(f"i/o error: bad decomposition JSON: {err}", file=sys.stderr)
         return 2
-    except NotStructuredError as err:
+    except (NotStructuredError, StrategyError) as err:
         print(f"not structured: {err}", file=sys.stderr)
         return 4
     except SearchBudgetError as err:

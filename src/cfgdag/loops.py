@@ -17,9 +17,12 @@ derives in one pass. By definition inside(L) holds the vertices dominated
 by the entry and not by the exit; the tests keep that definition as their
 oracle.
 
-Dominators and post-dominators take one Semi-NCA pass each (Georgiadis,
-Tarjan & Werneck, "Finding dominators in practice", 2006): near-linear
-time, and iterative throughout, so no graph is too deep for it.
+Dominators take one Semi-NCA pass (Georgiadis, Tarjan & Werneck, "Finding
+dominators in practice", 2006): near-linear time, and iterative throughout,
+so no graph is too deep for it. Post-dominators exist only inside loop
+recovery, which finds every natural body in one union-find pass (Tarjan,
+"Testing flow graph reducibility", 1974; Havlak, "Nesting of reducible and
+irreducible loops", 1997).
 """
 
 from __future__ import annotations
@@ -208,18 +211,11 @@ def _in_preorder(phi: LoopElement, elements: list[LoopElement], key=None) -> lis
 
 @dataclass
 class DominatorInfo:
-    """Immediate dominators from start, immediate post-dominators toward stop.
-
-    Post-dominators ignore return edges (EdgeKind.STOP), so vertices on
-    return-only paths may have no post-dominator entry.
-    """
+    """Immediate dominators from start, and preorder stamps of their tree."""
 
     idom: dict[int, int]
-    ipdom: dict[int, int]
     _tin: dict[int, int] = field(default_factory=dict, repr=False)
     _tout: dict[int, int] = field(default_factory=dict, repr=False)
-    _ptin: dict[int, int] = field(default_factory=dict, repr=False)
-    _ptout: dict[int, int] = field(default_factory=dict, repr=False)
 
     def dominates(self, u: int, v: int) -> bool:
         """True iff u lies on every path from start to v (reflexive)."""
@@ -321,35 +317,13 @@ def _dominator_tree(root: int, succ, pred):
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
-    """Dominators from start plus post-dominators toward stop.
-
-    Raises ValueError when a vertex other than stop is unreachable; prune
-    first. An unreachable stop gets no post-dominators.
-    """
+    """Dominators from start. Raises ValueError when a vertex other than
+    stop is unreachable; prune first."""
     idom, tin, tout = _dominator_tree(cfg.start, cfg.successors, cfg.predecessors)
     missing = [v for v in cfg.vertex_ids() if v not in idom]
     if missing and missing != [cfg.stop]:
         raise ValueError(f"unreachable vertices {sorted(missing)}; prune the graph first")
-
-    # Post-dominators: the reversed graph, return edges left out.
-    ipdom, ptin, ptout = {}, {}, {}
-    if cfg.stop in idom:
-        heads: dict[int, set[int]] = {}
-        tails: dict[int, set[int]] = {}
-        for u, v in cfg.edges_of_kind(EdgeKind.STOP):
-            heads.setdefault(v, set()).add(u)
-            tails.setdefault(u, set()).add(v)
-        ipdom, ptin, ptout = _dominator_tree(
-            cfg.stop, _without(cfg.predecessors, heads), _without(cfg.successors, tails))
-    return DominatorInfo(idom, ipdom, tin, tout, ptin, ptout)
-
-
-def _without(neighbours, cut: dict[int, set[int]]):
-    """neighbours(v) less cut[v]; only the few vertices in cut pay for a copy."""
-    def listed(v: int) -> list[int]:
-        drop = cut.get(v)
-        return neighbours(v) if drop is None else [w for w in neighbours(v) if w not in drop]
-    return listed
+    return DominatorInfo(idom, tin, tout)
 
 
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
@@ -460,43 +434,70 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     """Rebuild a loop forest, owner map included, for a graph loaded without one.
 
     Entries are heads of backward edges (the head dominates the tail). A
-    loop's exit is the nearest post-dominator of its entry outside its
-    natural body; where that chain meets another loop's entry it skips the
-    whole loop and goes on from the post-dominator of that loop's exit.
-    Loops nest by the dominator-tree walk that fills the owner map. Loops
-    with no backward edge cannot be seen in a bare graph and are not
-    recovered.
+    loop's natural body is its entry and every vertex that reaches a tail
+    without passing it. Heads go innermost first, in reverse dominator
+    preorder, and each collapses into itself what a predecessor walk from
+    its tails finds, inner bodies whole: an edge into a body from outside
+    ends at its head, so the walk passes an inner loop by its head alone. A
+    loop's exit is the nearest post-dominator of its entry outside its body;
+    where that chain meets another loop's entry it skips the whole loop and
+    goes on from the post-dominator of that loop's exit. Loops nest by the
+    dominator-tree walk that fills the owner map. Loops with no backward
+    edge cannot be seen in a bare graph and are not recovered.
     """
-    tails: dict[int, set[int]] = {}
+    tails: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}  # neighbour lists less return edges, where they touch
+    out_of: dict[int, list[int]] = {}
+    returns = EdgeKind.STOP  # an enum member costs a lookup on every access
     for u, v in cfg.edges():
         if dom.dominates(v, u):
-            tails.setdefault(v, set()).add(u)
+            tails.setdefault(v, []).append(u)
+        if cfg.edge_kind(u, v) is returns:
+            into.setdefault(v, list(cfg.predecessors(v))).remove(u)
+            out_of.setdefault(u, list(cfg.successors(u))).remove(v)
 
-    bodies: dict[int, set[int]] = {}
-    for head, ts in tails.items():
-        body = {head} | set(ts)
-        stack = list(ts)
+    # Post-dominators: the reversed graph less return edges; stop has none.
+    ipdom, ptin = {}, {}
+    if cfg.stop in dom.idom:
+        ipdom, ptin, _ = _dominator_tree(cfg.stop, lambda v: into.get(v, cfg.predecessors(v)),
+                                         lambda v: out_of.get(v, cfg.successors(v)))
+        del ipdom[cfg.stop]
+
+    up: dict[int, int] = {}  # toward the head of the outermost body found so far
+
+    def find(x: int | None) -> int | None:
+        top = x
+        while top in up:
+            top = up[top]
+        while x != top:
+            up[x], x = top, up[x]
+        return top
+
+    size: dict[int, int] = {}
+    # left[h]: the first vertex on h's post-dominator chain outside body(h),
+    # which the chain never comes back into
+    left: dict[int, int | None] = {}
+    for head in sorted(tails, key=dom._tin.__getitem__, reverse=True):
+        size[head] = 1
+        stack = tails[head]
         while stack:
-            v = stack.pop()
-            if v == head:
-                continue
-            for p in cfg.predecessors(v):
-                if p not in body:
-                    body.add(p)
-                    stack.append(p)
-        bodies[head] = body
+            q = find(stack.pop())
+            if q != head:
+                up[q] = head
+                size[head] += size.get(q, 1)
+                stack.extend(cfg.predecessors(q))
+        x = ipdom.get(head)
+        while find(x) == head:
+            x = left[x] if x in left else ipdom.get(x)
+        left[head] = x
 
     # A loop met on the chain post-dominates the head, so it comes earlier
     # in post-dominator preorder and its exit is already known.
-    ipdom = dom.ipdom
     exits: dict[int, int | None] = {}
-    for head in sorted(bodies, key=lambda h: dom._ptin.get(h, -1)):
-        body = bodies[head]
-        x = ipdom.get(head)
-        while x in body or x in exits:
-            step = x if x in body else exits[x]
-            up = ipdom.get(step)
-            x = None if up == step else up
+    for head in sorted(left, key=lambda h: ptin.get(h, -1)):
+        x = left[head]
+        while x in exits:
+            x = ipdom.get(exits[x])
         exits[head] = x
 
     forest = LoopForest()
@@ -510,5 +511,5 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
 
     _fill_owners(cfg, dom, forest, open_at)
     forest.elements = _in_preorder(
-        forest.phi, forest.elements, key=lambda e: (-len(bodies[e.entry]), e.entry))
+        forest.phi, forest.elements, key=lambda e: (-size[e.entry], e.entry))
     return forest

@@ -16,7 +16,11 @@ record at a time through them, instead of writing sorted tuples in one
 pass; a basic-block contraction by repeated sweeps that fold one edge at a
 time; a product game built one add_edge and one randrange call at a time;
 dict trees for json.dumps instead of the template writers of CFG,
-decomposition and product game JSON.
+decomposition and product game JSON; loop recovery that grows one natural
+body set per head and tests the exit walk against those sets, instead of
+one union-find pass. Post-dominators, which the library computes only
+inside loop recovery, come from post_dominator_tree over a return-free
+reversed graph built here.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from cfgdag._graph import tree_children
 from cfgdag.cfg import CfgJsonError
 from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
+from cfgdag.loops import _dominator_tree, _fill_owners, _in_preorder
 from cfgdag.lang import KEYWORDS, ParseError
 from cfgdag.validate import ValidationReport
 
@@ -810,12 +815,79 @@ def dominators_by_iteration(cfg) -> tuple[dict, dict]:
     return idom, idom_by_iteration(porder, fwd.__getitem__)
 
 
-def post_dominates(dom, u, v) -> bool:
+def post_dominator_tree(cfg) -> tuple[dict, dict, dict]:
+    """(ipdom, tin, tout) of the post-dominator tree: loops._dominator_tree
+    run from stop over the reversed graph with return edges (EdgeKind.STOP)
+    removed, or three empty maps when start does not reach stop."""
+    if cfg.stop not in cfg.reachable_from(cfg.start):
+        return {}, {}, {}
+
+    ids, stop = cfg.vertex_ids(), EdgeKind.STOP
+    into = {v: [u for u in cfg.predecessors(v) if cfg.edge_kind(u, v) is not stop] for v in ids}
+    out_of = {v: [w for w in cfg.successors(v) if cfg.edge_kind(v, w) is not stop] for v in ids}
+    return _dominator_tree(cfg.stop, into.__getitem__, out_of.__getitem__)
+
+
+def post_dominates(pdom, u, v) -> bool:
     """u lies on every return-free path from v to stop: u is an ancestor of
-    v in the post-dominator tree, by the entry and exit stamps of its walk."""
-    if v not in dom._ptin or u not in dom._ptin:
+    v in the post-dominator tree pdom (from post_dominator_tree), by the
+    entry and exit stamps of its walk."""
+    _, tin, tout = pdom
+    if v not in tin or u not in tin:
         return False
-    return dom._ptin[u] <= dom._ptin[v] and dom._ptout[v] <= dom._ptout[u]
+    return tin[u] <= tin[v] and tout[v] <= tout[u]
+
+
+def recover_loop_forest_by_bodies(cfg, dom) -> LoopForest:
+    """loops.recover_loop_forest as one natural body per head: each body is
+    its own set, grown by a predecessor walk from the tails, so nested loops
+    hold O(depth^2) vertices; the exit walk tests membership in those sets.
+    Post-dominators come from post_dominator_tree."""
+    tails: dict[int, set[int]] = {}
+    for u, v in cfg.edges():
+        if dom.dominates(v, u):
+            tails.setdefault(v, set()).add(u)
+
+    bodies: dict[int, set[int]] = {}
+    for head, ts in tails.items():
+        body = {head} | set(ts)
+        stack = list(ts)
+        while stack:
+            v = stack.pop()
+            if v == head:
+                continue
+            for p in cfg.predecessors(v):
+                if p not in body:
+                    body.add(p)
+                    stack.append(p)
+        bodies[head] = body
+
+    # A loop met on the chain post-dominates the head, so it comes earlier
+    # in post-dominator preorder and its exit is already known.
+    ipdom, ptin, _ = post_dominator_tree(cfg)
+    exits: dict[int, int | None] = {}
+    for head in sorted(bodies, key=lambda h: ptin.get(h, -1)):
+        body = bodies[head]
+        x = ipdom.get(head)
+        while x in body or x in exits:
+            step = x if x in body else exits[x]
+            up = ipdom.get(step)
+            x = None if up == step else up
+        exits[head] = x
+
+    forest = LoopForest()
+
+    def open_at(v: int, loop: LoopElement) -> LoopElement:
+        if v not in exits:
+            return loop
+        elem = forest.new_element(loop)
+        elem.entry, elem.exit = v, exits[v]
+        return elem
+
+    _fill_owners(cfg, dom, forest, open_at)
+    forest.elements = _in_preorder(
+        forest.phi, forest.elements, key=lambda e: (-len(bodies[e.entry]), e.entry))
+    return forest
 
 
 def dist_by_enumeration(cfg, forest, elem, v) -> int | None:
@@ -976,8 +1048,8 @@ def recovery_facts(cfg, forest, decomp) -> dict:
     forest is the builder's forest, decomp the decomposition built from it. A builder loop is seen when an edge into its
     entry starts inside it; only seen loops can be recovered, and a seen
     loop's parent is taken to be its nearest seen ancestor. "dominators"
-    says whether the loaded graph's idom and ipdom equal the iterative
-    oracle's. Returns {"error": message} when recovery raises.
+    says whether the loaded graph's idom and ipdom (from post_dominator_tree)
+    equal the iterative oracle's. Returns {"error": message} when recovery raises.
     """
     seen = {e.entry: e for e in forest.elements
             if any(forest.contains(e, u) for u in cfg.predecessors(e.entry))}
@@ -998,7 +1070,7 @@ def recovery_facts(cfg, forest, decomp) -> dict:
     entries = {r.entry for r in recovered.elements} == set(seen)
     return {
         "error": None,
-        "dominators": (dom.idom, dom.ipdom) == dominators_by_iteration(graph),
+        "dominators": (dom.idom, post_dominator_tree(graph)[0]) == dominators_by_iteration(graph),
         "valid": again.width() <= 3 and validate_cfg_decomposition(again, graph).valid,
         "entries": entries,
         "exits": entries and all(r.exit == seen[r.entry].exit for r in recovered.elements),

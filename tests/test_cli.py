@@ -630,6 +630,21 @@ def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     assert captured.err == "not structured: decomposition arcs contain a cycle\n"
 
 
+def test_play_with_a_forest_that_loses_the_robber_exits_four(tmp_path, capsys):
+    """decompose and validate reject this forest as not structured; play
+    fails the same way instead of with a traceback from the strategy."""
+    prog, graph, forest = tmp_path / "p.spl", tmp_path / "g.json", tmp_path / "loops.json"
+    prog.write_text("x; while c { a; if d { break; } do { b; } while e; } y;")
+    assert main(["build", str(prog), "--out", str(graph)]) == 0
+    forest.write_text('{"loops": [{"entry": 6, "exit": 4, "parent": null}]}')
+    for command in ("decompose", "validate", "play"):
+        assert main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not structured: ")
+    assert captured.err == "not structured: robber at 5 escaped the current loop\n"
+
+
 def test_python_m_cfgdag_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -657,6 +672,23 @@ def test_deep_nesting_decomposes_and_validates_from_source(tmp_path, shape):
     for command in ("decompose", "validate"):
         assert main([command, str(prog), "--out", str(tmp_path / "out.json")]) == 0
     assert json.loads((tmp_path / "out.json").read_text())["valid"] is True
+
+
+@pytest.mark.parametrize("shape", ["while", "do"])
+def test_deep_nesting_decomposes_and_validates_from_cfg_json(tmp_path, shape):
+    """Loop recovery collapses each finished loop into its head, so the CFG
+    JSON of 10^4 nested loops runs at the default recursion limit and gives
+    the decomposition of the source route byte for byte."""
+    assert sys.getrecursionlimit() < DEPTH
+    prog, graph = tmp_path / "deep.spl", tmp_path / "deep.json"
+    prog.write_text(DEEP[shape])
+    assert main(["build", str(prog), "--out", str(graph)]) == 0
+    direct, recovered = tmp_path / "d1.json", tmp_path / "d2.json"
+    assert main(["decompose", str(prog), "--out", str(direct)]) == 0
+    assert main(["decompose", str(graph), "--kind", "cfg-json", "--out", str(recovered)]) == 0
+    assert recovered.read_bytes() == direct.read_bytes()
+    assert main(["validate", str(graph), "--kind", "cfg-json", "--out", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["valid"] is True
 
 
 # -- the cyclic collector ---------------------------------------------------

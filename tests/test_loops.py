@@ -32,6 +32,8 @@ from helpers import (
     dominators_by_paths,
     pipeline,
     post_dominates,
+    post_dominator_tree,
+    recover_loop_forest_by_bodies,
     simple_cycles,
 )
 
@@ -92,13 +94,14 @@ def test_unreachable_vertex_rejected():
 
 
 def test_post_dominators_ignore_return_edges():
-    cfg, forest, dom = pipeline("while c { if x { return; } a; } d;")
+    cfg, forest, _ = pipeline("while c { if x { return; } a; } d;")
+    pdom = post_dominator_tree(cfg)
     ids = by_label(cfg)
     (elem,) = forest.elements
     # ignoring the return edge, the loop exit post-dominates the whole inside
     for v in forest.regions()[elem][1]:
-        assert post_dominates(dom, elem.exit, v), cfg.labels[v]
-    assert post_dominates(dom, ids["stop"], ids["a"])
+        assert post_dominates(pdom, elem.exit, v), cfg.labels[v]
+    assert post_dominates(pdom, ids["stop"], ids["a"])
 
 
 def _graph(n, edges, stop):
@@ -151,12 +154,15 @@ def programs(draw):
 @given(st.one_of(programs(), digraphs()))
 def test_dominators_equal_the_iterative_oracle(cfg):
     """Both trees equal the Cooper-Harvey-Kennedy fixed point's, and the
-    dominance queries equal ancestry in them."""
+    dominance queries equal ancestry in them. The post-dominator tree is
+    the one recover_loop_forest computes: Semi-NCA from stop over the
+    reversed graph without return edges."""
     dom = compute_dominators(cfg)
+    pdom = post_dominator_tree(cfg)
     idom, ipdom = dominators_by_iteration(cfg)
     assert dom.idom == idom
-    assert dom.ipdom == ipdom
-    for tree, holds in ((idom, dom.dominates), (ipdom, functools.partial(post_dominates, dom))):
+    assert pdom[0] == ipdom
+    for tree, holds in ((idom, dom.dominates), (ipdom, functools.partial(post_dominates, pdom))):
         for v in tree:
             above, x = {v}, v
             while tree[x] != x:
@@ -172,12 +178,13 @@ def test_dominators_of_a_deep_graph_need_no_recursion():
     n = 10**5
     assert sys.getrecursionlimit() < n
     edges = [(v, v + 1, "out") for v in range(n)] + [(n - 1, 1, "out"), (1, n - 1, "out")]
-    dom = compute_dominators(_graph(n + 1, edges, n))
+    cfg = _graph(n + 1, edges, n)
+    dom, pdom = compute_dominators(cfg), post_dominator_tree(cfg)
     chain = range(2, n - 1)
     assert dom.idom == {0: 0, 1: 0, **{v: v - 1 for v in chain}, n - 1: 1, n: n - 1}
-    assert dom.ipdom == {n: n, n - 1: n, **{v: v + 1 for v in chain}, 1: n - 1, 0: 1}
+    assert pdom[0] == {n: n, n - 1: n, **{v: v + 1 for v in chain}, 1: n - 1, 0: 1}
     assert dom.dominates(1, n) and not dom.dominates(n // 2, n - 1)
-    assert post_dominates(dom, n - 1, 0) and not post_dominates(dom, n // 2, 1)
+    assert post_dominates(pdom, n - 1, 0) and not post_dominates(pdom, n // 2, 1)
 
 
 # -- regions ------------------------------------------------------------------
@@ -454,3 +461,68 @@ def test_recover_matches_builder_on_random_programs():
             cls == BACKWARD for (u, v), cls in classify_edges(cfg, forest).items() if v == e.entry
         )}
         assert got == want, seed
+
+
+def _forest_facts(forest):
+    """(entry, exit, parent index) of each element in order, and the owner
+    map as element indices (None for the root)."""
+    index = {elem: i for i, elem in enumerate(forest.elements)}
+    index[forest.phi] = None
+    return ([(e.entry, e.exit, index[e.parent]) for e in forest.elements],
+            {v: index[e] for v, e in forest.owner.items()})
+
+
+# From inner head 2 the outer chain must go on at 2's first post-dominator
+# outside its body (3 here), not at 2's exit after the loops met beyond it.
+SEPARATES_LEFT_FROM_EXIT = _graph(
+    4, [(0, 1, "out"), (1, 1, "out"), (1, 2, "out"), (2, 0, "out"), (2, 2, "stop"), (2, 3, "out")], 3)
+
+
+def test_an_inner_loop_is_skipped_to_its_first_vertex_outside_it():
+    cfg = SEPARATES_LEFT_FROM_EXIT
+    forest = recover_loop_forest(cfg, compute_dominators(cfg))
+    assert [(e.entry, e.exit) for e in forest.elements] == [(0, 3), (1, None), (2, 3)]
+
+
+@example(SEPARATES_LEFT_FROM_EXIT)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(programs(), digraphs()))
+def test_recovery_equals_the_per_head_bodies_oracle(cfg):
+    """The union-find pass gives the forest of one natural body per head:
+    the same entries, exits, parents, element order (siblings by body size)
+    and owner map, or the same error (an edge out of an unreachable stop
+    has no dominator stamps)."""
+    dom = compute_dominators(cfg)
+    outcomes = []
+    for recover in (recover_loop_forest, recover_loop_forest_by_bodies):
+        try:
+            outcomes.append(_forest_facts(recover(cfg, dom)))
+        except KeyError as err:
+            outcomes.append(repr(err))
+    assert outcomes[0] == outcomes[1]
+
+
+def _predecessor_calls(recover, depth: int) -> int:
+    """cfg.predecessors calls that recover makes on depth nested do loops."""
+    cfg, _ = cfg_from_source("do { a; " * depth + "b; " + "} while c; " * depth)
+    dom = compute_dominators(cfg)
+    calls, predecessors = 0, cfg.predecessors
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return predecessors(v)
+
+    cfg.predecessors = counted
+    assert len(recover(cfg, dom).elements) == depth
+    return calls
+
+
+def test_recovery_work_grows_linearly_with_nesting_depth():
+    """Doubling the depth at most about doubles the predecessor lists read;
+    the per-head oracle, whose bodies hold O(depth^2) vertices, grows about
+    4x per doubling."""
+    assert _predecessor_calls(recover_loop_forest, 2000) <= 2.2 * _predecessor_calls(
+        recover_loop_forest, 1000)
+    by_bodies = [_predecessor_calls(recover_loop_forest_by_bodies, d) for d in (250, 500)]
+    assert by_bodies[1] > 3 * by_bodies[0]
