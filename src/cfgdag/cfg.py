@@ -221,17 +221,33 @@ def _freeze(labels: dict[int, str], out: dict[int, Sequence], next_id: int, star
     target, kind, ...): its successor and predecessor tuples ascend and its
     edge kinds run in sorted (u, v) order. Of two edges u -> v, the one
     listed first keeps its kind, as add_edge keeps it. Tuples are smaller
-    than lists, and the cyclic collector untracks a tuple of ints."""
+    than lists, and the cyclic collector untracks a tuple of ints.
+
+    One out-edge, or two to distinct targets, is written straight; the
+    first-kind dict and the sort serve only repeated targets and three or
+    more edges."""
     succ: dict[int, tuple[int, ...]] = {}
     kinds: dict[tuple[int, int], EdgeKind] = {}
     preds: dict[int, list[int]] = {v: [] for v in out}
     for u, edges in out.items():  # ascending, so every predecessor list is too
-        if len(edges) == 2:
+        n = len(edges)
+        if n == 2:
             w, k = edges
             succ[u] = (w,)
             kinds[u, w] = k
             preds[w].append(u)
             continue
+        if n == 4:
+            w, k, x, j = edges
+            if w != x:
+                if x < w:
+                    w, k, x, j = x, j, w, k
+                succ[u] = (w, x)
+                kinds[u, w] = k
+                kinds[u, x] = j
+                preds[w].append(u)
+                preds[x].append(u)
+                continue
         first: dict[int, EdgeKind] = {}
         for w, k in zip(edges[::2], edges[1::2]):
             first.setdefault(w, k)

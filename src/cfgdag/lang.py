@@ -22,51 +22,51 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     label: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Sequence:
     body: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: str
     then: Sequence
     orelse: Sequence | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: str | int
     body: Sequence = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile:
     cond: str | int
     body: Sequence = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(slots=True)
 class Break:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class StructuredAst:
     root: Sequence
 
@@ -84,18 +84,32 @@ _SPELL = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]|\s+")
 # Outside ASCII word characters, braces, semicolons and whitespace. A source
 # without one has no comment and no stray character.
 _ODD = re.compile(r"[^\s{};A-Za-z0-9_]")
+# A digit before a letter or "_". In "12ab" it ends a number token inside a
+# word run; "x1y" matches too, and takes the regex walk to no harm.
+_DIGIT_WORD = re.compile(r"[0-9][A-Za-z_]")
 
 
 def tokenize(source: str) -> list[str]:
     """The texts of the tokens of source, in order; a keyword is its own
     token, and comments and whitespace are dropped.
 
+    A plain source, one that _ODD and _DIGIT_WORD find nothing in, is split
+    in C. There every word run that starts with a digit is all digits, so
+    each maximal run of ASCII word characters is one token; with each brace
+    and semicolon padded by spaces, str.split gives the tokens (its
+    whitespace is re's \\s). A comment, a stray character or a word such
+    as "12ab" takes the regex walk.
+
     Tokens carry no position: a ParseError finds the offset of the one token
     it reports by scanning the source again.
     """
-    stray = _first_stray(source)
-    if stray is not None:
-        raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
+    if _ODD.search(source) is None:
+        if _DIGIT_WORD.search(source) is None:
+            return source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
+    else:
+        stray = _first_stray(source)
+        if stray is not None:
+            raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
     tokens = _TOKEN.findall(source)
     if "//" in source:
         tokens = [t for t in tokens if not t.startswith("//")]
@@ -106,11 +120,10 @@ def _first_stray(source: str) -> int | None:
     """The offset of the first character that no token, comment or
     whitespace spells, or None.
 
-    One scan in C settles a source of ASCII words, braces, semicolons and
-    whitespace; any other source is walked token by token.
+    The source is walked token by token; tokenize calls this only for a
+    source in which _ODD finds a character outside ASCII words, braces,
+    semicolons and whitespace.
     """
-    if _ODD.search(source) is None:
-        return None
     pos = 0
     for m in _SPELL.finditer(source):
         if m.start() != pos:

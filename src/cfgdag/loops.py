@@ -326,15 +326,21 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
     return DominatorInfo(idom, tin, tout)
 
 
+def _check_stop(cfg: ControlFlowGraph, dom: DominatorInfo) -> None:
+    """Raise ValueError when stop is unreachable but has an out-edge, which
+    compute_dominators accepts but which has no dominator stamps to place."""
+    if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
+        raise ValueError(f"unreachable stop {cfg.stop} has out-edges; prune the graph first")
+
+
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
     """Check that the forest's owner map covers exactly the graph's vertices.
 
     Readers take membership from the map itself (LoopForest.contains,
     LoopForest.regions), so a forest is usable without this call.
     """
-    all_vertices = set(cfg.vertex_ids())
-    if forest.owner.keys() != all_vertices:
-        missing = sorted(all_vertices - forest.owner.keys())
+    if forest.owner.keys() != cfg.labels.keys():
+        missing = sorted(cfg.labels.keys() - forest.owner.keys())
         raise ValueError(f"no loop owner for vertices {missing[:10]}")
     return forest
 
@@ -411,8 +417,11 @@ def classify_edges(
     """Tag each edge backward/forward: backward edges run from belongs(L) to L's entry.
 
     Passing dominator info cross-checks against the head-dominates-tail
-    definition and raises NotStructuredError on any disagreement.
+    definition and raises NotStructuredError on any disagreement, and
+    ValueError for an unreachable stop with an out-edge; prune first.
     """
+    if dom is not None:
+        _check_stop(cfg, dom)
     by_entry = forest.entries()
     owner = forest.owner
     classes: dict[tuple[int, int], str] = {}
@@ -443,8 +452,10 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     where that chain meets another loop's entry it skips the whole loop and
     goes on from the post-dominator of that loop's exit. Loops nest by the
     dominator-tree walk that fills the owner map. Loops with no backward
-    edge cannot be seen in a bare graph and are not recovered.
+    edge cannot be seen in a bare graph and are not recovered. An unreachable
+    stop with an out-edge raises ValueError; prune first.
     """
+    _check_stop(cfg, dom)
     tails: dict[int, list[int]] = {}
     into: dict[int, list[int]] = {}  # neighbour lists less return edges, where they touch
     out_of: dict[int, list[int]] = {}

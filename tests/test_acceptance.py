@@ -406,3 +406,34 @@ def test_criterion_10_linear_time():
     assert spread <= 2.0, per_statement
     detail = ", ".join(f"1e{len(str(n)) - 1}: {v * 1e6:.2f}us" for n, v in per_statement.items())
     _verdict(10, "construction scales linearly", f"{detail}, spread {spread:.2f}x")
+
+
+def test_whole_source_pipeline_scales_linearly():
+    """Source to validated decomposition costs about the same per statement
+    from 10^3 to 10^5: parse, build, loop regions, edge partition,
+    decomposition and validation.
+
+    CPU time of this process with the collector paused, best of 3, each
+    repeat timing every size in turn, so that a slow phase of a shared
+    machine falls on all sizes alike.
+    """
+    sources = {n: generate_random_program(424242, n) for n in (10**3, 10**4, 10**5)}
+    best = dict.fromkeys(sources, float("inf"))
+    for _ in range(3):
+        for n, src in sources.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                cfg, forest = cfg_from_source(src)
+                loop_regions(cfg, forest)
+                part = partition_edges(cfg, forest)
+                report = validate_cfg_decomposition(build_decomposition(cfg, forest, part), cfg)
+                best[n] = min(best[n], time.process_time() - t0)
+            finally:
+                gc.enable()
+            assert report.valid, n
+            del cfg, forest, part, report  # freed before the next timed run
+    per_statement = {n: t / n for n, t in best.items()}
+    spread = max(per_statement.values()) / min(per_statement.values())
+    assert spread <= 2.0, per_statement

@@ -84,7 +84,7 @@ def test_garbage_character():
 FRAGMENTS = ["a;", "x1;", "if p {", "if 3 {", "} else {", "while c {", "while 1 {", "while 0 {", "do {",
              "} while d;", "} while 0;", "}", "{", ";", "42", "while", "break;", "continue;",
              "return;", "// note", "// { ;", "a\u00e9;", "\u0663", " ", "  ", "\t", "\n", "\r\n",
-             "\n\n", " \r\n\t"]
+             "\n\n", " \r\n\t", "12ab", "7_", "x1y", "\xa0", "\x1c", "\u2028", "\u3000"]
 STRAYS = ["$", "@", "#", "-", "(", "\x00", "\u00e9", "/", "\u0663"]
 
 
@@ -119,9 +119,13 @@ def sources(draw):
 @example("do { a; } while")
 @example("a\u00e9; // \u0663 {\n if 7 { }")
 @example("do { x; } while 3 ; \u0663")
+@example("while 12ab { }")
+@example("a;\xa0b;")
+@example("x1y; 2z;")
 def test_tokens_and_error_positions_equal_the_running_counter(source):
     """Tokens, ASTs and every ParseError's message, line and column equal
-    those of the recursive descent parser over the running-counter tokens."""
+    those of the recursive descent parser over the running-counter tokens,
+    on the split path of a plain source and on the regex walk alike."""
     try:
         expected = tokenize_with_positions(source)
     except ParseError as want:
@@ -144,8 +148,8 @@ def test_tokens_and_error_positions_equal_the_running_counter(source):
 
 @pytest.mark.parametrize("comments", [False, True], ids=["plain", "commented"])
 def test_tokenize_allocates_little_beyond_its_tokens(comments):
-    """The stray check keeps no state per token, on the one-scan path of a
-    plain source and on the token walk of a commented one."""
+    """tokenize keeps little beyond its tokens, on the split path of a plain
+    source and on the stray check's token walk of a commented one."""
     source = generate_random_program(5, 2 * 10**4)
     if comments:
         source = source.replace(";\n", "; // done\n")

@@ -20,6 +20,7 @@ from cfgdag import (
     generate_random_program,
     loop_regions,
     parse_program,
+    prune_unreachable,
     recover_loop_forest,
     two_loop_cfg,
 )
@@ -490,16 +491,32 @@ def test_an_inner_loop_is_skipped_to_its_first_vertex_outside_it():
 def test_recovery_equals_the_per_head_bodies_oracle(cfg):
     """The union-find pass gives the forest of one natural body per head:
     the same entries, exits, parents, element order (siblings by body size)
-    and owner map, or the same error (an edge out of an unreachable stop
-    has no dominator stamps)."""
+    and owner map. An edge out of an unreachable stop has no dominator
+    stamps, so recovery rejects that graph."""
     dom = compute_dominators(cfg)
-    outcomes = []
-    for recover in (recover_loop_forest, recover_loop_forest_by_bodies):
-        try:
-            outcomes.append(_forest_facts(recover(cfg, dom)))
-        except KeyError as err:
-            outcomes.append(repr(err))
-    assert outcomes[0] == outcomes[1]
+    if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
+        with pytest.raises(ValueError, match="prune the graph first"):
+            recover_loop_forest(cfg, dom)
+        return
+    assert _forest_facts(recover_loop_forest(cfg, dom)) == _forest_facts(
+        recover_loop_forest_by_bodies(cfg, dom))
+
+
+def test_an_edge_out_of_an_unreachable_stop_asks_for_a_prune():
+    """compute_dominators accepts the graph, whose stop 2 is unreachable but
+    has the edge 2 -> 1; recovery and the dominator cross-check of
+    classify_edges reject it, as the pruned graph is the one they can read."""
+    cfg = _graph(3, [(0, 1, "out"), (1, 0, "out"), (2, 1, "out")], 2)
+    dom = compute_dominators(cfg)
+    with pytest.raises(ValueError, match="unreachable stop 2 has out-edges; prune the graph first"):
+        recover_loop_forest(cfg, dom)
+    forest = LoopForest()
+    forest.owner = dict.fromkeys(cfg.vertex_ids(), forest.phi)
+    with pytest.raises(ValueError, match="prune the graph first"):
+        classify_edges(cfg, forest, dom)
+    pruned = prune_unreachable(cfg)
+    forest = recover_loop_forest(pruned, compute_dominators(pruned))
+    assert [(e.entry, e.exit) for e in forest.elements] == [(0, None)]
 
 
 def _predecessor_calls(recover, depth: int) -> int:
