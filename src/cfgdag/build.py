@@ -4,8 +4,9 @@ One vertex per assignment and per branch/loop condition, plus start and
 stop. A statement's successors follow the usual conventions: fall-through
 edges, break to the nearest loop's exit, continue to the nearest loop's
 entry, return straight to stop. Each loop gets a fresh synthetic exit
-vertex so every loop element has distinct entry and exit points; a do loop
-whose body opens with a loop gets a "skip" vertex as its own entry.
+vertex so every loop element has distinct entry and exit points; a loop
+that starts before the first vertex of the do loop around it gives that do
+loop a "skip" vertex as its own entry.
 
 The walk is iterative, with an explicit stack of open statements, so no
 nesting depth is too deep for it. It decides reachability from start as it
@@ -121,29 +122,25 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                 pending = [] if c is None else [c]
                 work.append((iter(node.then.body), _Branch(node, c)))
                 break
-            elif kind is While:
-                elem = forest.new_element(inner)
-                c = elem.entry = vertex(str(node.cond), elem, pending)
-                if c is None:
-                    dropped.append(elem)
-                loops.append(_Loop(node, elem, c))
-                inner = elem
-                pending = [c] if c is not None and node.cond != 0 else []
-                work.append((iter(node.body.body), loops[-1]))
-                break
-            elif kind is DoWhile:
-                elem = forest.new_element(inner)
-                loop = _Loop(node, elem, None)
-                loops.append(loop)
-                unentered.append(loop)
-                inner = elem
-                body = node.body.body
-                if body and type(body[0]) in (While, DoWhile):
-                    # A nested loop would otherwise share its entry vertex
-                    # with this loop; give the body its own landing vertex.
-                    s = vertex("skip", elem, pending)
+            elif kind is While or kind is DoWhile:
+                if unentered:
+                    # This loop's entry would also be the entry of the do
+                    # loop around it; give that do loop a vertex of its own.
+                    s = vertex("skip", inner, pending)
                     pending = [] if s is None else [s]
-                work.append((iter(body), loop))
+                elem = forest.new_element(inner)
+                if kind is While:
+                    c = elem.entry = vertex(str(node.cond), elem, pending)
+                    if c is None:
+                        dropped.append(elem)
+                    loop = _Loop(node, elem, c)
+                    pending = [c] if c is not None and node.cond != 0 else []
+                else:
+                    loop = _Loop(node, elem, None)
+                    unentered.append(loop)
+                loops.append(loop)
+                inner = elem
+                work.append((iter(node.body.body), loop))
                 break
             elif kind is Break:
                 loops[-1].breaks += pending

@@ -88,15 +88,6 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
 
         part.plain.append((u, v))
 
-    total = (
-        len(part.backward)
-        + len(part.into_exit)
-        + len(part.into_entry)
-        + len(part.entry_to_exit)
-        + len(part.plain)
-    )
-    if total != cfg.n_edges:
-        raise ValueError("edge partition lost or duplicated edges")
     return part
 
 

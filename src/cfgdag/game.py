@@ -429,39 +429,44 @@ def _adjacency(graph) -> tuple[list[int], dict[int, list[int]]]:
 
 
 class PursuitSolver:
-    """Exhaustive search over (cops, robber region, vacated) with memoisation.
-
-    Monotonicity means cops may never return to a vacated vertex, so every
-    cop move either vacates something or adds a cop: the search is acyclic
-    and plain memoisation is sound. A robber that can reach any vacated
-    vertex wins outright, because no cop may ever land there again.
-    Skipping stand-still cop moves is safe: they help only the robber.
+    """Exhaustive search over (cops, robber region) with memoisation.
 
     The search keeps robber regions, not vertices, as in the helicopter game
     of Berwanger, Dawar, Hunter, Kreutzer & Obdrzalek ("The DAG-width of
     directed graphs", 2012). A free robber at r, facing cops x, can be
     anywhere in its region R = reach(r, x). Every stay set S of a cop move
     lies within x, so reach(r, S) = reach(R, S), and the value depends on r
-    only through R: the memo is keyed by (x, R, f). The cops' value is also
-    monotone in the region, by induction on the acyclic game: a smaller
-    region leaves the robber a subset of destinations after every move. So
-    once the cops beat the robber at b after their move to x2, every other
-    destination in reach(b, x2) is beaten as well and is not searched.
+    only through R. The cops' value is also monotone in the region, by
+    induction on the acyclic game: a smaller region leaves the robber a
+    subset of destinations after every move. So once the cops beat the
+    robber at b after their move to x2, every other destination in
+    reach(b, x2) is beaten as well and is not searched. Skipping stand-still
+    cop moves is safe: they help only the robber.
 
-    The value does not depend on the vacated vertices outside U, the
-    robber's reach from r with no cops at all, so the memo keeps f & U.
-    Every run the robber will make lies in U, as each starts where the last
-    one ended. So a cop outside U blocks no run and captures nothing, and a
-    vacated vertex outside U does nothing but forbid the cops to land on
-    it. Hence the value at f is at most the value at f & U, where fewer
-    vertices are forbidden. Conversely, take a winning strategy at f & U
-    and drop every cop outside U from each of its moves. The robber keeps
-    the same runs and the vacated vertices inside U stay the same, so the
-    strategy still wins, and it never lands on f. (A move that becomes a
-    stand-still is skipped, as above.) R determines U, the vertices that R
-    reaches, so the key stays a function of the state.
+    Monotonicity forbids the cops to land on a vacated vertex. Three facts
+    take the vacated set f out of the search, which is keyed by (x, R):
+    1. If R meets f, the robber wins at once: every stay set lies within x,
+       so the robber still reaches a vertex of f, runs there, and no cop may
+       ever land on it again.
+    2. Otherwise, landings outside R | x never help, and the value does not
+       depend on f. A run that leaves R must pass a vertex of x. If that cop
+       has lifted, the robber stops there and wins, as in 1; if it stayed,
+       the run is blocked. So every later region lies inside R, and a cop
+       outside R | x blocks no run and captures nothing: dropping it from a
+       winning strategy leaves a winning strategy. With landings in R | x,
+       every vertex the cops vacate lies outside R, so no later move lands
+       on it, and it matters only as a vertex a cop just left.
+    3. With landings in R | x, the pair (|R|, |x|) falls lexicographically
+       on every move that leaves the robber in play: a landing on v in R
+       takes v out of every later region, and a move that only lifts cops
+       keeps the region within R (by 2) and shrinks x. So the search is
+       acyclic, plain memoisation is sound, and the cops' play is monotone
+       by itself.
 
-    max_states bounds the memo, counted in (cops, region, vacated) states.
+    Only cops_win and winning_moves, where a caller enters the game, read f;
+    winning_moves yields every legal move, landings outside R | x too.
+
+    max_states bounds the memo, counted in (cops, robber region) states.
     """
 
     def __init__(self, vertices: list[int], succ: dict[int, list[int]], k: int,
@@ -473,7 +478,7 @@ class PursuitSolver:
         self.succ_mask = [0] * self.n
         for v, ws in succ.items():
             self.succ_mask[self.bits.index[v]] = self.bits.of(ws)
-        self.memo: dict[tuple[int, int, int], bool] = {}
+        self.memo: dict[tuple[int, int], bool] = {}
         # blocked mask -> reach from each vertex index, 0 until walked
         self._reach_rows: dict[int, list[int]] = {}
         # every placement of at most k cops, by size, then in combinations order
@@ -503,21 +508,24 @@ class PursuitSolver:
 
     # -- game values -------------------------------------------------------
 
-    def cops_win(self, x: int, r: int, f: int) -> bool:
+    def cops_win(self, x: int, r: int, f: int = 0) -> bool:
         """Cop player to move at (cops x, robber index r, vacated f)."""
         if (x >> r) & 1:
             return True
-        key = (x, self._reach(r, x), f & self._reach(r, 0))
+        region = self._reach(r, x)
+        if region & f:
+            return False
+        key = (x, region)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         if len(self.memo) >= self.max_states:
             raise SearchBudgetError(
-                f"memo exceeded {self.max_states} (cops, robber region, vacated) states at k={self.k}"
+                f"memo exceeded {self.max_states} (cops, robber region) states at k={self.k}"
             )
         result = False
-        for x2 in self._ordered_moves(x, r, f):
-            if self._move_wins(x, r, f, x2):
+        for x2 in self._ordered_moves(x, r, ~(region | x)):
+            if self._move_wins(x, r, x2):
                 result = True
                 break
         self.memo[key] = result
@@ -525,29 +533,30 @@ class PursuitSolver:
 
     def winning_moves(self, x: int, r: int, f: int):
         """Yield cop moves from which the cops force capture."""
+        if self._reach(r, x) & f:
+            return
         for x2 in self._ordered_moves(x, r, f):
-            if self._move_wins(x, r, f, x2):
+            if self._move_wins(x, r, x2):
                 yield x2
 
-    def _ordered_moves(self, x: int, r: int, f: int):
+    def _ordered_moves(self, x: int, r: int, forbidden: int):
         rbit = 1 << r
         for x2 in self._placements:  # capture attempts first
-            if x2 & rbit and not x2 & f and x2 != x:
+            if x2 & rbit and not x2 & forbidden and x2 != x:
                 yield x2
         for x2 in self._placements:
-            if not x2 & (rbit | f) and x2 != x:
+            if not x2 & (rbit | forbidden) and x2 != x:
                 yield x2
 
-    def _move_wins(self, x: int, r: int, f: int, x2: int) -> bool:
-        f2 = f | (x & ~x2)
+    def _move_wins(self, x: int, r: int, x2: int) -> bool:
         dests = self._reach(r, x & x2) & ~x2
         if dests == 0:
             return True  # the robber has nowhere left to stand
-        if dests & f2:
-            return False  # the robber slips onto forbidden ground
+        if dests & x:
+            return False  # the robber reaches a vertex a cop just left
         while dests:
             b = (dests & -dests).bit_length() - 1
-            if not self.cops_win(x2, b, f2):
+            if not self.cops_win(x2, b):
                 return False
             dests &= ~self._reach(b, x2)  # regions within b's are beaten too
         return True
@@ -573,7 +582,7 @@ def brute_force_cop_number(graph, k_max: int = 4, max_states: int = 4_000_000) -
       and the robber never gets back to one. So it is caught within n
       rounds.
 
-    max_states bounds each solver's memo of (cops, robber region, vacated)."""
+    max_states bounds each solver's memo of (cops, robber region) states."""
     vertices, succ = _adjacency(graph)
     loopless = {v: [w for w in ws if w != v] for v, ws in succ.items()}
     if k_max >= 1 and postorder(vertices, loopless) is not None:

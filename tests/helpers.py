@@ -92,7 +92,8 @@ UNREACHABLE_STOP_CFG_JSON = _cfg_json(
 
 # Programs at the edges of the liveness rules: a do loop whose body makes no
 # vertex, breaks before and after dead code, a loop after a return, loops on
-# the constants 0 and 1, and an empty branch.
+# the constants 0 and 1, an empty branch, and do loops whose body opens with
+# a continue and then a loop, which need the skip vertex.
 CORNER_CASES = {
     "corner-do-continue-while-1": "do { continue; } while 1; b;\n",
     "corner-do-break": "do { break; } while c;\n",
@@ -101,6 +102,16 @@ CORNER_CASES = {
     "corner-while-0": "while 0 { a; }\n",
     "corner-do-while-0": "do { a; } while 0;\n",
     "corner-empty-then": "if c { } a;\n",
+    "corner-do-continue-while": "do { continue; while d { a; } } while c; b;\n",
+    "corner-do-continue-do": "do { continue; do { a; } while c; } while d;\n",
+    # From CFG JSON these fail while the source route validates: no vertex
+    # reaches stop without a return edge, or none reaches it at all, so
+    # recover_loop_forest gives no loop an exit. validate --kind cfg-json
+    # exits 4, 4 and 1. The goldens pin the failures until loop recovery
+    # handles such graphs.
+    "cfg-json-return-after-nested-while": "while c { while d { a; } } return;\n",
+    "cfg-json-while-1-empty-while": "while 1 { while c { } a; }\n",
+    "cfg-json-while-1-do-in-if": "while 1 { if p { do { if p { a; } } while c; } a; }\n",
 }
 
 
@@ -461,19 +472,6 @@ class _LoopCtx:
         self.first_vertex: int | None = None
 
 
-def _opens_with_loop(seq: lang.Sequence) -> bool:
-    """Does control entering this block hit a loop construct first?"""
-    for stmt in seq.body:
-        if isinstance(stmt, (lang.While, lang.DoWhile)):
-            return True
-        if isinstance(stmt, lang.Sequence):
-            if stmt.body:
-                return _opens_with_loop(stmt)
-            continue
-        return False
-    return False
-
-
 class _UnprunedBuilder:
     """Expands every statement, reachable or not, one add_vertex and
     add_edge call at a time."""
@@ -502,6 +500,18 @@ class _UnprunedBuilder:
 
     def divert(self, pending, waiting, kind: EdgeKind) -> None:
         waiting.extend((u, kind) for u, _ in pending)
+
+    def skip(self, pending):
+        """A loop that starts before the first vertex of the do loop around
+        it gets a skip vertex of that do loop, as the do loop's entry."""
+        if not self.stack:
+            return pending
+        ctx = self.stack[-1]
+        if ctx.first_vertex is not None or not isinstance(ctx.entry_target, list):
+            return pending
+        s = self.vertex("skip")
+        self.attach(pending, s)
+        return [(s, EdgeKind.OUT)]
 
     def block(self, seq: lang.Sequence, pending):
         for stmt in seq.body:
@@ -544,6 +554,7 @@ class _UnprunedBuilder:
         raise TypeError(f"unknown statement {node!r}")
 
     def while_loop(self, node: lang.While, pending):
+        pending = self.skip(pending)
         elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
         c = self.vertex(str(node.cond), owner=elem)
         self.attach(pending, c)
@@ -558,17 +569,12 @@ class _UnprunedBuilder:
         return self.exit_vertex(node.cond, elem, c, ctx.breaks)
 
     def do_while_loop(self, node: lang.DoWhile, pending):
+        pending = self.skip(pending)
         elem = self.forest.new_element(self.stack[-1].element if self.stack else None)
         continues = []
         self.stack.append(_LoopCtx(elem, entry_target=continues))
 
-        if _opens_with_loop(node.body):
-            s = self.vertex("skip")
-            self.attach(pending, s)
-            body_pending = [(s, EdgeKind.OUT)]
-        else:
-            body_pending = pending
-        body_out = self.block(node.body, body_pending)
+        body_out = self.block(node.body, pending)
 
         c = self.vertex(str(node.cond))
         self.attach(body_out, c)

@@ -389,7 +389,7 @@ def test_optimal_robber_past_its_state_budget_exits_five(tmp_path, capsys, monke
     graph_path.write_text(cfg.to_json())
     assert main(["play", str(graph_path), "--kind", "cfg-json", "--robber", "optimal"]) == 5
     out, err = capsys.readouterr()
-    assert out == "" and err == "search limit: memo exceeded 5 (cops, robber region, vacated) states at k=3\n"
+    assert out == "" and err == "search limit: memo exceeded 5 (cops, robber region) states at k=3\n"
 
 
 def test_lift_writes_game_and_decomposition(while_file, tmp_path):

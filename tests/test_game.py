@@ -352,6 +352,26 @@ def test_cop_number_two_at_forty_vertices_in_few_states(seed, size, vertices):
     assert brute_force_cop_number(cfg, 4, max_states=200) == 2
 
 
+def test_losing_search_on_the_gadget_in_two_loops_stays_small():
+    """Landing cops only where the robber can go keeps the losing k = 2
+    search small; a memo keyed by vacated vertices needed 75,794 states."""
+    solver = PursuitSolver(*_adjacency(two_loop_cfg_in_loops(2)), k=2, max_states=1_000)
+    assert solver.robber_safe_somewhere()
+
+
+def test_two_gadgets_in_series_need_three_cops():
+    """Two copies of two_loop_cfg, the first's stop joined to the second's
+    start; a memo keyed by vacated vertices went past 300,000 states at k = 2."""
+    cfg, _ = two_loop_cfg()
+    vertices, succ = _adjacency(cfg)
+    n = max(vertices) + 1
+    graph = {v: list(ws) for v, ws in succ.items()}
+    graph |= {v + n: [w + n for w in ws] for v, ws in succ.items()}
+    graph[cfg.stop].append(cfg.start + n)
+    assert len(graph) == 26
+    assert brute_force_cop_number(graph, 4, max_states=20_000) == 3
+
+
 def test_budget_error_reports_partial_bound():
     cfg, _ = two_loop_cfg()
     with pytest.raises(SearchBudgetError, match="cop number > 1"):
