@@ -1,6 +1,5 @@
 """Graph primitives shared by the package: a DFS postorder that finds
-cycles, reachability around blocked vertices, and child lists of a
-parent-map tree.
+cycles, and reachability around blocked vertices.
 
 Successor maps are plain mappings from a vertex to an iterable of vertices.
 """
@@ -49,11 +48,3 @@ def reachable(succ, src, blocked=()) -> set:
                 stack.append(w)
     return seen
 
-
-def tree_children(parent: dict) -> dict[int, list[int]]:
-    """Child lists of a tree given as a parent map; the root is its own parent."""
-    kids: dict[int, list[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if v != p:
-            kids[p].append(v)
-    return kids

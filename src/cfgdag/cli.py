@@ -81,10 +81,15 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     text = _read(args.input)
     if args.kind == "cfg-json":
         cfg = ControlFlowGraph.from_json(text)
-        # The loaded graph is already in pruned form unless something is dead.
-        if len(cfg.reachable_from(cfg.start)) < cfg.n_vertices:
+        # The loaded graph is already in pruned form unless something is
+        # dead, which the dominator DFS finds: it reaches the same vertices.
+        try:
+            dom = compute_dominators(cfg)
+        except ValueError:  # a vertex other than stop is dead
+            dom = None
+        if dom is None or len(dom.idom) < cfg.n_vertices:
             cfg = prune_unreachable(cfg)
-        dom = compute_dominators(cfg)
+            dom = compute_dominators(cfg)
         if getattr(args, "forest", None):
             forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
             forest = assign_owners(cfg, dom, forest.restricted_to(cfg))

@@ -19,17 +19,18 @@ oracle.
 
 Dominators take one Semi-NCA pass (Georgiadis, Tarjan & Werneck, "Finding
 dominators in practice", 2006): near-linear time, and iterative throughout,
-so no graph is too deep for it. Post-dominators exist only inside loop
-recovery, which finds every natural body in one union-find pass (Tarjan,
-"Testing flow graph reducibility", 1974; Havlak, "Nesting of reducible and
-irreducible loops", 1997).
+so no graph is too deep for it. Loop recovery finds every natural body in
+one union-find pass (Tarjan, "Testing flow graph reducibility", 1974;
+Havlak, "Nesting of reducible and irreducible loops", 1997), and each
+loop's exit where the live targets of the edges leaving its body meet, so
+it needs no post-dominator tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
-from ._graph import tree_children
 from ._json import dumps
 from .cfg import ControlFlowGraph, EdgeKind
 
@@ -346,19 +347,20 @@ def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
 
 
 def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, open_at) -> None:
-    """One preorder walk of the dominator tree that fills forest.owner.
+    """One walk of the dominator tree in reverse postorder, the key order of
+    dom.idom, that fills forest.owner.
 
-    The walk carries the innermost open loop. Reaching the exit of an open
-    loop closes it and every loop inside it; then open_at(v, loop) opens
-    the loops that start at v and returns the innermost loop open at v,
-    which owns v. stop always stays with the root.
+    Each vertex comes after its immediate dominator and starts in the loop
+    that owns it. Reaching the exit of an open loop closes it and every
+    loop inside it; then open_at(v, loop) opens the loops that start at v
+    and returns the innermost loop open at v, which owns v. stop always
+    stays with the root.
     """
-    kids = tree_children(dom.idom)
     closes: dict[int, LoopElement] = {}  # exit -> element, for elements opened so far
     owner = forest.owner
-    stack = [(cfg.start, forest.phi)]
-    while stack:
-        v, loop = stack.pop()
+    phi = forest.phi
+    for v, d in dom.idom.items():
+        loop = phi if v == d else owner[d]
         closing = closes.get(v)
         if closing is not None:
             elem = loop
@@ -375,8 +377,7 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
                 elem = elem.parent
             loop = inner
         owner[v] = loop
-        stack.extend((c, loop) for c in kids[v])
-    owner[cfg.stop] = forest.phi
+    owner[cfg.stop] = phi
 
 
 def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
@@ -447,36 +448,56 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     without passing it. Heads go innermost first, in reverse dominator
     preorder, and each collapses into itself what a predecessor walk from
     its tails finds, inner bodies whole: an edge into a body from outside
-    ends at its head, so the walk passes an inner loop by its head alone. A
-    loop's exit is the nearest post-dominator of its entry outside its body;
-    where that chain meets another loop's entry it skips the whole loop and
-    goes on from the post-dominator of that loop's exit. Loops nest by the
+    ends at its head, so the walk passes an inner loop by its head alone.
+
+    The same pass collects each loop's targets: the heads of edges that
+    leave its body and are neither return edges nor backward, together
+    with the live targets of the loops collapsed into it. A target is live
+    when it reaches stop without a return edge; for an entry that does not
+    reach stop that way, when it lies in the body of the innermost loop
+    holding that entry, or, where no loop holds it, always. A loop's exit is
+    where its live targets meet: the target first in reverse postorder
+    advances to its live successors, a loop entry standing for what follows
+    that loop's exit, until one vertex is left that is no loop entry. So no
+    post-dominator tree is needed, and a loop finds its exit even where the
+    program ends in a return or an endless loop. Loops nest by the
     dominator-tree walk that fills the owner map. Loops with no backward
-    edge cannot be seen in a bare graph and are not recovered. An unreachable
-    stop with an out-edge raises ValueError; prune first.
+    edge cannot be seen in a bare graph and are not recovered. An
+    unreachable stop with an out-edge raises ValueError; prune first.
     """
     _check_stop(cfg, dom)
-    tails: dict[int, list[int]] = {}
-    into: dict[int, list[int]] = {}  # neighbour lists less return edges, where they touch
-    out_of: dict[int, list[int]] = {}
+    succ, pred, kind = cfg.successors, cfg.predecessors, cfg.edge_kind
     returns = EdgeKind.STOP  # an enum member costs a lookup on every access
-    for u, v in cfg.edges():
-        if dom.dominates(v, u):
+    tin, tout = dom._tin, dom._tout
+    tails: dict[int, list[int]] = {}
+    returned_to: set[int] = set()  # heads of return edges
+    for (u, v), k in cfg._kind.items():
+        if tin[v] <= tin[u] and tout[u] <= tout[v]:  # v dominates u
             tails.setdefault(v, []).append(u)
-        if cfg.edge_kind(u, v) is returns:
-            into.setdefault(v, list(cfg.predecessors(v))).remove(u)
-            out_of.setdefault(u, list(cfg.successors(u))).remove(v)
+        if k is returns:
+            returned_to.add(v)
 
-    # Post-dominators: the reversed graph less return edges; stop has none.
-    ipdom, ptin = {}, {}
-    if cfg.stop in dom.idom:
-        ipdom, ptin, _ = _dominator_tree(cfg.stop, lambda v: into.get(v, cfg.predecessors(v)),
-                                         lambda v: out_of.get(v, cfg.successors(v)))
-        del ipdom[cfg.stop]
+    def leaving(qs) -> list[int]:
+        """Heads of the out-edges of qs that are neither return edges nor backward."""
+        return [w for q in qs for w in succ(q)
+                if not (w in returned_to and kind(q, w) is returns)
+                and not (w in tails and dom.dominates(w, q))]
+
+    # The vertices that reach stop without a return edge.
+    reach: set[int] = set()
+    if tails and cfg.stop in dom.idom:
+        reach.add(cfg.stop)
+        stack = [cfg.stop]
+        while stack:
+            v = stack.pop()
+            for u in pred(v):
+                if u not in reach and not (v in returned_to and kind(u, v) is returns):
+                    reach.add(u)
+                    stack.append(u)
 
     up: dict[int, int] = {}  # toward the head of the outermost body found so far
 
-    def find(x: int | None) -> int | None:
+    def find(x: int) -> int:
         top = x
         while top in up:
             top = up[top]
@@ -485,31 +506,57 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
         return top
 
     size: dict[int, int] = {}
-    # left[h]: the first vertex on h's post-dominator chain outside body(h),
-    # which the chain never comes back into
-    left: dict[int, int | None] = {}
-    for head in sorted(tails, key=dom._tin.__getitem__, reverse=True):
-        size[head] = 1
+    targets: dict[int, list[int]] = {}
+    exits: dict[int, int | None] = {}
+    rpo: dict[int, int] = {}  # reverse postorder numbers, on first need
+
+    def settle(head: int, live) -> list[int]:
+        """Set head's exit from its targets that pass live; return those."""
+        found = [t for t in targets.pop(head) if live(t)]
+        if len(found) == 1 and found[0] not in exits:
+            exits[head] = found[0]
+            return found
+        if not rpo:
+            rpo.update(zip(dom.idom, range(len(dom.idom))))
+        heap = [(rpo[t], t) for t in found]
+        heapify(heap)
+        seen = set(found)
+        while heap:
+            r, v = heappop(heap)
+            if not heap and v not in exits:
+                exits[head] = v
+                return found
+            v = exits.get(v, v)  # a loop's entry advances from its exit
+            if v is not None:
+                for w in leaving((v,)):
+                    if w not in seen and live(w) and rpo[w] > r:
+                        seen.add(w)
+                        heappush(heap, (rpo[w], w))
+        exits[head] = None
+        return found
+
+    order = sorted(tails, key=tin.__getitem__, reverse=True)
+    for head in order:
+        plain, inner = [head], []  # what collapses into head: vertices, and heads done before
         stack = tails[head]
         while stack:
             q = find(stack.pop())
             if q != head:
                 up[q] = head
-                size[head] += size.get(q, 1)
-                stack.extend(cfg.predecessors(q))
-        x = ipdom.get(head)
-        while find(x) == head:
-            x = left[x] if x in left else ipdom.get(x)
-        left[head] = x
-
-    # A loop met on the chain post-dominates the head, so it comes earlier
-    # in post-dominator preorder and its exit is already known.
-    exits: dict[int, int | None] = {}
-    for head in sorted(left, key=lambda h: ptin.get(h, -1)):
-        x = left[head]
-        while x in exits:
-            x = ipdom.get(exits[x])
-        exits[head] = x
+                (inner if q in size else plain).append(q)
+                stack.extend(pred(q))
+        size[head] = len(plain) + sum(size[q] for q in inner)
+        out = leaving(plain)
+        # The body is whole, so each loop it holds can settle. A loop met on
+        # the way to another's exit lies below that one's entry in the
+        # dominator tree, so it settles first.
+        inner.sort(key=tin.__getitem__, reverse=True)
+        for q in inner:
+            out += settle(q, reach.__contains__ if q in reach else lambda t: find(t) == head)
+        targets[head] = [t for t in dict.fromkeys(out) if up.get(t) != head and find(t) != head]
+    for head in order:
+        if head not in up:  # held by no loop
+            settle(head, reach.__contains__ if head in reach else lambda t: True)
 
     forest = LoopForest()
 

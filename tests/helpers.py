@@ -17,10 +17,10 @@ pass; a basic-block contraction by repeated sweeps that fold one edge at a
 time; a product game built one add_edge and one randrange call at a time;
 dict trees for json.dumps instead of the template writers of CFG,
 decomposition and product game JSON; loop recovery that grows one natural
-body set per head and tests the exit walk against those sets, instead of
-one union-find pass. Post-dominators, which the library computes only
-inside loop recovery, come from post_dominator_tree over a return-free
-reversed graph built here.
+body set per head and takes each exit from the post-dominator tree,
+instead of one union-find pass that takes it where the live targets
+leaving a body meet. post_dominator_tree builds that tree over a
+return-free reversed graph; the library computes no post-dominators.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import tree_children
 from cfgdag.cfg import CfgJsonError
 from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
@@ -104,11 +103,10 @@ CORNER_CASES = {
     "corner-empty-then": "if c { } a;\n",
     "corner-do-continue-while": "do { continue; while d { a; } } while c; b;\n",
     "corner-do-continue-do": "do { continue; do { a; } while c; } while d;\n",
-    # From CFG JSON these fail while the source route validates: no vertex
-    # reaches stop without a return edge, or none reaches it at all, so
-    # recover_loop_forest gives no loop an exit. validate --kind cfg-json
-    # exits 4, 4 and 1. The goldens pin the failures until loop recovery
-    # handles such graphs.
+    # No vertex reaches stop without a return edge, or none reaches it at
+    # all, so post-dominators give these loops no exit. Loop recovery finds
+    # each exit where the loop's live targets meet, and the CFG JSON route
+    # writes what the source route writes.
     "cfg-json-return-after-nested-while": "while c { while d { a; } } return;\n",
     "cfg-json-while-1-empty-while": "while 1 { while c { } a; }\n",
     "cfg-json-while-1-do-in-if": "while 1 { if p { do { if p { a; } } while c; } a; }\n",
@@ -125,6 +123,15 @@ def pipeline(src, contract=False):
     dom = compute_dominators(cfg)
     dominator_regions(cfg, forest, dom)
     return cfg, forest, dom
+
+
+def tree_children(parent: dict) -> dict[int, list[int]]:
+    """Child lists of a tree given as a parent map; the root is its own parent."""
+    kids: dict[int, list[int]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if v != p:
+            kids[p].append(v)
+    return kids
 
 
 def dominator_regions(cfg, forest, dom):
@@ -845,10 +852,14 @@ def post_dominates(pdom, u, v) -> bool:
 
 
 def recover_loop_forest_by_bodies(cfg, dom) -> LoopForest:
-    """loops.recover_loop_forest as one natural body per head: each body is
-    its own set, grown by a predecessor walk from the tails, so nested loops
-    hold O(depth^2) vertices; the exit walk tests membership in those sets.
-    Post-dominators come from post_dominator_tree."""
+    """Loop recovery by post-dominators, with one natural body per head: each
+    body is its own set, grown by a predecessor walk from the tails, so
+    nested loops hold O(depth^2) vertices. A loop's exit is the first vertex
+    outside its body on its entry's post-dominator chain (from
+    post_dominator_tree); a loop entry met there is skipped to what follows
+    that loop's exit. Where every entry reaches stop without a return edge,
+    return edges end at stop and this forest's decomposition validates,
+    loops.recover_loop_forest gives the same forest."""
     tails: dict[int, set[int]] = {}
     for u, v in cfg.edges():
         if dom.dominates(v, u):

@@ -13,6 +13,7 @@ import pytest
 
 from cfgdag import (
     BACKWARD,
+    ControlFlowGraph,
     FormulaSkeleton,
     LazyRobber,
     LoopGuardStrategy,
@@ -30,6 +31,7 @@ from cfgdag import (
     loop_regions,
     partition_edges,
     play_game,
+    recover_loop_forest,
     two_loop_cfg,
     validate_cfg_decomposition,
     validate_decomposition,
@@ -427,6 +429,39 @@ def test_whole_source_pipeline_scales_linearly():
                 t0 = time.process_time()
                 cfg, forest = cfg_from_source(src)
                 loop_regions(cfg, forest)
+                part = partition_edges(cfg, forest)
+                report = validate_cfg_decomposition(build_decomposition(cfg, forest, part), cfg)
+                best[n] = min(best[n], time.process_time() - t0)
+            finally:
+                gc.enable()
+            assert report.valid, n
+            del cfg, forest, part, report  # freed before the next timed run
+    per_statement = {n: t / n for n, t in best.items()}
+    spread = max(per_statement.values()) / min(per_statement.values())
+    assert spread <= 2.0, per_statement
+
+
+def test_whole_cfg_json_pipeline_scales_linearly():
+    """CFG JSON to validated decomposition costs about the same per statement
+    from 10^3 to 10^5: load, dominators, loop recovery, loop regions, edge
+    partition, decomposition and validation, as validate --kind cfg-json
+    runs them on a graph with nothing dead.
+
+    Timed as test_whole_source_pipeline_scales_linearly times the source
+    route: CPU time with the collector paused, best of 3, each repeat timing
+    every size in turn.
+    """
+    texts = {n: cfg_from_source(generate_random_program(424242, n))[0].to_json()
+             for n in (10**3, 10**4, 10**5)}
+    best = dict.fromkeys(texts, float("inf"))
+    for _ in range(3):
+        for n, text in texts.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                cfg = ControlFlowGraph.from_json(text)
+                forest = loop_regions(cfg, recover_loop_forest(cfg, compute_dominators(cfg)))
                 part = partition_edges(cfg, forest)
                 report = validate_cfg_decomposition(build_decomposition(cfg, forest, part), cfg)
                 best[n] = min(best[n], time.process_time() - t0)

@@ -12,11 +12,13 @@ from cfgdag import (
     build_cfg,
     build_decomposition,
     cfg_from_source,
+    compute_dominators,
     contract_basic_blocks,
     generate_random_program,
     loop_regions,
     parse_program,
     prune_unreachable,
+    recover_loop_forest,
     validate_cfg_decomposition,
 )
 from cfgdag.cfg import CfgJsonError
@@ -238,12 +240,15 @@ def test_build_writes_the_pruned_graph_of_the_oracle(seed, size, jumpy):
 @example("do { continue; do { a; } while c; } while d;")
 @example("do { continue; do { } while c; a; } while 0; return;")
 def test_the_decomposition_built_from_source_validates(source):
-    """The source route, on programs with jumps anywhere. The CFG JSON route
-    is left out: loop recovery gives no loop an exit when no vertex reaches
-    stop without a return edge, and the golden corpus pins those failures."""
+    """Both routes, on programs with jumps anywhere: the source route, and the
+    CFG JSON that cfgdag build writes, read back with its loops recovered."""
     cfg, forest = cfg_from_source(source)
     loop_regions(cfg, forest)
     report = validate_cfg_decomposition(build_decomposition(cfg, forest), cfg)
+    assert report.valid, report.violations
+    graph = ControlFlowGraph.from_json(cfg.to_json())
+    recovered = loop_regions(graph, recover_loop_forest(graph, compute_dominators(graph)))
+    report = validate_cfg_decomposition(build_decomposition(graph, recovered), graph)
     assert report.valid, report.violations
 
 

@@ -463,8 +463,9 @@ def test_load_walks_reachability_once(while_file, tmp_path, monkeypatch, kind):
     monkeypatch.setattr(cfg_module, "reachable", lambda *a: walks.append(a[1]) or real(*a))
     path = while_file if kind == "source" else graph_path
     assert main(["validate", str(path), "--kind", kind, "--out", str(tmp_path / "r.json")]) == 0
-    # The source path builds the pruned graph and never walks it.
-    assert walks == ([0] if kind == "cfg-json" else [])
+    # The source path builds the pruned graph and never walks it; the CFG
+    # JSON path learns from the dominator DFS that nothing is dead.
+    assert walks == []
 
 
 def counting_prunes(monkeypatch) -> list:
@@ -493,11 +494,11 @@ class _Loaded(Exception):
 
 
 def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int]:
-    """The graph that cli._load's CFG JSON route hands to compute_dominators,
+    """The graph that cli._load's CFG JSON route hands to recover_loop_forest,
     and how many prune_unreachable calls it took."""
     import cfgdag.cli as cli
 
-    def stop_at_dominators(cfg):
+    def stop_at_recovery(cfg, dom):
         seen.append(cfg)
         raise _Loaded
 
@@ -506,7 +507,7 @@ def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int]:
         path = Path(tmp) / "g.json"
         path.write_text(text)
         prunes = counting_prunes(mp)
-        mp.setattr(cli, "compute_dominators", stop_at_dominators)
+        mp.setattr(cli, "recover_loop_forest", stop_at_recovery)
         with pytest.raises(_Loaded):
             main(["build", str(path), "--kind", "cfg-json"])
     return seen[0], len(prunes)
@@ -659,6 +660,8 @@ DEEP = {
     "while": "while c { " * DEPTH + "a;" + " }" * DEPTH,
     "do": "do { " * DEPTH + "a;" + " } while c;" * DEPTH,
     "if": "if c { " * DEPTH + "a;" + " }" * DEPTH,
+    # No loop entry reaches stop without the return edge.
+    "return": "while c { " * DEPTH + "a;" + " }" * DEPTH + " return;",
 }
 
 
@@ -674,11 +677,13 @@ def test_deep_nesting_decomposes_and_validates_from_source(tmp_path, shape):
     assert json.loads((tmp_path / "out.json").read_text())["valid"] is True
 
 
-@pytest.mark.parametrize("shape", ["while", "do"])
+@pytest.mark.parametrize("shape", ["while", "do", "return"])
 def test_deep_nesting_decomposes_and_validates_from_cfg_json(tmp_path, shape):
     """Loop recovery collapses each finished loop into its head, so the CFG
     JSON of 10^4 nested loops runs at the default recursion limit and gives
-    the decomposition of the source route byte for byte."""
+    the decomposition of the source route byte for byte. In the shape that
+    ends in a return, each exit is live because it lies in the body of the
+    loop around it, not because it reaches stop."""
     assert sys.getrecursionlimit() < DEPTH
     prog, graph = tmp_path / "deep.spl", tmp_path / "deep.json"
     prog.write_text(DEEP[shape])

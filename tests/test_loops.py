@@ -1,5 +1,6 @@
 import functools
 import gc
+import random
 import sys
 import weakref
 
@@ -13,6 +14,7 @@ from cfgdag import (
     EdgeKind,
     LoopForest,
     assign_owners,
+    build_decomposition,
     cfg_from_source,
     classify_edges,
     compute_dominators,
@@ -23,6 +25,7 @@ from cfgdag import (
     prune_unreachable,
     recover_loop_forest,
     two_loop_cfg,
+    validate_cfg_decomposition,
 )
 from cfgdag.loops import FORWARD
 from helpers import (
@@ -37,6 +40,7 @@ from helpers import (
     recover_loop_forest_by_bodies,
     simple_cycles,
 )
+from test_cfg import with_jumps
 
 
 def by_label(cfg):
@@ -156,7 +160,7 @@ def programs(draw):
 def test_dominators_equal_the_iterative_oracle(cfg):
     """Both trees equal the Cooper-Harvey-Kennedy fixed point's, and the
     dominance queries equal ancestry in them. The post-dominator tree is
-    the one recover_loop_forest computes: Semi-NCA from stop over the
+    the one the per-head bodies oracle reads: Semi-NCA from stop over the
     reversed graph without return edges."""
     dom = compute_dominators(cfg)
     pdom = post_dominator_tree(cfg)
@@ -473,8 +477,9 @@ def _forest_facts(forest):
             {v: index[e] for v, e in forest.owner.items()})
 
 
-# From inner head 2 the outer chain must go on at 2's first post-dominator
-# outside its body (3 here), not at 2's exit after the loops met beyond it.
+# Loop 2 leaves for 3 alone. Loop 1's one target is the entry 2, which
+# stands for what follows loop 2's exit 3, and nothing does, so loop 1 gets
+# no exit; the outer loop 0 takes the target 3 that loop 2 hands up.
 SEPARATES_LEFT_FROM_EXIT = _graph(
     4, [(0, 1, "out"), (1, 1, "out"), (1, 2, "out"), (2, 0, "out"), (2, 2, "stop"), (2, 3, "out")], 3)
 
@@ -485,21 +490,53 @@ def test_an_inner_loop_is_skipped_to_its_first_vertex_outside_it():
     assert [(e.entry, e.exit) for e in forest.elements] == [(0, 3), (1, None), (2, 3)]
 
 
-@example(SEPARATES_LEFT_FROM_EXIT)
+@st.composite
+def jumpy_programs(draw):
+    """with_jumps programs, contracted or not: a loop may end in a return,
+    an endless loop or a break, so its entry need not reach stop."""
+    cfg, forest = cfg_from_source(with_jumps(random.Random(draw(st.integers(0, 10**6)))))
+    return contract_basic_blocks(cfg, forest) if draw(st.booleans()) else cfg
+
+
+def _validates(cfg, forest) -> bool:
+    try:
+        decomp = build_decomposition(cfg, forest)
+    except ValueError:  # not structured, or two loops with one exit
+        return False
+    return validate_cfg_decomposition(decomp, cfg).valid
+
+
+@example((SEPARATES_LEFT_FROM_EXIT, False))
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(programs(), digraphs()))
-def test_recovery_equals_the_per_head_bodies_oracle(cfg):
-    """The union-find pass gives the forest of one natural body per head:
-    the same entries, exits, parents, element order (siblings by body size)
-    and owner map. An edge out of an unreachable stop has no dominator
-    stamps, so recovery rejects that graph."""
+@given(st.one_of(programs().map(lambda g: (g, True)), jumpy_programs().map(lambda g: (g, True)),
+                 digraphs().map(lambda g: (g, False))))
+def test_recovery_equals_the_per_head_bodies_oracle(drawn):
+    """The per-head bodies oracle takes each exit from the post-dominator
+    tree. Both find the same entries on every graph. Where every entry reaches stop without a return
+    edge, every return edge ends at stop, and the oracle's decomposition
+    validates, the forests are equal: entries, exits, parents, element order
+    (siblings by body size) and owner map. A return edge into a loop body,
+    which no program has, puts into the body vertices its entry reaches only
+    through that return; their targets count for the meeting point but not
+    for post-dominators. Every program's recovered decomposition validates.
+    An edge out of an unreachable stop has no dominator stamps, so recovery
+    rejects that graph."""
+    cfg, is_program = drawn
     dom = compute_dominators(cfg)
     if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
         with pytest.raises(ValueError, match="prune the graph first"):
             recover_loop_forest(cfg, dom)
         return
-    assert _forest_facts(recover_loop_forest(cfg, dom)) == _forest_facts(
-        recover_loop_forest_by_bodies(cfg, dom))
+    got, want = recover_loop_forest(cfg, dom), recover_loop_forest_by_bodies(cfg, dom)
+    assert len(got.elements) == len(want.elements)
+    assert {e.entry for e in got.elements} == {e.entry for e in want.elements}
+    reaches_stop = post_dominator_tree(cfg)[0]
+    if (all(e.entry in reaches_stop for e in want.elements)
+            and all(v == cfg.stop for u, v in cfg.edges() if cfg.edge_kind(u, v) is EdgeKind.STOP)
+            and _validates(cfg, want)):
+        assert _forest_facts(got) == _forest_facts(want)
+    if is_program:
+        assert _validates(cfg, got)
 
 
 def test_an_edge_out_of_an_unreachable_stop_asks_for_a_prune():
