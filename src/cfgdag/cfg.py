@@ -36,7 +36,8 @@ class CfgJsonError(ValueError):
     edge end, start or stop that is not an integer, a label that is not a
     string or holds a lone surrogate (which no UTF-8 output can write), a
     duplicate vertex id, an edge to an unknown vertex, an invalid edge
-    kind, or a start or stop that is not a vertex."""
+    kind, a start or stop that is not a vertex, or a return edge (kind
+    stop) that does not end at stop."""
 
 
 # One vertex and one edge record of ControlFlowGraph.to_json, for section.
@@ -130,8 +131,11 @@ class ControlFlowGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":
         """The graph in the form _freeze writes. Every edge record's kind is
-        checked; of two records of one edge, the first keeps its kind."""
+        checked, and a return edge must end at stop; of two records of one
+        edge, the first keeps its kind."""
         labels: dict[int, str] = {}
+        returns: list[tuple[int, int]] = []  # return edges, checked once stop is read
+        stop_kind = EdgeKind.STOP  # an enum member costs a lookup on every access
         try:
             for rec in data["vertices"]:
                 vid = rec["id"]
@@ -164,13 +168,19 @@ class ControlFlowGraph:
                 kind = rec["kind"]
                 if type(kind) is not str:
                     raise ValueError(f"kind {kind!r} of edge ({u}, {v}) is not a string")
-                out[u] += (v, _KINDS.get(kind) or EdgeKind(kind))
+                kind = _KINDS.get(kind) or EdgeKind(kind)
+                if kind is stop_kind:
+                    returns.append((u, v))
+                out[u] += (v, kind)
             start, stop = data["start"], data["stop"]
             for name, v in (("start", start), ("stop", stop)):
                 if type(v) is not int:
                     raise ValueError(f"{name} {v!r} is not an integer")
             if start not in labels or stop not in labels:
                 raise ValueError(f"start {start!r} or stop {stop!r} is not a vertex")
+            for u, v in returns:
+                if v != stop:
+                    raise ValueError(f"return edge ({u}, {v}) does not end at stop {stop}")
         except KeyError as err:
             raise CfgJsonError(f"missing key {err}") from None
         except (TypeError, ValueError) as err:

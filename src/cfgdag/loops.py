@@ -127,12 +127,14 @@ class LoopForest:
         return by_entry
 
     def exits(self) -> dict[int, LoopElement]:
+        """Exit vertex -> element. Two elements with one exit fit no
+        structured program: NotStructuredError."""
         out: dict[int, LoopElement] = {}
         for elem in self.elements:
             if elem.exit is None:
                 continue
             if elem.exit in out:
-                raise ValueError(f"vertex {elem.exit} is the exit of two loop elements")
+                raise NotStructuredError(f"vertex {elem.exit} is the exit of two loop elements")
             out[elem.exit] = elem
         return out
 
@@ -513,9 +515,6 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     def settle(head: int, live) -> list[int]:
         """Set head's exit from its targets that pass live; return those."""
         found = [t for t in targets.pop(head) if live(t)]
-        if len(found) == 1 and found[0] not in exits:
-            exits[head] = found[0]
-            return found
         if not rpo:
             rpo.update(zip(dom.idom, range(len(dom.idom))))
         heap = [(rpo[t], t) for t in found]

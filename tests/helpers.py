@@ -113,6 +113,28 @@ CORNER_CASES = {
 }
 
 
+def with_jumps(rng, depth=0, in_loop=False):
+    """A small program with jumps anywhere, empty blocks, and loops on the
+    constants 0 and 1: a do body may open with a continue or a break."""
+    stmts = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if depth > 3 or roll < 0.3:
+            stmts.append(f"{rng.choice('abc')};")
+        elif roll < 0.5:
+            stmts.append(rng.choice(["break;", "continue;", "return;"] if in_loop else ["return;"]))
+        elif roll < 0.65:
+            branch = f"if p {{ {with_jumps(rng, depth + 1, in_loop)} }}"
+            if rng.random() < 0.5:
+                branch += f" else {{ {with_jumps(rng, depth + 1, in_loop)} }}"
+            stmts.append(branch)
+        elif roll < 0.82:
+            stmts.append(f"while {rng.choice('c01')} {{ {with_jumps(rng, depth + 1, True)} }}")
+        else:
+            stmts.append(f"do {{ {with_jumps(rng, depth + 1, True)} }} while {rng.choice('c01')};")
+    return " ".join(stmts)
+
+
 def pipeline(src, contract=False):
     """parse -> build (-> contract, as the CLI does) -> owner map from the
     dominator definitions."""
@@ -661,6 +683,9 @@ def cfg_from_json_by_add_edge(data: dict) -> ControlFlowGraph:
                 raise ValueError(f"{name} {v!r} is not an integer")
         if cfg.start not in cfg.labels or cfg.stop not in cfg.labels:
             raise ValueError(f"start {cfg.start!r} or stop {cfg.stop!r} is not a vertex")
+        for rec in data["edges"]:
+            if rec["kind"] == "stop" and rec["to"] != cfg.stop:
+                raise ValueError(f"return edge ({rec['from']}, {rec['to']}) does not end at stop {cfg.stop}")
     except KeyError as err:
         raise CfgJsonError(f"missing key {err}") from None
     except (TypeError, ValueError) as err:
@@ -857,9 +882,10 @@ def recover_loop_forest_by_bodies(cfg, dom) -> LoopForest:
     nested loops hold O(depth^2) vertices. A loop's exit is the first vertex
     outside its body on its entry's post-dominator chain (from
     post_dominator_tree); a loop entry met there is skipped to what follows
-    that loop's exit. Where every entry reaches stop without a return edge,
-    return edges end at stop and this forest's decomposition validates,
-    loops.recover_loop_forest gives the same forest."""
+    that loop's exit. On a graph whose return edges end at stop, as CFG
+    JSON requires, where every entry reaches stop without a return edge and
+    this forest's decomposition validates, loops.recover_loop_forest gives
+    the same forest."""
     tails: dict[int, set[int]] = {}
     for u, v in cfg.edges():
         if dom.dominates(v, u):

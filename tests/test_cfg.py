@@ -32,6 +32,7 @@ from helpers import (
     pipeline,
     prune_by_rebuild,
     succ_map,
+    with_jumps,
 )
 from test_json import text
 
@@ -162,28 +163,6 @@ def with_dead_code(rng, source):
         if stmt.startswith("a") and rng.random() < 0.05:
             lines.append("return;")
     return "\n".join(lines)
-
-
-def with_jumps(rng, depth=0, in_loop=False):
-    """A small program with jumps anywhere, empty blocks, and loops on the
-    constants 0 and 1: a do body may open with a continue or a break."""
-    stmts = []
-    for _ in range(rng.randint(0, 4)):
-        roll = rng.random()
-        if depth > 3 or roll < 0.3:
-            stmts.append(f"{rng.choice('abc')};")
-        elif roll < 0.5:
-            stmts.append(rng.choice(["break;", "continue;", "return;"] if in_loop else ["return;"]))
-        elif roll < 0.65:
-            branch = f"if p {{ {with_jumps(rng, depth + 1, in_loop)} }}"
-            if rng.random() < 0.5:
-                branch += f" else {{ {with_jumps(rng, depth + 1, in_loop)} }}"
-            stmts.append(branch)
-        elif roll < 0.82:
-            stmts.append(f"while {rng.choice('c01')} {{ {with_jumps(rng, depth + 1, True)} }}")
-        else:
-            stmts.append(f"do {{ {with_jumps(rng, depth + 1, True)} }} while {rng.choice('c01')};")
-    return " ".join(stmts)
 
 
 def assert_builds_the_pruned_oracle(source):
@@ -477,11 +456,14 @@ labels = st.one_of(text, st.sampled_from(["", "%", "%s", "%%d", "\\", '"', "\ud8
 
 @st.composite
 def labelled_graphs(draw):
+    """Labelled vertices and edges of any kind, a return edge ending at stop."""
     vertices = draw(st.dictionaries(st.integers(-(10**20), 10**20), labels, max_size=8))
     ids = sorted(vertices)
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(EdgeKind)), max_size=16)) if ids else []
-    return graph(vertices, edges, *(draw(st.sampled_from(ids)) for _ in range(2) if ids))
+    ends = [draw(st.sampled_from(ids)) for _ in range(2) if ids]
+    edges = [(u, ends[1] if k is EdgeKind.STOP else v, k) for u, v, k in edges]
+    return graph(vertices, edges, *ends)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

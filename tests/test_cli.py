@@ -204,6 +204,8 @@ BAD_CFG_JSON = [
     (lambda data: data["edges"].append({"from": 0, "to": 1, "kind": "bogus"}),
      "'bogus' is not a valid EdgeKind"),
     (lambda data: data["edges"][0].update(kind=["out"]), "kind ['out'] of edge (0, 1) is not a string"),
+    (lambda data: data["edges"].append({"from": 1, "to": 0, "kind": "stop"}),
+     "return edge (1, 0) does not end at stop 1"),
 ]
 
 
@@ -525,15 +527,15 @@ KINDS = [k.value for k in EdgeKind]
 @st.composite
 def cfg_json_data(draw) -> dict:
     """CFG JSON with records in any order and edge records repeated with any
-    kind. Either a small digraph with ids anywhere and start and stop drawn
-    from them, so dead vertices, dead cycles and an unreachable stop with
-    out-edges come up, or a built program with dead vertices put beside it."""
+    kind, a return edge always ending at stop. Either a small digraph with
+    ids anywhere and start and stop drawn from them, so dead vertices, dead
+    cycles and an unreachable stop with out-edges come up, or a built
+    program with dead vertices put beside it."""
     if draw(st.booleans()):
         ids = draw(st.lists(st.integers(-5, 30), min_size=1, max_size=9, unique=True))
         ends = st.sampled_from(ids)
         edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(KINDS)), max_size=20))
-        data = {"vertices": [{"id": v, "label": f"v{v}"} for v in ids],
-                "edges": [{"from": u, "to": v, "kind": k} for u, v, k in edges],
+        data = {"vertices": [{"id": v, "label": f"v{v}"} for v in ids], "edges": [],
                 "start": draw(ends), "stop": draw(ends)}
     else:
         data = cfg_json_dict(cfg_from_source(
@@ -541,14 +543,15 @@ def cfg_json_data(draw) -> dict:
         live = [v["id"] for v in data["vertices"]]
         dead = [-1 - i for i in range(draw(st.integers(0, 3)))]
         data["vertices"] += [{"id": v, "label": f"dead{v}"} for v in dead]
-        if dead:
-            pairs = st.tuples(st.sampled_from(dead), st.sampled_from(dead + live), st.sampled_from(KINDS))
-            data["edges"] += [{"from": u, "to": v, "kind": k}
-                              for u, v, k in draw(st.lists(pairs, max_size=6))]
+        pairs = st.tuples(st.sampled_from(dead), st.sampled_from(dead + live), st.sampled_from(KINDS))
+        edges = draw(st.lists(pairs, max_size=6)) if dead else []
+    data["edges"] += [{"from": u, "to": data["stop"] if k == "stop" else v, "kind": k}
+                      for u, v, k in edges]
     if data["edges"]:
         again = draw(st.lists(st.tuples(st.sampled_from(data["edges"]), st.sampled_from(KINDS)),
                               max_size=4))
-        data["edges"] += [{**rec, "kind": k} for rec, k in again]
+        data["edges"] += [{**rec, "kind": k} for rec, k in again
+                          if k != "stop" or rec["to"] == data["stop"]]
     rng = draw(st.randoms(use_true_random=False))
     rng.shuffle(data["vertices"])
     rng.shuffle(data["edges"])
@@ -629,6 +632,28 @@ def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "not structured: decomposition arcs contain a cycle\n"
+
+
+# The loop at a, held by the loop at start, and that outer loop both leave
+# for stop alone, so recovery gives both the exit stop: no structured
+# program has such a graph.
+SHARED_EXIT_CFG_JSON = {
+    "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "stop"])],
+    "edges": [{"from": u, "to": v, "kind": k} for u, v, k in [(0, 1, "out"), (1, 1, "out"),
+                                                               (1, 0, "entry"), (1, 2, "out")]],
+    "start": 0,
+    "stop": 2,
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "validate"])
+def test_two_recovered_loops_with_one_exit_exit_four(tmp_path, capsys, command):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(SHARED_EXIT_CFG_JSON))
+    assert main([command, str(graph_path), "--kind", "cfg-json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not structured: vertex 2 is the exit of two loop elements\n"
 
 
 def test_play_with_a_forest_that_loses_the_robber_exits_four(tmp_path, capsys):

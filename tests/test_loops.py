@@ -39,8 +39,8 @@ from helpers import (
     post_dominator_tree,
     recover_loop_forest_by_bodies,
     simple_cycles,
+    with_jumps,
 )
-from test_cfg import with_jumps
 
 
 def by_label(cfg):
@@ -123,14 +123,15 @@ def _graph(n, edges, stop):
 def digraphs(draw):
     """Every vertex but stop reachable from start 0 by a random tree; extra
     edges of any kind run in any direction, so a cycle can have several
-    entries. stop is reached by an ordinary edge, not at all, or only by
-    return edges."""
+    entries, but a return edge ends at stop, as CFG JSON requires. stop is
+    reached by an ordinary edge, not at all, or only by return edges."""
     n = draw(st.integers(2, 40))
     stop = n - 1
-    kinds = st.sampled_from(list(EdgeKind))
-    edges = [(draw(st.integers(0, v - 1)), v, draw(kinds)) for v in range(1, stop)]
-    edges += draw(st.lists(st.tuples(st.integers(0, stop), st.integers(0, stop), kinds),
-                           max_size=n))
+    jumps = st.sampled_from([k for k in EdgeKind if k is not EdgeKind.STOP])
+    edges = [(draw(st.integers(0, v - 1)), v, draw(jumps)) for v in range(1, stop)]
+    extra = draw(st.lists(st.tuples(st.integers(0, stop), st.integers(0, stop),
+                                    st.sampled_from(EdgeKind)), max_size=n))
+    edges += [(u, stop if k is EdgeKind.STOP else v, k) for u, v, k in extra]
     into_stop = draw(st.sampled_from(["ordinary", "none", "returns"]))
     edges = [e for e in edges if e[1] != stop or into_stop == "ordinary"]
     if into_stop != "none":
@@ -481,7 +482,7 @@ def _forest_facts(forest):
 # stands for what follows loop 2's exit 3, and nothing does, so loop 1 gets
 # no exit; the outer loop 0 takes the target 3 that loop 2 hands up.
 SEPARATES_LEFT_FROM_EXIT = _graph(
-    4, [(0, 1, "out"), (1, 1, "out"), (1, 2, "out"), (2, 0, "out"), (2, 2, "stop"), (2, 3, "out")], 3)
+    4, [(0, 1, "out"), (1, 1, "out"), (1, 2, "out"), (2, 0, "out"), (2, 2, "out"), (2, 3, "out")], 3)
 
 
 def test_an_inner_loop_is_skipped_to_its_first_vertex_outside_it():
@@ -512,15 +513,12 @@ def _validates(cfg, forest) -> bool:
                  digraphs().map(lambda g: (g, False))))
 def test_recovery_equals_the_per_head_bodies_oracle(drawn):
     """The per-head bodies oracle takes each exit from the post-dominator
-    tree. Both find the same entries on every graph. Where every entry reaches stop without a return
-    edge, every return edge ends at stop, and the oracle's decomposition
+    tree. Both find the same entries on every graph. Where every entry
+    reaches stop without a return edge and the oracle's decomposition
     validates, the forests are equal: entries, exits, parents, element order
-    (siblings by body size) and owner map. A return edge into a loop body,
-    which no program has, puts into the body vertices its entry reaches only
-    through that return; their targets count for the meeting point but not
-    for post-dominators. Every program's recovered decomposition validates.
-    An edge out of an unreachable stop has no dominator stamps, so recovery
-    rejects that graph."""
+    (siblings by body size) and owner map. Every program's recovered
+    decomposition validates. An edge out of an unreachable stop has no
+    dominator stamps, so recovery rejects that graph."""
     cfg, is_program = drawn
     dom = compute_dominators(cfg)
     if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
@@ -531,9 +529,7 @@ def test_recovery_equals_the_per_head_bodies_oracle(drawn):
     assert len(got.elements) == len(want.elements)
     assert {e.entry for e in got.elements} == {e.entry for e in want.elements}
     reaches_stop = post_dominator_tree(cfg)[0]
-    if (all(e.entry in reaches_stop for e in want.elements)
-            and all(v == cfg.stop for u, v in cfg.edges() if cfg.edge_kind(u, v) is EdgeKind.STOP)
-            and _validates(cfg, want)):
+    if all(e.entry in reaches_stop for e in want.elements) and _validates(cfg, want):
         assert _forest_facts(got) == _forest_facts(want)
     if is_program:
         assert _validates(cfg, got)
