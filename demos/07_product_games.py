@@ -28,12 +28,12 @@ for m in (1, 2, 3):
     game = build_product_game(cfg, skeleton, seed=7)
     lifted = lift_decomposition(decomp, game)
     report = validate_decomposition(lifted, game.vertex_ids(), game.edges)
-    print(f"m={m}: product has {len(game.state_of)} vertices, "
+    print(f"m={m}: product has {len(game.vertex_ids())} vertices, "
           f"lifted width {lifted.width()}, valid={report.valid}, "
           f"arcs unchanged: {len(lifted.arcs) == len(decomp.arcs)}")
 
 game = build_product_game(cfg, FormulaSkeleton.chain(2, d=3), seed=7)
 print("\nsample product vertices (id = state * m + part):")
-for v in sorted(game.state_of)[:6]:
-    s, q = game.state_of[v]
-    print(f"  {v:3d} = ({cfg.labels[s]}, part {q}) owner P{game.owner[v]} priority {game.priority[v]}")
+for v, owner, priority in zip(game.vertex_ids()[:6], game.owner, game.priority):
+    s, q = divmod(v, game.m)
+    print(f"  {v:3d} = ({cfg.labels[s]}, part {q}) owner P{owner} priority {priority}")

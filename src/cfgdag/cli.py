@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="product game and lifted decomposition")
     _add_input_args(p)
     p.add_argument("--m", type=_positive_int, default=2, help="formula skeleton size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the owner and priority draws")
     p.add_argument("--game-out", help="also dump the product game JSON here")
 
     p = sub.add_parser("export-dot", help="DOT output for the CFG or decomposition")

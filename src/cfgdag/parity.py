@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property
+from itertools import chain, cycle, islice
+from operator import getitem
 
 from ._json import PAIR, section
 from .decomposition import DagDecomposition
@@ -50,53 +51,52 @@ class FormulaSkeleton:
         return cls(m=m, intra_edges=intra, cross_edges=cross, d=d)
 
 
-# One vertex record of GameGraph.to_json, for section.
-_VERTEX = ('{\n      "id": %d,\n      "state": %d,\n      "part": %d,'
+# One vertex record of GameGraph.to_json with its part, owner and priority
+# filled in, for section: only the id and the state are left to fill.
+_VERTEX = ('{\n      "id": %%d,\n      "state": %%d,\n      "part": %d,'
            '\n      "owner": %d,\n      "priority": %d\n    }')
 
 
 @dataclass
 class GameGraph:
-    """Two-player priority game arena grouped by originating graph vertex."""
+    """Two-player priority game arena: game vertex s*m + q is part q of the
+    group of graph vertex s.
+
+    owner and priority hold one entry per game vertex, in id order: an
+    owner is 0 or 1, and a priority is at least 0.
+    """
 
     m: int
-    groups: dict[int, list[int]]              # graph vertex -> its game vertices
-    state_of: dict[int, tuple[int, int]]      # game vertex -> (graph vertex, part)
-    owner: dict[int, int] = field(default_factory=dict)
-    priority: dict[int, int] = field(default_factory=dict)
+    states: list[int]                         # graph vertices, ascending
+    owner: list[int] = field(default_factory=list)
+    priority: list[int] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
-    transitions: set[tuple[int, int]] = field(default_factory=set)
-    _succ: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def vertex_ids(self) -> list[int]:
-        return list(self.state_of)
+        m = self.m
+        return [b + q for b in [s * m for s in self.states] for q in range(m)]
 
-    def successors(self, v: int) -> list[int]:
-        return list(self._succ.get(v, ()))
-
-    def add_edge(self, u: int, v: int) -> None:
-        su, sv = self.state_of[u][0], self.state_of[v][0]
-        if su != sv and (su, sv) not in self.transitions:
-            raise ValueError(
-                f"edge between groups {su} and {sv} requested, but that is not a transition"
-            )
-        succ = self._succ.setdefault(u, [])
-        if v not in succ:
-            succ.append(v)
-            self.edges.append((u, v))
+    @cached_property
+    def state_of(self) -> dict[int, tuple[int, int]]:
+        """game vertex -> (graph vertex, part)"""
+        m = self.m
+        return {s * m + q: (s, q) for s in self.states for q in range(m)}
 
     def to_json(self) -> str:
         """``json.dumps(indent=2)`` of m, one record per vertex in id order
         and the sorted edges."""
-        ids = sorted(self.state_of)
-        states = list(map(self.state_of.__getitem__, ids))
-        vertices = chain.from_iterable(zip(
-            ids, map(itemgetter(0), states), map(itemgetter(1), states),
-            map(self.owner.__getitem__, ids), map(self.priority.__getitem__, ids)))
+        m, d = self.m, max(self.priority, default=0) + 1
+        # record[q][o][p]: the template of a vertex of part q, owner o and
+        # priority p. Vertex i in id order has part i % m.
+        record = [[[_VERTEX % (q, o, p) for p in range(d)] for o in (0, 1)] for q in range(m)]
+        items = list(map(getitem, map(getitem, cycle(record), self.owner), self.priority))
+        values = [0] * (2 * len(items))
+        values[0::2] = self.vertex_ids()
+        values[1::2] = chain.from_iterable(zip(*[self.states] * m))  # each state m times
         edges = sorted(self.edges)
         return '{\n  "m": %d,\n  "vertices": %s,\n  "edges": %s\n}\n' % (
-            self.m,
-            section([_VERTEX] * len(ids), tuple(vertices)),
+            m,
+            section(items, tuple(values)),
             section([PAIR] * len(edges), tuple(chain.from_iterable(edges))),
         )
 
@@ -112,39 +112,33 @@ def _below(rng: random.Random, n: int):
 
 def build_product_game(cfg, skeleton: FormulaSkeleton, seed: int = 0) -> GameGraph:
     """One group of skeleton.m game vertices per graph vertex, and the edges
-    that add_edge would keep, in its order. Owners and priorities are not
-    constrained by the construction, so they are drawn reproducibly from the seed.
+    of the add-edge construction, in its order: the intra pattern in every
+    group, then the cross pattern along every transition, each pair once.
+    Owners and priorities are not constrained by the construction, so they
+    are drawn reproducibly from the seed.
     """
     m = skeleton.m
     states = sorted(cfg.vertex_ids())
-    groups = {s: list(range(s * m, s * m + m)) for s in states}
-    state_of = {s * m + q: (s, q) for s in states for q in range(m)}
-    rng = random.Random(seed)
-    owner, priority = {}, {}
     # zip draws each vertex's owner, then its priority, as randrange did.
-    for v, o, p in zip(state_of, _below(rng, 2), _below(rng, skeleton.d)):
-        owner[v] = o
-        priority[v] = p
+    rng = random.Random(seed)
+    draws = list(chain.from_iterable(islice(
+        zip(_below(rng, 2), _below(rng, skeleton.d)), len(states) * m)))
 
     # Repeats can only come from a repeated pattern pair, or from a self-loop
     # transition whose cross pair is also an intra pair.
     intra = list(dict.fromkeys(skeleton.intra_edges))
     cross = list(dict.fromkeys(skeleton.cross_edges))
     self_cross = [e for e in cross if e not in intra]
-    transitions = set(cfg.edges())
     edges = [(b + q, b + p) for b in [s * m for s in states] for q, p in intra]
-    edges += [(s * m + q, t * m + p) for s, t in sorted(transitions)
+    edges += [(s * m + q, t * m + p) for s, t in sorted(cfg.edges())
               for q, p in (cross if s != t else self_cross)]
-    succ: dict[int, list[int]] = {u: [] for u, _ in edges}
-    for u, v in edges:
-        succ[u].append(v)
-    return GameGraph(m=m, groups=groups, state_of=state_of, owner=owner, priority=priority,
-                     edges=edges, transitions=transitions, _succ=succ)
+    return GameGraph(m=m, states=states, owner=draws[0::2], priority=draws[1::2], edges=edges)
 
 
 def lift_decomposition(decomp: DagDecomposition, game: GameGraph) -> DagDecomposition:
     """Replace every vertex in every bag by its group; the DAG is unchanged."""
-    group = game.groups.__getitem__
+    # Group s is the m consecutive ids s*m, ..., s*m + m - 1.
+    group = dict(zip(game.states, zip(*[iter(game.vertex_ids())] * game.m))).__getitem__
     try:
         bags = {node: frozenset(chain.from_iterable(map(group, bag)))
                 for node, bag in decomp.bags.items()}

@@ -14,25 +14,26 @@ instead of one that decides liveness as it walks; a prune that rebuilds
 through add_vertex/add_edge, and a CFG JSON loader that fills the graph one
 record at a time through them, instead of writing sorted tuples in one
 pass; a basic-block contraction by repeated sweeps that fold one edge at a
-time; a product game built one add_edge and one randrange call at a time;
-dict trees for json.dumps instead of the template writers of CFG,
-decomposition and product game JSON; loop recovery that grows one natural
-body set per head and takes each exit from the post-dominator tree,
-instead of one union-find pass that takes it where the live targets
-leaving a body meet. post_dominator_tree builds that tree over a
-return-free reversed graph; the library computes no post-dominators.
+time; a product game held in dicts keyed by game vertex and built one
+add_edge and one randrange call at a time, instead of lists worked out by
+group arithmetic; dict trees for json.dumps instead of the template
+writers of CFG, decomposition and product game JSON; loop recovery that
+grows one natural body set per head and takes each exit from the
+post-dominator tree, instead of one union-find pass that takes it where
+the live targets leaving a body meet. post_dominator_tree builds that tree
+over a return-free reversed graph; the library computes no post-dominators.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from cfgdag import (
     ControlFlowGraph,
     EdgeKind,
-    GameGraph,
     LoopElement,
     LoopForest,
     build_decomposition,
@@ -1281,8 +1282,34 @@ def two_loop_cfg_in_loops(depth: int) -> ControlFlowGraph:
     return g
 
 
-def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:
-    """build_product_game through GameGraph.add_edge, which checks every
+@dataclass
+class DictGame:
+    """The product game as dicts keyed by game vertex, filled one edge at a time."""
+
+    m: int
+    groups: dict[int, list[int]]              # graph vertex -> its game vertices
+    state_of: dict[int, tuple[int, int]]      # game vertex -> (graph vertex, part)
+    transitions: set[tuple[int, int]]
+    owner: dict[int, int] = field(default_factory=dict)
+    priority: dict[int, int] = field(default_factory=dict)
+    edges: list[tuple[int, int]] = field(default_factory=list)
+    succ: dict[int, list[int]] = field(default_factory=dict)
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Keep (u, v) once; an edge between groups must follow a transition."""
+        su, sv = self.state_of[u][0], self.state_of[v][0]
+        if su != sv and (su, sv) not in self.transitions:
+            raise ValueError(
+                f"edge between groups {su} and {sv} requested, but that is not a transition"
+            )
+        succ = self.succ.setdefault(u, [])
+        if v not in succ:
+            succ.append(v)
+            self.edges.append((u, v))
+
+
+def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> DictGame:
+    """build_product_game through DictGame.add_edge, which checks every
     cross edge against the transitions and drops repeats, with owners and
     priorities from randrange."""
     rng = random.Random(seed)
@@ -1294,8 +1321,7 @@ def product_game_by_add_edge(cfg, skeleton, seed: int = 0) -> GameGraph:
         for q in range(m):
             state_of[s * m + q] = (s, q)
 
-    game = GameGraph(m=m, groups=groups, state_of=state_of,
-                     transitions=set(cfg.edges()))
+    game = DictGame(m=m, groups=groups, state_of=state_of, transitions=set(cfg.edges()))
     for v in sorted(state_of):
         game.owner[v] = rng.randrange(2)
         game.priority[v] = rng.randrange(skeleton.d)
@@ -1331,8 +1357,9 @@ def decomposition_json_dict(decomp) -> dict:
     }
 
 
-def game_json_dict(game) -> dict:
-    """What GameGraph.to_json writes, as the tree json.dumps reads."""
+def game_json_dict(game: DictGame) -> dict:
+    """What GameGraph.to_json writes for the game of the same graph, skeleton
+    and seed, as the tree json.dumps reads."""
     return {
         "m": game.m,
         "vertices": [

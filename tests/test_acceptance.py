@@ -472,3 +472,38 @@ def test_whole_cfg_json_pipeline_scales_linearly():
     per_statement = {n: t / n for n, t in best.items()}
     spread = max(per_statement.values()) / min(per_statement.values())
     assert spread <= 2.0, per_statement
+
+
+def test_lift_scales_linearly():
+    """The product game and the lifted decomposition, built and written as
+    lift --m 4 --game-out does, cost about the same per statement from 10^3
+    to 10^4: build_product_game, lift_decomposition and both to_json calls.
+
+    Timed as test_whole_source_pipeline_scales_linearly times the source
+    route: CPU time with the collector paused, best of 3, each repeat timing
+    every size in turn. The graph and its decomposition are built untimed.
+    """
+    skeleton = FormulaSkeleton.chain(4)
+    inputs = {}
+    for n in (10**3, 10**4):
+        cfg, forest = cfg_from_source(generate_random_program(424242, n))
+        loop_regions(cfg, forest)
+        inputs[n] = cfg, build_decomposition(cfg, forest)
+    best = dict.fromkeys(inputs, float("inf"))
+    for _ in range(3):
+        for n, (cfg, decomp) in inputs.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                game = build_product_game(cfg, skeleton, seed=n)
+                lifted = lift_decomposition(decomp, game)
+                texts = lifted.to_json(), game.to_json()
+                best[n] = min(best[n], time.process_time() - t0)
+            finally:
+                gc.enable()
+            assert lifted.width() == 4 * decomp.width() and all(texts), n
+            del game, lifted, texts  # freed before the next timed run
+    per_statement = {n: t / n for n, t in best.items()}
+    spread = max(per_statement.values()) / min(per_statement.values())
+    assert spread <= 2.0, per_statement

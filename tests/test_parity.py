@@ -6,17 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag import (
+    ControlFlowGraph,
     FormulaSkeleton,
     GameGraph,
     build_decomposition,
     build_product_game,
     generate_random_program,
     lift_decomposition,
+    prune_unreachable,
     two_loop_cfg,
     validate_decomposition,
 )
 from cfgdag.parity import _below
-from helpers import game_json_dict, pipeline, product_game_by_add_edge
+from helpers import DEAD_CFG_JSON, game_json_dict, pipeline, product_game_by_add_edge
 
 
 def test_skeleton_validation():
@@ -47,7 +49,9 @@ def test_group_sizes_and_vertex_count():
     for m in (1, 2, 3, 4):
         game = build_product_game(cfg, FormulaSkeleton.chain(m), seed=0)
         assert len(game.state_of) == m * cfg.n_vertices
-        assert all(len(g) == m for g in game.groups.values())
+        assert game.states == sorted(cfg.vertex_ids())
+        assert game.vertex_ids() == [s * m + q for s in game.states for q in range(m)]
+        assert len(game.owner) == len(game.priority) == m * cfg.n_vertices
 
 
 def test_chain_product_on_three_vertex_chain():
@@ -69,17 +73,19 @@ def test_cross_edges_only_along_transitions():
 
 
 def test_successors_agree_with_edges():
+    """The oracle's add_edge keeps a repeated edge once."""
     cfg, forest, _ = pipeline(generate_random_program(4, 25))
-    game = build_product_game(cfg, FormulaSkeleton.chain(3), seed=2)
+    game = product_game_by_add_edge(cfg, FormulaSkeleton.chain(3), seed=2)
     u, v = game.edges[0]
-    game.add_edge(u, v)  # a repeated edge is kept once
-    for x in game.vertex_ids():
-        assert game.successors(x) == [w for y, w in game.edges if y == x]
+    game.add_edge(u, v)
+    for x in game.state_of:
+        assert game.succ.get(x, []) == [w for y, w in game.edges if y == x]
 
 
 def test_add_edge_rejects_non_transition():
+    """The oracle's add_edge checks that a cross edge follows a transition."""
     cfg, forest, _ = pipeline("a; b;")
-    game = build_product_game(cfg, FormulaSkeleton.chain(2), seed=0)
+    game = product_game_by_add_edge(cfg, FormulaSkeleton.chain(2), seed=0)
     ids = sorted(game.state_of)
     u = next(v for v in ids if game.state_of[v] == (cfg.start, 0))
     w = next(v for v in ids if game.state_of[v] == (cfg.stop, 0))
@@ -92,8 +98,8 @@ def test_owners_and_priorities_seeded():
     a = build_product_game(cfg, FormulaSkeleton.chain(2, d=4), seed=9)
     b = build_product_game(cfg, FormulaSkeleton.chain(2, d=4), seed=9)
     assert a.owner == b.owner and a.priority == b.priority
-    assert set(a.owner.values()) <= {0, 1}
-    assert all(0 <= p < 4 for p in a.priority.values())
+    assert set(a.owner) <= {0, 1}
+    assert all(0 <= p < 4 for p in a.priority)
 
 
 SELF_LOOPS = ["while c { }", "do { } while c;", "while 1 { }", "a; while c { while d { } } b;"]
@@ -121,12 +127,14 @@ def test_product_game_equals_the_add_edge_construction(source, skeleton, seed):
     cfg, _, _ = pipeline(source)
     got = build_product_game(cfg, skeleton, seed=seed)
     want = product_game_by_add_edge(cfg, skeleton, seed=seed)
-    for name in ("owner", "priority", "_succ", "groups", "state_of"):
-        assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    assert got.m == want.m
+    assert got.states == list(want.groups)
+    assert got.vertex_ids() == list(want.state_of)
+    assert list(got.state_of.items()) == list(want.state_of.items())
+    assert got.owner == list(want.owner.values())
+    assert got.priority == list(want.priority.values())
     assert got.edges == want.edges
-    assert got.transitions == want.transitions
-    assert all(got.successors(v) == want.successors(v) for v in want.vertex_ids())
-    assert got.to_json() == want.to_json()
+    assert got.to_json() == json.dumps(game_json_dict(want), indent=2) + "\n"
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -137,21 +145,43 @@ def test_product_game_equals_the_add_edge_construction(source, skeleton, seed):
 def test_game_json_is_what_json_dumps_writes(source, skeleton, seed):
     cfg, _, _ = pipeline(source)
     game = build_product_game(cfg, skeleton, seed=seed)
-    want = json.dumps(game_json_dict(game), indent=2) + "\n"
+    want = json.dumps(game_json_dict(product_game_by_add_edge(cfg, skeleton, seed=seed)),
+                      indent=2) + "\n"
     assert game.to_json() == want
-    # The same game with its vertices and edges stored in another order.
-    rng = random.Random(seed)
-    order = rng.sample(list(game.state_of), len(game.state_of))
-    for name in ("state_of", "owner", "priority"):
-        table = getattr(game, name)
-        setattr(game, name, {v: table[v] for v in order})
-    rng.shuffle(game.edges)
+    # The same game with its edges stored in another order.
+    random.Random(seed).shuffle(game.edges)
     assert game.to_json() == want
+
+
+@st.composite
+def gapped_cfg_json(draw) -> dict:
+    """CFG JSON whose vertex ids have gaps, negative ones among them, so
+    that a game vertex's place in id order is not its id."""
+    ids = draw(st.lists(st.integers(-9, 40), min_size=1, max_size=12, unique=True))
+    ends = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=24, unique=True))
+    return {"vertices": [{"id": v, "label": f"v{v}"} for v in ids],
+            "edges": [{"from": u, "to": v, "kind": "out"} for u, v in edges],
+            "start": draw(ends), "stop": draw(ends)}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(gapped_cfg_json(), skeletons(), st.integers(0, 2**64))
+@example(DEAD_CFG_JSON, FormulaSkeleton.chain(3, d=5), 7)
+def test_game_json_on_ids_with_gaps_is_what_json_dumps_writes(data, skeleton, seed):
+    graph = ControlFlowGraph.from_json_dict(data)
+    for cfg in (graph, prune_unreachable(graph)):  # pruning DEAD_CFG_JSON leaves 0 1 2 4 7
+        game = build_product_game(cfg, skeleton, seed=seed)
+        want = product_game_by_add_edge(cfg, skeleton, seed=seed)
+        assert game.owner == [want.owner[v] for v in sorted(want.state_of)]
+        assert game.priority == [want.priority[v] for v in sorted(want.state_of)]
+        assert game.to_json() == json.dumps(game_json_dict(want), indent=2) + "\n"
 
 
 def test_json_of_a_game_without_vertices_is_what_json_dumps_writes():
-    game = GameGraph(m=3, groups={}, state_of={})
-    assert game.to_json() == json.dumps(game_json_dict(game), indent=2) + "\n"
+    game = GameGraph(m=3, states=[])
+    want = {"m": 3, "vertices": [], "edges": []}
+    assert game.to_json() == json.dumps(want, indent=2) + "\n"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -55,3 +55,25 @@ def test_a_traced_source_decompose_times_every_front_end_layer(tmp_path):
     for name in ("lang.parse_program", "build.build_cfg", "build.cfg_from_source"):
         assert spent.get(name, 0) > 0, name
     assert "cfg.prune_unreachable" not in spent
+
+
+def test_a_traced_lift_counts_the_game_vertices_and_times_every_parity_layer(tmp_path):
+    """The tracer counts game vertices with len(game.state_of), and wraps
+    build_product_game, lift_decomposition and GameGraph.to_json."""
+    tracer = load_spans().Tracer()
+    source = tmp_path / "prog.spl"
+    source.write_text(generate_random_program(1, 30))
+    argv = ["lift", str(source), "--m", "4", "--out", str(tmp_path / "d.json"),
+            "--game-out", str(tmp_path / "g.json")]
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.counts[0]
+    assert counts["cfg.vertices"] > 0
+    assert counts["parity.game_vertices"] == 4 * counts["cfg.vertices"]
+    spans = {name for name, *_ in tracer.spans}
+    for name in ("parity.build_product_game", "parity.lift_decomposition", "parity.GameGraph.to_json"):
+        assert name in spans, name
