@@ -27,8 +27,8 @@ for v in sorted(cfg.vertex_ids()):
     print(f"  {v:2d} {cfg.labels[v]:<12} -> {succ}")
 
 loop_regions(cfg, forest)
-# With dominators, classify_edges also checks each edge against the
-# head-dominates-tail definition of a backward edge.
+# classify_edges also checks each edge against the head-dominates-tail
+# definition of a backward edge, so it takes the dominators.
 classes = classify_edges(cfg, forest, compute_dominators(cfg))
 backward = sorted(e for e, c in classes.items() if c == "backward")
 print("\nbackward edges:", backward)

@@ -34,7 +34,7 @@ for name, edges in part.categories().items():
     pretty = [(cfg.labels[u], cfg.labels[v]) for u, v in sorted(edges)]
     print(f"  {name:<14} {pretty}")
 
-decomp = build_decomposition(cfg, forest, part)
+decomp = build_decomposition(cfg, forest)
 print(f"\nwidth = {decomp.width()}, nodes = {len(decomp.nodes)}, arcs = {len(decomp.arcs)}")
 for n in sorted(decomp.nodes):
     bag = ", ".join(cfg.labels[v] for v in sorted(decomp.bags[n]))

@@ -7,15 +7,15 @@ build_decomposition -> validate_decomposition. The parser and the builder
 are iterative, and the builder writes only the vertices reachable from
 start, so source is never pruned. A graph given without its source, as CFG
 JSON, loads in the builder's sorted, frozen form and takes
-compute_dominators (-> prune -> compute_dominators, only when its DFS
-misses a vertex) -> recover_loop_forest -> contract in place of the first
-steps; recovery finds every loop body and exit in one union-find pass,
-with no post-dominator tree. Either way the loop forest carries an owner
-map (vertex -> innermost loop), the only record of loop membership;
-loop_regions merely checks that it covers the graph. The game module plays
-the three-cop guard strategy and solves the exact cop-monotone game on
-small graphs; the parity module lifts decompositions to product game
-graphs.
+compute_dominators (-> prune -> compute_dominators, only when the first
+call refuses the graph) -> recover_loop_forest -> contract in place of
+the first steps; recovery finds every loop body and exit in one
+union-find pass, with no post-dominator tree. Either way the loop forest
+carries an owner map (vertex -> innermost loop), the only record of loop
+membership; loop_regions merely checks that it covers the graph. The
+game module plays the three-cop guard strategy and solves the exact
+cop-monotone game on small graphs; the parity module lifts
+decompositions to product game graphs.
 """
 
 from .build import build_cfg, cfg_from_source

@@ -1,5 +1,5 @@
 """Graph primitives shared by the package: a DFS postorder that finds
-cycles, and reachability around blocked vertices.
+cycles, and reachability and breadth-first layers around blocked vertices.
 
 Successor maps are plain mappings from a vertex to an iterable of vertices.
 """
@@ -48,3 +48,13 @@ def reachable(succ, src, blocked=()) -> set:
                 stack.append(w)
     return seen
 
+
+def layers(succ, src, blocked=()):
+    """Yield, for each distance from src in turn, the list of vertices at
+    that distance, reached without entering a blocked vertex; src alone first."""
+    seen, layer = {src}, [src]
+    while layer:
+        yield layer
+        layer = list(dict.fromkeys(w for v in layer for w in succ[v]
+                                   if w not in seen and w not in blocked))
+        seen.update(layer)

@@ -4,8 +4,8 @@ Vertices are integers with string labels; start and stop are distinguished.
 Every edge carries one EdgeKind telling which successor convention produced
 it. JSON serialization is canonical (sorted vertices and edges), so a
 load/dump round trip is byte identical. Loading, build_cfg and pruning
-write through _freeze, so their graphs have their vertices sorted and their
-adjacency frozen into sorted tuples; contraction writes tuples of its own.
+write through _freeze, and so does contraction, so their graphs have their
+vertices sorted and their adjacency frozen into sorted tuples.
 """
 
 from __future__ import annotations
@@ -280,9 +280,8 @@ def contract_basic_blocks(cfg: ControlFlowGraph, forest=None) -> ControlFlowGrap
     along its chain of absorbed successors: the block keeps the head's id,
     joins the labels in chain order and takes the out-edges of the chain's
     last vertex. A cycle of absorbed vertices, which only an unpruned graph
-    holds, becomes one block at its smallest id with a self-loop. Labels
-    keep the input order and the adjacency is written straight into tuples,
-    predecessors ascending.
+    holds, becomes one block at its smallest id with a self-loop. The
+    result is in _freeze's form.
     """
     protected = {cfg.start, cfg.stop}
     if forest is not None:
@@ -291,33 +290,26 @@ def contract_basic_blocks(cfg: ControlFlowGraph, forest=None) -> ControlFlowGrap
     absorbed = {v for v, us in pred.items() if len(us) == 1 and v not in protected
                 and us[0] not in (v, cfg.start) and len(succ[us[0]]) == 1}
 
-    head_of: dict[int, int] = {}
+    chained: set[int] = set()  # vertices in a block so far
     blocks: dict[int, tuple[str, int]] = {}  # head -> (label, last vertex)
 
     # An absorbed vertex that no chain has reached by its turn is the
     # smallest id of a cycle without a head.
     for h in [v for v in names if v not in absorbed] + sorted(absorbed):
-        if h in head_of:
+        if h in chained:
             continue
         parts, v = [names[h]], h
-        head_of[h] = h
+        chained.add(h)
         while len(succ[v]) == 1 and succ[v][0] in absorbed and succ[v][0] != h:
             v = succ[v][0]
-            head_of[v] = h
+            chained.add(v)
             parts.append(names[v])
         blocks[h] = ("; ".join(parts), v)
 
-    out = ControlFlowGraph()
-    labels, out_succ, out_pred, kinds = out.labels, out._succ, out._pred, out._kind
-    for h in names:
-        if h not in blocks:
-            continue
+    kind = cfg._kind
+    labels, out = {}, {}
+    for h in sorted(blocks):
         labels[h], last = blocks[h]
         # Each successor of a chain's last vertex heads a block of its own.
-        out_succ[h] = ws = tuple(succ[last])
-        for w in ws:
-            kinds[(h, w)] = cfg._kind[(last, w)]
-        out_pred[h] = tuple(sorted(head_of[u] for u in pred[h]))
-    out._next_id = cfg._next_id
-    out.start, out.stop = cfg.start, cfg.stop
-    return out
+        out[h] = [x for w in succ[last] for x in (w, kind[last, w])]
+    return _freeze(labels, out, cfg._next_id, cfg.start, cfg.stop)

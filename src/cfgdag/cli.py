@@ -83,11 +83,10 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
         cfg = ControlFlowGraph.from_json(text)
         # The loaded graph is already in pruned form unless something is
         # dead, which the dominator DFS finds: it reaches the same vertices.
+        # A dead stop with no out-edges is what pruning leaves anyway.
         try:
             dom = compute_dominators(cfg)
-        except ValueError:  # a vertex other than stop is dead
-            dom = None
-        if dom is None or len(dom.idom) < cfg.n_vertices:
+        except ValueError:  # a vertex other than such a stop is dead
             cfg = prune_unreachable(cfg)
             dom = compute_dominators(cfg)
         if getattr(args, "forest", None):

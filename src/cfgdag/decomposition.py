@@ -185,13 +185,11 @@ class DagDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def build_decomposition(
-    cfg: ControlFlowGraph,
-    forest: LoopForest,
-    partition: EdgePartition | None = None,
-) -> DagDecomposition:
-    """Run the construction; the result always passes the full validator."""
-    part = partition if partition is not None else partition_edges(cfg, forest)
+def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecomposition:
+    """Run the construction. The result passes the full validator when the
+    forest is the builder's, or recovered from a structured program's graph;
+    a forest given whole need only pass assign_owners, which does not make it so."""
+    part = partition_edges(cfg, forest)
 
     nodes = cfg.vertex_ids()
     # Arc heads bucketed by tail: sorting each short bucket orders the arcs

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._graph import postorder, reachable
+from ._graph import layers, postorder, reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
@@ -252,7 +252,7 @@ class LazyRobber:
     """
 
     def __init__(self, cfg: ControlFlowGraph, start: int | None = None, tie: str = "low"):
-        self.cfg = cfg
+        _, self.succ = _adjacency(cfg)
         self.start = cfg.start if start is None else start
         if tie not in ("low", "high"):
             raise ValueError("tie must be 'low' or 'high'")
@@ -264,22 +264,10 @@ class LazyRobber:
     def move(self, r: int, cops: frozenset, stationary: frozenset) -> int:
         if r not in cops:
             return r
-        seen = {r}
-        frontier = [r]
-        while frontier:
-            nxt = []
-            free = []
-            for v in frontier:
-                for w in self.cfg.successors(v):
-                    if w in stationary or w in seen:
-                        continue
-                    seen.add(w)
-                    nxt.append(w)
-                    if w not in cops:
-                        free.append(w)
+        for layer in layers(self.succ, r, stationary):
+            free = [w for w in layer if w not in cops]
             if free:
                 return min(free) if self.tie == "low" else max(free)
-            frontier = nxt
         return r  # trapped
 
 
@@ -319,33 +307,16 @@ class OptimalRobber:
         for v in options:
             if v in self.vacated or not s.cops_win(x, bits.index[v], f):
                 return v
-        # All options lose; stall as far from the cops as possible.
+        # All options lose; stall as far from the cops as possible. The
+        # nearest cop is in the first layer that meets one; with none in
+        # reach it counts as farther than any path, and as 0 with no cops.
         def score(v):
-            dist = min((_hops(self.succ, v, c) for c in cops), default=0)
+            dist = next((d for d, layer in enumerate(layers(self.succ, v))
+                         if not cops.isdisjoint(layer)), len(self.succ) + 1 if cops else 0)
             region = len(reachable(self.succ, v, cops))
             return (dist, region, -v)
 
         return max(options, key=score)
-
-
-def _hops(succ: dict, src: int, dst: int) -> int:
-    if src == dst:
-        return 0
-    seen = {src}
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w == dst:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(succ) + 1  # unreachable: effectively infinite
 
 
 # ---------------------------------------------------------------------------

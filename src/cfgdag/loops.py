@@ -320,20 +320,14 @@ def _dominator_tree(root: int, succ, pred):
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
-    """Dominators from start. Raises ValueError when a vertex other than
-    stop is unreachable; prune first."""
+    """Dominators from start. Raises ValueError when start does not reach a
+    vertex other than a stop with no out-edges; prune first."""
     idom, tin, tout = _dominator_tree(cfg.start, cfg.successors, cfg.predecessors)
-    missing = [v for v in cfg.vertex_ids() if v not in idom]
-    if missing and missing != [cfg.stop]:
-        raise ValueError(f"unreachable vertices {sorted(missing)}; prune the graph first")
+    if len(idom) < cfg.n_vertices:
+        missing = [v for v in cfg.vertex_ids() if v not in idom]
+        if missing != [cfg.stop] or cfg.successors(cfg.stop):
+            raise ValueError(f"unreachable vertices {sorted(missing)}; prune the graph first")
     return DominatorInfo(idom, tin, tout)
-
-
-def _check_stop(cfg: ControlFlowGraph, dom: DominatorInfo) -> None:
-    """Raise ValueError when stop is unreachable but has an out-edge, which
-    compute_dominators accepts but which has no dominator stamps to place."""
-    if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
-        raise ValueError(f"unreachable stop {cfg.stop} has out-edges; prune the graph first")
 
 
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
@@ -415,30 +409,26 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
 
 
 def classify_edges(
-    cfg: ControlFlowGraph, forest: LoopForest, dom: DominatorInfo | None = None
+    cfg: ControlFlowGraph, forest: LoopForest, dom: DominatorInfo
 ) -> dict[tuple[int, int], str]:
     """Tag each edge backward/forward: backward edges run from belongs(L) to L's entry.
 
-    Passing dominator info cross-checks against the head-dominates-tail
-    definition and raises NotStructuredError on any disagreement, and
-    ValueError for an unreachable stop with an out-edge; prune first.
+    Each tag is cross-checked against the head-dominates-tail definition;
+    any disagreement raises NotStructuredError.
     """
-    if dom is not None:
-        _check_stop(cfg, dom)
     by_entry = forest.entries()
     owner = forest.owner
     classes: dict[tuple[int, int], str] = {}
     for u, v in cfg.edges():
         backward = owner[u] in by_entry.get(v, ())
         classes[(u, v)] = BACKWARD if backward else FORWARD
-        if dom is not None:
-            dom_backward = dom.dominates(v, u)
-            if dom_backward != backward:
-                raise NotStructuredError(
-                    f"edge ({u}, {v}): region classification says "
-                    f"{classes[(u, v)]} but domination says "
-                    f"{BACKWARD if dom_backward else FORWARD}"
-                )
+        dom_backward = dom.dominates(v, u)
+        if dom_backward != backward:
+            raise NotStructuredError(
+                f"edge ({u}, {v}): region classification says "
+                f"{classes[(u, v)]} but domination says "
+                f"{BACKWARD if dom_backward else FORWARD}"
+            )
     return classes
 
 
@@ -464,10 +454,8 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     post-dominator tree is needed, and a loop finds its exit even where the
     program ends in a return or an endless loop. Loops nest by the
     dominator-tree walk that fills the owner map. Loops with no backward
-    edge cannot be seen in a bare graph and are not recovered. An
-    unreachable stop with an out-edge raises ValueError; prune first.
+    edge cannot be seen in a bare graph and are not recovered.
     """
-    _check_stop(cfg, dom)
     succ, pred, kind = cfg.successors, cfg.predecessors, cfg.edge_kind
     returns = EdgeKind.STOP  # an enum member costs a lookup on every access
     tin, tout = dom._tin, dom._tout

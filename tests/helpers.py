@@ -16,8 +16,10 @@ record at a time through them, instead of writing sorted tuples in one
 pass; a basic-block contraction by repeated sweeps that fold one edge at a
 time; a product game held in dicts keyed by game vertex and built one
 add_edge and one randrange call at a time, instead of lists worked out by
-group arithmetic; dict trees for json.dumps instead of the template
-writers of CFG, decomposition and product game JSON; loop recovery that
+group arithmetic; robber moves by one breadth-first walk per frontier or
+per cop instead of shared breadth-first layers; dict trees for json.dumps
+instead of the template writers of CFG, decomposition and product game
+JSON; loop recovery that
 grows one natural body set per head and takes each exit from the
 post-dominator tree, instead of one union-find pass that takes it where
 the live targets leaving a body meet. post_dominator_tree builds that tree
@@ -1253,6 +1255,53 @@ def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
         if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
             return k
     raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
+
+
+def hops(succ: dict, src: int, dst: int) -> int:
+    """Breadth-first distance from src to dst, or len(succ) + 1 when dst is
+    out of reach."""
+    if src == dst:
+        return 0
+    seen = {src}
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in succ[v]:
+                if w == dst:
+                    return d
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(succ) + 1
+
+
+def lazy_move_by_walk(succ: dict, r: int, cops, stationary, tie: str) -> int:
+    """LazyRobber's move: stay off the cops, else run to the nearest free
+    vertex around the stationary cops, smallest id first (largest with
+    tie="high"), or stay when trapped."""
+    if r not in cops:
+        return r
+    seen = {r}
+    frontier = [r]
+    while frontier:
+        nxt = []
+        free = []
+        for v in frontier:
+            for w in succ[v]:
+                if w in stationary or w in seen:
+                    continue
+                seen.add(w)
+                nxt.append(w)
+                if w not in cops:
+                    free.append(w)
+        if free:
+            return min(free) if tie == "low" else max(free)
+        frontier = nxt
+    return r
 
 
 def two_loop_cfg_in_loops(depth: int) -> ControlFlowGraph:

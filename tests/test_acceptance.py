@@ -29,7 +29,6 @@ from cfgdag import (
     generate_random_program,
     lift_decomposition,
     loop_regions,
-    partition_edges,
     play_game,
     recover_loop_forest,
     two_loop_cfg,
@@ -399,8 +398,7 @@ def test_criterion_10_linear_time():
             gc.collect()
             gc.disable()
             t0 = time.process_time()
-            part = partition_edges(cfg, forest)
-            build_decomposition(cfg, forest, part)
+            build_decomposition(cfg, forest)
             best[n] = min(best[n], time.process_time() - t0)
             gc.enable()
     per_statement = {n: t / n for n, t in best.items()}
@@ -429,13 +427,12 @@ def test_whole_source_pipeline_scales_linearly():
                 t0 = time.process_time()
                 cfg, forest = cfg_from_source(src)
                 loop_regions(cfg, forest)
-                part = partition_edges(cfg, forest)
-                report = validate_cfg_decomposition(build_decomposition(cfg, forest, part), cfg)
+                report = validate_cfg_decomposition(build_decomposition(cfg, forest), cfg)
                 best[n] = min(best[n], time.process_time() - t0)
             finally:
                 gc.enable()
             assert report.valid, n
-            del cfg, forest, part, report  # freed before the next timed run
+            del cfg, forest, report  # freed before the next timed run
     per_statement = {n: t / n for n, t in best.items()}
     spread = max(per_statement.values()) / min(per_statement.values())
     assert spread <= 2.0, per_statement
@@ -462,13 +459,12 @@ def test_whole_cfg_json_pipeline_scales_linearly():
                 t0 = time.process_time()
                 cfg = ControlFlowGraph.from_json(text)
                 forest = loop_regions(cfg, recover_loop_forest(cfg, compute_dominators(cfg)))
-                part = partition_edges(cfg, forest)
-                report = validate_cfg_decomposition(build_decomposition(cfg, forest, part), cfg)
+                report = validate_cfg_decomposition(build_decomposition(cfg, forest), cfg)
                 best[n] = min(best[n], time.process_time() - t0)
             finally:
                 gc.enable()
             assert report.valid, n
-            del cfg, forest, part, report  # freed before the next timed run
+            del cfg, forest, report  # freed before the next timed run
     per_statement = {n: t / n for n, t in best.items()}
     spread = max(per_statement.values()) / min(per_statement.values())
     assert spread <= 2.0, per_statement

@@ -495,9 +495,9 @@ class _Loaded(Exception):
     """Stops the CLI once its CFG JSON route has the graph."""
 
 
-def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int]:
+def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int, int]:
     """The graph that cli._load's CFG JSON route hands to recover_loop_forest,
-    and how many prune_unreachable calls it took."""
+    and how many prune_unreachable and compute_dominators calls it took."""
     import cfgdag.cli as cli
 
     def stop_at_recovery(cfg, dom):
@@ -505,14 +505,17 @@ def load_as_the_cli_does(text: str) -> tuple[ControlFlowGraph, int]:
         raise _Loaded
 
     seen: list = []
+    doms: list = []
+    dominators = cli.compute_dominators
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "g.json"
         path.write_text(text)
         prunes = counting_prunes(mp)
+        mp.setattr(cli, "compute_dominators", lambda cfg: doms.append(cfg) or dominators(cfg))
         mp.setattr(cli, "recover_loop_forest", stop_at_recovery)
         with pytest.raises(_Loaded):
             main(["build", str(path), "--kind", "cfg-json"])
-    return seen[0], len(prunes)
+    return seen[0], len(prunes), len(doms)
 
 
 def fields(cfg) -> tuple:
@@ -561,15 +564,22 @@ def cfg_json_data(draw) -> dict:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(cfg_json_data())
 @example(DEAD_CFG_JSON)
-@example(UNREACHABLE_STOP_CFG_JSON)
+@example(UNREACHABLE_STOP_CFG_JSON)  # its dead stop has an out-edge: one prune
 @example(cfg_json_dict(two_loop_cfg()[0]))
+# stop 2 is dead with no out-edges, as pruning leaves it: no prune
+@example({"vertices": [{"id": v, "label": f"v{v}"} for v in range(3)],
+          "edges": [{"from": 0, "to": 1, "kind": "out"}, {"from": 1, "to": 0, "kind": "out"}],
+          "start": 0, "stop": 2})
 def test_cfg_json_route_equals_the_record_by_record_loader_and_prune(data):
+    """The route prunes, and computes dominators a second time, only when
+    start misses a vertex other than a stop with no out-edges."""
     text = json.dumps(data)
-    got, prunes = load_as_the_cli_does(text)
+    got, prunes, dominator_calls = load_as_the_cli_does(text)
     assert fields(got) == fields(prune_unreachable(cfg_from_json_by_add_edge(data)))
     loaded = ControlFlowGraph.from_json(text)
-    dead = len(loaded.reachable_from(loaded.start)) < loaded.n_vertices
-    assert prunes == dead
+    missed = loaded.labels.keys() - loaded.reachable_from(loaded.start)
+    dead = bool(missed) and (missed != {loaded.stop} or bool(loaded.successors(loaded.stop)))
+    assert (prunes, dominator_calls) == (dead, 1 + dead)
     if not dead:  # so the route may skip the prune
         assert fields(prune_unreachable(loaded)) == fields(loaded) == fields(got)
 

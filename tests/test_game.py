@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgdag import (
+    ControlFlowGraph,
     IllegalMoveError,
     LazyRobber,
     LoopGuardStrategy,
@@ -21,6 +22,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
+from cfgdag._graph import reachable
 from cfgdag.game import _adjacency, cop_monotone_violations
 from helpers import (
     PursuitSolverByVertex,
@@ -28,6 +30,8 @@ from helpers import (
     dist_by_enumeration,
     distance_to_exit,
     exit_distances,
+    hops,
+    lazy_move_by_walk,
     pipeline,
     toposort,
     two_loop_cfg_in_loops,
@@ -147,6 +151,49 @@ def test_lazy_robber_trapped_reports_capture():
     cfg, forest, _ = pipeline("a;")
     robber = LazyRobber(cfg, start=cfg.stop)
     assert robber.move(cfg.stop, frozenset({cfg.stop}), frozenset()) == cfg.stop
+
+
+@st.composite
+def robber_positions(draw):
+    """A random digraph as a CFG, self-loops and unreachable parts included,
+    a robber vertex, up to three cops, which hold the robber half of the
+    time, and the cops among them that stayed put."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    cfg = ControlFlowGraph()
+    for v in range(n):
+        cfg.add_vertex(f"v{v}", v)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        cfg.add_edge(u, v)
+    cfg.start, cfg.stop = 0, n - 1
+    r = draw(vertex)
+    cops = set(draw(st.lists(vertex, max_size=3)))
+    if draw(st.booleans()):
+        cops.add(r)
+    stationary = draw(st.sets(st.sampled_from(sorted(cops)))) if cops else set()
+    return cfg, r, frozenset(cops), frozenset(stationary)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(robber_positions())
+def test_robbers_move_as_the_breadth_first_walks(drawn):
+    """LazyRobber, under either tie rule, runs where a walk frontier by
+    frontier sends it. OptimalRobber, told that every option loses, stalls
+    where the nearest-cop distance of one walk per cop sends it."""
+    cfg, r, cops, stationary = drawn
+    _, succ = _adjacency(cfg)
+    for tie in ("low", "high"):
+        got = LazyRobber(cfg, tie=tie).move(r, cops, stationary)
+        assert got == lazy_move_by_walk(succ, r, cops, stationary, tie), tie
+
+    def score(v):
+        dist = min((hops(succ, v, c) for c in cops), default=0)
+        return dist, len(reachable(succ, v, cops)), -v
+
+    robber = OptimalRobber(cfg, k=1)
+    robber.solver.cops_win = lambda *args: True
+    options = reachable(succ, r, stationary) - cops
+    assert robber.move(r, cops, stationary) == (max(options, key=score) if options else r)
 
 
 def test_play_game_rejects_teleporting_robber():

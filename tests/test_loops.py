@@ -162,7 +162,12 @@ def test_dominators_equal_the_iterative_oracle(cfg):
     """Both trees equal the Cooper-Harvey-Kennedy fixed point's, and the
     dominance queries equal ancestry in them. The post-dominator tree is
     the one the per-head bodies oracle reads: Semi-NCA from stop over the
-    reversed graph without return edges."""
+    reversed graph without return edges. A graph whose unreachable stop has
+    an out-edge is refused, and its pruned graph compared."""
+    if cfg.stop not in cfg.reachable_from(cfg.start) and cfg.successors(cfg.stop):
+        with pytest.raises(ValueError, match=rf"unreachable vertices \[{cfg.stop}\]; prune"):
+            compute_dominators(cfg)
+        cfg = prune_unreachable(cfg)
     dom = compute_dominators(cfg)
     pdom = post_dominator_tree(cfg)
     idom, ipdom = dominators_by_iteration(cfg)
@@ -464,7 +469,7 @@ def test_recover_matches_builder_on_random_programs():
         recovered = recover_loop_forest(cfg, dom)
         got = {(e.entry, e.exit) for e in recovered.elements}
         want = {(e.entry, e.exit) for e in forest.elements if any(
-            cls == BACKWARD for (u, v), cls in classify_edges(cfg, forest).items() if v == e.entry
+            cls == BACKWARD for (u, v), cls in classify_edges(cfg, forest, dom).items() if v == e.entry
         )}
         assert got == want, seed
 
@@ -517,14 +522,14 @@ def test_recovery_equals_the_per_head_bodies_oracle(drawn):
     reaches stop without a return edge and the oracle's decomposition
     validates, the forests are equal: entries, exits, parents, element order
     (siblings by body size) and owner map. Every program's recovered
-    decomposition validates. An edge out of an unreachable stop has no
-    dominator stamps, so recovery rejects that graph."""
+    decomposition validates. An edge out of an unreachable stop would have
+    no dominator stamps, so compute_dominators rejects that graph."""
     cfg, is_program = drawn
-    dom = compute_dominators(cfg)
-    if cfg.stop not in dom.idom and cfg.successors(cfg.stop):
+    if cfg.stop not in cfg.reachable_from(cfg.start) and cfg.successors(cfg.stop):
         with pytest.raises(ValueError, match="prune the graph first"):
-            recover_loop_forest(cfg, dom)
+            compute_dominators(cfg)
         return
+    dom = compute_dominators(cfg)
     got, want = recover_loop_forest(cfg, dom), recover_loop_forest_by_bodies(cfg, dom)
     assert len(got.elements) == len(want.elements)
     assert {e.entry for e in got.elements} == {e.entry for e in want.elements}
@@ -536,17 +541,11 @@ def test_recovery_equals_the_per_head_bodies_oracle(drawn):
 
 
 def test_an_edge_out_of_an_unreachable_stop_asks_for_a_prune():
-    """compute_dominators accepts the graph, whose stop 2 is unreachable but
-    has the edge 2 -> 1; recovery and the dominator cross-check of
-    classify_edges reject it, as the pruned graph is the one they can read."""
+    """compute_dominators refuses the graph, whose stop 2 is unreachable but
+    has the edge 2 -> 1, as the pruned graph is the one recovery can read."""
     cfg = _graph(3, [(0, 1, "out"), (1, 0, "out"), (2, 1, "out")], 2)
-    dom = compute_dominators(cfg)
-    with pytest.raises(ValueError, match="unreachable stop 2 has out-edges; prune the graph first"):
-        recover_loop_forest(cfg, dom)
-    forest = LoopForest()
-    forest.owner = dict.fromkeys(cfg.vertex_ids(), forest.phi)
-    with pytest.raises(ValueError, match="prune the graph first"):
-        classify_edges(cfg, forest, dom)
+    with pytest.raises(ValueError, match=r"unreachable vertices \[2\]; prune the graph first"):
+        compute_dominators(cfg)
     pruned = prune_unreachable(cfg)
     forest = recover_loop_forest(pruned, compute_dominators(pruned))
     assert [(e.entry, e.exit) for e in forest.elements] == [(0, None)]
