@@ -285,7 +285,7 @@ def contract_basic_blocks(cfg: ControlFlowGraph, forest=None) -> ControlFlowGrap
     """
     protected = {cfg.start, cfg.stop}
     if forest is not None:
-        protected |= forest.protected_vertices()
+        protected.update(x for elem in forest.elements for x in (elem.entry, elem.exit))
     succ, pred, names = cfg._succ, cfg._pred, cfg.labels
     absorbed = {v for v, us in pred.items() if len(us) == 1 and v not in protected
                 and us[0] not in (v, cfg.start) and len(succ[us[0]]) == 1}

@@ -76,7 +76,7 @@ def _write(path: str | None, text: str) -> None:
 def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     """The graph, its loop forest with the owner map checked, and the
     dominators of that graph when this path computed them."""
-    if getattr(args, "forest", None) and args.kind != "cfg-json":
+    if args.forest is not None and args.kind != "cfg-json":
         build_parser().error("argument --forest: applies only to --kind cfg-json")
     text = _read(args.input)
     if args.kind == "cfg-json":
@@ -89,7 +89,7 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
         except ValueError:  # a vertex other than such a stop is dead
             cfg = prune_unreachable(cfg)
             dom = compute_dominators(cfg)
-        if getattr(args, "forest", None):
+        if args.forest is not None:
             forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
             forest = assign_owners(cfg, dom, forest.restricted_to(cfg))
         else:
@@ -97,7 +97,7 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
     else:
         cfg, forest = cfg_from_source(text)
         dom = None
-    if getattr(args, "contract", False):
+    if args.contract:
         # Owners survive contraction: an absorbed vertex has the owner of
         # the vertex that absorbs it.
         cfg = contract_basic_blocks(cfg, forest)
@@ -176,7 +176,7 @@ def run(args) -> int:
 
     if args.command == "build":
         _write(args.out, cfg.to_json())
-        if args.forest_out:
+        if args.forest_out is not None:
             _write(args.forest_out, forest.to_json())
         return 0
 
@@ -186,7 +186,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "validate":
-        if args.decomp:
+        if args.decomp is not None:
             decomp = DagDecomposition.from_json(_read(args.decomp))
         else:
             decomp = build_decomposition(cfg, forest)
@@ -218,7 +218,7 @@ def run(args) -> int:
         decomp = build_decomposition(cfg, forest)
         lifted = lift_decomposition(decomp, game)
         _write(args.out, lifted.to_json())
-        if args.game_out:
+        if args.game_out is not None:
             _write(args.game_out, game.to_json())
         return 0
 

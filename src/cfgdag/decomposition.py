@@ -46,47 +46,28 @@ class EdgePartition:
 def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
     """Split E into backward / into-exit / into-entry / entry-to-exit / plain.
 
-    Reads membership from the forest's owner map. Raises NotStructuredError
-    when a vertex serves as both a loop entry and a loop exit.
+    Reads membership from the forest's owner map and each vertex's one loop
+    from LoopForest.ends, which raises NotStructuredError for a forest with
+    two loops at one end or a vertex that is an entry and an exit.
     """
-    by_entry = forest.entries()
-    by_exit = forest.exits()
+    by_entry, by_exit = forest.ends()
     owner = forest.owner
     part = EdgePartition()
 
     for u, v in cfg.edges():
-        entry_elems = by_entry.get(v)
+        entry_elem = by_entry.get(v)
         exit_elem = by_exit.get(v)
-        if entry_elems and exit_elem:
-            raise NotStructuredError(f"vertex {v} is both a loop entry and a loop exit")
-
-        if entry_elems and owner[u] in entry_elems:
+        if owner[u] is entry_elem:
             part.backward.append((u, v))
-            continue
-
-        if exit_elem is not None:
-            if owner[u] is exit_elem:
-                part.into_exit.append((u, v))
-            elif u == exit_elem.entry:
-                part.entry_to_exit.append(((u, v), exit_elem))
-            else:
-                part.plain.append((u, v))
-            continue
-
-        if entry_elems:
-            # Outermost element the edge enters from outside.
-            target = None
-            for elem in entry_elems:
-                if u != elem.exit and not forest.contains(elem, u):
-                    target = elem
-                    break
-            if target is not None and target.exit is not None:
-                part.into_entry.append(((u, v), target))
-            else:
-                part.plain.append((u, v))
-            continue
-
-        part.plain.append((u, v))
+        elif owner[u] is exit_elem:
+            part.into_exit.append((u, v))
+        elif exit_elem is not None and u == exit_elem.entry:
+            part.entry_to_exit.append(((u, v), exit_elem))
+        elif (entry_elem is not None and entry_elem.exit is not None
+              and u != entry_elem.exit and not forest.contains(entry_elem, u)):
+            part.into_entry.append(((u, v), entry_elem))
+        else:
+            part.plain.append((u, v))
 
     return part
 
@@ -198,17 +179,13 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
     succ: dict[int, list[int]] = {v: [] for v in nodes}
     for u, v in part.plain:
         succ[u].append(v)
-    entered_from_outside: set[int] = set()  # ids of elements fed by re-routed edges
     for (u, _v), elem in part.into_entry:
+        # Re-routed to the exit: the entry hangs below the exit, so the
+        # edge stays covered.
         succ[u].append(elem.exit)
-        entered_from_outside.add(id(elem))
+        succ[elem.exit].append(elem.entry)
     for (_u, _v), elem in part.entry_to_exit:
         succ[elem.exit].append(elem.entry)
-    for elem in forest.elements:
-        # Entry edges were re-routed to the exit, so the entry must hang
-        # below the exit for them to stay covered.
-        if id(elem) in entered_from_outside:
-            succ[elem.exit].append(elem.entry)
 
     order = sorted(nodes)
     arcs: list[Edge] = []

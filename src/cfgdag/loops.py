@@ -1,6 +1,7 @@
 """Dominators, loop forests, loop regions, and backward/forward edge classification.
 
-A loop element pairs an entry vertex with an exit vertex. Every forest
+A loop element pairs an entry vertex with an exit vertex, and a vertex ends
+at most one element (LoopForest.ends). Every forest
 carries one owner map: vertex -> the innermost element it belongs to, under
 a virtual root element (phi) that owns start, stop, and everything outside
 all loops. An element records only its parent, so a forest holds no
@@ -110,33 +111,24 @@ class LoopForest:
             inside[elem.parent] |= inside[elem]
         return {e: (belongs[e], inside[e]) for e in belongs}
 
-    def protected_vertices(self) -> set[int]:
-        out = set()
-        for elem in self.elements:
-            if elem.entry is not None:
-                out.add(elem.entry)
-            if elem.exit is not None:
-                out.add(elem.exit)
-        return out
-
-    def entries(self) -> dict[int, list[LoopElement]]:
-        """Entry vertex -> elements using it, outermost first."""
-        by_entry: dict[int, list[LoopElement]] = {}
-        for elem in self.elements:
-            by_entry.setdefault(elem.entry, []).append(elem)
-        return by_entry
-
-    def exits(self) -> dict[int, LoopElement]:
-        """Exit vertex -> element. Two elements with one exit fit no
+    def ends(self) -> tuple[dict[int, LoopElement], dict[int, LoopElement]]:
+        """(entry -> element, exit -> element). A vertex that is the entry
+        of two elements, the exit of two, or an entry and an exit fits no
         structured program: NotStructuredError."""
-        out: dict[int, LoopElement] = {}
+        by_entry: dict[int, LoopElement] = {}
+        by_exit: dict[int, LoopElement] = {}
         for elem in self.elements:
-            if elem.exit is None:
-                continue
-            if elem.exit in out:
-                raise NotStructuredError(f"vertex {elem.exit} is the exit of two loop elements")
-            out[elem.exit] = elem
-        return out
+            if elem.entry in by_entry:
+                raise NotStructuredError(f"vertex {elem.entry} is the entry of two loop elements")
+            by_entry[elem.entry] = elem
+            if elem.exit is not None:
+                if elem.exit in by_exit:
+                    raise NotStructuredError(f"vertex {elem.exit} is the exit of two loop elements")
+                by_exit[elem.exit] = elem
+        both = by_entry.keys() & by_exit.keys()
+        if both:
+            raise NotStructuredError(f"vertex {min(both)} is both a loop entry and a loop exit")
+        return by_entry, by_exit
 
     def restricted_to(self, cfg: ControlFlowGraph) -> "LoopForest":
         """Drop elements whose entry did not survive pruning; clear dead exits."""
@@ -348,8 +340,8 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
 
     Each vertex comes after its immediate dominator and starts in the loop
     that owns it. Reaching the exit of an open loop closes it and every
-    loop inside it; then open_at(v, loop) opens the loops that start at v
-    and returns the innermost loop open at v, which owns v. stop always
+    loop inside it; then open_at(v, loop) opens the one loop that starts at
+    v, if any, and returns the loop open at v, which owns v. stop always
     stays with the root.
     """
     closes: dict[int, LoopElement] = {}  # exit -> element, for elements opened so far
@@ -366,11 +358,8 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
                 loop = closing.parent
         if v != cfg.stop:
             inner = open_at(v, loop)
-            elem = inner
-            while elem is not loop:
-                if elem.exit is not None:
-                    closes[elem.exit] = elem
-                elem = elem.parent
+            if inner is not loop and inner.exit is not None:
+                closes[inner.exit] = inner
             loop = inner
         owner[v] = loop
     owner[cfg.stop] = phi
@@ -379,27 +368,28 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
 def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
     """Fill the owner map of a forest given whole, such as one read from JSON.
 
-    Raises LoopForestJsonError when two elements share an exit, when an
-    element's parent is not the loop open at its entry, or when its entry is
-    never reached.
+    Raises LoopForestJsonError when LoopForest.ends does (two elements
+    share an entry or an exit, or an entry is an exit), when an element's
+    parent is not the loop open at its entry, or when its entry is never
+    reached.
     """
     try:
-        forest.exits()
-    except ValueError as err:
+        by_entry = forest.ends()[0]
+    except NotStructuredError as err:
         raise LoopForestJsonError(str(err)) from None
-    by_entry = forest.entries()
     opened: set[LoopElement] = set()
 
     def open_at(v: int, loop: LoopElement) -> LoopElement:
-        for elem in by_entry.get(v, ()):
-            if elem.parent is not loop:
-                raise LoopForestJsonError(
-                    f"loop at entry {v} is nested under {elem.parent!r}, "
-                    f"but the loop open there is {loop!r}; input is not structured"
-                )
-            opened.add(elem)
-            loop = elem
-        return loop
+        elem = by_entry.get(v)
+        if elem is None:
+            return loop
+        if elem.parent is not loop:
+            raise LoopForestJsonError(
+                f"loop at entry {v} is nested under {elem.parent!r}, "
+                f"but the loop open there is {loop!r}; input is not structured"
+            )
+        opened.add(elem)
+        return elem
 
     _fill_owners(cfg, dom, forest, open_at)
     for elem in forest.elements:
@@ -414,13 +404,13 @@ def classify_edges(
     """Tag each edge backward/forward: backward edges run from belongs(L) to L's entry.
 
     Each tag is cross-checked against the head-dominates-tail definition;
-    any disagreement raises NotStructuredError.
+    any disagreement raises NotStructuredError, as LoopForest.ends does.
     """
-    by_entry = forest.entries()
+    by_entry = forest.ends()[0]
     owner = forest.owner
     classes: dict[tuple[int, int], str] = {}
     for u, v in cfg.edges():
-        backward = owner[u] in by_entry.get(v, ())
+        backward = owner[u] is by_entry.get(v)
         classes[(u, v)] = BACKWARD if backward else FORWARD
         dom_backward = dom.dominates(v, u)
         if dom_backward != backward:

@@ -24,6 +24,10 @@ grows one natural body set per head and takes each exit from the
 post-dominator tree, instead of one union-find pass that takes it where
 the live targets leaving a body meet. post_dominator_tree builds that tree
 over a return-free reversed graph; the library computes no post-dominators.
+The edge partition lists the loops at each entry and searches the list for
+the outermost one entered from outside, and its decomposition adds each
+entered loop's exit-to-entry arc in a pass over the forest, instead of
+reading one loop per entry and per exit.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ from cfgdag import (
     validate_cfg_decomposition,
 )
 from cfgdag.cfg import CfgJsonError
+from cfgdag.decomposition import DagDecomposition, EdgePartition
 from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
-from cfgdag.loops import _dominator_tree, _fill_owners, _in_preorder
+from cfgdag.loops import NotStructuredError, _dominator_tree, _fill_owners, _in_preorder
 from cfgdag.lang import KEYWORDS, ParseError
 from cfgdag.validate import ValidationReport
 
@@ -701,7 +706,7 @@ def contract_by_fixpoint(cfg, forest=None):
     the graph, each folding one edge at a time, until a sweep folds nothing."""
     protected = {cfg.start, cfg.stop}
     if forest is not None:
-        protected |= forest.protected_vertices()
+        protected |= set().union(*forest.ends())
 
     out = ControlFlowGraph()
     for v, label in cfg.labels.items():
@@ -1086,6 +1091,64 @@ def validate_by_masks(decomp, vertices, edges, with_d3=False) -> ValidationRepor
     report.edges_covered_3a, report.edges_covered_3b = not miss_a, not miss_b
     violations += miss_a + miss_b
     return report
+
+
+def partition_edges_by_entry_lists(cfg, forest) -> EdgePartition:
+    """partition_edges over an entry -> list of loops index, outermost
+    first: an edge into an entry goes to the outermost loop at that entry
+    that it enters from outside. Raises NotStructuredError for two loops
+    with one exit, or for an edge into a vertex that is an entry and an exit."""
+    by_entry: dict[int, list[LoopElement]] = {}
+    by_exit: dict[int, LoopElement] = {}
+    for elem in forest.elements:
+        by_entry.setdefault(elem.entry, []).append(elem)
+        if elem.exit is not None:
+            if elem.exit in by_exit:
+                raise NotStructuredError(f"vertex {elem.exit} is the exit of two loop elements")
+            by_exit[elem.exit] = elem
+    owner = forest.owner
+    part = EdgePartition()
+    for u, v in cfg.edges():
+        entry_elems, exit_elem = by_entry.get(v, []), by_exit.get(v)
+        if entry_elems and exit_elem:
+            raise NotStructuredError(f"vertex {v} is both a loop entry and a loop exit")
+        if owner[u] in entry_elems:
+            part.backward.append((u, v))
+        elif exit_elem is not None:
+            if owner[u] is exit_elem:
+                part.into_exit.append((u, v))
+            elif u == exit_elem.entry:
+                part.entry_to_exit.append(((u, v), exit_elem))
+            else:
+                part.plain.append((u, v))
+        else:
+            outside = [e for e in entry_elems if u != e.exit and not forest.contains(e, u)]
+            if outside and outside[0].exit is not None:
+                part.into_entry.append(((u, v), outside[0]))
+            else:
+                part.plain.append((u, v))
+    return part
+
+
+def decomposition_by_entry_lists(cfg, forest) -> DagDecomposition:
+    """build_decomposition from partition_edges_by_entry_lists, with the arcs
+    in one set and the exit-to-entry arc of each loop that a re-routed edge
+    enters added in a pass over the forest. No cycle check."""
+    part = partition_edges_by_entry_lists(cfg, forest)
+    arcs = set(part.plain)
+    entered = set()
+    for (u, _v), elem in part.into_entry:
+        arcs.add((u, elem.exit))
+        entered.add(elem)
+    for (_u, _v), elem in part.entry_to_exit:
+        arcs.add((elem.exit, elem.entry))
+    for elem in forest.elements:
+        if elem in entered:
+            arcs.add((elem.exit, elem.entry))
+    owner = forest.owner
+    bags = {v: frozenset(x for x in (v, owner[v].entry, owner[v].exit) if x is not None)
+            for v in cfg.vertex_ids()}
+    return DagDecomposition(nodes=cfg.vertex_ids(), arcs=list(arcs), bags=bags)
 
 
 def recovery_facts(cfg, forest, decomp) -> dict:

@@ -313,7 +313,7 @@ def test_contract_fixpoint_no_mergeable_edge_left():
     for seed in range(40):
         cfg, forest = cfg_from_source(generate_random_program(seed, 60))
         out = contract_basic_blocks(cfg, forest)
-        protected = {out.start, out.stop} | forest.protected_vertices()
+        protected = {out.start, out.stop} | set().union(*forest.ends())
         for u, v in out.edges():
             if u == out.start or v in protected or u == v:
                 continue

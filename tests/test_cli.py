@@ -247,6 +247,8 @@ BAD_FOREST_JSON = [
     (lambda data: data["loops"][1].update(parent=2), "loop 1: parent 2 is not an earlier loop"),
     (lambda data: data["loops"][1].update(parent=-1), "loop 1: parent -1 is not an earlier loop"),
     (lambda data: data["loops"][2].update(exit=3), "vertex 3 is the exit of two loop elements"),
+    (lambda data: data["loops"][2].update(entry=5), "vertex 5 is the entry of two loop elements"),
+    (lambda data: data["loops"][2].update(entry=8), "vertex 8 is both a loop entry and a loop exit"),
 ]
 
 
@@ -305,11 +307,46 @@ def test_out_of_range_argument_exits_two(while_file, capsys, argv, what):
 
 
 def test_forest_with_a_source_input_exits_two(while_file, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", str(while_file), "--forest", str(tmp_path / "missing.json")])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "cfgdag: error: argument --forest: applies only to --kind cfg-json\n")
+    for path in [str(tmp_path / "missing.json"), ""]:  # an empty path counts as given
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", str(while_file), "--forest", path])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "cfgdag: error: argument --forest: applies only to --kind cfg-json\n")
+
+
+def test_two_loops_at_one_entry_exit_two(tmp_path, capsys):
+    """On 0->1, 1->2, 2->1, 1->3, 3->4 a loop at entry 1 with no exit,
+    nested in the loop (1, 3), would yield a decomposition that validate
+    rejects; no structured program has two loops at one entry."""
+    graph_path, forest_path = tmp_path / "g.json", tmp_path / "loops.json"
+    graph_path.write_text(json.dumps({
+        "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "b", "c", "stop"])],
+        "edges": [{"from": u, "to": v, "kind": "out"} for u, v in [(0, 1), (1, 2), (2, 1), (1, 3), (3, 4)]],
+        "start": 0,
+        "stop": 4,
+    }))
+    forest_path.write_text('{"loops": [{"entry": 1, "exit": 3, "parent": null}, '
+                           '{"entry": 1, "exit": null, "parent": 0}]}')
+    assert main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "i/o error: bad loop forest JSON: vertex 1 is the entry of two loop elements\n"
+
+
+# An empty path names no file: each option that takes one exits 2 on it.
+@pytest.mark.parametrize("argv", [
+    ["validate", "--decomp", ""],
+    ["decompose", "--kind", "cfg-json", "--forest", ""],
+    ["build", "--forest-out", ""],
+    ["lift", "--game-out", ""],
+])
+def test_empty_path_exits_two(while_file, tmp_path, capsys, argv):
+    graph = tmp_path / "g.json"
+    assert main(["build", str(while_file), "--out", str(graph)]) == 0
+    given = graph if "cfg-json" in argv else while_file
+    assert main([argv[0], str(given), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
@@ -656,7 +693,7 @@ SHARED_EXIT_CFG_JSON = {
 }
 
 
-@pytest.mark.parametrize("command", ["decompose", "validate"])
+@pytest.mark.parametrize("command", ["decompose", "validate", "export-dot"])
 def test_two_recovered_loops_with_one_exit_exit_four(tmp_path, capsys, command):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(SHARED_EXIT_CFG_JSON))

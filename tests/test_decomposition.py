@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import time
 
 import pytest
@@ -30,7 +31,15 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from helpers import IRREDUCIBLE_CFG_JSON, decomposition_json_dict, pipeline, toposort
+from helpers import (
+    IRREDUCIBLE_CFG_JSON,
+    decomposition_by_entry_lists,
+    decomposition_json_dict,
+    partition_edges_by_entry_lists,
+    pipeline,
+    toposort,
+    with_jumps,
+)
 
 
 def by_label(cfg):
@@ -81,6 +90,52 @@ def test_partition_rejects_entry_exit_collision():
     elem.exit = elem.entry  # forge a vertex serving as both
     with pytest.raises(NotStructuredError, match="both"):
         partition_edges(cfg, forest)
+
+
+def test_an_edge_into_an_entry_from_a_loop_inside_it_is_plain():
+    """Loop (2, 4) nests in loop (1, 5), and 3, in the inner loop, jumps to
+    the outer entry: no structured program has that edge, so it is not
+    re-routed, and the arcs keep the cycle it closes."""
+    graph = {
+        "vertices": [{"id": v, "label": f"v{v}"} for v in range(7)],
+        "edges": [{"from": u, "to": v, "kind": "out"} for u, v in
+                  [(0, 1), (1, 2), (2, 3), (3, 2), (3, 1), (2, 4), (4, 1), (1, 5), (5, 6)]],
+        "start": 0,
+        "stop": 6,
+    }
+    cfg = ControlFlowGraph.from_json_dict(graph)
+    given = LoopForest.from_json_dict({"loops": [{"entry": 1, "exit": 5, "parent": None},
+                                                 {"entry": 2, "exit": 4, "parent": 0}]})
+    forest = assign_owners(cfg, compute_dominators(cfg), given)
+    cats = partition_edges(cfg, forest).categories()
+    assert (3, 1) in cats["plain"]
+    assert cats["into_entry"] == [(0, 1), (1, 2)]
+    with pytest.raises(NotStructuredError, match="cycle"):
+        build_decomposition(cfg, forest)
+
+
+@st.composite
+def built_or_recovered(draw):
+    """The builder's forest of a random program, plain or contracted, or
+    the forest recovered from the CFG JSON of a with_jumps program."""
+    if draw(st.booleans()):
+        src = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 60)))
+        cfg, forest, _ = pipeline(src, contract=draw(st.booleans()))
+        return cfg, forest
+    built, _ = cfg_from_source(with_jumps(random.Random(draw(st.integers(0, 10**6)))))
+    cfg = ControlFlowGraph.from_json(built.to_json())
+    return cfg, recover_loop_forest(cfg, compute_dominators(cfg))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(built_or_recovered())
+def test_one_loop_per_entry_partitions_as_the_entry_lists_do(drawn):
+    """Every part of the partition, each re-routed edge's loop included,
+    and the decomposition's JSON equal what the list of loops at each entry
+    gives, searched for the outermost loop entered from outside."""
+    cfg, forest = drawn
+    assert partition_edges(cfg, forest) == partition_edges_by_entry_lists(cfg, forest)
+    assert build_decomposition(cfg, forest).to_json() == decomposition_by_entry_lists(cfg, forest).to_json()
 
 
 def test_irreducible_graph_is_not_structured():

@@ -13,6 +13,7 @@ from cfgdag import (
     ControlFlowGraph,
     EdgeKind,
     LoopForest,
+    NotStructuredError,
     assign_owners,
     build_decomposition,
     cfg_from_source,
@@ -45,6 +46,37 @@ from helpers import (
 
 def by_label(cfg):
     return {cfg.labels[v]: v for v in cfg.vertex_ids()}
+
+
+# -- loop ends ----------------------------------------------------------------
+
+
+@st.composite
+def loop_end_forests(draw):
+    """Up to six loops, each nested in an earlier one or in the root, with
+    entries and exits drawn from five vertices, so ends often repeat."""
+    forest = LoopForest()
+    for _ in range(draw(st.integers(0, 6))):
+        elem = forest.new_element(draw(st.sampled_from([forest.phi, *forest.elements])))
+        elem.entry, elem.exit = draw(st.integers(0, 4)), draw(st.none() | st.integers(0, 4))
+    return forest
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(loop_end_forests())
+def test_ends_raises_exactly_when_a_vertex_ends_two_loops_or_is_entry_and_exit(forest):
+    entries = [e.entry for e in forest.elements]
+    exits = [e.exit for e in forest.elements if e.exit is not None]
+    faults = ({f"vertex {v} is the entry of two loop elements" for v in entries if entries.count(v) > 1}
+              | {f"vertex {v} is the exit of two loop elements" for v in exits if exits.count(v) > 1}
+              | {f"vertex {v} is both a loop entry and a loop exit" for v in set(entries) & set(exits)})
+    if faults:
+        with pytest.raises(NotStructuredError) as err:
+            forest.ends()
+        assert str(err.value) in faults
+    else:
+        assert forest.ends() == ({e.entry: e for e in forest.elements},
+                                 {e.exit: e for e in forest.elements if e.exit is not None})
 
 
 # -- dominators ---------------------------------------------------------------
