@@ -3,7 +3,7 @@
 Run: python demos/01_build_a_cfg.py
 """
 
-from cfgdag import cfg_from_source, classify_edges, compute_dominators, loop_regions
+from cfgdag import cfg_from_source, loop_regions, partition_edges
 
 SOURCE = """\
 setup;
@@ -27,10 +27,9 @@ for v in sorted(cfg.vertex_ids()):
     print(f"  {v:2d} {cfg.labels[v]:<12} -> {succ}")
 
 loop_regions(cfg, forest)
-# classify_edges also checks each edge against the head-dominates-tail
-# definition of a backward edge, so it takes the dominators.
-classes = classify_edges(cfg, forest, compute_dominators(cfg))
-backward = sorted(e for e, c in classes.items() if c == "backward")
+# The backward edges run from the vertices a loop owns to its entry; the
+# decomposition drops them, and partition_edges tags them.
+backward = sorted(partition_edges(cfg, forest).backward)
 print("\nbackward edges:", backward)
 
 print("\nDOT with dashed backward edges:\n")

@@ -43,13 +43,11 @@ from .game import (
 )
 from .lang import ParseError, StructuredAst, parse_program
 from .loops import (
-    BACKWARD,
     DominatorInfo,
     LoopElement,
     LoopForest,
     NotStructuredError,
     assign_owners,
-    classify_edges,
     compute_dominators,
     loop_regions,
     recover_loop_forest,
@@ -61,7 +59,6 @@ from .validate import ValidationReport, validate_cfg_decomposition, validate_dec
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKWARD",
     "ControlFlowGraph",
     "DagDecomposition",
     "DominatorInfo",
@@ -90,7 +87,6 @@ __all__ = [
     "build_product_game",
     "cfg_from_source",
     "check_cop_monotone",
-    "classify_edges",
     "compute_dominators",
     "contract_basic_blocks",
     "generate_random_program",

@@ -121,12 +121,11 @@ class ControlFlowGraph:
         edges = sorted(self._kind)
         labels = map(_encode, map(self.labels.__getitem__, ids))
         kind = self._kind
-        return '{\n  "vertices": %s,\n  "edges": %s,\n  "start": %d,\n  "stop": %d\n}\n' % (
-            section([_VERTEX] * len(ids), tuple(chain.from_iterable(zip(ids, labels)))),
-            section([_EDGE] * len(edges),
-                    tuple(chain.from_iterable((u, v, kind[u, v].value) for u, v in edges))),
-            self.start, self.stop,
-        )
+        vertices = section([_VERTEX] * len(ids), tuple(chain.from_iterable(zip(ids, labels))))
+        edges = section([_EDGE] * len(edges),
+                        tuple(chain.from_iterable((u, v, kind[u, v].value) for u, v in edges)))
+        return (f'{{\n  "vertices": {vertices},\n  "edges": {edges},\n'
+                f'  "start": {self.start},\n  "stop": {self.stop}\n}}\n')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":

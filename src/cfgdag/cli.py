@@ -23,7 +23,7 @@ import sys
 
 from .build import cfg_from_source
 from .cfg import CfgJsonError, ControlFlowGraph, contract_basic_blocks, prune_unreachable
-from .decomposition import DagDecomposition, DecompositionJsonError, build_decomposition
+from .decomposition import DagDecomposition, DecompositionJsonError, build_decomposition, partition_edges
 from .game import (
     LazyRobber,
     LoopGuardStrategy,
@@ -35,12 +35,10 @@ from .game import (
 )
 from .lang import ParseError
 from .loops import (
-    DominatorInfo,
     LoopForest,
     LoopForestJsonError,
     NotStructuredError,
     assign_owners,
-    classify_edges,
     compute_dominators,
     loop_regions,
     recover_loop_forest,
@@ -73,9 +71,8 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
-    """The graph, its loop forest with the owner map checked, and the
-    dominators of that graph when this path computed them."""
+def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
+    """The graph and its loop forest with the owner map checked."""
     if args.forest is not None and args.kind != "cfg-json":
         build_parser().error("argument --forest: applies only to --kind cfg-json")
     text = _read(args.input)
@@ -96,15 +93,13 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest, DominatorInfo | None]:
             forest = recover_loop_forest(cfg, dom)
     else:
         cfg, forest = cfg_from_source(text)
-        dom = None
     if args.contract:
         # Owners survive contraction: an absorbed vertex has the owner of
         # the vertex that absorbs it.
         cfg = contract_basic_blocks(cfg, forest)
         forest = forest.restricted_to(cfg)
-        dom = None
     loop_regions(cfg, forest)
-    return cfg, forest, dom
+    return cfg, forest
 
 
 def _positive_int(text: str) -> int:
@@ -172,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    cfg, forest, dom = _load(args)
+    cfg, forest = _load(args)
 
     if args.command == "build":
         _write(args.out, cfg.to_json())
@@ -223,14 +218,11 @@ def run(args) -> int:
         return 0
 
     if args.command == "export-dot":
+        decomp = build_decomposition(cfg, forest)  # exits 4 where decompose does
         if args.what == "cfg":
-            if dom is None:  # the source and contract paths keep no dominators
-                dom = compute_dominators(cfg)
-            classes = classify_edges(cfg, forest, dom)
-            backward = {e for e, c in classes.items() if c == "backward"}
-            _write(args.out, cfg.to_dot(backward=backward))
+            _write(args.out, cfg.to_dot(backward=set(partition_edges(cfg, forest).backward)))
         else:
-            _write(args.out, build_decomposition(cfg, forest).to_dot())
+            _write(args.out, decomp.to_dot())
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -110,11 +110,10 @@ class DagDecomposition:
         # One template per bag length: the node's key, then its members.
         record = {k: '"%d": [\n      ' + ",\n      ".join(["%d"] * k) + "\n    ]" if k
                   else '"%d": []' for k in set(lengths)}
-        return '{\n  "nodes": %s,\n  "arcs": %s,\n  "bags": %s\n}\n' % (
-            section(["%d"] * len(order), tuple(order)),
-            section([PAIR] * len(arcs), tuple(chain.from_iterable(arcs))),
-            section(list(map(record.__getitem__, lengths)), tuple(values), "{}"),
-        )
+        nodes = section(["%d"] * len(order), tuple(order))
+        arcs = section([PAIR] * len(arcs), tuple(chain.from_iterable(arcs)))
+        bags = section(list(map(record.__getitem__, lengths)), tuple(values), "{}")
+        return f'{{\n  "nodes": {nodes},\n  "arcs": {arcs},\n  "bags": {bags}\n}}\n'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DagDecomposition":

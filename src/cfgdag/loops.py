@@ -1,4 +1,4 @@
-"""Dominators, loop forests, loop regions, and backward/forward edge classification.
+"""Dominators, loop forests and loop regions.
 
 A loop element pairs an entry vertex with an exit vertex, and a vertex ends
 at most one element (LoopForest.ends). Every forest
@@ -16,7 +16,8 @@ owner of v or one of its ancestors (LoopForest.contains). Only the forest
 JSON needs the whole belongs and inside sets, which LoopForest.regions
 derives in one pass. By definition inside(L) holds the vertices dominated
 by the entry and not by the exit; the tests keep that definition as their
-oracle.
+oracle. The backward edges of a loop, from the vertices it owns to its
+entry, are tagged in one place, decomposition.partition_edges.
 
 Dominators take one Semi-NCA pass (Georgiadis, Tarjan & Werneck, "Finding
 dominators in practice", 2006): near-linear time, and iterative throughout,
@@ -34,9 +35,6 @@ from heapq import heapify, heappop, heappush
 
 from ._json import dumps
 from .cfg import ControlFlowGraph, EdgeKind
-
-BACKWARD = "backward"
-FORWARD = "forward"
 
 
 class NotStructuredError(ValueError):
@@ -396,30 +394,6 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
         if elem not in opened:
             raise LoopForestJsonError(f"loop entry {elem.entry} fell outside its own region")
     return forest
-
-
-def classify_edges(
-    cfg: ControlFlowGraph, forest: LoopForest, dom: DominatorInfo
-) -> dict[tuple[int, int], str]:
-    """Tag each edge backward/forward: backward edges run from belongs(L) to L's entry.
-
-    Each tag is cross-checked against the head-dominates-tail definition;
-    any disagreement raises NotStructuredError, as LoopForest.ends does.
-    """
-    by_entry = forest.ends()[0]
-    owner = forest.owner
-    classes: dict[tuple[int, int], str] = {}
-    for u, v in cfg.edges():
-        backward = owner[u] is by_entry.get(v)
-        classes[(u, v)] = BACKWARD if backward else FORWARD
-        dom_backward = dom.dominates(v, u)
-        if dom_backward != backward:
-            raise NotStructuredError(
-                f"edge ({u}, {v}): region classification says "
-                f"{classes[(u, v)]} but domination says "
-                f"{BACKWARD if dom_backward else FORWARD}"
-            )
-    return classes
 
 
 def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest:

@@ -94,11 +94,9 @@ class GameGraph:
         values[0::2] = self.vertex_ids()
         values[1::2] = chain.from_iterable(zip(*[self.states] * m))  # each state m times
         edges = sorted(self.edges)
-        return '{\n  "m": %d,\n  "vertices": %s,\n  "edges": %s\n}\n' % (
-            m,
-            section(items, tuple(values)),
-            section([PAIR] * len(edges), tuple(chain.from_iterable(edges))),
-        )
+        vertices = section(items, tuple(values))
+        edges = section([PAIR] * len(edges), tuple(chain.from_iterable(edges)))
+        return f'{{\n  "m": {m},\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
 
 
 def _below(rng: random.Random, n: int):

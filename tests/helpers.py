@@ -27,7 +27,9 @@ over a return-free reversed graph; the library computes no post-dominators.
 The edge partition lists the loops at each entry and searches the list for
 the outermost one entered from outside, and its decomposition adds each
 entered loop's exit-to-entry arc in a pass over the forest, instead of
-reading one loop per entry and per exit.
+reading one loop per entry and per exit. Backward edges are checked
+against dominance, where the head dominates the tail, instead of read from
+the owner map.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ UNREACHABLE_STOP_CFG_JSON = _cfg_json(
     [(0, 1, "out"), (1, 2, "out"), (2, 3, "out"), (3, 4, "out"), (3, 1, "entry"),
      (4, 1, "out"), (5, 2, "out"), (6, 5, "out")],
     stop=5,
+)
+
+# A self-loop at start, which no builder graph has: no edge of a builder
+# graph enters start. decompose exits 0 on it and validate rejects what it
+# writes (edges_covered_3a).
+START_SELF_LOOP_CFG_JSON = _cfg_json(
+    ["start", "a", "stop"], [(0, 0, "out"), (0, 1, "out"), (1, 2, "out")], stop=2,
 )
 
 
@@ -1128,6 +1137,22 @@ def partition_edges_by_entry_lists(cfg, forest) -> EdgePartition:
             else:
                 part.plain.append((u, v))
     return part
+
+
+def dominance_backward(cfg, dom) -> set[tuple[int, int]]:
+    """The edges whose head dominates their tail."""
+    return {(u, v) for u, v in cfg.edges() if dom.dominates(v, u)}
+
+
+def dominance_clash(cfg, forest, dom) -> tuple[int, int] | None:
+    """The first edge (u, v) on which the owner map's backward rule, that
+    the loop entered at v owns u, disagrees with dominance, that v dominates
+    u (Tarjan, "Testing flow graph reducibility", 1974); None if none does."""
+    by_entry = {elem.entry: elem for elem in forest.elements}
+    for u, v in cfg.edges():
+        if (forest.owner[u] is by_entry.get(v)) != dom.dominates(v, u):
+            return (u, v)
+    return None
 
 
 def decomposition_by_entry_lists(cfg, forest) -> DagDecomposition:

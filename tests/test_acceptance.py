@@ -12,7 +12,6 @@ import time
 import pytest
 
 from cfgdag import (
-    BACKWARD,
     ControlFlowGraph,
     FormulaSkeleton,
     LazyRobber,
@@ -24,11 +23,11 @@ from cfgdag import (
     build_product_game,
     cfg_from_source,
     check_cop_monotone,
-    classify_edges,
     compute_dominators,
     generate_random_program,
     lift_decomposition,
     loop_regions,
+    partition_edges,
     play_game,
     recover_loop_forest,
     two_loop_cfg,
@@ -36,7 +35,7 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.decomposition import DagDecomposition
-from helpers import dist_by_enumeration, exit_distances, recovery_facts
+from helpers import dist_by_enumeration, dominance_backward, exit_distances, recovery_facts
 
 
 def _verdict(number: int, name: str, detail: str = ""):
@@ -330,10 +329,11 @@ def test_criterion_08_backward_edge_characterisation(pursuit_fleet):
     for row in pursuit_fleet:
         cfg, forest = row["cfg"], row["forest"]
         dom = compute_dominators(cfg)
-        classes = classify_edges(cfg, forest, dom)  # raises on any disagreement
+        backward = set(partition_edges(cfg, forest).backward)
+        assert backward == dominance_backward(cfg, dom), row["seed"]
         succ = {v: [] for v in cfg.vertex_ids()}
-        for (u, v), cls in classes.items():
-            if cls != BACKWARD:
+        for u, v in cfg.edges():
+            if (u, v) not in backward:
                 succ[u].append(v)
         indeg = {v: 0 for v in succ}
         for u in succ:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import io
@@ -18,8 +19,10 @@ from cfgdag import (
     EdgeKind,
     LoopForest,
     cfg_from_source,
+    compute_dominators,
     generate_random_program,
     prune_unreachable,
+    recover_loop_forest,
     two_loop_cfg,
 )
 from cfgdag._json import dumps
@@ -30,6 +33,7 @@ from helpers import (
     UNREACHABLE_STOP_CFG_JSON,
     cfg_from_json_by_add_edge,
     cfg_json_dict,
+    dominance_clash,
 )
 
 WHILE_SRC = "while c { b; }\n"
@@ -632,6 +636,41 @@ def test_export_dot_cfg_json_reuses_the_loaded_dominators(while_file, tmp_path, 
     assert main(["export-dot", str(graph_path), "--kind", "cfg-json",
                  "--out", str(tmp_path / "g.dot")]) == 0
     assert len(seen) == 1
+    seen.clear()
+    assert main(["export-dot", str(while_file), "--out", str(tmp_path / "s.dot")]) == 0
+    assert seen == []  # the source route computes no dominators
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and stderr, its stdout thrown away."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cfg_json_data())
+@example(IRREDUCIBLE_CFG_JSON)
+def test_export_dot_exits_as_decompose_does(data):
+    """export-dot in both modes gives decompose's exit code and stderr, and
+    exits 4 wherever the owner map's backward edges disagree with dominance."""
+    text = json.dumps(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        outcomes = [run_quietly([*argv, str(path), "--kind", "cfg-json"])
+                    for argv in (["decompose"], ["export-dot"],
+                                 ["export-dot", "--what", "decomposition"])]
+    assert outcomes[1] == outcomes[2] == outcomes[0]
+    cfg = ControlFlowGraph.from_json(text)
+    try:
+        dom = compute_dominators(cfg)
+    except ValueError:  # dead vertices, which the CLI prunes first
+        cfg = prune_unreachable(cfg)
+        dom = compute_dominators(cfg)
+    if dominance_clash(cfg, recover_loop_forest(cfg, dom), dom) is not None:
+        assert outcomes[0][0] == 4
 
 
 # Loops that close with a break after a nested loop: the natural body of the
@@ -671,7 +710,7 @@ def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
         "i/o error: bad loop forest JSON: loop at entry 9 is nested under")
 
 
-@pytest.mark.parametrize("argv", [["decompose"], ["validate", "--d3"]])
+@pytest.mark.parametrize("argv", [["decompose"], ["validate", "--d3"], ["export-dot"]])
 def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(IRREDUCIBLE_CFG_JSON))

@@ -20,7 +20,6 @@ from cfgdag import (
     build_decomposition,
     build_product_game,
     cfg_from_source,
-    classify_edges,
     compute_dominators,
     generate_random_program,
     lift_decomposition,
@@ -144,13 +143,6 @@ def test_irreducible_graph_is_not_structured():
     assert forest.elements == []  # neither entry of the cycle dominates the other
     with pytest.raises(NotStructuredError, match="cycle"):
         build_decomposition(cfg, forest)
-
-
-def test_classification_disagreeing_with_dominance_is_not_structured():
-    cfg, forest, dom = pipeline("while c { b; }")
-    forest.owner[cfg.start] = forest.elements[0]  # forge: start inside the loop
-    with pytest.raises(NotStructuredError, match="domination says forward"):
-        classify_edges(cfg, forest, dom)
 
 
 # -- the construction -----------------------------------------------------------
@@ -357,10 +349,8 @@ def test_a_forest_needs_no_loop_regions_call(route):
     for src in ORDER_SOURCES:
         cfg, fresh = make(src)
         checked = loop_regions(*make(src))
-        dom = compute_dominators(cfg)
         assert (partition_edges(cfg, fresh).categories()
                 == partition_edges(cfg, checked).categories()), src
-        assert classify_edges(cfg, fresh, dom) == classify_edges(cfg, checked, dom), src
         decomp = build_decomposition(cfg, fresh)
         assert decomp.width() <= 3 and validate_cfg_decomposition(decomp, cfg).valid, src
         assert _cops_win(cfg, fresh), src

@@ -25,7 +25,13 @@ import pytest
 
 from cfgdag import ControlFlowGraph, generate_random_program, two_loop_cfg
 from cfgdag.cli import main
-from helpers import CORNER_CASES, DEAD_CFG_JSON, IRREDUCIBLE_CFG_JSON, UNREACHABLE_STOP_CFG_JSON
+from helpers import (
+    CORNER_CASES,
+    DEAD_CFG_JSON,
+    IRREDUCIBLE_CFG_JSON,
+    START_SELF_LOOP_CFG_JSON,
+    UNREACHABLE_STOP_CFG_JSON,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
@@ -63,6 +69,7 @@ def programs() -> dict[str, str | ControlFlowGraph]:
     # Loaded unpruned, so the CFG JSON route has vertices to drop.
     out["dead-vertices"] = ControlFlowGraph.from_json_dict(DEAD_CFG_JSON)
     out["unreachable-stop"] = ControlFlowGraph.from_json_dict(UNREACHABLE_STOP_CFG_JSON)
+    out["start-self-loop"] = ControlFlowGraph.from_json_dict(START_SELF_LOOP_CFG_JSON)
     return out
 
 
@@ -127,6 +134,12 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = _golden() if GOLDEN.exists() else {}
     table = {name: digests(name, source) for name, source in PROGRAMS.items()}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} programs to {GOLDEN}")
+    for name in sorted(table.keys() | old.keys()):
+        new_runs, old_runs = table.get(name, {}), old.get(name, {})
+        for run in sorted(new_runs.keys() | old_runs.keys()):
+            if new_runs.get(run) != old_runs.get(run):
+                print(f"changed {name}/{run}: {old_runs.get(run)} -> {new_runs.get(run)}")

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag import (
-    BACKWARD,
     ControlFlowGraph,
     EdgeKind,
     LoopForest,
@@ -17,21 +16,21 @@ from cfgdag import (
     assign_owners,
     build_decomposition,
     cfg_from_source,
-    classify_edges,
     compute_dominators,
     contract_basic_blocks,
     generate_random_program,
     loop_regions,
     parse_program,
+    partition_edges,
     prune_unreachable,
     recover_loop_forest,
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from cfgdag.loops import FORWARD
 from helpers import (
     build_unpruned,
     check_cycle_corollary,
+    dominance_backward,
     dominator_regions,
     dominators_by_iteration,
     dominators_by_paths,
@@ -315,34 +314,29 @@ def test_syntactic_regions_equal_dominator_regions():
 
 
 def test_while_backward_edge():
-    cfg, forest, dom = pipeline("while c { b; }")
+    cfg, forest, _ = pipeline("while c { b; }")
     ids = by_label(cfg)
-    classes = classify_edges(cfg, forest, dom)
-    assert classes[(ids["b"], ids["c"])] == BACKWARD
-    backs = [e for e, c in classes.items() if c == BACKWARD]
-    assert backs == [(ids["b"], ids["c"])]
+    assert partition_edges(cfg, forest).backward == [(ids["b"], ids["c"])]
 
 
 def test_loop_free_has_no_backward_edges():
-    cfg, forest, dom = pipeline("a; if c { b; } d;")
-    classes = classify_edges(cfg, forest, dom)
-    assert set(classes.values()) <= {FORWARD}
+    cfg, forest, _ = pipeline("a; if c { b; } d;")
+    assert partition_edges(cfg, forest).backward == []
 
 
 def test_classification_cross_check_runs_on_random_programs():
     for seed in range(50):
         cfg, forest, dom = pipeline(generate_random_program(seed, 70))
-        classes = classify_edges(cfg, forest, dom)  # raises on disagreement
-        assert len(classes) == cfg.n_edges
+        assert set(partition_edges(cfg, forest).backward) == dominance_backward(cfg, dom), seed
 
 
 def test_removing_backward_edges_leaves_acyclic_graph():
     for seed in range(40):
-        cfg, forest, dom = pipeline(generate_random_program(seed, 60))
-        classes = classify_edges(cfg, forest, dom)
+        cfg, forest, _ = pipeline(generate_random_program(seed, 60))
+        backward = set(partition_edges(cfg, forest).backward)
         succ = {v: [] for v in cfg.vertex_ids()}
-        for (u, v), cls in classes.items():
-            if cls == FORWARD:
+        for u, v in cfg.edges():
+            if (u, v) not in backward:
                 succ[u].append(v)
         # Kahn
         indeg = {v: 0 for v in succ}
@@ -363,9 +357,9 @@ def test_removing_backward_edges_leaves_acyclic_graph():
 
 def test_fixture_backward_edges():
     cfg, forest = two_loop_cfg()
-    classes = classify_edges(cfg, forest, compute_dominators(cfg))
-    backs = {e for e, c in classes.items() if c == BACKWARD}
+    backs = set(partition_edges(cfg, forest).backward)
     assert backs == {(7, 5), (11, 9), (8, 1), (12, 1)}
+    assert backs == dominance_backward(cfg, compute_dominators(cfg))
 
 
 def test_fixture_regions():
@@ -499,10 +493,11 @@ def test_recover_matches_builder_on_random_programs():
     for seed in range(30):
         cfg, forest, dom = pipeline(generate_random_program(seed, 50))
         recovered = recover_loop_forest(cfg, dom)
+        backward = set(partition_edges(cfg, forest).backward)
+        assert backward == dominance_backward(cfg, dom), seed
+        heads = {v for _, v in backward}
         got = {(e.entry, e.exit) for e in recovered.elements}
-        want = {(e.entry, e.exit) for e in forest.elements if any(
-            cls == BACKWARD for (u, v), cls in classify_edges(cfg, forest, dom).items() if v == e.entry
-        )}
+        want = {(e.entry, e.exit) for e in forest.elements if e.entry in heads}
         assert got == want, seed
 
 
