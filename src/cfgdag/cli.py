@@ -19,6 +19,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 
 from .build import cfg_from_source
@@ -63,12 +64,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(*outputs) -> None:
+    """Write each (path, make) pair's text ("-" is stdout, None no output).
+    Every path is opened before any text is made, and the files this call
+    created are removed if it fails; no two texts are held at once."""
+    outputs = [(path, make) for path, make in outputs if path is not None]
+    streams, created = [], []
+    try:
+        for path, _ in outputs:
+            new = path != "-" and not os.path.lexists(path)
+            streams.append(sys.stdout if path == "-" else open(path, "w", encoding="utf-8"))
+            if new:
+                created.append(path)
+        for fh, (_, make) in zip(streams, outputs):
+            fh.write(make())
+        created = []  # all written: keep every file
+    finally:
+        for fh in streams:
+            if fh is not sys.stdout:
+                fh.close()
+        for path in created:
+            os.remove(path)
 
 
 def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
@@ -118,7 +134,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=["source", "cfg-json"], default="source")
     p.add_argument("--forest", help="loop forest JSON (for cfg-json inputs)")
     p.add_argument("--contract", action="store_true", help="contract basic blocks")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", default="-", help="output path (default stdout)")
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -170,14 +186,12 @@ def run(args) -> int:
     cfg, forest = _load(args)
 
     if args.command == "build":
-        _write(args.out, cfg.to_json())
-        if args.forest_out is not None:
-            _write(args.forest_out, forest.to_json())
+        _write((args.out, cfg.to_json), (args.forest_out, forest.to_json))
         return 0
 
     if args.command == "decompose":
         decomp = build_decomposition(cfg, forest)
-        _write(args.out, decomp.to_json())
+        _write((args.out, decomp.to_json))
         return 0
 
     if args.command == "validate":
@@ -186,7 +200,7 @@ def run(args) -> int:
         else:
             decomp = build_decomposition(cfg, forest)
         report = validate_cfg_decomposition(decomp, cfg, with_d3=args.d3)
-        _write(args.out, report.to_json())
+        _write((args.out, report.to_json))
         return 0 if report.valid else 1
 
     if args.command == "play":
@@ -199,12 +213,12 @@ def run(args) -> int:
             robber = OptimalRobber(cfg, k=3)
         trace = play_game(cfg, strategy, robber,
                           robber_start=args.start, max_rounds=args.max_rounds)
-        _write(args.out, trace.to_json())
+        _write((args.out, trace.to_json))
         return 0
 
     if args.command == "oracle":
         number = brute_force_cop_number(cfg, k_max=args.k_max)
-        _write(args.out, f"{number}\n")
+        _write((args.out, lambda: f"{number}\n"))
         return 0
 
     if args.command == "lift":
@@ -212,17 +226,16 @@ def run(args) -> int:
         game = build_product_game(cfg, skeleton, seed=args.seed)
         decomp = build_decomposition(cfg, forest)
         lifted = lift_decomposition(decomp, game)
-        _write(args.out, lifted.to_json())
-        if args.game_out is not None:
-            _write(args.game_out, game.to_json())
+        _write((args.out, lifted.to_json), (args.game_out, game.to_json))
         return 0
 
     if args.command == "export-dot":
         decomp = build_decomposition(cfg, forest)  # exits 4 where decompose does
         if args.what == "cfg":
-            _write(args.out, cfg.to_dot(backward=set(partition_edges(cfg, forest).backward)))
+            backward = set(partition_edges(cfg, forest).backward)
+            _write((args.out, lambda: cfg.to_dot(backward=backward)))
         else:
-            _write(args.out, decomp.to_dot())
+            _write((args.out, decomp.to_dot))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -12,12 +12,12 @@ recovered from a bare graph, or given whole, gets it from one preorder walk
 of the dominator tree in which a loop opens at its entry and closes, with
 every loop inside it, at its exit. The map is the only record of
 membership: v belongs to L when L owns v, and v lies inside L when L is the
-owner of v or one of its ancestors (LoopForest.contains). Only the forest
-JSON needs the whole belongs and inside sets, which LoopForest.regions
-derives in one pass. By definition inside(L) holds the vertices dominated
-by the entry and not by the exit; the tests keep that definition as their
-oracle. The backward edges of a loop, from the vertices it owns to its
-entry, are tagged in one place, decomposition.partition_edges.
+owner of v or one of its ancestors (LoopForest.contains); the forest JSON
+holds only each loop's entry, exit and parent. By definition inside(L)
+holds the vertices dominated by the entry and not by the exit; the tests
+keep that definition as their oracle. The backward edges of a loop, from
+the vertices it owns to its entry, are tagged in one place,
+decomposition.partition_edges.
 
 Dominators take one Semi-NCA pass (Georgiadis, Tarjan & Werneck, "Finding
 dominators in practice", 2006): near-linear time, and iterative throughout,
@@ -94,21 +94,6 @@ class LoopForest:
             e = e.parent
         return True
 
-    def regions(self) -> dict[LoopElement, tuple[set[int], set[int]]]:
-        """Element (phi included) -> (belongs, inside), from the owner map.
-
-        belongs(L) is the set of vertices L owns, so the belongs sets
-        partition the owned vertices; inside(L) adds the inside of every
-        child.
-        """
-        belongs: dict[LoopElement, set[int]] = {e: set() for e in (self.phi, *self.elements)}
-        for v, elem in self.owner.items():
-            belongs[elem].add(v)
-        inside = {e: set(own) for e, own in belongs.items()}
-        for elem in reversed(self.elements):  # each before its parent
-            inside[elem.parent] |= inside[elem]
-        return {e: (belongs[e], inside[e]) for e in belongs}
-
     def ends(self) -> tuple[dict[int, LoopElement], dict[int, LoopElement]]:
         """(entry -> element, exit -> element). A vertex that is the entry
         of two elements, the exit of two, or an entry and an exit fits no
@@ -146,29 +131,18 @@ class LoopForest:
         return out
 
     def to_json_dict(self) -> dict:
-        loops = []
         index = {elem: i for i, elem in enumerate(self.elements)}
-        regions = self.regions()
-        for elem in self.elements:
-            belongs, inside = regions[elem]
-            loops.append(
-                {
-                    "entry": elem.entry,
-                    "exit": elem.exit,
-                    "parent": index.get(elem.parent),
-                    "inside": sorted(inside),
-                    "belongs": sorted(belongs),
-                }
-            )
-        return {"loops": loops}
+        return {"loops": [{"entry": e.entry, "exit": e.exit, "parent": index.get(e.parent)}
+                          for e in self.elements]}
 
     def to_json(self) -> str:
         return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopForest":
-        """The nesting of a forest JSON; its inside and belongs lists are not
-        read, since assign_owners derives membership from the graph."""
+        """The nesting of a forest JSON. Any other key of a record, such as
+        the inside and belongs lists of older files, is ignored: assign_owners
+        derives membership from the graph."""
         forest = cls()
         try:
             for i, rec in enumerate(data["loops"]):
@@ -323,8 +297,8 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
 def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
     """Check that the forest's owner map covers exactly the graph's vertices.
 
-    Readers take membership from the map itself (LoopForest.contains,
-    LoopForest.regions), so a forest is usable without this call.
+    Readers take membership from the map itself (LoopForest.owner,
+    LoopForest.contains), so a forest is usable without this call.
     """
     if forest.owner.keys() != cfg.labels.keys():
         missing = sorted(cfg.labels.keys() - forest.owner.keys())

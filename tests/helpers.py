@@ -173,9 +173,24 @@ def tree_children(parent: dict) -> dict[int, list[int]]:
     return kids
 
 
+def owner_regions(forest):
+    """Element (phi included) -> (belongs, inside), read off the owner map.
+
+    belongs(L) is the set of vertices L owns; inside(L) adds the inside of
+    every child, gathered over the preorder elements in reverse.
+    """
+    belongs = {e: set() for e in (forest.phi, *forest.elements)}
+    for v, elem in forest.owner.items():
+        belongs[elem].add(v)
+    inside = {e: set(own) for e, own in belongs.items()}
+    for elem in reversed(forest.elements):  # each before its parent
+        inside[elem.parent] |= inside[elem]
+    return {e: (belongs[e], inside[e]) for e in belongs}
+
+
 def dominator_regions(cfg, forest, dom):
     """Regions straight from the definitions: element (phi included) ->
-    (belongs, inside), in the form of LoopForest.regions.
+    (belongs, inside), in the form of owner_regions.
 
     inside(L) is dominated by the entry and not by the exit (stop always
     stays with the root element); belongs(L) is inside(L) minus the inside
@@ -257,7 +272,7 @@ def check_cycle_corollary(cfg, forest, limit: int = 12) -> list[tuple]:
     Returns violation witnesses (empty on structured inputs). Exhaustively
     enumerates cycles, so only suitable for small graphs.
     """
-    regions = forest.regions()
+    regions = owner_regions(forest)
     violations = []
     for cycle in simple_cycles(cfg, limit=limit):
         members = set(cycle)
@@ -276,7 +291,7 @@ def exit_distances(cfg, forest, elem) -> dict[int, int | None]:
     Paths may start at the entry but never pass through it. None marks
     vertices with no such path.
     """
-    regions = forest.regions()
+    regions = owner_regions(forest)
     belongs, inside = regions[elem]
     if elem.exit is None:
         return {v: None for v in inside}
@@ -958,7 +973,7 @@ def dist_by_enumeration(cfg, forest, elem, v) -> int | None:
     """
     if elem.exit is None:
         return None
-    belongs, inside = forest.regions()[elem]
+    belongs, inside = owner_regions(forest)[elem]
     allowed = inside | {elem.exit}
     succ = {
         u: [w for w in cfg.successors(u) if w in allowed and w != elem.entry]

@@ -35,7 +35,7 @@ from cfgdag import (
     validate_decomposition,
 )
 from cfgdag.decomposition import DagDecomposition
-from helpers import dist_by_enumeration, dominance_backward, exit_distances, recovery_facts
+from helpers import dist_by_enumeration, dominance_backward, exit_distances, owner_regions, recovery_facts
 
 
 def _verdict(number: int, name: str, detail: str = ""):
@@ -70,7 +70,7 @@ def construction_fleet():
         decomp = build_decomposition(cfg, forest)
         build_seconds += time.perf_counter() - t0
         report = validate_cfg_decomposition(decomp, cfg)
-        belongs_total = sum(len(belongs) for belongs, _ in forest.regions().values())
+        belongs_total = sum(len(belongs) for belongs, _ in owner_regions(forest).values())
         rows.append(
             {
                 "seed": seed,
@@ -273,7 +273,7 @@ def test_criterion_06_distance_monotone(pursuit_fleet):
                 assert eff_after <= d_before, (row["seed"], i)
                 if forest.owner[r_before] is loop and r_after != r_before:
                     assert eff_after < d_before, (row["seed"], i)
-        regions = forest.regions()
+        regions = owner_regions(forest)
         for elem in forest.elements:
             inside = regions[elem][1]
             if elem.exit is None or len(inside) + 1 > 8:

@@ -18,6 +18,7 @@ from cfgdag import (
     DagDecomposition,
     EdgeKind,
     LoopForest,
+    assign_owners,
     cfg_from_source,
     compute_dominators,
     generate_random_program,
@@ -34,6 +35,7 @@ from helpers import (
     cfg_from_json_by_add_edge,
     cfg_json_dict,
     dominance_clash,
+    owner_regions,
 )
 
 WHILE_SRC = "while c { b; }\n"
@@ -69,11 +71,12 @@ def test_build_forest_dump(while_file, tmp_path):
     loops = json.loads(forest_out.read_text())["loops"]
     assert loops[0]["entry"] == 1 and loops[0]["exit"] == 3
     assert loops[0]["parent"] is None
-    assert set(loops[0]) == {"entry", "exit", "parent", "inside", "belongs"}
+    assert set(loops[0]) == {"entry", "exit", "parent"}
 
 
 # Loop r's natural body (r, a, b, c) is larger than its parent p's (p, q),
-# and p's is as large as its sibling t's.
+# and p's is as large as its sibling t's. Each loop is (entry, exit, parent,
+# inside, belongs); the forest JSON holds the first three.
 NESTED_SRC = "while p { if q { continue; } while r { a; b; c; } while s { d; } break; } while t { e; }"
 LOOP_P = (1, 11, None, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 7, 10])
 LOOP_R = (3, 7, 0, [3, 4, 5, 6], [3, 4, 5, 6])
@@ -82,8 +85,16 @@ LOOP_T = (12, 14, None, [12, 13], [12, 13])
 
 
 def forest_bytes(*loops):
-    keys = ("entry", "exit", "parent", "inside", "belongs")
+    keys = ("entry", "exit", "parent")
     return dumps({"loops": [dict(zip(keys, loop)) for loop in loops]})
+
+
+def forest_records(forest):
+    """Each loop of the forest in the form of the LOOP_ tuples."""
+    index = {elem: i for i, elem in enumerate(forest.elements)}
+    regions = owner_regions(forest)
+    return [(e.entry, e.exit, index.get(e.parent), sorted(regions[e][1]), sorted(regions[e][0]))
+            for e in forest.elements]
 
 
 def nested_cfg_json(tmp_path):
@@ -96,23 +107,38 @@ def nested_cfg_json(tmp_path):
 def test_recovered_forest_lists_each_loop_after_its_parent(tmp_path):
     """Siblings go by natural body, larger first, then by entry; a parent
     comes before its children whatever their bodies."""
-    out = tmp_path / "loops.json"
-    assert main(["build", str(nested_cfg_json(tmp_path)), "--kind", "cfg-json",
+    out, graph = tmp_path / "loops.json", nested_cfg_json(tmp_path)
+    assert main(["build", str(graph), "--kind", "cfg-json",
                  "--out", str(tmp_path / "c.json"), "--forest-out", str(out)]) == 0
     assert out.read_text() == forest_bytes(LOOP_P, LOOP_R, LOOP_S, LOOP_T)
+    cfg = ControlFlowGraph.from_json(graph.read_text())
+    recovered = recover_loop_forest(cfg, compute_dominators(cfg))
+    assert forest_records(recovered) == [LOOP_P, LOOP_R, LOOP_S, LOOP_T]
 
 
 def test_given_forest_is_written_in_preorder(tmp_path):
     """Records need only follow their parent; the written forest keeps the
-    siblings' order and lists each loop's descendants right after it."""
-    given = tmp_path / "given.json"
-    given.write_text(json.dumps({"loops": [
-        {"entry": entry, "exit": exit_, "parent": parent}
-        for entry, exit_, parent, *_ in (LOOP_P, LOOP_T, LOOP_S, LOOP_R)]}))
-    out = tmp_path / "loops.json"
-    assert main(["build", str(nested_cfg_json(tmp_path)), "--kind", "cfg-json", "--forest", str(given),
-                 "--out", str(tmp_path / "c.json"), "--forest-out", str(out)]) == 0
-    assert out.read_text() == forest_bytes(LOOP_P, LOOP_S, LOOP_R, LOOP_T)
+    siblings' order and lists each loop's descendants right after it. A
+    file in the older layout, whose records also list each loop's inside
+    and belongs vertices, loads to the same forest and decomposition."""
+    graph = nested_cfg_json(tmp_path)
+    cfg = ControlFlowGraph.from_json(graph.read_text())
+    given = (LOOP_P, LOOP_T, LOOP_S, LOOP_R)
+    decompositions = []
+    for keys in (("entry", "exit", "parent"), ("entry", "exit", "parent", "inside", "belongs")):
+        forest_in, forest_out, decomp = (tmp_path / f"{name}{len(keys)}.json"
+                                         for name in ("given", "loops", "decomp"))
+        data = {"loops": [dict(zip(keys, loop)) for loop in given]}
+        forest_in.write_text(json.dumps(data))
+        assert main(["build", str(graph), "--kind", "cfg-json", "--forest", str(forest_in),
+                     "--out", str(tmp_path / "c.json"), "--forest-out", str(forest_out)]) == 0
+        assert forest_out.read_text() == forest_bytes(LOOP_P, LOOP_S, LOOP_R, LOOP_T)
+        loaded = assign_owners(cfg, compute_dominators(cfg), LoopForest.from_json_dict(data))
+        assert forest_records(loaded) == [LOOP_P, LOOP_S, LOOP_R, LOOP_T]
+        assert main(["decompose", str(graph), "--kind", "cfg-json", "--forest", str(forest_in),
+                     "--out", str(decomp)]) == 0
+        decompositions.append(decomp.read_bytes())
+    assert decompositions[0] == decompositions[1]
 
 
 def test_decompose_width_three(while_file, tmp_path):
@@ -351,6 +377,24 @@ def test_empty_path_exits_two(while_file, tmp_path, capsys, argv):
     given = graph if "cfg-json" in argv else while_file
     assert main([argv[0], str(given), *argv[1:]]) == 2
     assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--forest-out"],
+    ["lift", "--m", "3", "--game-out"],
+])
+def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_path, capsys, argv):
+    """Every output path is opened before any text is written: when the
+    second cannot be opened, the command exits 2, removes the --out file it
+    created and writes nothing to stdout."""
+    out, bad = tmp_path / "x.json", tmp_path / "nodir" / "f.json"
+    error = f"i/o error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(bad)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", error)
+    assert main([argv[0], str(while_file), *argv[1:], str(bad)]) == 2
+    assert capsys.readouterr() == ("", error)
+    assert list(tmp_path.iterdir()) == [while_file]
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
@@ -805,6 +849,29 @@ def test_deep_nesting_decomposes_and_validates_from_cfg_json(tmp_path, shape):
     assert recovered.read_bytes() == direct.read_bytes()
     assert main(["validate", str(graph), "--kind", "cfg-json", "--out", str(tmp_path / "v.json")]) == 0
     assert json.loads((tmp_path / "v.json").read_text())["valid"] is True
+
+
+def test_deep_forest_json_is_linear_and_loads_back(tmp_path):
+    """build --forest-out writes one short record per loop, at most 128
+    bytes each for 10^4 nested while loops. Given back with the CFG JSON,
+    the file gives the builder's entries, exits, parents and owner map, and
+    the decomposition of the source route byte for byte."""
+    prog, graph, forest_path = tmp_path / "deep.spl", tmp_path / "deep.json", tmp_path / "loops.json"
+    prog.write_text(DEEP["while"])
+    assert main(["build", str(prog), "--out", str(graph), "--forest-out", str(forest_path)]) == 0
+    assert forest_path.stat().st_size <= 128 * DEPTH
+    _, built = cfg_from_source(DEEP["while"])
+    cfg = ControlFlowGraph.from_json(graph.read_text())
+    data = json.loads(forest_path.read_text())
+    loaded = assign_owners(cfg, compute_dominators(cfg), LoopForest.from_json_dict(data))
+    assert len(loaded.elements) == DEPTH
+    assert loaded.to_json_dict() == built.to_json_dict()
+    assert {v: e.entry for v, e in loaded.owner.items()} == {v: e.entry for v, e in built.owner.items()}
+    direct, given = tmp_path / "d1.json", tmp_path / "d2.json"
+    assert main(["decompose", str(prog), "--out", str(direct)]) == 0
+    assert main(["decompose", str(graph), "--kind", "cfg-json", "--forest", str(forest_path),
+                 "--out", str(given)]) == 0
+    assert given.read_bytes() == direct.read_bytes()
 
 
 # -- the cyclic collector ---------------------------------------------------

@@ -32,6 +32,7 @@ from helpers import (
     exit_distances,
     hops,
     lazy_move_by_walk,
+    owner_regions,
     pipeline,
     toposort,
     two_loop_cfg_in_loops,
@@ -77,7 +78,7 @@ def test_distance_counts_only_own_vertices():
     (elem,) = forest.elements
     dists = exit_distances(cfg, forest, elem)
     assert dists[elem.entry] == 1  # straight to the exit, counting the entry
-    body = next(v for v in forest.regions()[elem][1] if v != elem.entry)
+    body = next(v for v in owner_regions(forest)[elem][1] if v != elem.entry)
     assert dists[body] is None  # the only way onward runs through the entry
     assert distance_to_exit(cfg, forest, elem, body) == 0
 
@@ -93,14 +94,14 @@ def test_nested_loop_contributes_nothing():
     cfg, forest, _ = pipeline("while c1 { a; while c2 { b; } d; }")
     outer, inner = forest.elements
     dists = exit_distances(cfg, forest, outer)
-    for v in forest.regions()[inner][1]:
+    for v in owner_regions(forest)[inner][1]:
         assert dists[v] == dists[inner.exit], cfg.labels[v]
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_distance_matches_enumeration_oracle(seed):
     cfg, forest, _ = pipeline(generate_random_program(seed, 14))
-    regions = forest.regions()
+    regions = owner_regions(forest)
     for elem in forest.elements:
         inside = regions[elem][1]
         if len(inside) + 1 > 8:

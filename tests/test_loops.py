@@ -34,6 +34,7 @@ from helpers import (
     dominator_regions,
     dominators_by_iteration,
     dominators_by_paths,
+    owner_regions,
     pipeline,
     post_dominates,
     post_dominator_tree,
@@ -135,7 +136,7 @@ def test_post_dominators_ignore_return_edges():
     ids = by_label(cfg)
     (elem,) = forest.elements
     # ignoring the return edge, the loop exit post-dominates the whole inside
-    for v in forest.regions()[elem][1]:
+    for v in owner_regions(forest)[elem][1]:
         assert post_dominates(pdom, elem.exit, v), cfg.labels[v]
     assert post_dominates(pdom, ids["stop"], ids["a"])
 
@@ -235,14 +236,14 @@ def test_dominators_of_a_deep_graph_need_no_recursion():
 def test_loop_free_program_belongs_to_root():
     cfg, forest, _ = pipeline("a; if c { b; } d;")
     assert forest.elements == []
-    assert forest.regions()[forest.phi][0] == set(cfg.vertex_ids())
+    assert owner_regions(forest)[forest.phi][0] == set(cfg.vertex_ids())
 
 
 def test_while_regions():
     cfg, forest, _ = pipeline("while c { b; }")
     ids = by_label(cfg)
     (elem,) = forest.elements
-    regions = forest.regions()
+    regions = owner_regions(forest)
     assert regions[elem] == ({ids["c"], ids["b"]}, {ids["c"], ids["b"]})
     assert regions[forest.phi][0] == {ids["start"], ids["exit(c)"], ids["stop"]}
 
@@ -250,7 +251,7 @@ def test_while_regions():
 def test_entry_inside_exit_outside():
     for seed in range(30):
         cfg, forest, _ = pipeline(generate_random_program(seed, 60))
-        regions = forest.regions()
+        regions = owner_regions(forest)
         for elem in forest.elements:
             inside = regions[elem][1]
             assert elem.entry in inside
@@ -277,7 +278,7 @@ def test_do_while_entry_is_first_body_vertex():
     ids = by_label(cfg)
     (elem,) = forest.elements
     assert elem.entry == ids["a"]
-    assert forest.regions()[elem][1] == {ids["a"], ids["b"], ids["c"]}
+    assert owner_regions(forest)[elem][1] == {ids["a"], ids["b"], ids["c"]}
 
 
 def test_do_while_opening_with_loop_gets_skip_entry():
@@ -303,7 +304,7 @@ def test_syntactic_regions_equal_dominator_regions():
         syntactic = loop_regions(cfg, forest.restricted_to(cfg))
         reference = dominator_regions(cfg, forest, compute_dominators(cfg))
         assert len(syntactic.elements) == len(forest.elements)
-        ours = syntactic.regions()
+        ours = owner_regions(syntactic)
         for a, b in zip(syntactic.elements, forest.elements):
             assert (a.entry, a.exit) == (b.entry, b.exit)
             assert ours[a] == reference[b]
@@ -365,7 +366,7 @@ def test_fixture_backward_edges():
 def test_fixture_regions():
     _, forest = two_loop_cfg()
     outer, left, right = forest.elements
-    regions = forest.regions()
+    regions = owner_regions(forest)
     assert regions[left][0] == {5, 6, 7}
     assert regions[right][0] == {9, 10, 11}
     assert regions[outer][0] >= {1, 2, 8, 12}
@@ -412,6 +413,7 @@ def test_forest_json_round_trip():
     data = forest.to_json_dict()
     again = assign_owners(cfg, dom, LoopForest.from_json_dict(data))
     assert again.to_json_dict() == data
+    assert {v: e.entry for v, e in again.owner.items()} == {v: e.entry for v, e in forest.owner.items()}
     assert [e.entry for e in again.elements] == [e.entry for e in forest.elements]
 
 
@@ -422,7 +424,7 @@ def test_recover_loop_forest_from_fixture_graph():
     got = {(e.entry, e.exit) for e in recovered.elements}
     want = {(e.entry, e.exit) for e in forest.elements}
     assert got == want
-    ours, theirs = forest.regions(), recovered.regions()
+    ours, theirs = owner_regions(forest), owner_regions(recovered)
     for a in forest.elements:
         b = next(e for e in recovered.elements if e.entry == a.entry)
         assert ours[a][1] == theirs[b][1]
@@ -438,7 +440,7 @@ def test_recovered_regions_equal_dominator_regions(seed):
     cfg, _ = cfg_from_source(generate_random_program(seed, 60))
     dom = compute_dominators(cfg)
     recovered = loop_regions(cfg, recover_loop_forest(cfg, dom))
-    from_owners = _regions(recovered, recovered.regions())
+    from_owners = _regions(recovered, owner_regions(recovered))
     assert _regions(recovered, dominator_regions(cfg, recovered, dom)) == from_owners
 
 
@@ -485,7 +487,7 @@ def test_reaching_an_exit_closes_the_loops_inside_it():
     outer.entry, outer.exit = 1, 4
     inner = forest.new_element(outer)
     inner.entry = 2
-    regions = loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest)).regions()
+    regions = owner_regions(loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest)))
     assert (regions[outer][0], regions[inner][0], regions[forest.phi][0]) == ({1}, {2, 3}, {0, 4, 5})
 
 
