@@ -13,9 +13,12 @@ nesting depth is too deep for it. It decides reachability from start as it
 goes, in the manner of Java's unreachable-statement rules (JLS 14.22), and
 writes only reachable vertices: the graph is the one prune_unreachable
 would make of the full expansion, with the same ids, because a dead
-statement still takes its id, and the forest is the one
-LoopForest.restricted_to would make of the full forest. Pruning stays for
-CFG JSON input that holds dead vertices.
+statement still takes its id. Pruning stays for CFG JSON input that holds
+dead vertices. As every forest must, the forest keeps only loops that an
+edge closes: a while loop's body end or a continue reaches its condition;
+a do loop's condition is live and not 0, or a continue made after its
+entry reaches it. Any other loop leaves its vertices and inner loops to
+its nearest kept ancestor.
 
 Every edge into a vertex comes from a vertex made before it, except the
 back edges and continue edges into a loop's entry, whose sources the entry
@@ -37,16 +40,14 @@ OUT, EXIT, ENTRY, STOP = EdgeKind.OUT, EdgeKind.EXIT, EdgeKind.ENTRY, EdgeKind.S
 
 
 class _Loop:
-    """An open loop: its element, its condition vertex (a while loop makes it
-    first, a do loop last), and the live sources waiting for its exit and,
-    in a do loop, for its entry."""
+    """An open loop: its element, a do loop's entry once made, and the live
+    sources waiting for its exit and for its entry."""
 
-    __slots__ = ("node", "element", "cond", "entry", "breaks", "continues")
+    __slots__ = ("node", "element", "entry", "breaks", "continues")
 
-    def __init__(self, node, element: LoopElement, cond: int | None):
+    def __init__(self, node, element: LoopElement):
         self.node = node
         self.element = element
-        self.cond = cond
         self.entry: int | None = None
         self.breaks: list[int] = []
         self.continues: list[int] = []
@@ -66,7 +67,7 @@ class _Branch:
 
 def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     """Expand the AST; returns the pruned graph, its adjacency frozen into
-    sorted tuples, and the syntactic loop forest of its live loops."""
+    sorted tuples, and the syntactic loop forest of its closed loops."""
     forest = LoopForest()
     phi = forest.phi
     labels: dict[int, str] = {}
@@ -78,7 +79,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     next_id = 0
     loops: list[_Loop] = []  # open loops, innermost last
     unentered: list[_Loop] = []  # open do loops whose body has made no vertex yet
-    dropped: list[LoopElement] = []  # elements whose entry is dead
+    dropped: dict[LoopElement, LoopElement] = {}  # element no edge closes -> its heir
     returns: list[int] = []
 
     def vertex(label: str, elem: LoopElement, sources: list[int], kind: EdgeKind = OUT,
@@ -129,14 +130,11 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                     s = vertex("skip", inner, pending)
                     pending = [] if s is None else [s]
                 elem = forest.new_element(inner)
+                loop = _Loop(node, elem)
                 if kind is While:
                     c = elem.entry = vertex(str(node.cond), elem, pending)
-                    if c is None:
-                        dropped.append(elem)
-                    loop = _Loop(node, elem, c)
                     pending = [c] if c is not None and node.cond != 0 else []
                 else:
-                    loop = _Loop(node, elem, None)
                     unentered.append(loop)
                 loops.append(loop)
                 inner = elem
@@ -146,11 +144,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                 loops[-1].breaks += pending
                 pending = []
             elif kind is Continue:
-                loop = loops[-1]
-                if type(loop.node) is While:
-                    attach(pending, loop.cond, ENTRY)
-                else:
-                    loop.continues += pending
+                loops[-1].continues += pending
                 pending = []
             elif kind is Return:
                 returns += pending
@@ -181,19 +175,23 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
             loops.pop()
             inner = loops[-1].element if loops else phi
             if type(loop.node) is While:
-                attach(pending, loop.cond, OUT)
+                c = entry = elem.entry
+                attach(loop.continues, entry, ENTRY)
+                attach(pending, entry, OUT)
+                closed = bool(pending)
             else:
-                c = loop.cond = vertex(str(cond), elem, pending)
+                c = vertex(str(cond), elem, pending)
                 entry = elem.entry = loop.entry
-                if entry is None:
-                    dropped.append(elem)
-                else:
-                    attach(loop.continues, entry, ENTRY)
-                    if c is not None and cond != 0:
-                        out[c] += (entry, OUT)
+                attach(loop.continues, entry, ENTRY)
+                closed = c is not None and cond != 0
+                if closed:
+                    out[c] += (entry, OUT)
+            # Continues met before a do loop's entry come from outside and wait
+            # first: one from inside leaves the last source >= entry, if live.
+            if not (closed or loop.continues and loop.continues[-1] >= entry):
+                dropped[elem] = elem.parent
             # The exit belongs to the enclosing loop. The condition vertex
             # falls through to it unless the condition is a nonzero constant.
-            c = loop.cond
             falls = c is not None and (type(cond) is not int or cond == 0)
             x = elem.exit = vertex(f"exit({cond})", inner, loop.breaks, EXIT, live=falls)
             pending = [] if x is None else [x]
@@ -205,8 +203,15 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     g = _freeze(labels, out, next_id, start, stop)
 
     if dropped:
-        gone = set(dropped)
-        forest.elements = [e for e in forest.elements if e not in gone]
+        # Each heir becomes the nearest kept ancestor, a parent's first (preorder).
+        for e in forest.elements:
+            e.parent = dropped.get(e.parent, e.parent)
+            if e in dropped:
+                dropped[e] = e.parent
+        forest.elements = [e for e in forest.elements if e not in dropped]
+        for v, e in owner.items():
+            if e in dropped:
+                owner[v] = dropped[e]
     forest.owner = owner
     return g, forest
 

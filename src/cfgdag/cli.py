@@ -66,17 +66,20 @@ def _read(path: str) -> str:
 
 def _write(*outputs) -> None:
     """Write each (path, make) pair's text ("-" is stdout, None no output).
-    Every path is opened before any text is made, and the files this call
-    created are removed if it fails; no two texts are held at once."""
+    Every path is opened, for appending, before any file is truncated or any
+    text made; if one cannot be, the files this call created are removed and
+    the others keep their bytes. No two texts are held at once."""
     outputs = [(path, make) for path, make in outputs if path is not None]
     streams, created = [], []
     try:
         for path, _ in outputs:
             new = path != "-" and not os.path.lexists(path)
-            streams.append(sys.stdout if path == "-" else open(path, "w", encoding="utf-8"))
+            streams.append(sys.stdout if path == "-" else open(path, "a", encoding="utf-8"))
             if new:
                 created.append(path)
-        for fh, (_, make) in zip(streams, outputs):
+        for fh, (path, make) in zip(streams, outputs):
+            if fh is not sys.stdout and os.path.isfile(path):  # ftruncate fails on /dev/null or a FIFO
+                fh.truncate(0)
             fh.write(make())
         created = []  # all written: keep every file
     finally:
@@ -107,6 +110,8 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
             forest = assign_owners(cfg, dom, forest.restricted_to(cfg))
         else:
             forest = recover_loop_forest(cfg, dom)
+        if cfg.predecessors(cfg.start):
+            raise NotStructuredError(f"edge {cfg.predecessors(cfg.start)[0]}->{cfg.start} enters start")
     else:
         cfg, forest = cfg_from_source(text)
     if args.contract:

@@ -1,23 +1,23 @@
 """Dominators, loop forests and loop regions.
 
 A loop element pairs an entry vertex with an exit vertex, and a vertex ends
-at most one element (LoopForest.ends). Every forest
-carries one owner map: vertex -> the innermost element it belongs to, under
-a virtual root element (phi) that owns start, stop, and everything outside
-all loops. An element records only its parent, so a forest holds no
-reference cycle, and the forest lists its elements once, in preorder: each
-after its parent and before its next sibling, which is the one order every
-reader uses. The builder records the map as it expands the source; a forest
-recovered from a bare graph, or given whole, gets it from one preorder walk
-of the dominator tree in which a loop opens at its entry and closes, with
-every loop inside it, at its exit. The map is the only record of
-membership: v belongs to L when L owns v, and v lies inside L when L is the
-owner of v or one of its ancestors (LoopForest.contains); the forest JSON
-holds only each loop's entry, exit and parent. By definition inside(L)
-holds the vertices dominated by the entry and not by the exit; the tests
-keep that definition as their oracle. The backward edges of a loop, from
-the vertices it owns to its entry, are tagged in one place,
-decomposition.partition_edges.
+at most one element (LoopForest.ends). An element is a loop only if an edge
+closes it: a vertex it owns has an edge into its entry. Every forest carries
+one owner map: vertex -> the innermost element it belongs to, under a
+virtual root element (phi) that owns start, stop, and everything outside all
+loops. An element records only its parent, so a forest holds no reference
+cycle, and the forest lists its elements once, in preorder with siblings by
+entry id, the one order every reader and writer uses. The builder records
+the map as it expands the source; a forest recovered from a bare graph, or
+given whole, gets it from one preorder walk of the dominator tree in which a
+loop opens at its entry and closes, with every loop inside it, at its exit.
+The map is the only record of membership: v belongs to L when L owns v, and
+v lies inside L when L is the owner of v or one of its ancestors
+(LoopForest.contains); the forest JSON holds only each loop's entry, exit
+and parent. By definition inside(L) holds the vertices dominated by the
+entry and not by the exit; the tests keep that definition as their oracle.
+The backward edges of a loop, from the vertices it owns to its entry, are
+tagged in one place, decomposition.partition_edges.
 
 Dominators take one Semi-NCA pass (Georgiadis, Tarjan & Werneck, "Finding
 dominators in practice", 2006): near-linear time, and iterative throughout,
@@ -43,9 +43,10 @@ class NotStructuredError(ValueError):
 
 
 class LoopForestJsonError(ValueError):
-    """Loop forest JSON that does not describe a forest: a missing key, an
-    entry or exit that is not a vertex id, a parent that is not the index of
-    an earlier record, a record of the wrong shape, or nesting against dominance."""
+    """Loop forest JSON that does not describe a forest of the graph: a
+    missing key, an entry or exit that is not a vertex id, a parent that is
+    not the index of an earlier record, a record of the wrong shape, nesting
+    against dominance, or a loop that no edge closes."""
 
 
 @dataclass(eq=False)
@@ -69,8 +70,8 @@ class LoopForest:
 
     def __init__(self):
         self.phi = LoopElement(None, None, None)
-        # in preorder: each element after its parent, siblings in order, and
-        # each subtree in one run; new_element appends
+        # in preorder: each element after its parent, siblings by entry id,
+        # and each subtree in one run; new_element appends
         self.elements: list[LoopElement] = []
         # vertex -> innermost element it belongs to (phi included), filled
         # where the forest is made
@@ -162,11 +163,10 @@ class LoopForest:
         return forest
 
 
-def _in_preorder(phi: LoopElement, elements: list[LoopElement], key=None) -> list[LoopElement]:
-    """The elements, each listed after its parent, put into preorder under
-    phi: siblings keep their order, or are sorted by key."""
+def _in_preorder(phi: LoopElement, elements: list[LoopElement]) -> list[LoopElement]:
+    """The elements put into preorder under phi, siblings by entry id."""
     kids: dict[LoopElement, list[LoopElement]] = {}
-    for elem in elements if key is None else sorted(elements, key=key):
+    for elem in sorted(elements, key=lambda e: e.entry):
         kids.setdefault(elem.parent, []).append(elem)
     order, stack = [], kids.get(phi, [])[::-1]
     while stack:
@@ -342,14 +342,13 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
 
     Raises LoopForestJsonError when LoopForest.ends does (two elements
     share an entry or an exit, or an entry is an exit), when an element's
-    parent is not the loop open at its entry, or when its entry is never
-    reached.
+    parent is not the loop open at its entry, or when no edge closes an
+    element, its entry never reached included.
     """
     try:
         by_entry = forest.ends()[0]
     except NotStructuredError as err:
         raise LoopForestJsonError(str(err)) from None
-    opened: set[LoopElement] = set()
 
     def open_at(v: int, loop: LoopElement) -> LoopElement:
         elem = by_entry.get(v)
@@ -360,13 +359,13 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
                 f"loop at entry {v} is nested under {elem.parent!r}, "
                 f"but the loop open there is {loop!r}; input is not structured"
             )
-        opened.add(elem)
         return elem
 
     _fill_owners(cfg, dom, forest, open_at)
     for elem in forest.elements:
-        if elem not in opened:
-            raise LoopForestJsonError(f"loop entry {elem.entry} fell outside its own region")
+        # A loop that never opened owns no vertex.
+        if not any(forest.owner[u] is elem for u in cfg.predecessors(elem.entry)):
+            raise LoopForestJsonError(f"no edge closes the loop at entry {elem.entry}")
     return forest
 
 
@@ -391,8 +390,8 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     that loop's exit, until one vertex is left that is no loop entry. So no
     post-dominator tree is needed, and a loop finds its exit even where the
     program ends in a return or an endless loop. Loops nest by the
-    dominator-tree walk that fills the owner map. Loops with no backward
-    edge cannot be seen in a bare graph and are not recovered.
+    dominator-tree walk that fills the owner map. Only the head of a
+    backward edge opens a loop: none is recovered that no edge closes.
     """
     succ, pred, kind = cfg.successors, cfg.predecessors, cfg.edge_kind
     returns = EdgeKind.STOP  # an enum member costs a lookup on every access
@@ -433,8 +432,7 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
             up[x], x = top, up[x]
         return top
 
-    size: dict[int, int] = {}
-    targets: dict[int, list[int]] = {}
+    targets: dict[int, list[int]] = {}  # for each head done and not yet settled
     exits: dict[int, int | None] = {}
     rpo: dict[int, int] = {}  # reverse postorder numbers, on first need
 
@@ -468,9 +466,8 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
             q = find(stack.pop())
             if q != head:
                 up[q] = head
-                (inner if q in size else plain).append(q)
+                (inner if q in targets else plain).append(q)
                 stack.extend(pred(q))
-        size[head] = len(plain) + sum(size[q] for q in inner)
         out = leaving(plain)
         # The body is whole, so each loop it holds can settle. A loop met on
         # the way to another's exit lies below that one's entry in the
@@ -493,6 +490,5 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
         return elem
 
     _fill_owners(cfg, dom, forest, open_at)
-    forest.elements = _in_preorder(
-        forest.phi, forest.elements, key=lambda e: (-size[e.entry], e.entry))
+    forest.elements = _in_preorder(forest.phi, forest.elements)
     return forest

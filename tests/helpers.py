@@ -99,8 +99,7 @@ UNREACHABLE_STOP_CFG_JSON = _cfg_json(
 )
 
 # A self-loop at start, which no builder graph has: no edge of a builder
-# graph enters start. decompose exits 0 on it and validate rejects what it
-# writes (edges_covered_3a).
+# graph enters start. Every command refuses it as not structured.
 START_SELF_LOOP_CFG_JSON = _cfg_json(
     ["start", "a", "stop"], [(0, 0, "out"), (0, 1, "out"), (1, 2, "out")], stop=2,
 )
@@ -670,6 +669,24 @@ def build_unpruned(ast: lang.StructuredAst) -> tuple[ControlFlowGraph, LoopFores
     return b.g, b.forest
 
 
+def without_unclosed_loops(cfg, forest) -> LoopForest:
+    """The forest less each element that no edge closes, by a scan of the
+    whole graph afterwards, where build_cfg decides it as each loop closes.
+    Innermost first, an element goes when no vertex it owns has an edge into
+    its entry, and leaves its children and vertices to its parent."""
+    for elem in reversed(forest.elements[:]):
+        if any(forest.owner[u] is elem for u in cfg.predecessors(elem.entry)):
+            continue
+        forest.elements.remove(elem)
+        for e in forest.elements:
+            if e.parent is elem:
+                e.parent = elem.parent
+        for v, e in forest.owner.items():
+            if e is elem:
+                forest.owner[v] = elem.parent
+    return forest
+
+
 def prune_by_rebuild(cfg):
     """prune_unreachable by one add_vertex / add_edge call per kept element,
     vertices sorted and edges in sorted (u, v) order."""
@@ -960,8 +977,7 @@ def recover_loop_forest_by_bodies(cfg, dom) -> LoopForest:
         return elem
 
     _fill_owners(cfg, dom, forest, open_at)
-    forest.elements = _in_preorder(
-        forest.phi, forest.elements, key=lambda e: (-len(bodies[e.entry]), e.entry))
+    forest.elements = _in_preorder(forest.phi, forest.elements)
     return forest
 
 

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -31,11 +32,13 @@ from cfgdag.cli import build_parser, main
 from helpers import (
     DEAD_CFG_JSON,
     IRREDUCIBLE_CFG_JSON,
+    START_SELF_LOOP_CFG_JSON,
     UNREACHABLE_STOP_CFG_JSON,
     cfg_from_json_by_add_edge,
     cfg_json_dict,
     dominance_clash,
     owner_regions,
+    with_jumps,
 )
 
 WHILE_SRC = "while c { b; }\n"
@@ -105,8 +108,8 @@ def nested_cfg_json(tmp_path):
 
 
 def test_recovered_forest_lists_each_loop_after_its_parent(tmp_path):
-    """Siblings go by natural body, larger first, then by entry; a parent
-    comes before its children whatever their bodies."""
+    """Siblings go by entry, and a parent comes before its children, as the
+    builder lists them."""
     out, graph = tmp_path / "loops.json", nested_cfg_json(tmp_path)
     assert main(["build", str(graph), "--kind", "cfg-json",
                  "--out", str(tmp_path / "c.json"), "--forest-out", str(out)]) == 0
@@ -117,8 +120,8 @@ def test_recovered_forest_lists_each_loop_after_its_parent(tmp_path):
 
 
 def test_given_forest_is_written_in_preorder(tmp_path):
-    """Records need only follow their parent; the written forest keeps the
-    siblings' order and lists each loop's descendants right after it. A
+    """Records need only follow their parent; the written forest lists
+    siblings by entry and each loop's descendants right after it. A
     file in the older layout, whose records also list each loop's inside
     and belongs vertices, loads to the same forest and decomposition."""
     graph = nested_cfg_json(tmp_path)
@@ -132,9 +135,9 @@ def test_given_forest_is_written_in_preorder(tmp_path):
         forest_in.write_text(json.dumps(data))
         assert main(["build", str(graph), "--kind", "cfg-json", "--forest", str(forest_in),
                      "--out", str(tmp_path / "c.json"), "--forest-out", str(forest_out)]) == 0
-        assert forest_out.read_text() == forest_bytes(LOOP_P, LOOP_S, LOOP_R, LOOP_T)
+        assert forest_out.read_text() == forest_bytes(LOOP_P, LOOP_R, LOOP_S, LOOP_T)
         loaded = assign_owners(cfg, compute_dominators(cfg), LoopForest.from_json_dict(data))
-        assert forest_records(loaded) == [LOOP_P, LOOP_S, LOOP_R, LOOP_T]
+        assert forest_records(loaded) == [LOOP_P, LOOP_R, LOOP_S, LOOP_T]
         assert main(["decompose", str(graph), "--kind", "cfg-json", "--forest", str(forest_in),
                      "--out", str(decomp)]) == 0
         decompositions.append(decomp.read_bytes())
@@ -384,9 +387,11 @@ def test_empty_path_exits_two(while_file, tmp_path, capsys, argv):
     ["lift", "--m", "3", "--game-out"],
 ])
 def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_path, capsys, argv):
-    """Every output path is opened before any text is written: when the
-    second cannot be opened, the command exits 2, removes the --out file it
-    created and writes nothing to stdout."""
+    """Every output path is opened before any text is written, and none is
+    truncated before all are open: when the second cannot be opened, the
+    command exits 2, removes the --out file it created, leaves one that was
+    there as it was, and writes nothing to stdout. An --out that cannot be
+    truncated, such as /dev/null, is written as before."""
     out, bad = tmp_path / "x.json", tmp_path / "nodir" / "f.json"
     error = f"i/o error: [Errno 2] No such file or directory: '{bad}'\n"
     assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(bad)]) == 2
@@ -395,6 +400,13 @@ def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_p
     assert main([argv[0], str(while_file), *argv[1:], str(bad)]) == 2
     assert capsys.readouterr() == ("", error)
     assert list(tmp_path.iterdir()) == [while_file]
+    out.write_text("kept")
+    assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(bad)]) == 2
+    assert out.read_text() == "kept"
+    assert capsys.readouterr() == ("", error)
+    assert main([argv[0], str(while_file), "--out", os.devnull, *argv[1:], str(tmp_path / "f.json")]) == 0
+    assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(tmp_path / "f.json")]) == 0
+    assert out.read_text() != "kept" and out.read_text().endswith("}\n")
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
@@ -726,15 +738,38 @@ BREAK_AFTER_INNER_LOOP = [
 ]
 
 
-@pytest.mark.parametrize("source", BREAK_AFTER_INNER_LOOP)
-def test_cfg_json_decomposition_equals_the_source_one(source, tmp_path):
-    prog, graph = tmp_path / "prog.spl", tmp_path / "g.json"
+# Inputs of the two-route test, each with the number of programs on which
+# the routes differ. Those are the programs where a loop never reaches stop
+# without a return edge, and recovery still picks an exit.
+ROUTE_INPUTS = {
+    "break-after-inner-loop": (lambda: BREAK_AFTER_INNER_LOOP, 0),
+    "random": (lambda: [generate_random_program(seed, 200) for seed in range(200)], 0),
+    "with-jumps": (lambda: [with_jumps(random.Random(i)) for i in range(3000)], 61),
+}
+
+
+def _route_outputs(source: str, work: Path) -> list[bytes]:
+    """What decompose and build --forest-out write, from source and then
+    from the CFG JSON that build makes of it."""
+    prog, graph, out = work / "prog.spl", work / "g.json", work / "out"
     prog.write_text(source)
     assert main(["build", str(prog), "--out", str(graph)]) == 0
-    direct, recovered = tmp_path / "d1.json", tmp_path / "d2.json"
-    assert main(["decompose", str(prog), "--out", str(direct)]) == 0
-    assert main(["decompose", str(graph), "--kind", "cfg-json", "--out", str(recovered)]) == 0
-    assert recovered.read_bytes() == direct.read_bytes()
+    written = []
+    for path, kind in ((prog, "source"), (graph, "cfg-json")):
+        for argv in (["decompose", "--out", str(out)],
+                     ["build", "--out", str(work / "cfg"), "--forest-out", str(out)]):
+            assert main([argv[0], str(path), "--kind", kind, *argv[1:]]) == 0
+            written.append(out.read_bytes())
+    return written
+
+
+@pytest.mark.parametrize("inputs", list(ROUTE_INPUTS))
+def test_cfg_json_decomposition_equals_the_source_one(inputs, tmp_path):
+    """decompose and build --forest-out write the same bytes from a program
+    and from its CFG JSON, but on the pinned number of programs."""
+    sources, differ = ROUTE_INPUTS[inputs]
+    outputs = (_route_outputs(source, tmp_path) for source in sources())
+    assert sum(written[:2] != written[2:] for written in outputs) == differ
 
 
 def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
@@ -764,15 +799,24 @@ def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     assert captured.err == "not structured: decomposition arcs contain a cycle\n"
 
 
-# The loop at a, held by the loop at start, and that outer loop both leave
-# for stop alone, so recovery gives both the exit stop: no structured
-# program has such a graph.
+def test_an_edge_into_start_exits_four(tmp_path, capsys):
+    """No structured program has an edge into start; every command says so."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(START_SELF_LOOP_CFG_JSON))
+    for command in ("build", "decompose", "validate", "play", "oracle", "lift", "export-dot"):
+        assert main([command, str(graph), "--kind", "cfg-json"]) == 4
+        assert capsys.readouterr() == ("", "not structured: edge 0->0 enters start\n")
+
+
+# The loop at a, held by the loop at p, and that outer loop both leave for
+# stop alone, so recovery gives both the exit stop: no structured program
+# has such a graph.
 SHARED_EXIT_CFG_JSON = {
-    "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "a", "stop"])],
-    "edges": [{"from": u, "to": v, "kind": k} for u, v, k in [(0, 1, "out"), (1, 1, "out"),
-                                                               (1, 0, "entry"), (1, 2, "out")]],
+    "vertices": [{"id": v, "label": label} for v, label in enumerate(["start", "p", "a", "stop"])],
+    "edges": [{"from": u, "to": v, "kind": k} for u, v, k in [(0, 1, "out"), (1, 2, "out"), (2, 2, "out"),
+                                                               (2, 1, "entry"), (2, 3, "out")]],
     "start": 0,
-    "stop": 2,
+    "stop": 3,
 }
 
 
@@ -783,7 +827,24 @@ def test_two_recovered_loops_with_one_exit_exit_four(tmp_path, capsys, command):
     assert main([command, str(graph_path), "--kind", "cfg-json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "not structured: vertex 2 is the exit of two loop elements\n"
+    assert captured.err == "not structured: vertex 3 is the exit of two loop elements\n"
+
+
+def test_a_given_loop_that_no_edge_closes_exits_two(tmp_path, capsys):
+    """No vertex of the loop at start has an edge into start."""
+    graph, forest = tmp_path / "g.json", tmp_path / "loops.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": v, "label": f"v{v}"} for v in range(8)],
+        "edges": [{"from": u, "to": v, "kind": "out"}
+                  for u, v in [(0, 1), (1, 2), (2, 3), (3, 2), (2, 4), (4, 5), (5, 6), (6, 7)]],
+        "start": 0,
+        "stop": 7,
+    }))
+    forest.write_text('{"loops": [{"entry": 0, "exit": 3, "parent": null}]}')
+    for command in ("decompose", "validate"):
+        assert main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 2
+        assert capsys.readouterr() == (
+            "", "i/o error: bad loop forest JSON: no edge closes the loop at entry 0\n")
 
 
 def test_play_with_a_forest_that_loses_the_robber_exits_four(tmp_path, capsys):
@@ -792,13 +853,13 @@ def test_play_with_a_forest_that_loses_the_robber_exits_four(tmp_path, capsys):
     prog, graph, forest = tmp_path / "p.spl", tmp_path / "g.json", tmp_path / "loops.json"
     prog.write_text("x; while c { a; if d { break; } do { b; } while e; } y;")
     assert main(["build", str(prog), "--out", str(graph)]) == 0
-    forest.write_text('{"loops": [{"entry": 6, "exit": 4, "parent": null}]}')
+    forest.write_text('{"loops": [{"entry": 5, "exit": 4, "parent": null}]}')
     for command in ("decompose", "validate", "play"):
         assert main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("not structured: ")
-    assert captured.err == "not structured: robber at 5 escaped the current loop\n"
+    assert captured.err == "not structured: robber at 2 escaped the current loop\n"
 
 
 def test_python_m_cfgdag_runs_the_cli():

@@ -231,8 +231,8 @@ def test_deep_nesting_stays_width_three():
     [
         ("do { break; } while x;  a;", 0, 1),   # body never reaches the condition
         ("do { continue; } while x;", 1, 2),    # entry falls back to the condition
-        ("while 0 { a; } b;", 1, 2),            # body unreachable, bare condition loop
-        ("do { a; } while 0;  b;", 1, 3),       # runs exactly once
+        ("while 0 { a; } b;", 0, 1),            # body unreachable: no edge closes it
+        ("do { a; } while 0;  b;", 0, 1),       # runs exactly once: no edge closes it
         ("while 1 { if p { break; } q; } r;", 1, 3),  # exit reachable only via break
         ("do { while p { q; } } while x; z;", 2, 3),  # skip vertex keeps entries apart
         ("do { do { a; } while b; } while x; z;", 2, 3),

@@ -130,6 +130,16 @@ def test_golden_covers_the_corpus():
     assert sorted(_golden()) == sorted(PROGRAMS)
 
 
+def test_both_routes_write_the_same_bytes():
+    """Each command writes from a program's source what it writes from the
+    CFG JSON that cfgdag build makes of it."""
+    for name, runs in _golden().items():
+        for run, result in runs.items():
+            kind, command = run.split("/")
+            if kind == "source":
+                assert result == runs[f"cfg-json/{command}"], (name, command)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")

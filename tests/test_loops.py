@@ -27,6 +27,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
+from cfgdag.loops import LoopForestJsonError
 from helpers import (
     build_unpruned,
     check_cycle_corollary,
@@ -453,6 +454,41 @@ def test_given_forest_gets_the_builders_owners():
             v: e.entry for v, e in forest.owner.items()}, seed
 
 
+# Forests that the given-forest fuzz below lets through with an invalid
+# decomposition: (seed of the graph, loop records). Each has a loop that an
+# edge closes but whose exit is wrong.
+GIVEN_FORESTS_BUILT_INVALID = [
+    (25, [{"entry": 2, "exit": 7, "parent": None}]),
+    (23, [{"entry": 1, "exit": 8, "parent": None}]),
+]
+
+
+def test_given_forests_are_refused_or_decompose_validly():
+    """6,000 forests of one to three loops, entries, exits and parents drawn
+    uniformly, over the built graphs of 8-statement programs, loaded as the
+    CLI loads a --forest file: each is refused as bad forest JSON or as not
+    structured, or its decomposition validates, but for the pinned ones."""
+    graphs = []
+    for seed in range(31):
+        cfg, _ = cfg_from_source(generate_random_program(seed, 8))
+        graphs.append((cfg, compute_dominators(cfg), sorted(cfg.labels)))
+    rng = random.Random(7)
+    invalid = []
+    for _ in range(6000):
+        seed = rng.randrange(31)
+        cfg, dom, vertices = graphs[seed]
+        loops = [{"entry": rng.choice(vertices), "exit": rng.choice([*vertices, None]),
+                  "parent": rng.choice([None, *range(i)])} for i in range(rng.randint(1, 3))]
+        try:
+            forest = assign_owners(cfg, dom, LoopForest.from_json_dict({"loops": loops}).restricted_to(cfg))
+            decomp = build_decomposition(cfg, forest)
+        except (LoopForestJsonError, NotStructuredError):
+            continue
+        if not validate_cfg_decomposition(decomp, cfg).valid:
+            invalid.append((seed, loops))
+    assert invalid == GIVEN_FORESTS_BUILT_INVALID
+
+
 def test_forests_are_freed_without_the_collector():
     """A forest holds no reference cycle: once the builder's, the recovered
     and the given forest are dropped, reference counting alone has freed
@@ -475,11 +511,12 @@ def test_forests_are_freed_without_the_collector():
 
 def test_reaching_an_exit_closes_the_loops_inside_it():
     # 2 leaves both loops at once for the outer exit 4; the inner loop has
-    # no exit of its own, so 4 must close it along with the outer loop.
+    # no exit of its own, so 4 must close it along with the outer loop. The
+    # edge 6 -> 1 closes the outer loop from a vertex it owns.
     cfg = ControlFlowGraph()
-    for v in range(6):
+    for v in range(7):
         cfg.add_vertex(f"v{v}", v)
-    for u, v in [(0, 1), (1, 2), (2, 3), (3, 2), (3, 1), (2, 4), (4, 5)]:
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 2), (3, 1), (2, 4), (4, 5), (1, 6), (6, 1)]:
         cfg.add_edge(u, v)
     cfg.start, cfg.stop = 0, 5
     forest = LoopForest()
@@ -488,7 +525,7 @@ def test_reaching_an_exit_closes_the_loops_inside_it():
     inner = forest.new_element(outer)
     inner.entry = 2
     regions = owner_regions(loop_regions(cfg, assign_owners(cfg, compute_dominators(cfg), forest)))
-    assert (regions[outer][0], regions[inner][0], regions[forest.phi][0]) == ({1}, {2, 3}, {0, 4, 5})
+    assert (regions[outer][0], regions[inner][0], regions[forest.phi][0]) == ({1, 6}, {2, 3}, {0, 4, 5})
 
 
 def test_recover_matches_builder_on_random_programs():
@@ -550,7 +587,7 @@ def test_recovery_equals_the_per_head_bodies_oracle(drawn):
     tree. Both find the same entries on every graph. Where every entry
     reaches stop without a return edge and the oracle's decomposition
     validates, the forests are equal: entries, exits, parents, element order
-    (siblings by body size) and owner map. Every program's recovered
+    (siblings by entry id) and owner map. Every program's recovered
     decomposition validates. An edge out of an unreachable stop would have
     no dominator stamps, so compute_dominators rejects that graph."""
     cfg, is_program = drawn

@@ -380,25 +380,38 @@ def decompositions(draw, kind: str):
     return d, vertices, edges
 
 
+# With vertex 4 added to the bag of start, its decomposition fails the
+# guarding form by a dropped target alone.
+DROPPED_TARGET_SOURCE = ("if c1 { a2; a3; a4; } a5; do { a7; a8; do { a10; } while c9; a11;"
+                         " if c12 { a13; a14; } a15; a16; } while c6; a17; a18; a19; a20;")
+
+
 @pytest.mark.parametrize("kind", ["construction", "damaged", "lifted", "shuffled"])
 def test_reach_queries_give_the_reports_of_the_masks(kind):
     """Whole reports, violations in order; with_d3 is drawn too, and then the
     guarding form must match the scan of every guard against every edge."""
     dropped_target_only = []
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(data=st.data())
-    def check(data):
-        d, vertices, edges = data.draw(decompositions(kind))
-        with_d3 = data.draw(st.booleans(), label="with_d3")
+    def compare(d, vertices, edges, with_d3):
         report = validate_decomposition(d, vertices, edges, with_d3=with_d3)
         assert report == validate_by_masks(d, vertices, edges, with_d3=with_d3)
         if (report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
                 and report.d3_original is False):
             dropped_target_only.append(d)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        d, vertices, edges = data.draw(decompositions(kind))
+        compare(d, vertices, edges, data.draw(st.booleans(), label="with_d3"))
+
     check()
     if kind == "damaged":
         # 3a and 3b hold and connectivity fails, so only a dropped target
-        # can make the guarding form false.
-        assert dropped_target_only
+        # can make the guarding form false. The draws need not meet such a
+        # sample, so one is pinned too.
+        cfg, forest, _ = pipeline(DROPPED_TARGET_SOURCE)
+        d = build_decomposition(cfg, forest)
+        d.bags[0] |= {4}
+        compare(d, cfg.vertex_ids(), list(cfg.edges()), True)
+        assert d in dropped_target_only
