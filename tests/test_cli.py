@@ -738,11 +738,12 @@ BREAK_AFTER_INNER_LOOP = [
 ]
 
 
-# Inputs of the two-route test, each with the number of programs on which
-# the routes differ. Those are the programs where a loop never reaches stop
-# without a return edge, and recovery still picks an exit.
+# Inputs of the two-route test: each break-after-inner-loop source on its
+# own, then the random and with_jumps draws. Each comes with the number of
+# programs on which the routes differ. Those are the programs where a loop
+# never reaches stop without a return edge, and recovery still picks an exit.
 ROUTE_INPUTS = {
-    "break-after-inner-loop": (lambda: BREAK_AFTER_INNER_LOOP, 0),
+    **{source: (lambda source=source: [source], 0) for source in BREAK_AFTER_INNER_LOOP},
     "random": (lambda: [generate_random_program(seed, 200) for seed in range(200)], 0),
     "with-jumps": (lambda: [with_jumps(random.Random(i)) for i in range(3000)], 61),
 }
