@@ -30,7 +30,6 @@ class EdgePartition:
     backward: list[Edge] = field(default_factory=list)        # dropped
     into_exit: list[Edge] = field(default_factory=list)       # dropped (breaks, condition-false)
     into_entry: list[tuple[Edge, LoopElement]] = field(default_factory=list)   # re-routed
-    entry_to_exit: list[tuple[Edge, LoopElement]] = field(default_factory=list)  # reversed
     plain: list[Edge] = field(default_factory=list)           # kept as arcs
 
     def categories(self) -> dict[str, list[Edge]]:
@@ -38,17 +37,16 @@ class EdgePartition:
             "backward": list(self.backward),
             "into_exit": list(self.into_exit),
             "into_entry": [e for e, _ in self.into_entry],
-            "entry_to_exit": [e for e, _ in self.entry_to_exit],
             "plain": list(self.plain),
         }
 
 
 def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
-    """Split E into backward / into-exit / into-entry / entry-to-exit / plain.
-
-    Reads membership from the forest's owner map and each vertex's one loop
-    from LoopForest.ends, which raises NotStructuredError for a forest with
-    two loops at one end or a vertex that is an entry and an exit.
+    """Split E into backward / into-exit / into-entry / plain edges. Reads
+    membership from the owner map, where each loop owns its entry (build_cfg
+    makes it under the loop, _fill_owners opens a loop there), and each
+    vertex's one loop from LoopForest.ends, which raises NotStructuredError
+    for two loops at one end or a vertex that is an entry and an exit.
     """
     by_entry, by_exit = forest.ends()
     owner = forest.owner
@@ -61,8 +59,6 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
             part.backward.append((u, v))
         elif owner[u] is exit_elem:
             part.into_exit.append((u, v))
-        elif exit_elem is not None and u == exit_elem.entry:
-            part.entry_to_exit.append(((u, v), exit_elem))
         elif (entry_elem is not None and entry_elem.exit is not None
               and u != entry_elem.exit and not forest.contains(entry_elem, u)):
             part.into_entry.append(((u, v), entry_elem))
@@ -182,8 +178,6 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
         # Re-routed to the exit: the entry hangs below the exit, so the
         # edge stays covered.
         succ[u].append(elem.exit)
-        succ[elem.exit].append(elem.entry)
-    for (_u, _v), elem in part.entry_to_exit:
         succ[elem.exit].append(elem.entry)
 
     order = sorted(nodes)

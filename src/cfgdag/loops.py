@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
+from ._graph import reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph, EdgeKind
 
@@ -413,14 +414,10 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     # The vertices that reach stop without a return edge.
     reach: set[int] = set()
     if tails and cfg.stop in dom.idom:
-        reach.add(cfg.stop)
-        stack = [cfg.stop]
-        while stack:
-            v = stack.pop()
-            for u in pred(v):
-                if u not in reach and not (v in returned_to and kind(u, v) is returns):
-                    reach.add(u)
-                    stack.append(u)
+        rev = dict(cfg._pred)
+        for v in returned_to:
+            rev[v] = [u for u in rev[v] if kind(u, v) is not returns]
+        reach = reachable(rev, cfg.stop)
 
     up: dict[int, int] = {}  # toward the head of the outermost body found so far
 

@@ -1157,8 +1157,6 @@ def partition_edges_by_entry_lists(cfg, forest) -> EdgePartition:
         elif exit_elem is not None:
             if owner[u] is exit_elem:
                 part.into_exit.append((u, v))
-            elif u == exit_elem.entry:
-                part.entry_to_exit.append(((u, v), exit_elem))
             else:
                 part.plain.append((u, v))
         else:
@@ -1196,8 +1194,6 @@ def decomposition_by_entry_lists(cfg, forest) -> DagDecomposition:
     for (u, _v), elem in part.into_entry:
         arcs.add((u, elem.exit))
         entered.add(elem)
-    for (_u, _v), elem in part.entry_to_exit:
-        arcs.add((elem.exit, elem.entry))
     for elem in forest.elements:
         if elem in entered:
             arcs.add((elem.exit, elem.entry))

@@ -331,6 +331,7 @@ def test_bad_decomposition_json_exits_two_with_what_is_wrong(while_file, tmp_pat
     (["oracle", "--k-max", "0"], "argument --k-max: expected an integer >= 1, got '0'"),
     (["play", "--max-rounds", "-3"], "argument --max-rounds: expected an integer >= 1, got '-3'"),
     (["play", "--max-rounds", "0"], "argument --max-rounds: expected an integer >= 1, got '0'"),
+    (["oracle", "--k-max", "two"], "argument --k-max: expected an integer >= 1, got 'two'"),
 ])
 def test_out_of_range_argument_exits_two(while_file, capsys, argv, what):
     with pytest.raises(SystemExit) as exc:

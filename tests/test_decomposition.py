@@ -63,7 +63,6 @@ def test_while_partition():
     assert cats["backward"] == [(ids["b"], ids["c"])]
     assert cats["into_exit"] == [(ids["c"], ids["exit(c)"])]
     assert cats["into_entry"] == [(ids["start"], ids["c"])]
-    assert cats["entry_to_exit"] == []
 
 
 def test_fixture_partition():

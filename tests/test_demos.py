@@ -92,7 +92,6 @@ edge partition:
   backward       [('d', 'c2'), ('exit(c2)', 'c1')]
   into_exit      [('c1', 'exit(c1)'), ('c2', 'exit(c2)')]
   into_entry     [('a', 'c1'), ('b', 'c2')]
-  entry_to_exit  []
   plain          [('start', 'a'), ('c1', 'b'), ('c2', 'd'), ('exit(c1)', 'e'), ('e', 'stop')]
 
 width = 3, nodes = 10, arcs = 9

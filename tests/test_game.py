@@ -525,6 +525,26 @@ def test_optimal_robber_finds_an_eternal_refuge():
     assert toggled or seated_on_vacated
 
 
+# Graphs with their cop number k, at which OptimalCops has a winning move.
+COP_NUMBER_GRAPHS = {
+    "two-loop": (lambda: two_loop_cfg()[0], 3),
+    "while-if-else": (lambda: cfg_from_source("while c { if p { a; } else { b; } } d;")[0], 2),
+}
+
+
+@pytest.mark.parametrize("robber", ["optimal", "lazy"])
+@pytest.mark.parametrize("name", list(COP_NUMBER_GRAPHS))
+def test_optimal_cops_catch_both_robbers_at_the_cop_number(name, robber):
+    make, k = COP_NUMBER_GRAPHS[name]
+    cfg = make()
+    assert brute_force_cop_number(cfg) == k
+    cops = OptimalCops(cfg, k)
+    runner = OptimalRobber(cfg, k, solver=cops.solver) if robber == "optimal" else LazyRobber(cfg)
+    trace = play_game(cfg, cops, runner)
+    assert trace.outcome == "CopsWin"
+    assert check_cop_monotone(trace)
+
+
 def test_guard_strategy_beats_optimal_robber_on_fixture():
     cfg, forest = two_loop_cfg()
     trace = play_game(cfg, LoopGuardStrategy(cfg, forest), OptimalRobber(cfg, 3))

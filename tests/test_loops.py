@@ -43,6 +43,7 @@ from helpers import (
     simple_cycles,
     with_jumps,
 )
+from test_golden import PROGRAMS
 
 
 def by_label(cfg):
@@ -467,7 +468,8 @@ def test_given_forests_are_refused_or_decompose_validly():
     """6,000 forests of one to three loops, entries, exits and parents drawn
     uniformly, over the built graphs of 8-statement programs, loaded as the
     CLI loads a --forest file: each is refused as bad forest JSON or as not
-    structured, or its decomposition validates, but for the pinned ones."""
+    structured, or its decomposition validates, but for the pinned ones.
+    Every loop of a forest that assign_owners accepts owns its entry."""
     graphs = []
     for seed in range(31):
         cfg, _ = cfg_from_source(generate_random_program(seed, 8))
@@ -481,12 +483,44 @@ def test_given_forests_are_refused_or_decompose_validly():
                   "parent": rng.choice([None, *range(i)])} for i in range(rng.randint(1, 3))]
         try:
             forest = assign_owners(cfg, dom, LoopForest.from_json_dict({"loops": loops}).restricted_to(cfg))
+            assert all(forest.owner[e.entry] is e for e in forest.elements), (seed, loops)
             decomp = build_decomposition(cfg, forest)
         except (LoopForestJsonError, NotStructuredError):
             continue
         if not validate_cfg_decomposition(decomp, cfg).valid:
             invalid.append((seed, loops))
     assert invalid == GIVEN_FORESTS_BUILT_INVALID
+
+
+def _forests_of(source):
+    """The builder's forest of a program given as source, and the forest
+    recovered from its CFG JSON as the CLI loads it, each also contracted as
+    by --contract."""
+    made = []
+    if isinstance(source, str):
+        made.append(cfg_from_source(source))
+        source = made[0][0]
+    cfg = ControlFlowGraph.from_json(source.to_json())
+    try:
+        dom = compute_dominators(cfg)
+    except ValueError:  # dead vertices, which the CLI prunes first
+        cfg = prune_unreachable(cfg)
+        dom = compute_dominators(cfg)
+    made.append((cfg, recover_loop_forest(cfg, dom)))
+    for cfg, forest in list(made):
+        made.append((None, forest.restricted_to(contract_basic_blocks(cfg, forest))))
+    return [forest for _cfg, forest in made]
+
+
+def test_every_loop_owns_its_entry():
+    """partition_edges reads an edge from a loop's entry to its exit as into
+    the exit, which holds because each loop owns its entry: in the builder's,
+    the recovered and the contracted forests of the golden corpus and of 300
+    with_jumps programs. (The given forests are checked in the fuzz above.)"""
+    sources = [*PROGRAMS.values(), *(with_jumps(random.Random(i)) for i in range(300))]
+    for source in sources:
+        for forest in _forests_of(source):
+            assert all(forest.owner[e.entry] is e for e in forest.elements), source
 
 
 def test_forests_are_freed_without_the_collector():
@@ -538,6 +572,43 @@ def test_recover_matches_builder_on_random_programs():
         got = {(e.entry, e.exit) for e in recovered.elements}
         want = {(e.entry, e.exit) for e in forest.elements if e.entry in heads}
         assert got == want, seed
+
+
+# Two programs whose graphs are one graph under A_TO_B but for one edge kind:
+# A's 1 -> 2 is "out" where B's 1 -> 3 is "exit". The builder gives A's do
+# loop no exit and B's the exit 3; recovery, which reads no edge kind but
+# "stop", gives both the same forest. So no recovery blind to the "out" and
+# "exit" kinds matches the builder on both, and the with_jumps exit cases of
+# the two-route test stay.
+EXIT_KIND_PAIR = (
+    "do { if p { b; while 1 { if p { c; } else { a; b; } } } } while 1; return;",
+    "do { if p { break; } } while 1; while 1 { if p { c; } else { a; b; } } return;",
+)
+A_TO_B = {0: 0, 1: 1, 9: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7, 7: 8, 11: 10}
+
+
+def test_the_exit_cases_need_the_out_and_exit_kinds():
+    (cfg_a, built_a), (cfg_b, built_b) = map(cfg_from_source, EXIT_KIND_PAIR)
+    assert sorted(map(A_TO_B.get, cfg_a.vertex_ids())) == sorted(cfg_b.vertex_ids())
+    assert (A_TO_B[cfg_a.start], A_TO_B[cfg_a.stop]) == (cfg_b.start, cfg_b.stop)
+    kinds_a = {(A_TO_B[u], A_TO_B[v]): cfg_a.edge_kind(u, v) for u, v in cfg_a.edges()}
+    kinds_b = {(u, v): cfg_b.edge_kind(u, v) for u, v in cfg_b.edges()}
+    assert kinds_a.keys() == kinds_b.keys()
+    assert {e: (kinds_a[e], kinds_b[e]) for e in kinds_b if kinds_a[e] is not kinds_b[e]} == {
+        (1, 3): (EdgeKind.OUT, EdgeKind.EXIT)}
+
+    def ends(forest, rename=lambda v: v):
+        return [(rename(e.entry), rename(e.exit)) for e in forest.elements]  # None stays None
+
+    def recovered(cfg):
+        loaded = ControlFlowGraph.from_json(cfg.to_json())
+        return recover_loop_forest(loaded, compute_dominators(loaded))
+
+    found_a, found_b = recovered(cfg_a), recovered(cfg_b)
+    assert (ends(built_a), ends(built_b)) == ([(1, None), (3, None)], [(1, 3), (4, None)])
+    assert (ends(found_a), ends(found_b)) == ([(1, 2), (3, None)], [(1, 3), (4, None)])
+    assert ends(found_a, A_TO_B.get) == ends(found_b)
+    assert ends(built_a, A_TO_B.get) != ends(built_b)
 
 
 def _forest_facts(forest):

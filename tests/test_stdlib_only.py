@@ -1,5 +1,7 @@
 """The package runs on the standard library alone: every module under
-src/cfgdag imports only standard-library modules and cfgdag itself."""
+src/cfgdag imports only standard-library modules and cfgdag itself. Each
+module also parses as Python 3.10, the oldest that requires-python in
+pyproject.toml admits."""
 
 import ast
 import sys
@@ -27,7 +29,8 @@ def test_the_package_has_modules_to_check():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library(path):
-    names = imported_top_levels(ast.parse(path.read_text(), filename=str(path)))
+    tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    names = imported_top_levels(tree)
     outside = sorted(n for n in names if n != "cfgdag" and n not in sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}"
 

@@ -261,10 +261,13 @@ def test_report_json_shape():
 
 
 def test_report_flags_cycle():
-    d = DagDecomposition(nodes=[0, 1], arcs=[(0, 1), (1, 0)],
-                         bags={0: frozenset({0}), 1: frozenset({1})})
-    report = validate_cfg_decomposition(d, _FakeGraph([0, 1], [(0, 1)]))
-    assert not report.acyclic and not report.valid
+    """A cycle, and a node listed twice, which only a decomposition built in
+    code can hold, are both reported as not acyclic."""
+    for nodes, arcs in [([0, 1], [(0, 1), (1, 0)]), ([0, 0, 1], [(0, 1)])]:
+        d = DagDecomposition(nodes=nodes, arcs=arcs, bags={0: frozenset({0}), 1: frozenset({1})})
+        report = validate_cfg_decomposition(d, _FakeGraph([0, 1], [(0, 1)]))
+        assert not report.acyclic and not report.valid
+        assert ("acyclic", ()) in report.violations
 
 
 class _FakeGraph:
