@@ -106,19 +106,24 @@ def _load(args) -> tuple[ControlFlowGraph, LoopForest]:
             cfg = prune_unreachable(cfg)
             dom = compute_dominators(cfg)
         if args.forest is not None:
-            forest = LoopForest.from_json_dict(json.loads(_read(args.forest)))
-            forest = assign_owners(cfg, dom, forest.restricted_to(cfg))
+            forest = assign_owners(cfg, dom, LoopForest.from_json_dict(json.loads(_read(args.forest))))
         else:
             forest = recover_loop_forest(cfg, dom)
-        if cfg.predecessors(cfg.start):
-            raise NotStructuredError(f"edge {cfg.predecessors(cfg.start)[0]}->{cfg.start} enters start")
+        succ, start, stop = cfg.successors, cfg.start, cfg.stop
+        if cfg.predecessors(start):
+            raise NotStructuredError(f"edge {cfg.predecessors(start)[0]}->{start} enters start")
+        if succ(stop):
+            raise NotStructuredError(f"edge {stop}->{succ(stop)[0]} leaves stop")
+        dead_end = next((v for v in cfg.labels if not succ(v) and v != stop), None)
+        if dead_end is not None:
+            raise NotStructuredError(f"vertex {dead_end} has no out-edge")
     else:
         cfg, forest = cfg_from_source(text)
     if args.contract:
-        # Owners survive contraction: an absorbed vertex has the owner of
-        # the vertex that absorbs it.
+        # Contraction keeps start, stop and every loop entry and exit, so
+        # each element survives; only the absorbed vertices lose their owners.
         cfg = contract_basic_blocks(cfg, forest)
-        forest = forest.restricted_to(cfg)
+        forest.owner = {v: forest.owner[v] for v in cfg.labels}
     loop_regions(cfg, forest)
     return cfg, forest
 

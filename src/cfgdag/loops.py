@@ -115,23 +115,6 @@ class LoopForest:
             raise NotStructuredError(f"vertex {min(both)} is both a loop entry and a loop exit")
         return by_entry, by_exit
 
-    def restricted_to(self, cfg: ControlFlowGraph) -> "LoopForest":
-        """Drop elements whose entry did not survive pruning; clear dead exits."""
-        alive = set(cfg.vertex_ids())
-        out = LoopForest()
-        mapping = {self.phi: out.phi}
-        for elem in self.elements:
-            if elem.parent not in mapping:
-                continue  # ancestor dropped
-            if elem.entry not in alive:
-                continue
-            new = out.new_element(mapping[elem.parent])
-            new.entry = elem.entry
-            new.exit = elem.exit if elem.exit in alive else None
-            mapping[elem] = new
-        out.owner = {v: mapping.get(e, out.phi) for v, e in self.owner.items() if v in alive}
-        return out
-
     def to_json_dict(self) -> dict:
         index = {elem: i for i, elem in enumerate(self.elements)}
         return {"loops": [{"entry": e.entry, "exit": e.exit, "parent": index.get(e.parent)}
@@ -344,12 +327,17 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
     Raises LoopForestJsonError when LoopForest.ends does (two elements
     share an entry or an exit, or an entry is an exit), when an element's
     parent is not the loop open at its entry, or when no edge closes an
-    element, its entry never reached included.
+    element, its entry never reached included. Raises it too when an entry,
+    or an exit that is set, is not a vertex of cfg.
     """
     try:
         by_entry = forest.ends()[0]
     except NotStructuredError as err:
         raise LoopForestJsonError(str(err)) from None
+    for elem in forest.elements:
+        for end, v in (("entry", elem.entry), ("exit", elem.exit)):
+            if v is not None and v not in cfg.labels:
+                raise LoopForestJsonError(f"loop at entry {elem.entry}: {end} {v} is not a vertex of the graph")
 
     def open_at(v: int, loop: LoopElement) -> LoopElement:
         elem = by_entry.get(v)

@@ -10,6 +10,7 @@ solver keyed by the robber's vertex instead of its region; a tokenizer that
 counts lines and columns as it goes instead of on error, and a recursive
 descent parser over its tokens instead of one loop with a stack of open
 blocks; a recursive builder that expands every statement, dead or live,
+with its forest fitted to the pruned graph afterwards (restricted_to),
 instead of one that decides liveness as it walks; a prune that rebuilds
 through add_vertex/add_edge, and a CFG JSON loader that fills the graph one
 record at a time through them, instead of writing sorted tuples in one
@@ -105,6 +106,19 @@ START_SELF_LOOP_CFG_JSON = _cfg_json(
 )
 
 
+# An edge out of stop, on the cycle 1 -> 2 -> 3 -> 1; and a vertex other than
+# stop, 3, with no out-edge. No builder graph has either fault, and every
+# command refuses each as not structured.
+STOP_OUT_EDGE_CFG_JSON = _cfg_json(
+    ["start", "a", "b", "stop"], [(0, 2, "out"), (1, 2, "out"), (2, 3, "out"), (3, 1, "out")], stop=3,
+)
+DEAD_END_CFG_JSON = _cfg_json(
+    ["start", "a", "b", "c", "d", "stop"],
+    [(0, 1, "out"), (1, 2, "out"), (1, 4, "out"), (2, 1, "out"), (2, 3, "out"), (4, 3, "out"),
+     (4, 4, "out"), (4, 5, "out")],
+    stop=5,
+)
+
 # Programs at the edges of the liveness rules: a do loop whose body makes no
 # vertex, breaks before and after dead code, a loop after a return, loops on
 # the constants 0 and 1, an empty branch, and do loops whose body opens with
@@ -157,7 +171,7 @@ def pipeline(src, contract=False):
     cfg, forest = cfg_from_source(src)
     if contract:
         cfg = contract_basic_blocks(cfg, forest)
-        forest = forest.restricted_to(cfg)
+        forest = restricted_to(forest, cfg)
     dom = compute_dominators(cfg)
     dominator_regions(cfg, forest, dom)
     return cfg, forest, dom
@@ -667,6 +681,26 @@ def build_unpruned(ast: lang.StructuredAst) -> tuple[ControlFlowGraph, LoopFores
     b.attach(out, b.g.stop)
     b.attach(b.returns, b.g.stop)
     return b.g, b.forest
+
+
+def restricted_to(forest, cfg) -> LoopForest:
+    """A copy of the forest fitted to a subgraph after the fact, where the
+    library makes each forest for its own graph: each element whose entry
+    or an ancestor's entry is gone is dropped, an exit that is gone is
+    cleared, and each vertex that remains keeps its owner, or goes to the
+    root where that owner was dropped."""
+    alive = set(cfg.vertex_ids())
+    out = LoopForest()
+    mapping = {forest.phi: out.phi}
+    for elem in forest.elements:
+        if elem.parent not in mapping or elem.entry not in alive:
+            continue
+        new = out.new_element(mapping[elem.parent])
+        new.entry = elem.entry
+        new.exit = elem.exit if elem.exit in alive else None
+        mapping[elem] = new
+    out.owner = {v: mapping.get(e, out.phi) for v, e in forest.owner.items() if v in alive}
+    return out
 
 
 def without_unclosed_loops(cfg, forest) -> LoopForest:

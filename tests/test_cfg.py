@@ -31,6 +31,7 @@ from helpers import (
     has_edge,
     pipeline,
     prune_by_rebuild,
+    restricted_to,
     succ_map,
     with_jumps,
     without_unclosed_loops,
@@ -137,7 +138,7 @@ def test_prune_infinite_loop_drops_exit_flags_stop():
     assert "exit(1)" not in labels_of(pruned)
     assert pruned.stop in pruned.vertex_ids()
     assert pruned.stop not in pruned.reachable_from(pruned.start)
-    restricted = forest.restricted_to(pruned)
+    restricted = restricted_to(forest, pruned)
     (elem,) = restricted.elements
     assert elem.exit is None  # the exit vertex is gone
 
@@ -176,7 +177,7 @@ def assert_builds_the_pruned_oracle(source):
     got, forest = build_cfg(ast)
     full, full_forest = build_unpruned(ast)
     want = prune_unreachable(full)
-    want_forest = without_unclosed_loops(want, full_forest.restricted_to(want))
+    want_forest = without_unclosed_loops(want, restricted_to(full_forest, want))
     assert list(got.labels.items()) == list(want.labels.items())
     assert list(got._succ.items()) == list(want._succ.items())
     assert list(got._pred.items()) == list(want._pred.items())
@@ -364,7 +365,7 @@ def test_contraction_equals_the_fixpoint_oracle(seed, size):
     assert_contracts_as_the_fixpoint(cfg)  # unpruned, so dead cycles stay
     pruned = prune_unreachable(cfg)
     assert_contracts_as_the_fixpoint(pruned)
-    assert_contracts_as_the_fixpoint(pruned, forest.restricted_to(pruned))
+    assert_contracts_as_the_fixpoint(pruned, restricted_to(forest, pruned))
 
 
 def test_contraction_folds_a_dead_cycle_into_its_smallest_id():

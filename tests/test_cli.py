@@ -31,8 +31,10 @@ from cfgdag._json import dumps
 from cfgdag.cli import build_parser, main
 from helpers import (
     DEAD_CFG_JSON,
+    DEAD_END_CFG_JSON,
     IRREDUCIBLE_CFG_JSON,
     START_SELF_LOOP_CFG_JSON,
+    STOP_OUT_EDGE_CFG_JSON,
     UNREACHABLE_STOP_CFG_JSON,
     cfg_from_json_by_add_edge,
     cfg_json_dict,
@@ -40,6 +42,7 @@ from helpers import (
     owner_regions,
     with_jumps,
 )
+from test_golden import PROGRAMS
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -282,6 +285,8 @@ BAD_FOREST_JSON = [
     (lambda data: data["loops"][2].update(exit=3), "vertex 3 is the exit of two loop elements"),
     (lambda data: data["loops"][2].update(entry=5), "vertex 5 is the entry of two loop elements"),
     (lambda data: data["loops"][2].update(entry=8), "vertex 8 is both a loop entry and a loop exit"),
+    (lambda data: data["loops"][2].update(entry=99), "loop at entry 99: entry 99 is not a vertex of the graph"),
+    (lambda data: data["loops"][2].update(exit=99), "loop at entry 9: exit 99 is not a vertex of the graph"),
 ]
 
 
@@ -774,6 +779,27 @@ def test_cfg_json_decomposition_equals_the_source_one(inputs, tmp_path):
     assert sum(written[:2] != written[2:] for written in outputs) == differ
 
 
+@pytest.mark.parametrize("contract", [[], ["--contract"]])
+def test_a_given_forest_decomposes_as_the_source_does(tmp_path, contract):
+    """decompose of the CFG JSON and forest that build --forest-out writes,
+    with the forest given, writes the bytes that decompose of the source
+    does, with and without --contract: on the golden corpus sources and 300
+    with_jumps programs."""
+    prog, graph, forest, out = (tmp_path / name for name in ("prog.spl", "g.json", "f.json", "d.json"))
+    sources = [s for s in PROGRAMS.values() if isinstance(s, str)]
+    differ = []
+    for source in [*sources, *(with_jumps(random.Random(i)) for i in range(300))]:
+        prog.write_text(source)
+        assert main(["build", str(prog), "--out", str(graph), "--forest-out", str(forest)]) == 0
+        assert main(["decompose", str(prog), "--out", str(out), *contract]) == 0
+        want = out.read_bytes()
+        assert main(["decompose", str(graph), "--kind", "cfg-json", "--forest", str(forest),
+                     "--out", str(out), *contract]) == 0
+        if out.read_bytes() != want:
+            differ.append(source)
+    assert differ == []
+
+
 def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
     cfg, _ = two_loop_cfg()
     forest = LoopForest()
@@ -808,6 +834,43 @@ def test_an_edge_into_start_exits_four(tmp_path, capsys):
     for command in ("build", "decompose", "validate", "play", "oracle", "lift", "export-dot"):
         assert main([command, str(graph), "--kind", "cfg-json"]) == 4
         assert capsys.readouterr() == ("", "not structured: edge 0->0 enters start\n")
+
+
+@pytest.mark.parametrize("data, what", [(STOP_OUT_EDGE_CFG_JSON, "edge 3->1 leaves stop"),
+                                        (DEAD_END_CFG_JSON, "vertex 3 has no out-edge")])
+def test_an_edge_out_of_stop_or_a_dead_end_exits_four(tmp_path, capsys, data, what):
+    """No structured program has an edge out of stop, or a vertex other than
+    stop with no out-edge; every command says so."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(data))
+    for command in ("build", "decompose", "validate", "play", "oracle", "lift", "export-dot"):
+        assert main([command, str(graph), "--kind", "cfg-json"]) == 4
+        assert capsys.readouterr() == ("", f"not structured: {what}\n")
+
+
+def random_digraph_json(rng) -> dict:
+    """CFG JSON of n = 2-8 vertices and 1-2n out edges with both ends drawn
+    uniformly (a repeat kept once), start 0 and stop n - 1."""
+    n = rng.randint(2, 8)
+    edges = dict.fromkeys((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2 * n)))
+    return {"vertices": [{"id": v, "label": f"v{v}"} for v in range(n)],
+            "edges": [{"from": u, "to": v, "kind": "out"} for u, v in edges],
+            "start": 0, "stop": n - 1}
+
+
+def test_random_digraphs_that_decompose_validate(tmp_path):
+    """The first 5,000 random digraphs of random.Random(1): none decomposes
+    with exit 0 and then fails validate --decomp. Draws 563, 1059, 2378,
+    2949, 3428 and 4808 are graphs with an edge out of stop or a dead end."""
+    rng = random.Random(1)
+    graph, decomp = tmp_path / "g.json", tmp_path / "d.json"
+    failed = []
+    for i in range(5000):
+        graph.write_text(json.dumps(random_digraph_json(rng)))
+        if run_quietly(["decompose", str(graph), "--kind", "cfg-json", "--out", str(decomp)])[0] == 0:
+            if run_quietly(["validate", str(graph), "--kind", "cfg-json", "--decomp", str(decomp)])[0] != 0:
+                failed.append(i)
+    assert failed == []
 
 
 # The loop at a, held by the loop at p, and that outer loop both leave for

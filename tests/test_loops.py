@@ -40,6 +40,7 @@ from helpers import (
     post_dominates,
     post_dominator_tree,
     recover_loop_forest_by_bodies,
+    restricted_to,
     simple_cycles,
     with_jumps,
 )
@@ -303,7 +304,7 @@ def test_syntactic_regions_equal_dominator_regions():
     for seed in range(60):
         src = generate_random_program(seed, 50)
         cfg, forest = cfg_from_source(src)
-        syntactic = loop_regions(cfg, forest.restricted_to(cfg))
+        syntactic = loop_regions(cfg, restricted_to(forest, cfg))
         reference = dominator_regions(cfg, forest, compute_dominators(cfg))
         assert len(syntactic.elements) == len(forest.elements)
         ours = owner_regions(syntactic)
@@ -482,7 +483,7 @@ def test_given_forests_are_refused_or_decompose_validly():
         loops = [{"entry": rng.choice(vertices), "exit": rng.choice([*vertices, None]),
                   "parent": rng.choice([None, *range(i)])} for i in range(rng.randint(1, 3))]
         try:
-            forest = assign_owners(cfg, dom, LoopForest.from_json_dict({"loops": loops}).restricted_to(cfg))
+            forest = assign_owners(cfg, dom, LoopForest.from_json_dict({"loops": loops}))
             assert all(forest.owner[e.entry] is e for e in forest.elements), (seed, loops)
             decomp = build_decomposition(cfg, forest)
         except (LoopForestJsonError, NotStructuredError):
@@ -508,7 +509,7 @@ def _forests_of(source):
         dom = compute_dominators(cfg)
     made.append((cfg, recover_loop_forest(cfg, dom)))
     for cfg, forest in list(made):
-        made.append((None, forest.restricted_to(contract_basic_blocks(cfg, forest))))
+        made.append((None, restricted_to(forest, contract_basic_blocks(cfg, forest))))
     return [forest for _cfg, forest in made]
 
 
