@@ -1,5 +1,6 @@
 """Graph primitives shared by the package: a DFS postorder that finds
-cycles, and reachability and breadth-first layers around blocked vertices.
+cycles, strongly connected components, and reachability and breadth-first
+layers around blocked vertices.
 
 Successor maps are plain mappings from a vertex to an iterable of vertices.
 """
@@ -35,6 +36,48 @@ def postorder(nodes, succ) -> list | None:
             finished[n] = True
             post.append(n)
     return post
+
+
+def components(nodes, succ) -> list[list]:
+    """Strongly connected components of succ, by one iterative Tarjan walk.
+
+    A component is listed when the walk closes it, so it comes after every
+    component it reaches. Roots are taken in the order of nodes.
+    """
+    num: dict = {}  # entry number of each entered node
+    low: dict = {}  # open nodes only: least entry number seen below them
+    path = []  # open nodes, in entry order
+    comps = []
+    for root in nodes:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        path.append(root)
+        walk = [(root, iter(succ[root]))]
+        while walk:
+            v, heads = walk[-1]
+            for w in heads:
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    path.append(w)
+                    walk.append((w, iter(succ[w])))
+                    break
+                if w in low and low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                walk.pop()
+                if low[v] == num[v]:
+                    comp = []
+                    while True:
+                        w = path.pop()
+                        del low[w]
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                elif low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+    return comps
 
 
 def reachable(succ, src, blocked=()) -> set:

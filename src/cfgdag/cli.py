@@ -74,16 +74,17 @@ def _write(*outputs) -> None:
     try:
         for path, _ in outputs:
             new = path != "-" and not os.path.lexists(path)
-            streams.append(sys.stdout if path == "-" else open(path, "a", encoding="utf-8"))
+            streams.append((sys.stdout if path == "-" else open(path, "a", encoding="utf-8"), new))
             if new:
                 created.append(path)
-        for fh, (path, make) in zip(streams, outputs):
-            if fh is not sys.stdout and os.path.isfile(path):  # ftruncate fails on /dev/null or a FIFO
+        for (fh, new), (path, make) in zip(streams, outputs):
+            # A file this call created is empty; ftruncate fails on /dev/null or a FIFO.
+            if not new and fh is not sys.stdout and os.path.isfile(path):
                 fh.truncate(0)
             fh.write(make())
         created = []  # all written: keep every file
     finally:
-        for fh in streams:
+        for fh, _ in streams:
             if fh is not sys.stdout:
                 fh.close()
         for path in created:

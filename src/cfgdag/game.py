@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._graph import layers, postorder, reachable
+from ._graph import components, layers, reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest
@@ -537,32 +537,60 @@ class PursuitSolver:
 
 
 def brute_force_cop_number(graph, k_max: int = 4, max_states: int = 4_000_000) -> int:
-    """Fewest cops with a cop-monotone winning strategy, by exhaustive search.
+    """Fewest cops with a cop-monotone winning strategy, by exhaustive search
+    of each strongly connected component alone.
 
-    One cop wins iff the graph without its self-loops is acyclic, so the
-    search starts at two cops. A self-loop is no escape: a cop that lands on
-    the robber's vertex leaves it no destination there.
+    The cop number is the largest over the components, as for DAG-width
+    (Berwanger, Dawar, Hunter, Kreutzer & Obdrzalek, JCTB 2012).
+    - No component needs more cops than the graph. Keep only the cops that
+      a winning strategy on the graph puts in a component C. A run inside
+      C avoids the cops of C that stayed exactly when it avoids all that
+      stayed, so every play on C alone is a play on the graph, and the
+      kept cops catch the robber there without returning to a vertex.
+    - The graph needs no more than its hardest component. The cops play
+      the winning strategy of the robber's component C from an empty
+      board. A run that ends outside C ends in a component D that C
+      reaches, and the robber never gets back to C, since that would put
+      C and D in one component. So the cops lift off C and land nowhere in
+      C again: monotonicity holds. They go on with D's strategy from an
+      empty board, whose first move keeps no cop, as their move off C
+      does, so the robber's choices are the same. Each change of component
+      moves down the acyclic order of the components, so the robber is
+      caught.
+
+    One cop wins iff every component is a single vertex: a self-loop is no
+    escape, as a cop that lands on the robber's vertex leaves it no
+    destination there.
     - A cycle of two or more vertices beats one cop. Two distinct placements
       of at most one cop are disjoint, so no cop ever stays put and the
       robber's runs are never blocked. The robber stands on the cycle, and
       when the cop lands on its vertex it runs on to the next vertex of the
       cycle.
-    - On an acyclic graph, one cop wins by landing on the robber's vertex.
-      The robber must run to a vertex it reaches from there, so its reach
-      set shrinks strictly. The cop vacates only vertices the robber left,
-      and the robber never gets back to one. So it is caught within n
-      rounds.
+    - With no cycle but self-loops, one cop wins by landing on the
+      robber's vertex. The robber must run to a vertex it reaches from
+      there, so its reach set shrinks strictly. The cop vacates only
+      vertices the robber left, and the robber never gets back to one. So
+      it is caught within n rounds.
+    So the search covers only components of two or more vertices. Each
+    starts at the most cops found so far, two at least, since the answer
+    is never below that.
 
-    max_states bounds each solver's memo of (cops, robber region) states."""
+    max_states bounds each solver's memo of (cops, robber region) states,
+    one solver per component and number of cops."""
     vertices, succ = _adjacency(graph)
-    loopless = {v: [w for w in ws if w != v] for v, ws in succ.items()}
-    if k_max >= 1 and postorder(vertices, loopless) is not None:
-        return 1
-    for k in range(2, k_max + 1):
-        solver = PursuitSolver(vertices, succ, k, max_states=max_states)
-        try:
-            if not solver.robber_safe_somewhere():
-                return k
-        except SearchBudgetError as err:
-            raise SearchBudgetError(f"budget exceeded; cop number > {k - 1} known. {err}") from err
-    raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
+    comps = [comp for comp in components(vertices, succ) if len(comp) > 1]
+    k = 2 if comps else 1
+    for comp in comps:
+        inside = set(comp)
+        induced = {v: [w for w in succ[v] if w in inside] for v in comp}
+        while k <= k_max:
+            solver = PursuitSolver(comp, induced, k, max_states=max_states)
+            try:
+                if not solver.robber_safe_somewhere():
+                    break
+            except SearchBudgetError as err:
+                raise SearchBudgetError(f"budget exceeded; cop number > {k - 1} known. {err}") from err
+            k += 1
+    if k > k_max:
+        raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
+    return k

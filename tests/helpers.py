@@ -30,7 +30,10 @@ the outermost one entered from outside, and its decomposition adds each
 entered loop's exit-to-entry arc in a pass over the forest, instead of
 reading one loop per entry and per exit. Backward edges are checked
 against dominance, where the head dominates the tail, instead of read from
-the owner map.
+the owner map. Cop numbers are searched over the whole graph instead of
+one strongly connected component at a time, with one cop decided by a Kahn
+order, and the components themselves are classes of mutual reachability
+instead of the closings of a Tarjan walk.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from cfgdag import (
 )
 from cfgdag.cfg import CfgJsonError
 from cfgdag.decomposition import DagDecomposition, EdgePartition
-from cfgdag.game import SearchBudgetError, VertexBits, _adjacency
+from cfgdag.game import PursuitSolver, SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
 from cfgdag.loops import NotStructuredError, _dominator_tree, _fill_owners, _in_preorder
 from cfgdag.lang import KEYWORDS, ParseError
@@ -383,6 +386,13 @@ def bfs_reachable(succ: dict, start) -> set:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def components_by_reachability(nodes, succ) -> list[set]:
+    """The strongly connected components of succ as sets: two nodes share
+    one iff each reaches the other."""
+    reach = {v: bfs_reachable(succ, v) for v in nodes}
+    return [set(c) for c in {frozenset(w for w in reach[v] if v in reach[w]) for v in nodes}]
 
 
 def succ_map(cfg) -> dict:
@@ -1402,6 +1412,21 @@ def brute_force_cop_number_by_vertex(graph, k_max: int = 4) -> int:
     vertices, succ = _adjacency(graph)
     for k in range(1, k_max + 1):
         if not PursuitSolverByVertex(vertices, succ, k).robber_safe_somewhere():
+            return k
+    raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
+
+
+def cop_number_whole_graph(graph, k_max: int = 4, max_states: int = 4_000_000) -> int:
+    """Fewest cops with a cop-monotone winning strategy, by the region solver
+    on the whole graph, the search once run in place of the one per strongly
+    connected component. One cop wins iff the graph without its self-loops is
+    acyclic, which a Kahn order decides."""
+    vertices, succ = _adjacency(graph)
+    loopless = {v: [w for w in ws if w != v] for v, ws in succ.items()}
+    if k_max >= 1 and toposort(vertices, loopless) is not None:
+        return 1
+    for k in range(2, k_max + 1):
+        if not PursuitSolver(vertices, succ, k, max_states=max_states).robber_safe_somewhere():
             return k
     raise SearchBudgetError(f"no cop-monotone win with up to {k_max} cops")
 

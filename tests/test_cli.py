@@ -397,7 +397,8 @@ def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_p
     truncated before all are open: when the second cannot be opened, the
     command exits 2, removes the --out file it created, leaves one that was
     there as it was, and writes nothing to stdout. An --out that cannot be
-    truncated, such as /dev/null, is written as before."""
+    truncated, such as /dev/null, is written as before, and an existing
+    --out longer than the output ends up holding what stdout gets."""
     out, bad = tmp_path / "x.json", tmp_path / "nodir" / "f.json"
     error = f"i/o error: [Errno 2] No such file or directory: '{bad}'\n"
     assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(bad)]) == 2
@@ -411,8 +412,12 @@ def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_p
     assert out.read_text() == "kept"
     assert capsys.readouterr() == ("", error)
     assert main([argv[0], str(while_file), "--out", os.devnull, *argv[1:], str(tmp_path / "f.json")]) == 0
+    out.write_text("kept" * 10_000)
     assert main([argv[0], str(while_file), "--out", str(out), *argv[1:], str(tmp_path / "f.json")]) == 0
-    assert out.read_text() != "kept" and out.read_text().endswith("}\n")
+    assert main([argv[0], str(while_file), *argv[1:], str(tmp_path / "f.json")]) == 0
+    written = capsys.readouterr().out.encode()
+    assert len(written) < 40_000
+    assert out.read_bytes() == written
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):

@@ -1,5 +1,8 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag import (
@@ -27,6 +30,7 @@ from cfgdag.game import _adjacency, cop_monotone_violations
 from helpers import (
     PursuitSolverByVertex,
     brute_force_cop_number_by_vertex,
+    cop_number_whole_graph,
     dist_by_enumeration,
     distance_to_exit,
     exit_distances,
@@ -36,6 +40,7 @@ from helpers import (
     pipeline,
     toposort,
     two_loop_cfg_in_loops,
+    with_jumps,
 )
 
 # Reference pursuits on the two-loop graph, frozen from first principles:
@@ -421,9 +426,10 @@ def test_two_gadgets_in_series_need_three_cops():
 
 
 def test_budget_error_reports_partial_bound():
-    cfg, _ = two_loop_cfg()
+    """The losing k = 2 search of the 14-vertex component in two loops needs
+    more than 100 states."""
     with pytest.raises(SearchBudgetError, match="cop number > 1"):
-        brute_force_cop_number(cfg, 4, max_states=200)
+        brute_force_cop_number(two_loop_cfg_in_loops(2), 4, max_states=100)
 
 
 def test_region_solver_decides_the_fixture_in_few_states():
@@ -486,11 +492,84 @@ def test_region_solver_equals_the_vertex_solver_on_digraphs(graph, k, data):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(digraphs())
 def test_one_cop_wins_iff_the_graph_without_self_loops_is_acyclic(graph):
-    """The search at k = 1 agrees with the cycle check that
-    brute_force_cop_number runs in its place; Kahn's order is the oracle."""
+    """The search at k = 1 agrees with the rule that brute_force_cop_number
+    runs in its place, every component a single vertex; Kahn's order is the
+    oracle."""
     loopless = {v: [w for w in ws if w != v] for v, ws in graph.items()}
     acyclic = toposort(list(graph), loopless) is not None
     assert PursuitSolver(*_adjacency(graph), k=1).robber_safe_somewhere() is not acyclic
+
+
+@st.composite
+def digraphs_in_parts(draw):
+    """1-7 vertices in up to three parts in a row: any arcs, self-loops
+    included, within a part, and arcs only forward from part to part, so
+    that most graphs have several components."""
+    n = draw(st.integers(1, 7))
+    part = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return {v: sorted(w for u, w in arcs if u == v and part[u] <= part[w]) for v in range(n)}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(digraphs_in_parts())
+@example({0: [0]})
+@example({0: [1], 1: [0, 1, 2], 2: [2, 3], 3: [2]})
+@example({0: [1], 1: [2], 2: [0, 3], 3: [4], 4: [5], 5: [6], 6: [4]})
+@example({0: [1, 2], 1: [0, 2], 2: [0, 1, 3], 3: [4, 5], 4: [3, 5], 5: [3, 4]})
+@example({v: [w for w in range(4) if w != v] for v in range(4)})
+def test_cop_number_equals_the_whole_graph_search_on_digraphs(graph):
+    for k_max in (1, 2, 4):
+        try:
+            expected = cop_number_whole_graph(graph, k_max)
+        except SearchBudgetError as err:
+            with pytest.raises(SearchBudgetError, match=re.escape(str(err))):
+                brute_force_cop_number(graph, k_max)
+        else:
+            assert brute_force_cop_number(graph, k_max) == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cop_number_equals_the_whole_graph_search_on_programs_with_jumps(seed):
+    """One to three with_jumps programs in a row, of at most 40 vertices."""
+    while True:
+        rng = random.Random(seed)
+        cfg, _ = cfg_from_source(" ".join(with_jumps(rng) for _ in range(rng.randint(1, 3))))
+        if cfg.n_vertices <= 40:
+            break
+        seed += 1
+    assert brute_force_cop_number(cfg) == cop_number_whole_graph(cfg)
+
+
+G = "while c { if p { while d { if q { break; } a; } } else { while e { if r { break; } b; } } }"
+
+
+@pytest.mark.parametrize("copies, vertices", [(8, 90), (16, 178)])
+def test_copies_of_g_in_series_need_three_cops_in_few_states(copies, vertices):
+    """Each copy is a component of its own, searched alone; the search over
+    the whole graph took 35 s on 8 copies (Python 3.11, shared 2-vCPU VM)."""
+    cfg, _ = cfg_from_source(" ".join([G] * copies))
+    assert cfg.n_vertices == vertices
+    assert brute_force_cop_number(cfg, 4, max_states=1_000) == 3
+
+
+def test_each_component_search_starts_at_the_most_cops_so_far(monkeypatch):
+    """G's component comes first and needs three cops, so the loop after it
+    is searched at three, not two."""
+    import cfgdag.game as game
+
+    searched = []
+
+    class Recording(PursuitSolver):
+        def __init__(self, vertices, succ, k, **kwargs):
+            super().__init__(vertices, succ, k, **kwargs)
+            searched.append((len(vertices), k))
+
+    monkeypatch.setattr(game, "PursuitSolver", Recording)
+    cfg, _ = cfg_from_source(f"while z {{ a; }} {G}")
+    assert brute_force_cop_number(cfg) == 3
+    assert searched == [(10, 2), (10, 3), (2, 3)]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,12 +1,13 @@
-"""cfgdag._graph.postorder finds every cycle and orders every DAG, and
+"""cfgdag._graph.postorder finds every cycle and orders every DAG,
+cfgdag._graph.components finds the classes of mutual reachability, and
 cfgdag.game.VertexBits sets survive the trip through a bitmask."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgdag._graph import postorder
+from cfgdag._graph import components, postorder
 from cfgdag.game import VertexBits
-from helpers import toposort
+from helpers import bfs_reachable, components_by_reachability, toposort
 
 
 @st.composite
@@ -32,6 +33,32 @@ def test_postorder_orders_exactly_the_acyclic_graphs(graph):
         assert sorted(post) == sorted(nodes)
         at = {n: k for k, n in enumerate(post)}
         assert all(at[v] < at[u] for u in nodes for v in succ[u])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(digraphs())
+@example(([0], {0: []}))
+@example(([0], {0: [0]}))
+@example(([0, 1, 2, 3], {0: [1], 1: [0, 2], 2: [3], 3: [2]}))
+@example(([0, 1, 2, 3], {0: [1, 3], 1: [2], 2: [0, 3], 3: [3]}))
+def test_components_are_the_classes_of_mutual_reachability(graph):
+    """Each node lies in one listed component, the components are those of
+    the oracle, and none is listed before a component it reaches."""
+    nodes, succ = graph
+    comps = components(nodes, succ)
+    assert sorted(v for comp in comps for v in comp) == sorted(nodes)
+    assert sorted(map(sorted, comps)) == sorted(map(sorted, components_by_reachability(nodes, succ)))
+    at = {v: i for i, comp in enumerate(comps) for v in comp}
+    assert all(at[w] <= at[v] for v in nodes for w in bfs_reachable(succ, v))
+
+
+def test_components_walk_deep_graphs_without_recursion():
+    n = 100_000
+    path = {v: [v + 1] for v in range(n - 1)} | {n - 1: []}
+    assert components(range(n), path) == [[v] for v in reversed(range(n))]
+    cycle = path | {n - 1: [0]}
+    (comp,) = components(range(n), cycle)
+    assert sorted(comp) == list(range(n))
 
 
 @st.composite
