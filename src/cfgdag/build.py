@@ -40,14 +40,15 @@ OUT, EXIT, ENTRY, STOP = EdgeKind.OUT, EdgeKind.EXIT, EdgeKind.ENTRY, EdgeKind.S
 
 
 class _Loop:
-    """An open loop: its element, a do loop's entry once made, and the live
-    sources waiting for its exit and for its entry."""
+    """An open loop: its element, the first id it takes, a do loop's entry
+    once made, and the live sources waiting for its exit and for its entry."""
 
-    __slots__ = ("node", "element", "entry", "breaks", "continues")
+    __slots__ = ("node", "element", "first", "entry", "breaks", "continues")
 
-    def __init__(self, node, element: LoopElement):
+    def __init__(self, node, element: LoopElement, first: int):
         self.node = node
         self.element = element
+        self.first = first
         self.entry: int | None = None
         self.breaks: list[int] = []
         self.continues: list[int] = []
@@ -80,6 +81,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     loops: list[_Loop] = []  # open loops, innermost last
     unentered: list[_Loop] = []  # open do loops whose body has made no vertex yet
     dropped: dict[LoopElement, LoopElement] = {}  # element no edge closes -> its heir
+    spans: list[range] = []  # the ids of the outermost dropped elements so far
     returns: list[int] = []
 
     def vertex(label: str, elem: LoopElement, sources: list[int], kind: EdgeKind = OUT,
@@ -130,7 +132,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                     s = vertex("skip", inner, pending)
                     pending = [] if s is None else [s]
                 elem = forest.new_element(inner)
-                loop = _Loop(node, elem)
+                loop = _Loop(node, elem, next_id)
                 if kind is While:
                     c = elem.entry = vertex(str(node.cond), elem, pending)
                     pending = [c] if c is not None and node.cond != 0 else []
@@ -190,6 +192,10 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
             # first: one from inside leaves the last source >= entry, if live.
             if not (closed or loop.continues and loop.continues[-1] >= entry):
                 dropped[elem] = elem.parent
+                # The ids it spans hold its vertices and its inner loops' spans.
+                while spans and spans[-1].start >= loop.first:
+                    spans.pop()
+                spans.append(range(loop.first, next_id))
             # The exit belongs to the enclosing loop. The condition vertex
             # falls through to it unless the condition is a nonzero constant.
             falls = c is not None and (type(cond) is not int or cond == 0)
@@ -209,9 +215,10 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
             if e in dropped:
                 dropped[e] = e.parent
         forest.elements = [e for e in forest.elements if e not in dropped]
-        for v, e in owner.items():
-            if e in dropped:
-                owner[v] = dropped[e]
+        for span in spans:
+            for v in span:
+                if owner.get(v) in dropped:
+                    owner[v] = dropped[owner[v]]
     forest.owner = owner
     return g, forest
 

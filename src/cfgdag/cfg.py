@@ -50,9 +50,9 @@ class ControlFlowGraph:
     def __init__(self):
         self.labels: dict[int, str] = {}
         # Lists when add_vertex fills the graph; loading, build_cfg, pruning
-        # and contraction write tuples.
+        # and contraction write tuples and leave _preds None until _pred reads it.
         self._succ: dict[int, list[int] | tuple[int, ...]] = {}
-        self._pred: dict[int, list[int] | tuple[int, ...]] = {}
+        self._preds: dict[int, list[int] | tuple[int, ...]] | None = {}
         self._kind: dict[tuple[int, int], EdgeKind] = {}
         self.start: int = -1
         self.stop: int = -1
@@ -78,9 +78,9 @@ class ControlFlowGraph:
         if (u, v) in self._kind:
             return
         self._kind[(u, v)] = _KINDS.get(kind) or EdgeKind(kind)
-        # += extends a list in place, and replaces a tuple the graph froze.
-        self._succ[u] += (v,)
+        # _pred first: a first read builds it from _succ. += replaces a frozen tuple.
         self._pred[v] += (u,)
+        self._succ[u] += (v,)
 
     # -- queries -----------------------------------------------------------
 
@@ -89,6 +89,17 @@ class ControlFlowGraph:
 
     def successors(self, v: int) -> Sequence[int]:
         return self._succ[v]
+
+    @property
+    def _pred(self) -> dict[int, list[int] | tuple[int, ...]]:
+        """Each vertex's predecessors; a frozen graph builds them, ascending, on first read."""
+        if self._preds is None:
+            preds: dict[int, list[int]] = {v: [] for v in self._succ}
+            for u, ws in self._succ.items():
+                for w in ws:
+                    preds[w].append(u)
+            self._preds = dict(zip(preds, map(tuple, preds.values())))
+        return self._preds
 
     def predecessors(self, v: int) -> Sequence[int]:
         return self._pred[v]
@@ -227,24 +238,22 @@ def _freeze(labels: dict[int, str], out: dict[int, Sequence], next_id: int, star
             stop: int) -> ControlFlowGraph:
     """The graph whose adjacency comes from out, which maps each vertex, in
     ascending order, to its out-edges as one flat sequence (target, kind,
-    target, kind, ...): its successor and predecessor tuples ascend and its
-    edge kinds run in sorted (u, v) order. Of two edges u -> v, the one
-    listed first keeps its kind, as add_edge keeps it. Tuples are smaller
-    than lists, and the cyclic collector untracks a tuple of ints.
+    target, kind, ...): its successor tuples ascend, its edge kinds run in
+    sorted (u, v) order and its predecessors wait for a first read. Of two
+    edges u -> v, the one listed first keeps its kind, as add_edge does.
+    Tuples are smaller than lists; the collector untracks a tuple of ints.
 
     One out-edge, or two to distinct targets, is written straight; the
     first-kind dict and the sort serve only repeated targets and three or
     more edges."""
     succ: dict[int, tuple[int, ...]] = {}
     kinds: dict[tuple[int, int], EdgeKind] = {}
-    preds: dict[int, list[int]] = {v: [] for v in out}
-    for u, edges in out.items():  # ascending, so every predecessor list is too
+    for u, edges in out.items():
         n = len(edges)
         if n == 2:
             w, k = edges
             succ[u] = (w,)
             kinds[u, w] = k
-            preds[w].append(u)
             continue
         if n == 4:
             w, k, x, j = edges
@@ -254,8 +263,6 @@ def _freeze(labels: dict[int, str], out: dict[int, Sequence], next_id: int, star
                 succ[u] = (w, x)
                 kinds[u, w] = k
                 kinds[u, x] = j
-                preds[w].append(u)
-                preds[x].append(u)
                 continue
         first: dict[int, EdgeKind] = {}
         for w, k in zip(edges[::2], edges[1::2]):
@@ -263,10 +270,9 @@ def _freeze(labels: dict[int, str], out: dict[int, Sequence], next_id: int, star
         succ[u] = ws = tuple(sorted(first))
         for w in ws:
             kinds[u, w] = first[w]
-            preds[w].append(u)
     g = ControlFlowGraph()
     g.labels, g._next_id, g.start, g.stop = labels, next_id, start, stop
-    g._succ, g._pred, g._kind = succ, {v: tuple(us) for v, us in preds.items()}, kinds
+    g._succ, g._preds, g._kind = succ, None, kinds
     return g
 
 

@@ -14,6 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import add
 
 from ._graph import postorder
 from ._json import PAIR, section
@@ -52,18 +53,19 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
     owner = forest.owner
     part = EdgePartition()
 
-    for u, v in cfg.edges():
+    for edge in cfg.edges():
+        u, v = edge
         entry_elem = by_entry.get(v)
         exit_elem = by_exit.get(v)
         if owner[u] is entry_elem:
-            part.backward.append((u, v))
+            part.backward.append(edge)
         elif owner[u] is exit_elem:
-            part.into_exit.append((u, v))
+            part.into_exit.append(edge)
         elif (entry_elem is not None and entry_elem.exit is not None
               and u != entry_elem.exit and not forest.contains(entry_elem, u)):
-            part.into_entry.append(((u, v), entry_elem))
+            part.into_entry.append((edge, entry_elem))
         else:
-            part.plain.append((u, v))
+            part.plain.append(edge)
 
     return part
 
@@ -195,8 +197,8 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
         elem: tuple(x for x in (elem.entry, elem.exit) if x is not None)
         for elem in (forest.phi, *forest.elements)
     }
-    owner = forest.owner
-    bags = {v: frozenset((v, *ends[owner[v]])) for v in nodes}
+    bags = dict(zip(nodes, map(frozenset, map(
+        add, zip(nodes), map(ends.__getitem__, map(forest.owner.__getitem__, nodes))))))
 
     if postorder(order, succ) is None:
         raise NotStructuredError("decomposition arcs contain a cycle")

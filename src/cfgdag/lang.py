@@ -81,35 +81,35 @@ _TOKEN = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]")
 # A token, a comment or whitespace: finditer leaves a gap at the first stray
 # character.
 _SPELL = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]|\s+")
-# Outside ASCII word characters, braces, semicolons and whitespace. A source
-# without one has no comment and no stray character.
-_ODD = re.compile(r"[^\s{};A-Za-z0-9_]")
-# A digit before a letter or "_". In "12ab" it ends a number token inside a
-# word run; "x1y" matches too, and takes the regex walk to no harm.
-_DIGIT_WORD = re.compile(r"[0-9][A-Za-z_]")
+# The class of each ASCII character: "0" a digit, "a" a letter or "_", " "
+# whitespace (str.isspace, as re's \s), a brace or a semicolon, "!" any other.
+_CLASSES = bytes.maketrans(bytes(range(128)), "".join(
+    "0" if c.isdigit() else "a" if c.isalpha() or c == "_"
+    else " " if c.isspace() or c in "{};" else "!" for c in map(chr, range(128))).encode())
 
 
 def tokenize(source: str) -> list[str]:
     """The texts of the tokens of source, in order; a keyword is its own
     token, and comments and whitespace are dropped.
 
-    A plain source, one that _ODD and _DIGIT_WORD find nothing in, is split
-    in C. There every word run that starts with a digit is all digits, so
-    each maximal run of ASCII word characters is one token; with each brace
-    and semicolon padded by spaces, str.split gives the tokens (its
-    whitespace is re's \\s). A comment, a stray character or a word such
-    as "12ab" takes the regex walk.
+    A plain source is split in C: its bytes, "?" for each character outside
+    ASCII, translate by _CLASSES to neither a "!" (a comment, a stray or a
+    non-ASCII character) nor a "0a" (a digit before a letter or "_"). There
+    no word run that starts with a digit holds a letter, so each maximal run
+    of ASCII word characters is one token; with each brace and semicolon
+    padded by spaces, str.split gives the tokens. Any other source, "12ab"
+    and "x1y" among them, takes the regex walk.
 
     Tokens carry no position: a ParseError finds the offset of the one token
     it reports by scanning the source again.
     """
-    if _ODD.search(source) is None:
-        if _DIGIT_WORD.search(source) is None:
-            return source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
-    else:
+    classes = source.encode("ascii", "replace").translate(_CLASSES)
+    if b"!" in classes:
         stray = _first_stray(source)
         if stray is not None:
             raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
+    elif b"0a" not in classes:
+        return source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
     tokens = _TOKEN.findall(source)
     if "//" in source:
         tokens = [t for t in tokens if not t.startswith("//")]
@@ -121,8 +121,8 @@ def _first_stray(source: str) -> int | None:
     whitespace spells, or None.
 
     The source is walked token by token; tokenize calls this only for a
-    source in which _ODD finds a character outside ASCII words, braces,
-    semicolons and whitespace.
+    source that holds a character outside ASCII words, braces, semicolons
+    and whitespace.
     """
     pos = 0
     for m in _SPELL.finditer(source):

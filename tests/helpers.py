@@ -746,6 +746,15 @@ def prune_by_rebuild(cfg):
     return out
 
 
+def predecessors_by_edges(cfg) -> dict[int, tuple[int, ...]]:
+    """Each vertex's predecessors as an ascending tuple, in vertex order:
+    the index _freeze built eagerly, read off the sorted edges."""
+    pred: dict[int, list[int]] = {v: [] for v in cfg.labels}
+    for u, v in sorted(cfg.edges()):
+        pred[v].append(u)
+    return {v: tuple(us) for v, us in pred.items()}
+
+
 def cfg_from_json_by_add_edge(data: dict) -> ControlFlowGraph:
     """ControlFlowGraph.from_json_dict by one add_vertex call per vertex
     record and one add_edge call per edge record, in file order, with the

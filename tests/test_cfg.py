@@ -26,16 +26,19 @@ from helpers import (
     CORNER_CASES,
     bfs_reachable,
     build_unpruned,
+    cfg_from_json_by_add_edge,
     cfg_json_dict,
     contract_by_fixpoint,
     has_edge,
     pipeline,
+    predecessors_by_edges,
     prune_by_rebuild,
     restricted_to,
     succ_map,
     with_jumps,
     without_unclosed_loops,
 )
+from test_golden import programs
 from test_json import text
 
 
@@ -278,6 +281,62 @@ def test_prune_freezes_the_adjacency_and_add_edge_still_extends_it():
         assert list(graph.successors(start)) == [c, x] and list(graph.successors(x)) == [c]
         assert list(graph.predecessors(c)) == [start, a, x]
         assert graph.edge_kind(x, c) is EdgeKind.ENTRY
+
+
+def frozen_graphs(program):
+    """The graphs _freeze writes for a program of the corpus, source text or
+    graph: built, loaded from CFG JSON, pruned from the unpruned expansion
+    or the loaded graph, and contracted as --contract does. Each is yielded
+    before the next is made, which may read its predecessors."""
+    if isinstance(program, ControlFlowGraph):
+        yield (loaded := ControlFlowGraph.from_json(program.to_json()))
+        yield (pruned := prune_unreachable(loaded))
+        yield contract_basic_blocks(pruned)
+        return
+    built, forest = cfg_from_source(program)
+    yield built
+    yield ControlFlowGraph.from_json(built.to_json())
+    yield prune_unreachable(build_unpruned(parse_program(program))[0])
+    yield contract_basic_blocks(built, forest)
+
+
+def test_the_predecessor_index_equals_the_eager_oracle():
+    """On every graph of the golden corpus and of with_jumps programs 0-299,
+    _pred, unbuilt until read, holds what _freeze used to build eagerly."""
+    for program in [*programs().values(), *(with_jumps(random.Random(i)) for i in range(300))]:
+        for graph in frozen_graphs(program):
+            assert graph._preds is None
+            assert list(graph._pred.items()) == list(predecessors_by_edges(graph).items()), program
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 299), st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+                                     max_size=6))
+@example(0, [(False, 0, 1)])
+@example(0, [(True, 0, 0), (False, 0, 1)])
+def test_add_edge_and_add_vertex_on_a_frozen_graph_keep_its_predecessors(i, ops):
+    """A frozen graph whose index is unbuilt, or built, takes the same
+    add_vertex and add_edge calls as the add_edge rebuild of its CFG JSON,
+    and ends with the same successor and predecessor lists."""
+    frozen, _ = cfg_from_source(with_jumps(random.Random(i)))
+    graphs = [frozen, cfg_from_json_by_add_edge(cfg_json_dict(frozen))]
+    if i % 2:
+        frozen.predecessors(frozen.start)  # builds the index before the calls
+    for graph in graphs:
+        for new, a, b in ops:
+            ids = list(graph.labels)
+            if new:
+                graph.add_vertex("x", max(ids) + 1)
+            else:
+                graph.add_edge(ids[a % len(ids)], ids[b % len(ids)])
+    got, want = ([(v, list(g._succ[v]), list(g._pred[v])) for v in g.labels] for g in graphs)
+    assert got == want
+
+
+def test_decomposing_from_source_leaves_the_predecessor_index_unbuilt():
+    cfg, forest = cfg_from_source(generate_random_program(1, 300))
+    build_decomposition(cfg, loop_regions(cfg, forest)).to_json()
+    assert cfg._preds is None
 
 
 # -- contraction --------------------------------------------------------------

@@ -122,6 +122,12 @@ def sources(draw):
 @example("while 12ab { }")
 @example("a;\xa0b;")
 @example("x1y; 2z;")
+@example("a;\x0bb;\x0cwhile\x1cc\x1d{\x1ed;\x1f}")
+@example("12ab; while 1_ { }")
+@example("do { a; } while 1_;")
+@example("a; // 1_ { $\nb; //")
+@example("while c { $ }")
+@example("a;\xa0b;\u2028while c {\xa0}\u2028")
 def test_tokens_and_error_positions_equal_the_running_counter(source):
     """Tokens, ASTs and every ParseError's message, line and column equal
     those of the recursive descent parser over the running-counter tokens,
@@ -144,6 +150,19 @@ def test_tokens_and_error_positions_equal_the_running_counter(source):
         assert str(err).endswith(f"(line {err.line}, col {err.col})")
         return
     assert parse_program(source) == want
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    ("a;\n  b; $;", "unexpected character '$'", 2, 6),
+    ("a;\x0b\x1c$", "unexpected character '$'", 1, 5),
+    ("a;\n while 12ab { }", "expected '{', found 'ab'", 2, 10),
+    ("do { a; }\n\twhile 12ab;", "expected ';', found 'ab'", 2, 10),
+])
+def test_error_positions_of_a_stray_character_and_a_digit_led_word(source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line {line}, col {col})", line, col)
 
 
 @pytest.mark.parametrize("comments", [False, True], ids=["plain", "commented"])
