@@ -37,6 +37,9 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SIZES = (10, 12, 16, 25, 40, 60, 100, 150, 220, 300)
 SEEDS = (1, 2, 3, 4, 5)
 ORACLE_MAX_VERTICES = 15
+# Commands that run the exact solver, only on graphs of at most
+# ORACLE_MAX_VERTICES vertices.
+SOLVER_COMMANDS = ("oracle", "play-optimal")
 # A loop that ends in a break after a nested loop: its natural body stops
 # before the nested loop, which still nests inside it.
 REPRODUCER = "while p { if q { continue; } while r { a; } break; }\n"
@@ -48,6 +51,7 @@ COMMANDS = {
     "decompose-contract": (["decompose", "--contract"], []),
     "validate-d3": (["validate", "--d3"], []),
     "play": (["play", "--robber", "lazy"], []),
+    "play-optimal": (["play", "--robber", "optimal"], []),
     "lift": (["lift", "--m", "2", "--game-out", "{game}"], ["game"]),
     "lift-m4": (["lift", "--m", "4", "--seed", "3", "--game-out", "{game}"], ["game"]),
     "oracle": (["oracle"], []),
@@ -108,7 +112,7 @@ def digests(name: str, source: str | ControlFlowGraph) -> dict[str, dict]:
         for kind in kinds:
             input_path = cfg_json if kind == "cfg-json" else work / "prog.spl"
             for command in COMMANDS:
-                if command == "oracle" and not small:
+                if command in SOLVER_COMMANDS and not small:
                     continue
                 out[f"{kind}/{command}"] = _run(command, input_path, kind, work)
     return out
