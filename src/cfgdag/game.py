@@ -20,7 +20,7 @@ entry guard into a nested loop, "4b" chase to stop, "4a" capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 
 from ._graph import components, layers, reachable
 from ._json import dumps
@@ -207,28 +207,18 @@ class OptimalCops:
         return frozenset(x for x in self.slots if x is not None)
 
     def move(self, r: int) -> tuple[tuple, str]:
-        s = self.solver
-        bits = s.bits
+        bits = self.solver.bits
         placed = self._placed()
-        x = bits.of(placed)
-        f = bits.of(self.vacated)
-        best = None
-        for x2 in s.winning_moves(x, bits.index[r], f):
-            best = x2
-            break
-        if best is None:
-            # No winning move exists; land on the robber when allowed to
-            # at least force it to run.
-            if r not in self.vacated and r not in placed:
-                target = placed | {r}
-                while len(target) > self.k:
-                    dropped = max(target - {r})
-                    target = target - {dropped}
-                best = bits.of(target)
-        if best is not None:
-            new = bits.set_of(best)
-            self.vacated |= placed - new
-            self._assign(new)
+        wins = self.solver.winning_moves(bits.of(placed), bits.index[r], bits.of(self.vacated))
+        if wins:
+            new = bits.set_of(wins[0])
+        elif r not in self.vacated and r not in placed:
+            # No winning move: land on the robber to at least force it to run.
+            new = {r, *sorted(placed)[:self.k - 1]}
+        else:
+            new = placed
+        self.vacated |= placed - new
+        self._assign(new)
         return tuple(self.slots), "search"
 
     def _assign(self, new: set) -> None:
@@ -381,15 +371,15 @@ class VertexBits:
         return m
 
     def set_of(self, mask: int) -> set:
-        # Peeling the lowest bit copies the mask, so this is meant for masks
-        # of a few bits, such as the k cops of a move.
-        order = self.order
-        out = set()
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out.add(order[b.bit_length() - 1])
-        return out
+        return {self.order[i] for i in _bits(mask)}
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
 
 
 def _adjacency(graph) -> tuple[list[int], dict[int, list[int]]]:
@@ -414,7 +404,7 @@ class PursuitSolver:
     reach(b, x2) is beaten as well and is not searched. Skipping stand-still
     cop moves is safe: they help only the robber.
 
-    Monotonicity forbids the cops to land on a vacated vertex. Three facts
+    Monotonicity forbids the cops to land on a vacated vertex. Four facts
     take the vacated set f out of the search, which is keyed by (x, R):
     1. If R meets f, the robber wins at once: every stay set lies within x,
        so the robber still reaches a vertex of f, runs there, and no cop may
@@ -433,9 +423,13 @@ class PursuitSolver:
        keeps the region within R (by 2) and shrinks x. So the search is
        acyclic, plain memoisation is sound, and the cops' play is monotone
        by itself.
+    4. A stay set S loses at once when reach(r, S) meets x - S: the robber
+       runs onto a vertex that a cop just left, as in 1. So a move is a stay
+       set that passes this test, then landings off x (in R, by 2).
 
-    Only cops_win and winning_moves, where a caller enters the game, read f;
-    winning_moves yields every legal move, landings outside R | x too.
+    Only cops_win and winning_moves, where a caller enters the game, read f.
+    winning_moves lists the winning moves, landings outside R | x too, by
+    (not a capture, number of cops, ascending vertex bits).
 
     max_states bounds the memo, counted in (cops, robber region) states.
     """
@@ -452,9 +446,6 @@ class PursuitSolver:
         self.memo: dict[tuple[int, int], bool] = {}
         # blocked mask -> reach from each vertex index, 0 until walked
         self._reach_rows: dict[int, list[int]] = {}
-        # every placement of at most k cops, by size, then in combinations order
-        singles = [1 << i for i in range(self.n)]
-        self._placements = [sum(c) for size in range(k + 1) for c in combinations(singles, size)]
 
     def _reach(self, r: int, blocked: int) -> int:
         """Vertices the robber at index r reaches on paths avoiding blocked."""
@@ -494,37 +485,44 @@ class PursuitSolver:
             raise SearchBudgetError(
                 f"memo exceeded {self.max_states} (cops, robber region) states at k={self.k}"
             )
-        result = False
-        for x2 in self._ordered_moves(x, r, ~(region | x)):
-            if self._move_wins(x, r, x2):
-                result = True
-                break
-        self.memo[key] = result
+        self.memo[key] = result = any(starmap(self._move_wins, self._ordered_moves(x, r, region)))
         return result
 
-    def winning_moves(self, x: int, r: int, f: int):
-        """Yield cop moves from which the cops force capture."""
+    def winning_moves(self, x: int, r: int, f: int) -> list[int]:
+        """Cop moves from which the cops force capture, in the order above."""
         if self._reach(r, x) & f:
-            return
-        for x2 in self._ordered_moves(x, r, f):
-            if self._move_wins(x, r, x2):
-                yield x2
+            return []
+        land = ~(f | x) & ((1 << self.n) - 1)
+        wins = [x2 for x2, dests in self._ordered_moves(x, r, land) if self._move_wins(x2, dests)]
+        return sorted(wins, key=lambda x2: (not x2 >> r & 1, x2.bit_count(), list(_bits(x2))))
 
-    def _ordered_moves(self, x: int, r: int, forbidden: int):
+    def _ordered_moves(self, x: int, r: int, land: int):
+        """Yield (x2, where the robber may stand next) for each cop move x2 other
+        than x: a stay set that passes fact 4, then landings on land, captures first."""
+        stays, s = [], 0
+        while True:  # each S within x, ascending
+            if not (reach := self._reach(r, s)) & x & ~s:
+                stays.append((s, reach))
+            if s == x:
+                break
+            s = (s - x) & x
         rbit = 1 << r
-        for x2 in self._placements:  # capture attempts first
-            if x2 & rbit and not x2 & forbidden and x2 != x:
-                yield x2
-        for x2 in self._placements:
-            if not x2 & (rbit | forbidden) and x2 != x:
-                yield x2
+        others = []  # the landings other than r, listed on first use
+        for capture in ((rbit, 0) if land & rbit else (0,)):
+            for s, reach in stays:
+                x2 = s | capture
+                room = self.k - x2.bit_count()
+                if x2 != x and room >= 0:
+                    yield x2, reach & ~x2
+                for size in range(1, room + 1):
+                    others = others or [1 << i for i in _bits(land & ~rbit)]
+                    for c in combinations(others, size):
+                        x3 = x2 | sum(c)
+                        yield x3, reach & ~x3
 
-    def _move_wins(self, x: int, r: int, x2: int) -> bool:
-        dests = self._reach(r, x & x2) & ~x2
-        if dests == 0:
-            return True  # the robber has nowhere left to stand
-        if dests & x:
-            return False  # the robber reaches a vertex a cop just left
+    def _move_wins(self, x2: int, dests: int) -> bool:
+        """True iff the cops at x2 beat the robber at every vertex of dests
+        (with none, it has nowhere left to stand)."""
         while dests:
             b = (dests & -dests).bit_length() - 1
             if not self.cops_win(x2, b):

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -554,6 +555,38 @@ def test_copies_of_g_in_series_need_three_cops_in_few_states(copies, vertices):
     assert brute_force_cop_number(cfg, 4, max_states=1_000) == 3
 
 
+def test_copies_of_g_inside_one_while_need_three_cops_in_few_states(monkeypatch):
+    """Eight copies of G inside one while form one 89-vertex component.
+    Refuting two cops there took 8.2 s while every state scanned a table of
+    all placements (Python 3.11, shared 2-vCPU VM)."""
+    import cfgdag.game as game
+
+    solvers = []
+
+    class Recording(PursuitSolver):
+        def __init__(self, vertices, succ, k, **kwargs):
+            super().__init__(vertices, succ, k, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(game, "PursuitSolver", Recording)
+    cfg, _ = cfg_from_source(f"while z {{ {' '.join([G] * 8)} }}")
+    assert brute_force_cop_number(cfg, 4, max_states=10_000) == 3
+    assert [(s.n, s.k, len(s.memo)) for s in solvers] == [(89, 2, 6_238), (89, 3, 89)]
+
+
+def test_solver_builds_no_table_of_placements():
+    """A 200-vertex cycle has 1,333,501 placements of at most three cops;
+    listing them all took 73.7 MiB."""
+    vertices, succ = _adjacency({v: [(v + 1) % 200] for v in range(200)})
+    tracemalloc.start()
+    try:
+        PursuitSolver(vertices, succ, k=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_each_component_search_starts_at_the_most_cops_so_far(monkeypatch):
     """G's component comes first and needs three cops, so the loop after it
     is searched at three, not two."""
@@ -575,6 +608,23 @@ def test_each_component_search_starts_at_the_most_cops_so_far(monkeypatch):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(small_programs(), st.integers(1, 3), st.data())
 def test_region_solver_equals_the_vertex_solver_on_programs(cfg, k, data):
+    _assert_solvers_agree(cfg, k, data)
+
+
+@st.composite
+def small_programs_with_jumps(draw):
+    """Control-flow graphs of at most 13 vertices from with_jumps programs."""
+    seed = draw(st.integers(0, 10**6))
+    while True:
+        cfg, _ = cfg_from_source(with_jumps(random.Random(seed)))
+        if cfg.n_vertices <= 13:
+            return cfg
+        seed += 1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_programs_with_jumps(), st.integers(1, 3), st.data())
+def test_region_solver_equals_the_vertex_solver_on_programs_with_jumps(cfg, k, data):
     _assert_solvers_agree(cfg, k, data)
 
 
