@@ -444,16 +444,12 @@ class PursuitSolver:
         for v, ws in succ.items():
             self.succ_mask[self.bits.index[v]] = self.bits.of(ws)
         self.memo: dict[tuple[int, int], bool] = {}
-        # blocked mask -> reach from each vertex index, 0 until walked
-        self._reach_rows: dict[int, list[int]] = {}
+        # (robber index, blocked mask) -> reach, for the pairs walked so far
+        self._reaches: dict[tuple[int, int], int] = {}
 
     def _reach(self, r: int, blocked: int) -> int:
         """Vertices the robber at index r reaches on paths avoiding blocked."""
-        row = self._reach_rows.get(blocked)
-        if row is None:
-            row = self._reach_rows[blocked] = [0] * self.n
-        reach = row[r]
-        if reach:
+        if reach := self._reaches.get((r, blocked)):
             return reach
         reach = frontier = 1 << r
         succ_mask = self.succ_mask
@@ -465,7 +461,7 @@ class PursuitSolver:
                 nxt |= succ_mask[b.bit_length() - 1]
             frontier = nxt & ~blocked & ~reach
             reach |= frontier
-        row[r] = reach
+        self._reaches[r, blocked] = reach
         return reach
 
     # -- game values -------------------------------------------------------

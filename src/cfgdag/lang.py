@@ -75,12 +75,12 @@ KEYWORDS = frozenset({"if", "else", "while", "do", "break", "continue", "return"
 _JUMPS = {"break": Break, "continue": Continue, "return": Return}
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
-# A token or a comment. In a source that holds no stray character, only
+_COMMENT = re.compile(r"//[^\n]*")
+# A token. In an uncommented source that holds no stray character, only
 # whitespace lies between the matches.
-_TOKEN = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]")
-# A token, a comment or whitespace: finditer leaves a gap at the first stray
-# character.
-_SPELL = re.compile(r"//[^\n]*|\d+|[A-Za-z_]\w*|[{};]|\s+")
+_TOKEN = re.compile(r"\d+|[A-Za-z_]\w*|[{};]")
+# A token or whitespace: finditer leaves a gap at the first stray character.
+_SPELL = re.compile(r"\d+|[A-Za-z_]\w*|[{};]|\s+")
 # The class of each ASCII character: "0" a digit, "a" a letter or "_", " "
 # whitespace (str.isspace, as re's \s), a brace or a semicolon, "!" any other.
 _CLASSES = bytes.maketrans(bytes(range(128)), "".join(
@@ -92,17 +92,18 @@ def tokenize(source: str) -> list[str]:
     """The texts of the tokens of source, in order; a keyword is its own
     token, and comments and whitespace are dropped.
 
-    A plain source is split in C: its bytes, "?" for each character outside
-    ASCII, translate by _CLASSES to neither a "!" (a comment, a stray or a
-    non-ASCII character) nor a "0a" (a digit before a letter or "_"). There
-    no word run that starts with a digit holds a letter, so each maximal run
-    of ASCII word characters is one token; with each brace and semicolon
-    padded by spaces, str.split gives the tokens. Any other source, "12ab"
-    and "x1y" among them, takes the regex walk.
+    Comments are blanked first. A plain source is split in C: its bytes,
+    "?" for each non-ASCII character, translate by _CLASSES to neither a "!"
+    (a stray or a non-ASCII character) nor a "0a" (a digit before a letter
+    or "_"). There no word run that starts with a digit holds a letter, so
+    each maximal run of ASCII word characters is one token; with each brace
+    and semicolon padded by spaces, str.split gives the tokens. Any other
+    source, "12ab" and "x1y" among them, takes the regex walk.
 
     Tokens carry no position: a ParseError finds the offset of the one token
     it reports by scanning the source again.
     """
+    source = _uncomment(source)
     classes = source.encode("ascii", "replace").translate(_CLASSES)
     if b"!" in classes:
         stray = _first_stray(source)
@@ -110,15 +111,17 @@ def tokenize(source: str) -> list[str]:
             raise _error_at(source, stray, f"unexpected character {source[stray]!r}")
     elif b"0a" not in classes:
         return source.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
-    tokens = _TOKEN.findall(source)
-    if "//" in source:
-        tokens = [t for t in tokens if not t.startswith("//")]
-    return tokens
+    return _TOKEN.findall(source)
+
+
+def _uncomment(source: str) -> str:
+    """source, each comment replaced by as many spaces, so offsets hold."""
+    return _COMMENT.sub(lambda m: " " * len(m[0]), source) if "/" in source else source
 
 
 def _first_stray(source: str) -> int | None:
-    """The offset of the first character that no token, comment or
-    whitespace spells, or None.
+    """The offset of the first character of an uncommented source that no
+    token or whitespace spells, or None.
 
     The source is walked token by token; tokenize calls this only for a
     source that holds a character outside ASCII words, braces, semicolons
@@ -141,8 +144,7 @@ def _token_error(source: str, index: int, message: str) -> ParseError:
     """A ParseError at token number index; one past the last token is the end
     of input."""
     pos = len(source)
-    tokens = (m for m in _TOKEN.finditer(source) if not m.group().startswith("//"))
-    for i, m in enumerate(tokens):
+    for i, m in enumerate(_TOKEN.finditer(_uncomment(source))):
         if i == index:
             pos = m.start()
             break

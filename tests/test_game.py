@@ -26,7 +26,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
-from cfgdag._graph import reachable
+from cfgdag._graph import components, reachable
 from cfgdag.game import _adjacency, cop_monotone_violations
 from helpers import (
     PursuitSolverByVertex,
@@ -585,6 +585,24 @@ def test_solver_builds_no_table_of_placements():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_solver_keeps_only_the_reaches_it_walks():
+    """Six copies of G inside one while form one 67-vertex component. Keeping
+    a list of one reach per vertex for every blocked mask met held 1.9 MiB
+    there after refuting two cops."""
+    vertices, succ = _adjacency(cfg_from_source(f"while z {{ {' '.join([G] * 6)} }}")[0])
+    [comp] = [comp for comp in components(vertices, succ) if len(comp) > 1]
+    induced = {v: [w for w in succ[v] if w in comp] for v in comp}
+    tracemalloc.start()
+    try:
+        solver = PursuitSolver(comp, induced, 2)
+        assert solver.robber_safe_somewhere()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (solver.n, len(solver.memo)) == (67, 3_559)
+    assert live < 1.4 * (1 << 20), live / (1 << 20)
 
 
 def test_each_component_search_starts_at_the_most_cops_so_far(monkeypatch):

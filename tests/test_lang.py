@@ -168,7 +168,7 @@ def test_error_positions_of_a_stray_character_and_a_digit_led_word(source, messa
 @pytest.mark.parametrize("comments", [False, True], ids=["plain", "commented"])
 def test_tokenize_allocates_little_beyond_its_tokens(comments):
     """tokenize keeps little beyond its tokens, on the split path of a plain
-    source and on the stray check's token walk of a commented one."""
+    source and of a commented one, whose comments are blanked first."""
     source = generate_random_program(5, 2 * 10**4)
     if comments:
         source = source.replace(";\n", "; // done\n")
@@ -180,3 +180,17 @@ def test_tokenize_allocates_little_beyond_its_tokens(comments):
         tracemalloc.stop()
     assert len(tokens) > 10**4
     assert peak < 12 * len(source), peak / len(source)
+
+
+def test_a_commented_plain_source_is_split_without_a_regex_walk(monkeypatch):
+    """Comments are blanked before the stray check, so a commented source
+    that holds only ASCII words, braces and semicolons takes the split
+    path."""
+    source = generate_random_program(5, 2000)
+    expected = lang.tokenize(source)
+
+    def no_walk(source):
+        raise AssertionError("regex walk")
+
+    monkeypatch.setattr(lang, "_first_stray", no_walk)
+    assert lang.tokenize(source.replace(";\n", "; // done\n")) == expected
