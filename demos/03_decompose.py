@@ -40,5 +40,5 @@ for n in sorted(decomp.nodes):
     bag = ", ".join(cfg.labels[v] for v in sorted(decomp.bags[n]))
     print(f"  node {cfg.labels[n]:<9} bag {{{bag}}}")
 
-report = validate_cfg_decomposition(decomp, cfg, with_d3=True)
+report = validate_cfg_decomposition(decomp, cfg)
 print("\nvalidator:", "valid" if report.valid else "INVALID", report.to_json_dict())

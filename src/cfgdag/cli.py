@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a decomposition; exit 0 iff valid")
     _add_input_args(p)
     p.add_argument("--decomp", help="decomposition JSON (default: construct fresh)")
-    p.add_argument("--d3", action="store_true", help="also evaluate the guarding form")
 
     p = sub.add_parser("play", help="run a pursuit and emit the trace JSON")
     _add_input_args(p)
@@ -210,7 +209,7 @@ def run(args) -> int:
             decomp = DagDecomposition.from_json(_read(args.decomp))
         else:
             decomp = build_decomposition(cfg, forest)
-        report = validate_cfg_decomposition(decomp, cfg, with_d3=args.d3)
+        report = validate_cfg_decomposition(decomp, cfg)
         _write((args.out, report.to_json))
         return 0 if report.valid else 1
 

@@ -4,9 +4,11 @@ Two formulations of the edge-covering condition are implemented. The
 per-arc/per-source form asks that whenever a vertex u is introduced at a
 node j, every graph edge (u, v) has v in some bag at or below j. The
 guarding form asks that for every arc (i, j) the intersection of the two
-bags guards everything at or below j that is missing from bag i. They are
-equivalent on decompositions satisfying connectivity; the test suite checks
-the equivalence empirically on valid and randomly damaged samples.
+bags guards everything at or below j that is missing from bag i; it is
+condition (D3) of Berwanger et al. Every validation decides both, and the
+report gives the guarding form as d3_original. They are equivalent on
+decompositions satisfying connectivity; the test suite checks the
+equivalence empirically on valid and randomly damaged samples.
 
 Connectivity and the per-arc/per-source form ask one question many times:
 does node j reach, itself included, a node whose bag holds v? One DFS over
@@ -64,7 +66,7 @@ class ValidationReport:
     connectivity: bool
     edges_covered_3a: bool  # source bags cover their vertices' edges
     edges_covered_3b: bool  # arcs cover their introduced vertices' edges
-    d3_original: bool | None  # guarding form; None when not evaluated
+    d3_original: bool  # guarding form of edge covering (D3)
     width: int
     violations: list[tuple[str, tuple]] = field(default_factory=list)
 
@@ -161,10 +163,6 @@ def _sources(decomp: DagDecomposition) -> list[int]:
     return [n for n in decomp.nodes if n not in has_pred]
 
 
-def check_vertices_covered(decomp: DagDecomposition, vertices) -> bool:
-    return set().union(*decomp.bags.values()) == set(vertices)
-
-
 def _connectivity(decomp: DagDecomposition, reaches) -> list:
     violations = []
     bags = decomp.bags
@@ -222,26 +220,17 @@ def _dropped_target(decomp: DagDecomposition, edges: list, reaches, conn_violati
                for _, (i, j, v) in conn_violations for u in preds.get(v, ()))
 
 
-def validate_decomposition(
-    decomp: DagDecomposition,
-    vertices,
-    edges,
-    with_d3: bool = False,
-) -> ValidationReport:
+def validate_decomposition(decomp: DagDecomposition, vertices, edges) -> ValidationReport:
     """Run every check against the given graph and collect witnesses."""
     edges = list(edges)
     succ, post = _dfs_order(decomp)
     acyclic = post is not None
     width = decomp.width()
-    covered = check_vertices_covered(decomp, vertices)
-    violations: list[tuple[str, tuple]] = []
-    if not covered:
-        missing = set(vertices) - set().union(*decomp.bags.values())
-        extra = set().union(*decomp.bags.values()) - set(vertices)
-        for v in sorted(missing):
-            violations.append(("vertices_covered_missing", (v,)))
-        for v in sorted(extra):
-            violations.append(("vertices_covered_extra", (v,)))
+    union, vertices = set().union(*decomp.bags.values()), set(vertices)
+    violations: list[tuple[str, tuple]] = [
+        ("vertices_covered_missing", (v,)) for v in sorted(vertices - union)]
+    violations += [("vertices_covered_extra", (v,)) for v in sorted(union - vertices)]
+    covered = not violations
 
     if acyclic:
         reaches = _reach_query(decomp.bags, succ, post)
@@ -250,12 +239,9 @@ def validate_decomposition(
         violations.extend(conn_viol)
         ok_a, ok_b, edge_viol = _edges_covered(decomp, edges, reaches)
         violations.extend(edge_viol)
-        d3 = None
-        if with_d3:
-            d3 = ok_a and ok_b and not _dropped_target(decomp, edges, reaches, conn_viol)
+        d3 = ok_a and ok_b and not _dropped_target(decomp, edges, reaches, conn_viol)
     else:
-        conn_ok = ok_a = ok_b = False
-        d3 = False if with_d3 else None
+        conn_ok = ok_a = ok_b = d3 = False
         violations.append(("acyclic", ()))
 
     return ValidationReport(
@@ -270,5 +256,5 @@ def validate_decomposition(
     )
 
 
-def validate_cfg_decomposition(decomp: DagDecomposition, cfg, with_d3: bool = False) -> ValidationReport:
-    return validate_decomposition(decomp, cfg.vertex_ids(), cfg.edges(), with_d3=with_d3)
+def validate_cfg_decomposition(decomp: DagDecomposition, cfg) -> ValidationReport:
+    return validate_decomposition(decomp, cfg.vertex_ids(), cfg.edges())

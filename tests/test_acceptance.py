@@ -313,7 +313,7 @@ def test_criterion_07_condition_equivalence():
         edges = list(cfg.edges())
         samples = [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]
         for s in samples:
-            report = validate_decomposition(s, cfg.vertex_ids(), edges, with_d3=True)
+            report = validate_decomposition(s, cfg.vertex_ids(), edges)
             if not report.vertices_covered or not report.connectivity:
                 excluded += 1  # the equivalence argument requires connectivity
                 continue

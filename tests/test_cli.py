@@ -287,6 +287,9 @@ BAD_FOREST_JSON = [
     (lambda data: data["loops"][2].update(entry=8), "vertex 8 is both a loop entry and a loop exit"),
     (lambda data: data["loops"][2].update(entry=99), "loop at entry 99: entry 99 is not a vertex of the graph"),
     (lambda data: data["loops"][2].update(exit=99), "loop at entry 9: exit 99 is not a vertex of the graph"),
+    (lambda data: data["loops"][2].update(entry="9"), "loop 2: entry '9' or exit 12 is not a vertex id"),
+    (lambda data: data["loops"][2].update(exit=12.0), "loop 2: entry 9 or exit 12.0 is not a vertex id"),
+    (lambda data: data["loops"][2].update(exit=True), "loop 2: entry 9 or exit True is not a vertex id"),
 ]
 
 
@@ -822,7 +825,7 @@ def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
         "i/o error: bad loop forest JSON: loop at entry 9 is nested under")
 
 
-@pytest.mark.parametrize("argv", [["decompose"], ["validate", "--d3"], ["export-dot"]])
+@pytest.mark.parametrize("argv", [["decompose"], ["validate"], ["export-dot"]])
 def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps(IRREDUCIBLE_CFG_JSON))

@@ -176,7 +176,7 @@ def test_fixture_decomposition_valid_width_three():
     cfg, forest = two_loop_cfg()
     d = build_decomposition(cfg, forest)
     assert d.width() == 3
-    report = validate_cfg_decomposition(d, cfg, with_d3=True)
+    report = validate_cfg_decomposition(d, cfg)
     assert report.valid and report.d3_original
 
 
@@ -214,7 +214,7 @@ def test_loop_exited_only_by_break():
     cfg, forest, _ = pipeline("while 1 { a; if c { break; } b; }")
     d = build_decomposition(cfg, forest)
     assert d.width() == 3
-    assert validate_cfg_decomposition(d, cfg, with_d3=True).valid
+    assert validate_cfg_decomposition(d, cfg).valid
 
 
 def test_deep_nesting_stays_width_three():
@@ -222,7 +222,7 @@ def test_deep_nesting_stays_width_three():
     cfg, forest, _ = pipeline(src)
     d = build_decomposition(cfg, forest)
     assert d.width() == 3
-    assert validate_cfg_decomposition(d, cfg, with_d3=True).valid
+    assert validate_cfg_decomposition(d, cfg).valid
 
 
 @pytest.mark.parametrize(
@@ -242,7 +242,7 @@ def test_degenerate_loops_stay_valid(src, loops, width):
     d = build_decomposition(cfg, forest)
     assert len(forest.elements) == loops
     assert d.width() == width
-    assert validate_cfg_decomposition(d, cfg, with_d3=True).valid
+    assert validate_cfg_decomposition(d, cfg).valid
 
 
 def test_contracted_graphs_decompose_too():

@@ -10,6 +10,7 @@ from cfgdag import (
     ControlFlowGraph,
     IllegalMoveError,
     LazyRobber,
+    LoopForest,
     LoopGuardStrategy,
     OptimalCops,
     OptimalRobber,
@@ -158,6 +159,15 @@ def test_lazy_robber_trapped_reports_capture():
     cfg, forest, _ = pipeline("a;")
     robber = LazyRobber(cfg, start=cfg.stop)
     assert robber.move(cfg.stop, frozenset({cfg.stop}), frozenset()) == cfg.stop
+
+
+def test_constructors_refuse_a_forest_without_owners_and_an_unknown_tie():
+    """A forest read from JSON has no owner map until assign_owners runs."""
+    cfg, _, _ = pipeline("while c { a; }")
+    with pytest.raises(ValueError, match="loop forest has no owner map"):
+        LoopGuardStrategy(cfg, LoopForest())
+    with pytest.raises(ValueError, match=r"^tie must be 'low' or 'high'$"):
+        LazyRobber(cfg, tie="mid")
 
 
 @st.composite

@@ -49,7 +49,7 @@ COMMANDS = {
     "build": (["build", "--forest-out", "{forest}"], ["forest"]),
     "decompose": (["decompose"], []),
     "decompose-contract": (["decompose", "--contract"], []),
-    "validate-d3": (["validate", "--d3"], []),
+    "validate": (["validate"], []),
     "play": (["play", "--robber", "lazy"], []),
     "play-optimal": (["play", "--robber", "optimal"], []),
     "lift": (["lift", "--m", "2", "--game-out", "{game}"], ["game"]),

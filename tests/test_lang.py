@@ -157,6 +157,10 @@ def test_tokens_and_error_positions_equal_the_running_counter(source):
     ("a;\x0b\x1c$", "unexpected character '$'", 1, 5),
     ("a;\n while 12ab { }", "expected '{', found 'ab'", 2, 10),
     ("do { a; }\n\twhile 12ab;", "expected ';', found 'ab'", 2, 10),
+    ("{ a; }", "unexpected '{'", 1, 1),
+    (";", "unexpected ';'", 1, 1),
+    ("a;\n  }", "unexpected '}'", 2, 3),
+    ("a; 5;", "unexpected '5'", 1, 4),
 ])
 def test_error_positions_of_a_stray_character_and_a_digit_led_word(source, message, line, col):
     with pytest.raises(ParseError) as err:

@@ -17,7 +17,6 @@ from cfgdag import (
     validate_cfg_decomposition,
     validate_decomposition,
 )
-from cfgdag.validate import check_vertices_covered
 from helpers import (
     connectivity_by_triples,
     d3_by_scan,
@@ -47,7 +46,7 @@ def report_on_bags(d, edges=()):
 
 def test_vertices_covered_on_construction():
     cfg, d = while_decomp()
-    assert check_vertices_covered(d, cfg.vertex_ids())
+    assert validate_cfg_decomposition(d, cfg).vertices_covered
 
 
 def test_vertices_covered_detects_missing():
@@ -143,7 +142,7 @@ def test_d3_on_constructions():
     for seed in range(25):
         cfg, forest, _ = pipeline(generate_random_program(seed, 40))
         d = build_decomposition(cfg, forest)
-        report = validate_cfg_decomposition(d, cfg, with_d3=True)
+        report = validate_cfg_decomposition(d, cfg)
         assert report.edges_covered_3a and report.edges_covered_3b
         assert report.d3_original
 
@@ -156,7 +155,7 @@ def test_only_an_edge_from_outside_bag_i_is_a_dropped_target():
     for bag_0, guarded in [({0, 1, 2}, True), ({0, 2}, False)]:
         d = DagDecomposition(nodes=[0, 1, 2], arcs=[(0, 1), (1, 2)],
                              bags={0: frozenset(bag_0), 1: frozenset({1}), 2: frozenset({2})})
-        report = validate_decomposition(d, [0, 1, 2], edges, with_d3=True)
+        report = validate_decomposition(d, [0, 1, 2], edges)
         assert report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
         assert report.d3_original is d3_by_scan(d, edges) is guarded
 
@@ -187,7 +186,7 @@ def test_equivalence_of_both_edge_covering_forms():
         d = build_decomposition(cfg, forest)
         samples = [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(3)]
         for s in samples:
-            report = validate_cfg_decomposition(s, cfg, with_d3=True)
+            report = validate_cfg_decomposition(s, cfg)
             if not report.vertices_covered or not report.connectivity:
                 skipped += 1  # the equivalence argument needs connectivity
                 continue
@@ -206,7 +205,7 @@ def test_guarding_form_agrees_with_the_edge_scan_oracle():
         base = build_decomposition(cfg, forest)
         edges = list(cfg.edges())
         for s in [base] + [_perturb(base, rng, cfg.vertex_ids()) for _ in range(4)]:
-            report = validate_cfg_decomposition(s, cfg, with_d3=True)
+            report = validate_cfg_decomposition(s, cfg)
             assert report.d3_original == d3_by_scan(s, edges), seed
 
 
@@ -251,7 +250,7 @@ def test_edge_covering_matches_direct_definition():
 
 def test_report_json_shape():
     cfg, d = while_decomp()
-    report = validate_cfg_decomposition(d, cfg, with_d3=True)
+    report = validate_cfg_decomposition(d, cfg)
     data = report.to_json_dict()
     assert data["valid"] and data["width"] == 3
     assert set(data) == {
@@ -301,17 +300,16 @@ def test_validation_orders_once_with_and_without_d3(monkeypatch):
     rng = random.Random(3)
     for s in [d] + [_perturb(d, rng, cfg.vertex_ids()) for _ in range(20)]:
         calls.clear()
-        report = validate_cfg_decomposition(s, cfg, with_d3=True)
+        report = validate_cfg_decomposition(s, cfg)
         assert len(calls) == 1
         assert report.d3_original == d3_by_scan(s, edges)
 
 
-@pytest.mark.parametrize("with_d3", [False, True])
-def test_validation_memory_grows_linearly(with_d3):
+def test_validation_memory_grows_linearly():
     """The tracemalloc peak of one validate, at 10^4 and 3x10^4 statements.
     One reach mask of V bits per node grew 7.8x here, and the two masks per
     node that once decided the guarding form 7.9x; the reach queries grow
-    3.6x, with the guarding form or without it."""
+    3.6x."""
     peaks = []
     for n in (10**4, 3 * 10**4):
         cfg, forest = cfg_from_source(generate_random_program(424242, n))
@@ -319,8 +317,8 @@ def test_validation_memory_grows_linearly(with_d3):
         d = build_decomposition(cfg, forest)
         tracemalloc.start()
         try:
-            report = validate_cfg_decomposition(d, cfg, with_d3=with_d3)
-            assert report.valid and report.d3_original is (True if with_d3 else None)
+            report = validate_cfg_decomposition(d, cfg)
+            assert report.valid and report.d3_original is True
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -391,13 +389,13 @@ DROPPED_TARGET_SOURCE = ("if c1 { a2; a3; a4; } a5; do { a7; a8; do { a10; } whi
 
 @pytest.mark.parametrize("kind", ["construction", "damaged", "lifted", "shuffled"])
 def test_reach_queries_give_the_reports_of_the_masks(kind):
-    """Whole reports, violations in order; with_d3 is drawn too, and then the
-    guarding form must match the scan of every guard against every edge."""
+    """Whole reports, violations in order; the guarding form must match the
+    scan of every guard against every edge."""
     dropped_target_only = []
 
-    def compare(d, vertices, edges, with_d3):
-        report = validate_decomposition(d, vertices, edges, with_d3=with_d3)
-        assert report == validate_by_masks(d, vertices, edges, with_d3=with_d3)
+    def compare(d, vertices, edges):
+        report = validate_decomposition(d, vertices, edges)
+        assert report == validate_by_masks(d, vertices, edges, with_d3=True)
         if (report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
                 and report.d3_original is False):
             dropped_target_only.append(d)
@@ -406,7 +404,7 @@ def test_reach_queries_give_the_reports_of_the_masks(kind):
     @given(data=st.data())
     def check(data):
         d, vertices, edges = data.draw(decompositions(kind))
-        compare(d, vertices, edges, data.draw(st.booleans(), label="with_d3"))
+        compare(d, vertices, edges)
 
     check()
     if kind == "damaged":
@@ -416,5 +414,5 @@ def test_reach_queries_give_the_reports_of_the_masks(kind):
         cfg, forest, _ = pipeline(DROPPED_TARGET_SOURCE)
         d = build_decomposition(cfg, forest)
         d.bags[0] |= {4}
-        compare(d, cfg.vertex_ids(), list(cfg.edges()), True)
+        compare(d, cfg.vertex_ids(), list(cfg.edges()))
         assert d in dropped_target_only
