@@ -305,19 +305,25 @@ def test_validation_orders_once_with_and_without_d3(monkeypatch):
         assert report.d3_original == d3_by_scan(s, edges)
 
 
-def test_validation_memory_grows_linearly():
+@pytest.mark.parametrize("from_cfg", [False, True])
+def test_validation_memory_grows_linearly(from_cfg):
     """The tracemalloc peak of one validate, at 10^4 and 3x10^4 statements.
     One reach mask of V bits per node grew 7.8x here, and the two masks per
     node that once decided the guarding form 7.9x; the reach queries grow
-    3.6x."""
+    3.6x, with the CFG's vertex and edge lists read inside the peak or
+    built before it."""
     peaks = []
     for n in (10**4, 3 * 10**4):
         cfg, forest = cfg_from_source(generate_random_program(424242, n))
         loop_regions(cfg, forest)
         d = build_decomposition(cfg, forest)
+        vertices, edges = list(cfg.vertex_ids()), list(cfg.edges())
         tracemalloc.start()
         try:
-            report = validate_cfg_decomposition(d, cfg)
+            if from_cfg:
+                report = validate_cfg_decomposition(d, cfg)
+            else:
+                report = validate_decomposition(d, vertices, edges)
             assert report.valid and report.d3_original is True
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
