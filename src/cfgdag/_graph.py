@@ -1,25 +1,31 @@
-"""Graph primitives shared by the package: a DFS postorder that finds
-cycles, strongly connected components, and reachability and breadth-first
-layers around blocked vertices.
+"""Graph primitives shared by the package: one DFS postorder that also
+tells whether the graph is acyclic, strongly connected components from
+that postorder and reachability, and reachability and breadth-first
+layers around blocked vertices. Successor maps are plain mappings from a
+vertex to an iterable of vertices.
 
-Successor maps are plain mappings from a vertex to an iterable of vertices.
+Two walks keep their own loops: loops._dominator_tree needs the DFS
+tree's parents and preorder numbers, and validate._reach_query stops at
+its first hit.
 """
 
 from __future__ import annotations
 
 
-def postorder(nodes, succ) -> list | None:
-    """Postorder of one iterative DFS over succ, or None when succ has a
-    cycle (an arc back to a node on the DFS path).
+def postorder(nodes, succ) -> tuple[list, bool]:
+    """(post, acyclic): the postorder of one iterative DFS over succ, and
+    whether succ has no cycle (no arc back to a node on the DFS path).
 
     Roots are taken from the end of nodes and successors from the end of
-    their lists, so the last listed is entered first.
+    their lists, so the last listed is entered first. An arc back onto the
+    path clears acyclic and is passed over, so a cyclic graph is ordered too.
     """
     # Every node starts on the stack as a root and is pushed again for each
     # arc into it. On entry a node goes back on the stack under its
     # successors, and it is finished when it surfaces.
     finished: dict = {}  # False while on the DFS path
     post = []
+    acyclic = True
     stack = list(nodes)
     while stack:
         n = stack.pop()
@@ -30,54 +36,37 @@ def postorder(nodes, succ) -> list | None:
             heads = succ[n]
             for s in heads:
                 if finished.get(s) is False:
-                    return None
+                    acyclic = False
+                    heads = [h for h in heads if finished.get(h) is not False]
+                    break
             stack.extend(heads)
         elif not done:
             finished[n] = True
             post.append(n)
-    return post
+    return post, acyclic
 
 
 def components(nodes, succ) -> list[list]:
-    """Strongly connected components of succ, by one iterative Tarjan walk.
+    """Strongly connected components of succ, by Kosaraju's two passes: one
+    postorder, then reachable over the reversed arcs from each vertex in
+    reverse postorder that no component holds yet.
 
-    A component is listed when the walk closes it, so it comes after every
-    component it reaches. Roots are taken in the order of nodes.
+    A component is listed when a DFS that enters roots in the order of nodes
+    and successors in list order finishes it, so it comes after every
+    component it reaches.
     """
-    num: dict = {}  # entry number of each entered node
-    low: dict = {}  # open nodes only: least entry number seen below them
-    path = []  # open nodes, in entry order
+    post, _ = postorder(list(nodes)[::-1], {v: list(heads)[::-1] for v, heads in succ.items()})
+    pred: dict = {v: [] for v in post}
+    for u in post:
+        for w in succ[u]:
+            pred[w].append(u)
+    held: set = set()
     comps = []
-    for root in nodes:
-        if root in num:
-            continue
-        num[root] = low[root] = len(num)
-        path.append(root)
-        walk = [(root, iter(succ[root]))]
-        while walk:
-            v, heads = walk[-1]
-            for w in heads:
-                if w not in num:
-                    num[w] = low[w] = len(num)
-                    path.append(w)
-                    walk.append((w, iter(succ[w])))
-                    break
-                if w in low and low[w] < low[v]:
-                    low[v] = low[w]
-            else:
-                walk.pop()
-                if low[v] == num[v]:
-                    comp = []
-                    while True:
-                        w = path.pop()
-                        del low[w]
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-                elif low[v] < low[walk[-1][0]]:
-                    low[walk[-1][0]] = low[v]
-    return comps
+    for v in reversed(post):
+        if v not in held:
+            comps.append(reachable(pred, v, held))
+            held |= comps[-1]
+    return [list(comp) for comp in reversed(comps)]
 
 
 def reachable(succ, src, blocked=()) -> set:

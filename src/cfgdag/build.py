@@ -79,7 +79,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
     out: dict[int, tuple] = {}
     next_id = 0
     loops: list[_Loop] = []  # open loops, innermost last
-    unentered: list[_Loop] = []  # open do loops whose body has made no vertex yet
+    waiting: _Loop | None = None  # the open do loop whose body has made no vertex yet
     dropped: dict[LoopElement, LoopElement] = {}  # element no edge closes -> its heir
     spans: list[range] = []  # the ids of the outermost dropped elements so far
     returns: list[int] = []
@@ -88,15 +88,14 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                live: bool = False) -> int | None:
         """Take the next id. The vertex is live if it must be or if a live
         source waits for it; then record it, attach the sources, and return it."""
-        nonlocal next_id
+        nonlocal next_id, waiting
         v = next_id
         next_id += 1
         live = live or bool(sources)
-        if unentered:
-            live = live or any(loop.continues for loop in unentered)
-            for loop in unentered:
-                loop.entry = v if live else None
-            unentered.clear()
+        if waiting is not None:
+            live = live or bool(waiting.continues)
+            waiting.entry = v if live else None
+            waiting = None
         if not live:
             return None
         labels[v] = label
@@ -126,7 +125,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                 work.append((iter(node.then.body), _Branch(node, c)))
                 break
             elif kind is While or kind is DoWhile:
-                if unentered:
+                if waiting is not None:
                     # This loop's entry would also be the entry of the do
                     # loop around it; give that do loop a vertex of its own.
                     s = vertex("skip", inner, pending)
@@ -137,7 +136,7 @@ def build_cfg(ast: StructuredAst) -> tuple[ControlFlowGraph, LoopForest]:
                     c = elem.entry = vertex(str(node.cond), elem, pending)
                     pending = [c] if c is not None and node.cond != 0 else []
                 else:
-                    unentered.append(loop)
+                    waiting = loop
                 loops.append(loop)
                 inner = elem
                 work.append((iter(node.body.body), loop))

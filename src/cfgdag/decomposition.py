@@ -200,6 +200,6 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
     bags = dict(zip(nodes, map(frozenset, map(
         add, zip(nodes), map(ends.__getitem__, map(forest.owner.__getitem__, nodes))))))
 
-    if postorder(order, succ) is None:
+    if not postorder(order, succ)[1]:
         raise NotStructuredError("decomposition arcs contain a cycle")
     return DagDecomposition(nodes=nodes, arcs=arcs, bags=bags)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from ._graph import reachable
+from ._graph import postorder, reachable
 from ._json import dumps
 from .cfg import ControlFlowGraph, EdgeKind
 
@@ -149,15 +149,13 @@ class LoopForest:
 
 def _in_preorder(phi: LoopElement, elements: list[LoopElement]) -> list[LoopElement]:
     """The elements put into preorder under phi, siblings by entry id."""
-    kids: dict[LoopElement, list[LoopElement]] = {}
+    kids: dict[LoopElement, list[LoopElement]] = {elem: [] for elem in (phi, *elements)}
     for elem in sorted(elements, key=lambda e: e.entry):
-        kids.setdefault(elem.parent, []).append(elem)
-    order, stack = [], kids.get(phi, [])[::-1]
-    while stack:
-        elem = stack.pop()
-        order.append(elem)
-        stack.extend(reversed(kids.get(elem, ())))
-    return order
+        kids[elem.parent].append(elem)
+    # postorder enters the last child first, so its order read backwards,
+    # phi (last) dropped, is the preorder with siblings ascending by entry.
+    post, _ = postorder([phi], kids)
+    return post[-2::-1]
 
 
 @dataclass

@@ -117,7 +117,8 @@ def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int
             heads.sort(reverse=True)
     if len(succ) != len(decomp.nodes):
         return succ, None
-    return succ, postorder(sorted(succ), succ)
+    post, acyclic = postorder(sorted(succ), succ)
+    return succ, post if acyclic else None
 
 
 def _reach_query(bags: dict[int, frozenset], succ: dict[int, list[int]], post: list[int]):

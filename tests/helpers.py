@@ -395,6 +395,27 @@ def components_by_reachability(nodes, succ) -> list[set]:
     return [set(c) for c in {frozenset(w for w in reach[v] if v in reach[w]) for v in nodes}]
 
 
+def components_in_finish_order(nodes, succ) -> list[set]:
+    """The classes of components_by_reachability, each listed when a
+    recursive DFS finishes its last vertex. The DFS enters roots in the
+    order of nodes and successors in list order; recursive, so for small
+    graphs only."""
+    finish: dict = {}
+    entered = set()
+
+    def visit(v):
+        entered.add(v)
+        for w in succ[v]:
+            if w not in entered:
+                visit(w)
+        finish[v] = len(finish)
+
+    for root in nodes:
+        if root not in entered:
+            visit(root)
+    return sorted(components_by_reachability(nodes, succ), key=lambda c: max(map(finish.get, c)))
+
+
 def succ_map(cfg) -> dict:
     return {v: list(cfg.successors(v)) for v in cfg.vertex_ids()}
 

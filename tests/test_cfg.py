@@ -22,6 +22,7 @@ from cfgdag import (
     validate_cfg_decomposition,
 )
 from cfgdag.cfg import CfgJsonError
+from cfgdag.lang import Assign, Sequence, StructuredAst
 from helpers import (
     CORNER_CASES,
     bfs_reachable,
@@ -113,6 +114,11 @@ def test_deterministic_build():
     b, _ = cfg_from_source(src)
     assert sorted(a.labels.items()) == sorted(b.labels.items())
     assert sorted(a.edges()) == sorted(b.edges())
+
+
+def test_build_refuses_an_unknown_statement():
+    with pytest.raises(TypeError, match="^unknown statement 'x'$"):
+        build_cfg(StructuredAst(Sequence([Assign("a"), "x"])))
 
 
 # -- pruning ----------------------------------------------------------------

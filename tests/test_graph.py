@@ -1,13 +1,14 @@
-"""cfgdag._graph.postorder finds every cycle and orders every DAG,
-cfgdag._graph.components finds the classes of mutual reachability, and
-cfgdag.game.VertexBits sets survive the trip through a bitmask."""
+"""cfgdag._graph.postorder finds every cycle, lists every node once and
+orders every DAG, cfgdag._graph.components finds the classes of mutual
+reachability in DFS finish order, and cfgdag.game.VertexBits sets survive
+the trip through a bitmask."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgdag._graph import components, postorder
 from cfgdag.game import VertexBits
-from helpers import bfs_reachable, components_by_reachability, toposort
+from helpers import bfs_reachable, components_by_reachability, components_in_finish_order, toposort
 
 
 @st.composite
@@ -27,10 +28,10 @@ def digraphs(draw):
 @example(([0, 1, 2], {0: [1, 2], 1: [2], 2: []}))
 def test_postorder_orders_exactly_the_acyclic_graphs(graph):
     nodes, succ = graph
-    post = postorder(nodes, succ)
-    assert (post is None) == (toposort(nodes, succ) is None)
-    if post is not None:
-        assert sorted(post) == sorted(nodes)
+    post, acyclic = postorder(nodes, succ)
+    assert acyclic == (toposort(nodes, succ) is not None)
+    assert sorted(post) == sorted(nodes)
+    if acyclic:
         at = {n: k for k, n in enumerate(post)}
         assert all(at[v] < at[u] for u in nodes for v in succ[u])
 
@@ -43,13 +44,16 @@ def test_postorder_orders_exactly_the_acyclic_graphs(graph):
 @example(([0, 1, 2, 3], {0: [1, 3], 1: [2], 2: [0, 3], 3: [3]}))
 def test_components_are_the_classes_of_mutual_reachability(graph):
     """Each node lies in one listed component, the components are those of
-    the oracle, and none is listed before a component it reaches."""
+    the oracle, and none is listed before a component it reaches. They come
+    in the order in which a DFS entering roots in the order of nodes and
+    successors in list order finishes them."""
     nodes, succ = graph
     comps = components(nodes, succ)
     assert sorted(v for comp in comps for v in comp) == sorted(nodes)
     assert sorted(map(sorted, comps)) == sorted(map(sorted, components_by_reachability(nodes, succ)))
     at = {v: i for i, comp in enumerate(comps) for v in comp}
     assert all(at[w] <= at[v] for v in nodes for w in bfs_reachable(succ, v))
+    assert list(map(set, comps)) == components_in_finish_order(nodes, succ)
 
 
 def test_components_walk_deep_graphs_without_recursion():

@@ -161,6 +161,10 @@ def test_tokens_and_error_positions_equal_the_running_counter(source):
     (";", "unexpected ';'", 1, 1),
     ("a;\n  }", "unexpected '}'", 2, 3),
     ("a; 5;", "unexpected '5'", 1, 4),
+    ("else { a; }", "unexpected 'else'", 1, 1),
+    ("a; else { b; }", "unexpected 'else'", 1, 4),
+    ("if p { a; } b;\nelse { c; }", "unexpected 'else'", 2, 1),
+    ("while c { a; } else { b; }", "unexpected 'else'", 1, 16),
 ])
 def test_error_positions_of_a_stray_character_and_a_digit_led_word(source, message, line, col):
     with pytest.raises(ParseError) as err:

@@ -251,6 +251,13 @@ def test_while_regions():
     assert regions[forest.phi][0] == {ids["start"], ids["exit(c)"], ids["stop"]}
 
 
+def test_loop_regions_refuse_an_owner_map_with_a_hole():
+    cfg, forest = cfg_from_source("while c { a; }")
+    del forest.owner[2]
+    with pytest.raises(ValueError, match=r"^no loop owner for vertices \[2\]$"):
+        loop_regions(cfg, forest)
+
+
 def test_entry_inside_exit_outside():
     for seed in range(30):
         cfg, forest, _ = pipeline(generate_random_program(seed, 60))
