@@ -3,10 +3,11 @@
 Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (an input that is not UTF-8, and bad JSON and bad CFG, loop
-forest or decomposition JSON included) or a bad argument, 3 parse error,
-4 a graph that no structured program has (or, for play, a --forest under
-which the guard strategy loses the robber), 5 an exact search that hit
-its limit (oracle's --k-max or the solver's state budget).
+forest or decomposition JSON included, as is a --forest whose decomposition
+is invalid) or a bad argument, 3 parse error, 4 a graph that no structured
+program has (or, for play, a --forest under which the guard strategy loses
+the robber), 5 an exact search that hit its limit (oracle's --k-max or the
+solver's state budget).
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -199,8 +200,15 @@ def run(args) -> int:
         _write((args.out, cfg.to_json), (args.forest_out, forest.to_json))
         return 0
 
-    if args.command == "decompose":
+    if args.command in ("decompose", "lift", "export-dot"):
         decomp = build_decomposition(cfg, forest)
+        if args.forest is not None:  # a given forest can pass assign_owners and decompose invalidly
+            report = validate_cfg_decomposition(decomp, cfg)
+            if not report.valid:
+                kind, witness = report.violations[0]
+                raise LoopForestJsonError(f"its decomposition is invalid: {kind} {list(witness)}")
+
+    if args.command == "decompose":
         _write((args.out, decomp.to_json))
         return 0
 
@@ -234,13 +242,11 @@ def run(args) -> int:
     if args.command == "lift":
         skeleton = FormulaSkeleton.chain(args.m)
         game = build_product_game(cfg, skeleton, seed=args.seed)
-        decomp = build_decomposition(cfg, forest)
         lifted = lift_decomposition(decomp, game)
         _write((args.out, lifted.to_json), (args.game_out, game.to_json))
         return 0
 
     if args.command == "export-dot":
-        decomp = build_decomposition(cfg, forest)  # exits 4 where decompose does
         if args.what == "cfg":
             backward = set(partition_edges(cfg, forest).backward)
             _write((args.out, lambda: cfg.to_dot(backward=backward)))
@@ -251,36 +257,32 @@ def run(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+# Each fault a command may raise: (exception types, exit code, message
+# prefix). The first row that matches the fault wins.
+_FAULTS = (
+    (ParseError, 3, "parse error: "),
+    ((OSError, UnicodeDecodeError), 2, "i/o error: "),
+    (json.JSONDecodeError, 2, "i/o error: bad JSON: "),
+    (CfgJsonError, 2, "i/o error: bad CFG JSON: "),
+    (LoopForestJsonError, 2, "i/o error: bad loop forest JSON: "),
+    (DecompositionJsonError, 2, "i/o error: bad decomposition JSON: "),
+    ((NotStructuredError, StrategyError), 4, "not structured: "),
+    (SearchBudgetError, 5, "search limit: "),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
         # Building the parser allocates enough to start a collection.
         return run(build_parser().parse_args(argv))
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as err:
-        print(f"i/o error: bad JSON: {err}", file=sys.stderr)
-        return 2
-    except CfgJsonError as err:
-        print(f"i/o error: bad CFG JSON: {err}", file=sys.stderr)
-        return 2
-    except LoopForestJsonError as err:
-        print(f"i/o error: bad loop forest JSON: {err}", file=sys.stderr)
-        return 2
-    except DecompositionJsonError as err:
-        print(f"i/o error: bad decomposition JSON: {err}", file=sys.stderr)
-        return 2
-    except (NotStructuredError, StrategyError) as err:
-        print(f"not structured: {err}", file=sys.stderr)
-        return 4
-    except SearchBudgetError as err:
-        print(f"search limit: {err}", file=sys.stderr)
-        return 5
+    except Exception as err:
+        for types, code, prefix in _FAULTS:
+            if isinstance(err, types):
+                print(f"{prefix}{err}", file=sys.stderr)
+                return code
+        raise
     finally:
         if enabled:
             gc.enable()

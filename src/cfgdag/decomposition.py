@@ -45,7 +45,7 @@ class EdgePartition:
 def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
     """Split E into backward / into-exit / into-entry / plain edges. Reads
     membership from the owner map, where each loop owns its entry (build_cfg
-    makes it under the loop, _fill_owners opens a loop there), and each
+    makes it under the loop, _forest_from_exits opens a loop there), and each
     vertex's one loop from LoopForest.ends, which raises NotStructuredError
     for two loops at one end or a vertex that is an entry and an exit.
     """

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .cfg import ControlFlowGraph, EdgeKind
-from .loops import LoopForest, assign_owners, compute_dominators
+from .loops import LoopForest, compute_dominators, recover_loop_forest
 
 
 def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
@@ -13,7 +13,8 @@ def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
     exit 8 and 9-10-11 with exit 12; both escape back to the outer entry.
     Two cops cannot corner a robber that alternates between the cycles, so
     its cop number (and width) is exactly three. Vertex ids deliberately
-    skip 4. The owner map comes filled in.
+    skip 4. The forest is the one recovered from the graph, owner map
+    filled in.
     """
     g = ControlFlowGraph()
     g.add_vertex("start", 0)
@@ -33,13 +34,4 @@ def two_loop_cfg() -> tuple[ControlFlowGraph, LoopForest]:
     ]:
         g.add_edge(u, v, EdgeKind.OUT)
 
-    forest = LoopForest()
-    outer = forest.new_element()
-    outer.entry, outer.exit = 1, 3
-    left = forest.new_element(outer)
-    left.entry, left.exit = 5, 8
-    right = forest.new_element(outer)
-    right.entry, right.exit = 9, 12
-
-    assign_owners(g, compute_dominators(g), forest)
-    return g, forest
+    return g, recover_loop_forest(g, compute_dominators(g))

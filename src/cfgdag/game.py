@@ -143,14 +143,6 @@ class LoopGuardStrategy:
         self.log.append((note, self.loop))
         return self._roles(), note
 
-    def _child_with(self, r: int) -> LoopElement:
-        elem = self.forest.owner[r]
-        while elem.parent is not None and elem.parent is not self.loop:
-            elem = elem.parent
-        if elem.parent is not self.loop:
-            raise StrategyError(f"robber at {r} is not inside the current loop")
-        return elem
-
     def move(self, r: int) -> tuple[tuple, str]:
         if self.entering:
             # The entry guard has landed and the robber replied; the sealed
@@ -182,7 +174,11 @@ class LoopGuardStrategy:
             self.x3 = r
             return self._emit("2a")
 
-        child = self._child_with(r)
+        # r is not stop, lies inside the loop and is not its own: climb to
+        # the child of the loop that holds it.
+        child = self.forest.owner[r]
+        while child.parent is not self.loop:
+            child = child.parent
         self.pending_child = child
         if child.exit is None:
             # Nothing to seal; the loop has no way out. Advance directly.
@@ -323,7 +319,9 @@ def play_game(
     """Alternate cop placements and robber runs until capture or cutoff.
 
     Robber moves are checked: a move must follow a directed path avoiding
-    the cops that stayed on the board.
+    the cops that stayed on the board. The check searches outward from the
+    robber and stops at its destination, so a round costs at most the
+    region walked up to there.
     """
     if max_rounds is None:
         max_rounds = 4 * cfg.n_vertices
@@ -338,7 +336,7 @@ def play_game(
         placed = frozenset(x for x in roles if x is not None)
         stationary = prev & placed
         r2 = robber.move(r, placed, stationary)
-        if r2 != r and r2 not in cfg.reachable_from(r, stationary):
+        if r2 != r and not any(r2 in layer for layer in layers(cfg._succ, r, stationary)):
             raise IllegalMoveError(len(steps), r, r2)
         steps.append(TraceStep(tuple(roles), r2, note))
         if r2 in placed:

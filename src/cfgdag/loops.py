@@ -8,9 +8,10 @@ virtual root element (phi) that owns start, stop, and everything outside all
 loops. An element records only its parent, so a forest holds no reference
 cycle, and the forest lists its elements once, in preorder with siblings by
 entry id, the one order every reader and writer uses. The builder records
-the map as it expands the source; a forest recovered from a bare graph, or
-given whole, gets it from one preorder walk of the dominator tree in which a
-loop opens at its entry and closes, with every loop inside it, at its exit.
+the map as it expands the source; any other forest, recovered or given,
+follows from its entries and exits by one preorder walk of the dominator
+tree in which a loop opens at its entry and closes, with every loop inside
+it, at its exit.
 The map is the only record of membership: v belongs to L when L owns v, and
 v lies inside L when L is the owner of v or one of its ancestors
 (LoopForest.contains); the forest JSON holds only each loop's entry, exit
@@ -288,16 +289,17 @@ def loop_regions(cfg: ControlFlowGraph, forest: LoopForest) -> LoopForest:
     return forest
 
 
-def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, open_at) -> None:
-    """One walk of the dominator tree in reverse postorder, the key order of
-    dom.idom, that fills forest.owner.
+def _forest_from_exits(cfg: ControlFlowGraph, dom: DominatorInfo, exits: dict) -> LoopForest:
+    """The forest whose loops open at the keys of exits and close at their
+    values, owner map filled, elements in the order they open.
 
-    Each vertex comes after its immediate dominator and starts in the loop
-    that owns it. Reaching the exit of an open loop closes it and every
-    loop inside it; then open_at(v, loop) opens the one loop that starts at
-    v, if any, and returns the loop open at v, which owns v. stop always
-    stays with the root.
+    One walk of the dominator tree in reverse postorder, the key order of
+    dom.idom: each vertex comes after its immediate dominator and starts in
+    the loop that owns it. Reaching the exit of an open loop closes it and
+    every loop inside it; then a loop that starts at the vertex opens under
+    the one open there and owns it. stop always stays with the root.
     """
+    forest = LoopForest()
     closes: dict[int, LoopElement] = {}  # exit -> element, for elements opened so far
     owner = forest.owner
     phi = forest.phi
@@ -310,17 +312,19 @@ def _fill_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest, 
                 elem = elem.parent
             if elem is closing:  # open here: close it with the loops inside it
                 loop = closing.parent
-        if v != cfg.stop:
-            inner = open_at(v, loop)
-            if inner is not loop and inner.exit is not None:
-                closes[inner.exit] = inner
-            loop = inner
+        if v in exits and v != cfg.stop:
+            loop = forest.new_element(loop)
+            loop.entry, loop.exit = v, exits[v]
+            if loop.exit is not None:
+                closes[loop.exit] = loop
         owner[v] = loop
     owner[cfg.stop] = phi
+    return forest
 
 
 def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest) -> LoopForest:
-    """Fill the owner map of a forest given whole, such as one read from JSON.
+    """Fill the owner map of a forest given whole, such as one read from JSON,
+    from the forest that _forest_from_exits makes of its entries and exits.
 
     Raises LoopForestJsonError when LoopForest.ends does (two elements
     share an entry or an exit, or an entry is an exit), when an element's
@@ -337,18 +341,14 @@ def assign_owners(cfg: ControlFlowGraph, dom: DominatorInfo, forest: LoopForest)
             if v is not None and v not in cfg.labels:
                 raise LoopForestJsonError(f"loop at entry {elem.entry}: {end} {v} is not a vertex of the graph")
 
-    def open_at(v: int, loop: LoopElement) -> LoopElement:
-        elem = by_entry.get(v)
-        if elem is None:
-            return loop
-        if elem.parent is not loop:
-            raise LoopForestJsonError(
-                f"loop at entry {v} is nested under {elem.parent!r}, "
-                f"but the loop open there is {loop!r}; input is not structured"
-            )
-        return elem
-
-    _fill_owners(cfg, dom, forest, open_at)
+    made = _forest_from_exits(cfg, dom, {e.entry: e.exit for e in forest.elements})
+    # The two nestings agree up to the first loop, in opening order, that misfits.
+    for elem in made.elements:
+        given, open_there = by_entry[elem.entry], by_entry.get(elem.parent.entry, forest.phi)
+        if given.parent is not open_there:
+            raise LoopForestJsonError(f"loop at entry {elem.entry} is nested under {given.parent!r}, "
+                                      f"but the loop open there is {open_there!r}; input is not structured")
+    forest.owner = {v: by_entry.get(e.entry, forest.phi) for v, e in made.owner.items()}
     for elem in forest.elements:
         # A loop that never opened owns no vertex.
         if not any(forest.owner[u] is elem for u in cfg.predecessors(elem.entry)):
@@ -377,7 +377,7 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
     that loop's exit, until one vertex is left that is no loop entry. So no
     post-dominator tree is needed, and a loop finds its exit even where the
     program ends in a return or an endless loop. Loops nest by the
-    dominator-tree walk that fills the owner map. Only the head of a
+    dominator-tree walk of _forest_from_exits. Only the head of a
     backward edge opens a loop: none is recovered that no edge closes.
     """
     succ, pred, kind = cfg.successors, cfg.predecessors, cfg.edge_kind
@@ -463,15 +463,6 @@ def recover_loop_forest(cfg: ControlFlowGraph, dom: DominatorInfo) -> LoopForest
         if head not in up:  # held by no loop
             settle(head, reach.__contains__ if head in reach else lambda t: True)
 
-    forest = LoopForest()
-
-    def open_at(v: int, loop: LoopElement) -> LoopElement:
-        if v not in exits:
-            return loop
-        elem = forest.new_element(loop)
-        elem.entry, elem.exit = v, exits[v]
-        return elem
-
-    _fill_owners(cfg, dom, forest, open_at)
+    forest = _forest_from_exits(cfg, dom, exits)
     forest.elements = _in_preorder(forest.phi, forest.elements)
     return forest

@@ -60,7 +60,7 @@ from cfgdag.cfg import CfgJsonError
 from cfgdag.decomposition import DagDecomposition, EdgePartition
 from cfgdag.game import PursuitSolver, SearchBudgetError, VertexBits, _adjacency
 from cfgdag import lang
-from cfgdag.loops import NotStructuredError, _dominator_tree, _fill_owners, _in_preorder
+from cfgdag.loops import NotStructuredError, _dominator_tree, _forest_from_exits, _in_preorder
 from cfgdag.lang import KEYWORDS, ParseError
 from cfgdag.validate import ValidationReport
 
@@ -73,6 +73,18 @@ IRREDUCIBLE_CFG_JSON = {
     "start": 0,
     "stop": 3,
 }
+
+
+# The forest of two_loop_cfg, written by hand: the outer loop (entry 1,
+# exit 3) holds the two inner loops 5..8 and 9..12. TWO_LOOP_OWNERS maps
+# each vertex to the entry of its innermost loop (None for phi).
+TWO_LOOP_FOREST_JSON = {"loops": [
+    {"entry": 1, "exit": 3, "parent": None},
+    {"entry": 5, "exit": 8, "parent": 0},
+    {"entry": 9, "exit": 12, "parent": 0},
+]}
+TWO_LOOP_OWNERS = {0: None, 1: 1, 2: 1, 3: None, 5: 5, 6: 5, 7: 5, 8: 1,
+                   9: 9, 10: 9, 11: 9, 12: 1, 13: None}
 
 
 def _cfg_json(labels: list[str], edges: list[tuple[int, int, str]], stop: int) -> dict:
@@ -1041,16 +1053,7 @@ def recover_loop_forest_by_bodies(cfg, dom) -> LoopForest:
             x = None if up == step else up
         exits[head] = x
 
-    forest = LoopForest()
-
-    def open_at(v: int, loop: LoopElement) -> LoopElement:
-        if v not in exits:
-            return loop
-        elem = forest.new_element(loop)
-        elem.entry, elem.exit = v, exits[v]
-        return elem
-
-    _fill_owners(cfg, dom, forest, open_at)
+    forest = _forest_from_exits(cfg, dom, exits)
     forest.elements = _in_preorder(forest.phi, forest.elements)
     return forest
 

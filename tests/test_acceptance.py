@@ -34,6 +34,7 @@ from cfgdag import (
     validate_cfg_decomposition,
     validate_decomposition,
 )
+from cfgdag.cli import main
 from cfgdag.decomposition import DagDecomposition
 from helpers import dist_by_enumeration, dominance_backward, exit_distances, owner_regions, recovery_facts
 
@@ -468,6 +469,41 @@ def test_whole_cfg_json_pipeline_scales_linearly():
     per_statement = {n: t / n for n, t in best.items()}
     spread = max(per_statement.values()) / min(per_statement.values())
     assert spread <= 2.0, per_statement
+
+
+def test_deep_nesting_scales_linearly_through_decompose_validate_and_play(tmp_path):
+    """decompose, validate and play on d nested while loops cost about the
+    same per loop for d = 500, 1,000 and 2,000, from source and from the CFG
+    JSON that build writes: each play round checks the robber's run only as
+    far as its destination.
+
+    Timed as test_whole_source_pipeline_scales_linearly times the source
+    route: CPU time with the collector paused, best of 3, each repeat timing
+    every size in turn. The CFG JSON is built untimed.
+    """
+    inputs = {}
+    for d in (500, 1000, 2000):
+        prog, graph = tmp_path / f"nest{d}.spl", tmp_path / f"nest{d}.json"
+        prog.write_text("while c {\n" * d + "a;\n" + "}\n" * d)
+        assert main(["build", str(prog), "--out", str(graph)]) == 0
+        inputs[d] = [[str(prog)], [str(graph), "--kind", "cfg-json"]]
+    out = str(tmp_path / "out.json")
+    best = dict.fromkeys(inputs, float("inf"))
+    for _ in range(3):
+        for d, routes in inputs.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                codes = [main([command, *route, "--out", out])
+                         for route in routes for command in ("decompose", "validate", "play")]
+                best[d] = min(best[d], time.process_time() - t0)
+            finally:
+                gc.enable()
+            assert codes == [0] * 6, (d, codes)
+    per_loop = {d: t / d for d, t in best.items()}
+    spread = max(per_loop.values()) / min(per_loop.values())
+    assert spread <= 2.0, per_loop
 
 
 def test_lift_scales_linearly():

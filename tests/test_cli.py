@@ -43,6 +43,7 @@ from helpers import (
     with_jumps,
 )
 from test_golden import PROGRAMS
+from test_loops import GIVEN_FORESTS_BUILT_INVALID
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -823,6 +824,60 @@ def test_forest_file_nested_against_dominance_is_rejected(tmp_path, capsys):
     assert main(["decompose", str(graph_path), "--kind", "cfg-json", "--forest", str(forest_path)]) == 2
     assert capsys.readouterr().err.startswith(
         "i/o error: bad loop forest JSON: loop at entry 9 is nested under")
+
+
+README_FOREST_SRC = "do { a2; a3; a4; } while c1; if c5 { a6; a7; } a8;"
+INVALID_DECOMPOSITION = "i/o error: bad loop forest JSON: its decomposition is invalid: "
+
+
+def _given_forest_run(tmp_path, command, cfg, loops) -> int:
+    """The exit code of command on cfg's CFG JSON with loops as --forest."""
+    graph, forest = tmp_path / "g.json", tmp_path / "f.json"
+    graph.write_text(cfg.to_json())
+    forest.write_text(json.dumps({"loops": loops}))
+    return main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["decompose", "lift", "export-dot"])
+def test_forest_whose_decomposition_is_invalid_exits_two(tmp_path, capsys, command):
+    """A --forest that assign_owners accepts but whose decomposition does not
+    validate exits 2 with its first violation: the README example, whose loop
+    at entry 1 should exit at 5, and the forests pinned in test_loops."""
+    cfg, _ = cfg_from_source(README_FOREST_SRC)
+    assert _given_forest_run(tmp_path, command, cfg, [{"entry": 1, "exit": 8, "parent": None}]) == 2
+    assert capsys.readouterr() == ("", INVALID_DECOMPOSITION + "edges_covered_3b [8, 9, 1, 2]\n")
+    for seed, loops in GIVEN_FORESTS_BUILT_INVALID:
+        cfg, _ = cfg_from_source(generate_random_program(seed, 8))
+        assert _given_forest_run(tmp_path, command, cfg, loops) == 2, (seed, loops)
+        assert capsys.readouterr().err.startswith(INVALID_DECOMPOSITION)
+
+
+def test_mutated_builder_forests_are_refused_or_decompose_validly(tmp_path, capsys):
+    """300 builder forests of 12-statement programs, each with one loop's
+    exit redrawn: decompose, lift and export-dot each exit 2 or 4, all with
+    the same code, or decompose writes a decomposition that validate
+    accepts."""
+    rng = random.Random(41)
+    codes = []
+    seed = 0
+    while len(codes) < 300:
+        seed += 1
+        cfg, forest = cfg_from_source(generate_random_program(seed, 12))
+        loops = forest.to_json_dict()["loops"]
+        if not loops:
+            continue
+        rng.choice(loops)["exit"] = rng.choice([*cfg.labels, None])
+        code = _given_forest_run(tmp_path, "decompose", cfg, loops)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert main(["validate", str(tmp_path / "g.json"), "--kind", "cfg-json",
+                         "--decomp", str(tmp_path / "out"), "--out", os.devnull]) == 0, (seed, loops)
+        for command in ("lift", "export-dot"):
+            assert _given_forest_run(tmp_path, command, cfg, loops) == code, (seed, loops, command)
+        assert code in (0, 2, 4), (seed, loops, err)
+        codes.append((code, err.startswith(INVALID_DECOMPOSITION)))
+    assert (2, True) in codes  # some of them pass assign_owners and decompose invalidly
 
 
 @pytest.mark.parametrize("argv", [["decompose"], ["validate"], ["export-dot"]])

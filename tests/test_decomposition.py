@@ -32,6 +32,7 @@ from cfgdag import (
 )
 from helpers import (
     IRREDUCIBLE_CFG_JSON,
+    TWO_LOOP_FOREST_JSON,
     decomposition_by_entry_lists,
     decomposition_json_dict,
     partition_edges_by_entry_lists,
@@ -355,8 +356,10 @@ def test_a_forest_needs_no_loop_regions_call(route):
         assert _cops_win(cfg, fresh), src
     if route == "source":
         return  # no source program builds the two-loop graph
-    graph, fixture = two_loop_cfg()  # its forest is given whole
-    forest = fixture if route == "given" else recover_loop_forest(graph, compute_dominators(graph))
+    graph, _ = two_loop_cfg()
+    dom = compute_dominators(graph)
+    forest = (assign_owners(graph, dom, LoopForest.from_json_dict(TWO_LOOP_FOREST_JSON))
+              if route == "given" else recover_loop_forest(graph, dom))
     assert _cops_win(graph, forest)
 
 

@@ -29,6 +29,8 @@ from cfgdag import (
 )
 from cfgdag.loops import LoopForestJsonError
 from helpers import (
+    TWO_LOOP_FOREST_JSON,
+    TWO_LOOP_OWNERS,
     build_unpruned,
     check_cycle_corollary,
     dominance_backward,
@@ -428,16 +430,13 @@ def test_forest_json_round_trip():
 
 
 def test_recover_loop_forest_from_fixture_graph():
-    cfg, forest = two_loop_cfg()
+    cfg, _ = two_loop_cfg()
     dom = compute_dominators(cfg)
     recovered = recover_loop_forest(cfg, dom)
-    got = {(e.entry, e.exit) for e in recovered.elements}
-    want = {(e.entry, e.exit) for e in forest.elements}
-    assert got == want
-    ours, theirs = owner_regions(forest), owner_regions(recovered)
-    for a in forest.elements:
-        b = next(e for e in recovered.elements if e.entry == a.entry)
-        assert ours[a][1] == theirs[b][1]
+    assert recovered.to_json_dict() == TWO_LOOP_FOREST_JSON
+    assert {v: e.entry for v, e in recovered.owner.items()} == TWO_LOOP_OWNERS
+    given = assign_owners(cfg, dom, LoopForest.from_json_dict(TWO_LOOP_FOREST_JSON))
+    assert {v: e.entry for v, e in given.owner.items()} == TWO_LOOP_OWNERS
 
 
 def _regions(forest, regions):
