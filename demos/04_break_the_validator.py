@@ -15,7 +15,7 @@ print("fresh construction:", validate_cfg_decomposition(decomp, cfg).valid)
 # holding it stop being convex under reachability.
 mid = next(v for v in cfg.vertex_ids() if cfg.labels[v] == "a")
 exit_vertex = forest.elements[0].exit
-decomp.bags[mid] = decomp.bags[mid] - {exit_vertex}
+decomp.bags[mid] = tuple(v for v in decomp.bags[mid] if v != exit_vertex)
 
 report = validate_cfg_decomposition(decomp, cfg)
 print("after removing the exit from a mid-path bag:", "valid" if report.valid else "INVALID")

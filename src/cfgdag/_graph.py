@@ -4,6 +4,11 @@ that postorder and reachability, and reachability and breadth-first
 layers around blocked vertices. Successor maps are plain mappings from a
 vertex to an iterable of vertices.
 
+postorder is the package's one cycle check. The validator orders every
+decomposition by it, loops._in_preorder and components read their orders
+off it, and decomposition.build_decomposition calls it only when the arcs
+fail its rank certificate.
+
 Two walks keep their own loops: loops._dominator_tree needs the DFS
 tree's parents and preorder numbers, and validate._reach_query stops at
 its first hit.

@@ -4,10 +4,11 @@ Inputs are either mini-language source (default, or --kind source) or a CFG
 JSON file (--kind cfg-json). Exit codes: 0 success, 1 validation failure,
 2 i/o error (an input that is not UTF-8, and bad JSON and bad CFG, loop
 forest or decomposition JSON included, as is a --forest whose decomposition
-is invalid) or a bad argument, 3 parse error, 4 a graph that no structured
-program has (or, for play, a --forest under which the guard strategy loses
-the robber), 5 an exact search that hit its limit (oracle's --k-max or the
-solver's state budget).
+is invalid, or cyclic where that of the recovered forest is not) or a bad
+argument, 3 parse error, 4 a graph that no structured program has (or, for
+play, a --forest under which the guard strategy loses the robber), 5 an
+exact search that hit its limit (oracle's --k-max or the solver's state
+budget).
 
 Each command runs with the cyclic garbage collector paused. Reference
 counting frees almost everything a command allocates, and collector passes
@@ -193,6 +194,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _decompose(args, cfg: ControlFlowGraph, forest: LoopForest) -> DagDecomposition:
+    """build_decomposition. Under a given forest, arcs with a cycle are the
+    forest's fault when the forest recovered from the same graph decomposes."""
+    try:
+        return build_decomposition(cfg, forest)
+    except NotStructuredError as err:
+        if args.forest is None:
+            raise
+        try:
+            build_decomposition(cfg, recover_loop_forest(cfg, compute_dominators(cfg)))
+        except NotStructuredError:
+            raise err from None
+        raise LoopForestJsonError("its decomposition arcs contain a cycle, "
+                                  "but those of the graph's recovered loop forest do not") from None
+
+
 def run(args) -> int:
     cfg, forest = _load(args)
 
@@ -201,7 +218,7 @@ def run(args) -> int:
         return 0
 
     if args.command in ("decompose", "lift", "export-dot"):
-        decomp = build_decomposition(cfg, forest)
+        decomp = _decompose(args, cfg, forest)
         if args.forest is not None:  # a given forest can pass assign_owners and decompose invalidly
             report = validate_cfg_decomposition(decomp, cfg)
             if not report.valid:
@@ -216,7 +233,7 @@ def run(args) -> int:
         if args.decomp is not None:
             decomp = DagDecomposition.from_json(_read(args.decomp))
         else:
-            decomp = build_decomposition(cfg, forest)
+            decomp = _decompose(args, cfg, forest)
         report = validate_cfg_decomposition(decomp, cfg)
         _write((args.out, report.to_json))
         return 0 if report.valid else 1

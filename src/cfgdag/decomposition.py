@@ -6,6 +6,13 @@ are re-routed to that loop's exit, and each loop entered from outside gets
 an exit-to-entry arc. Bags hold at most a vertex plus the entry and exit of
 the loop element it belongs to, so the width never exceeds three. The whole
 construction is a constant number of passes over the vertices and edges.
+
+The arcs are proved acyclic by a rank certificate: rank(v) = 2v, except
+that each loop's exit gets 2 * entry - 1, just ahead of its entry. Arcs
+that all climb the rank close no cycle. Under the builder's forests and
+those recovered from a structured program's graph every arc climbs; when
+one does not, as under relabelled vertex ids or a bad given forest, one
+DFS (_graph.postorder) decides, so the verdict is exact either way.
 """
 
 from __future__ import annotations
@@ -79,11 +86,15 @@ class DecompositionJsonError(ValueError):
 
 @dataclass
 class DagDecomposition:
-    """DAG over the graph's vertices with a bag of at most width vertices each."""
+    """DAG over the graph's vertices with a bag of at most width vertices each.
+
+    Each bag is a strictly ascending tuple, which every maker of a
+    decomposition keeps: to_json and to_dot write the members as they stand.
+    """
 
     nodes: list[int]
     arcs: list[Edge]
-    bags: dict[int, frozenset[int]]
+    bags: dict[int, tuple[int, ...]]
 
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0)
@@ -99,18 +110,15 @@ class DagDecomposition:
         bags keyed by their node's id as a string."""
         order = sorted(self.nodes)
         arcs = sorted(self.arcs)
-        values, lengths = [], []
-        for n in order:
-            bag = sorted(self.bags[n])
-            values.append(n)
-            values += bag
-            lengths.append(len(bag))
+        members = list(map(self.bags.__getitem__, order))
+        lengths = list(map(len, members))
+        values = tuple(chain.from_iterable(map(add, zip(order), members)))  # each node, then its bag
         # One template per bag length: the node's key, then its members.
         record = {k: '"%d": [\n      ' + ",\n      ".join(["%d"] * k) + "\n    ]" if k
                   else '"%d": []' for k in set(lengths)}
         nodes = section(["%d"] * len(order), tuple(order))
         arcs = section([PAIR] * len(arcs), tuple(chain.from_iterable(arcs)))
-        bags = section(list(map(record.__getitem__, lengths)), tuple(values), "{}")
+        bags = section(list(map(record.__getitem__, lengths)), values, "{}")
         return f'{{\n  "nodes": {nodes},\n  "arcs": {arcs},\n  "bags": {bags}\n}}\n'
 
     @classmethod
@@ -129,7 +137,7 @@ class DagDecomposition:
                 n = int(key)
                 if str(n) != key:  # "01" or " 1" would replace the bag of 1
                     raise ValueError(f"bag key {key!r} does not spell a node id exactly")
-                bags[n] = frozenset(members)
+                bags[n] = tuple(sorted(set(members)))
             known = set(nodes)
             if len(known) != len(nodes):
                 n = next(n for n, count in Counter(nodes).items() if count > 1)
@@ -155,7 +163,7 @@ class DagDecomposition:
     def to_dot(self) -> str:
         lines = ["digraph decomposition {", "    node [shape=box];"]
         for n in sorted(self.nodes):
-            bag = ",".join(str(v) for v in sorted(self.bags[n]))
+            bag = ",".join(map(str, self.bags[n]))
             lines.append(f'    n{n} [label="{n}: {{{bag}}}"];')
         for i, j in sorted(self.arcs):
             lines.append(f"    n{i} -> n{j};")
@@ -171,8 +179,8 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
 
     nodes = cfg.vertex_ids()
     # Arc heads bucketed by tail: sorting each short bucket orders the arcs
-    # without a global sort, and the buckets double as the cycle check's
-    # successor map.
+    # without a global sort, and the buckets double as the successor map of
+    # the DFS that decides when the rank certificate fails.
     succ: dict[int, list[int]] = {v: [] for v in nodes}
     for u, v in part.plain:
         succ[u].append(v)
@@ -192,14 +200,26 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
         for w in heads:
             add_arc((u, w))
 
-    # Each bag is a vertex plus the entry and exit of its element.
-    ends = {
-        elem: tuple(x for x in (elem.entry, elem.exit) if x is not None)
-        for elem in (forest.phi, *forest.elements)
-    }
-    bags = dict(zip(nodes, map(frozenset, map(
-        add, zip(nodes), map(ends.__getitem__, map(forest.owner.__getitem__, nodes))))))
-
-    if not postorder(order, succ)[1]:
+    # The rank certificate (see the module docstring), and the DFS only
+    # when an arc does not climb.
+    rank = {v: v + v for v in nodes}
+    for elem in forest.elements:
+        if elem.exit is not None:
+            rank[elem.exit] = 2 * elem.entry - 1
+    if not all(rank[u] < rank[w] for u, w in arcs) and not postorder(order, succ)[1]:
         raise NotStructuredError("decomposition arcs contain a cycle")
+
+    # Each bag is a vertex merged into the sorted ends of its element.
+    ends = {elem: tuple(sorted(x for x in (elem.entry, elem.exit) if x is not None))
+            for elem in (forest.phi, *forest.elements)}
+    bags: dict[int, tuple[int, ...]] = {}
+    for v, e in zip(nodes, map(ends.__getitem__, map(forest.owner.__getitem__, nodes))):
+        if not e or v < e[0]:
+            bags[v] = (v, *e)
+        elif v in e:
+            bags[v] = e
+        elif v < e[-1]:
+            bags[v] = (e[0], v, e[1])
+        else:
+            bags[v] = (*e, v)
     return DagDecomposition(nodes=nodes, arcs=arcs, bags=bags)

@@ -138,7 +138,8 @@ def lift_decomposition(decomp: DagDecomposition, game: GameGraph) -> DagDecompos
     # Group s is the m consecutive ids s*m, ..., s*m + m - 1.
     group = dict(zip(game.states, zip(*[iter(game.vertex_ids())] * game.m))).__getitem__
     try:
-        bags = {node: frozenset(chain.from_iterable(map(group, bag)))
+        # Groups ascend with their vertices, so each bag stays sorted.
+        bags = {node: tuple(chain.from_iterable(map(group, bag)))
                 for node, bag in decomp.bags.items()}
     except KeyError as err:
         raise ValueError(f"bag vertex {err.args[0]} has no group in the product game") from None

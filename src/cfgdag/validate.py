@@ -121,7 +121,7 @@ def _dfs_order(decomp: DagDecomposition) -> tuple[dict[int, list[int]], list[int
     return succ, post if acyclic else None
 
 
-def _reach_query(bags: dict[int, frozenset], succ: dict[int, list[int]], post: list[int]):
+def _reach_query(bags: dict[int, tuple[int, ...]], succ: dict[int, list[int]], post: list[int]):
     """reaches(j, v): does node j reach, itself included, a node whose bag
     holds v? Needs the DFS postorder of an acyclic decomposition."""
     top = len(post) - 1
@@ -175,8 +175,8 @@ def _connectivity(decomp: DagDecomposition, reaches) -> list:
         for v in bags[i]:
             if v not in bag_j and reaches(j, v):
                 # Rare: list every violation of the arc, in vertex order.
-                for w in sorted(bags[i] - bag_j):
-                    if reaches(j, w):
+                for w in bags[i]:
+                    if w not in bag_j and reaches(j, w):
                         violations.append(("connectivity", (i, j, w)))
                 break
     return violations
@@ -197,9 +197,12 @@ def _edges_covered(decomp: DagDecomposition, edges, reaches):
                     violations.append(("edges_covered_3a", (j, u, v)))
 
     ok_b = True
+    bags = decomp.bags
     for i, j in decomp.arcs:
-        introduced = decomp.bags[j] - decomp.bags[i]
-        for u in introduced:
+        bag_i = bags[i]
+        for u in bags[j]:
+            if u in bag_i:
+                continue
             for v in out_edges.get(u, ()):
                 if not reaches(j, v):
                     ok_b = False

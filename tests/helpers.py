@@ -1103,7 +1103,7 @@ def connectivity_by_triples(decomp) -> bool:
     for i in decomp.nodes:
         for k in reach[i]:
             for j in reach[k]:
-                if not (decomp.bags[i] & decomp.bags[j]) <= decomp.bags[k]:
+                if not (set(decomp.bags[i]) & set(decomp.bags[j])) <= set(decomp.bags[k]):
                     return False
     return True
 
@@ -1126,7 +1126,7 @@ def edges_covered_by_defn(decomp, edges) -> tuple[bool, bool]:
         covered(j, u) for j in decomp.nodes if j not in with_pred for u in decomp.bags[j]
     )
     ok_arcs = all(
-        covered(j, u) for i, j in decomp.arcs for u in decomp.bags[j] - decomp.bags[i]
+        covered(j, u) for i, j in decomp.arcs for u in set(decomp.bags[j]) - set(decomp.bags[i])
     )
     return ok_sources, ok_arcs
 
@@ -1147,7 +1147,7 @@ def guard_pairs(decomp) -> list[tuple[set, set]]:
 
     has_pred = {j for _, j in decomp.arcs}
     pairs = [(set(), below(j)) for j in decomp.nodes if j not in has_pred]
-    pairs += [(set(decomp.bags[i] & decomp.bags[j]), below(j) - decomp.bags[i])
+    pairs += [(set(decomp.bags[i]) & set(decomp.bags[j]), below(j) - set(decomp.bags[i]))
               for i, j in decomp.arcs]
     return pairs
 
@@ -1204,7 +1204,7 @@ def validate_by_masks(decomp, vertices, edges, with_d3=False) -> ValidationRepor
     miss_a = [("edges_covered_3a", (j, u, v)) for j in decomp.nodes if j not in has_pred
               for u in bags[j] for v in missed(j, u)]
     miss_b = [("edges_covered_3b", (i, j, u, v)) for i, j in decomp.arcs
-              for u in bags[j] - bags[i] for v in missed(j, u)]
+              for u in sorted(set(bags[j]) - set(bags[i])) for v in missed(j, u)]
     report.edges_covered_3a, report.edges_covered_3b = not miss_a, not miss_b
     violations += miss_a + miss_b
     return report
@@ -1275,7 +1275,7 @@ def decomposition_by_entry_lists(cfg, forest) -> DagDecomposition:
         if elem in entered:
             arcs.add((elem.exit, elem.entry))
     owner = forest.owner
-    bags = {v: frozenset(x for x in (v, owner[v].entry, owner[v].exit) if x is not None)
+    bags = {v: tuple(sorted({x for x in (v, owner[v].entry, owner[v].exit) if x is not None}))
             for v in cfg.vertex_ids()}
     return DagDecomposition(nodes=cfg.vertex_ids(), arcs=list(arcs), bags=bags)
 

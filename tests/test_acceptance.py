@@ -82,7 +82,7 @@ def construction_fleet():
                 "width": decomp.width(),
                 "belongs_partition": belongs_total == cfg.n_vertices,
                 "unique_introduction": all(
-                    decomp.bags[j] - decomp.bags[i] == frozenset([j]) for i, j in decomp.arcs
+                    set(decomp.bags[j]) - set(decomp.bags[i]) == frozenset([j]) for i, j in decomp.arcs
                 ),
                 "flags": (
                     report.acyclic,
@@ -296,7 +296,7 @@ def _perturb(decomp, rng, vertices):
         bag.discard(rng.choice(sorted(bag)))
     else:
         bag.add(rng.choice(sorted(vertices)))
-    bags[node] = frozenset(bag)
+    bags[node] = tuple(sorted(bag))
     return DagDecomposition(nodes=list(decomp.nodes), arcs=list(decomp.arcs), bags=bags)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -27,6 +28,8 @@ from cfgdag import (
     recover_loop_forest,
     two_loop_cfg,
 )
+from cfgdag import decomposition
+from cfgdag._graph import postorder
 from cfgdag._json import dumps
 from cfgdag.cli import build_parser, main
 from helpers import (
@@ -853,11 +856,24 @@ def test_forest_whose_decomposition_is_invalid_exits_two(tmp_path, capsys, comma
         assert capsys.readouterr().err.startswith(INVALID_DECOMPOSITION)
 
 
+def test_forest_whose_arcs_close_a_cycle_exits_two(tmp_path, capsys):
+    """On generate_random_program(2, 12), whose one loop opens at 5 and
+    closes at 9, a forest that closes it at 3 gives arcs with a cycle. The
+    graph is a structured program's and its recovered forest decomposes, so
+    every command that decomposes blames the forest."""
+    cfg, _ = cfg_from_source(generate_random_program(2, 12))
+    for command in ("decompose", "validate", "lift", "export-dot"):
+        assert _given_forest_run(tmp_path, command, cfg, [{"entry": 5, "exit": 3, "parent": None}]) == 2
+        assert capsys.readouterr() == ("", "i/o error: bad loop forest JSON: its decomposition arcs "
+                                           "contain a cycle, but those of the graph's recovered loop "
+                                           "forest do not\n")
+
+
 def test_mutated_builder_forests_are_refused_or_decompose_validly(tmp_path, capsys):
     """300 builder forests of 12-statement programs, each with one loop's
-    exit redrawn: decompose, lift and export-dot each exit 2 or 4, all with
-    the same code, or decompose writes a decomposition that validate
-    accepts."""
+    exit redrawn: decompose, lift and export-dot each exit 2, all with the
+    same code, or decompose writes a decomposition that validate accepts.
+    The graphs are structured programs', so a refusal blames the forest."""
     rng = random.Random(41)
     codes = []
     seed = 0
@@ -875,7 +891,7 @@ def test_mutated_builder_forests_are_refused_or_decompose_validly(tmp_path, caps
                          "--decomp", str(tmp_path / "out"), "--out", os.devnull]) == 0, (seed, loops)
         for command in ("lift", "export-dot"):
             assert _given_forest_run(tmp_path, command, cfg, loops) == code, (seed, loops, command)
-        assert code in (0, 2, 4), (seed, loops, err)
+        assert code in (0, 2), (seed, loops, err)
         codes.append((code, err.startswith(INVALID_DECOMPOSITION)))
     assert (2, True) in codes  # some of them pass assign_owners and decompose invalidly
 
@@ -888,6 +904,52 @@ def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "not structured: decomposition arcs contain a cycle\n"
+
+
+def relabelled(data: dict, ids: dict) -> dict:
+    """CFG JSON data with each vertex id v replaced by ids[v]."""
+    return {"vertices": [dict(rec, id=ids[rec["id"]]) for rec in data["vertices"]],
+            "edges": [dict(rec, **{"from": ids[rec["from"]], "to": ids[rec["to"]]}) for rec in data["edges"]],
+            "start": ids[data["start"]], "stop": ids[data["stop"]]}
+
+
+def test_relabelled_graphs_decompose_as_their_originals(tmp_path, capsys, monkeypatch):
+    """Vertex ids permuted at random break the rank certificate of the arcs,
+    so the DFS decides: decompose writes the original's decomposition
+    relabelled, and the irreducible graph still exits 4 under every
+    permutation of its ids."""
+    fallbacks = []
+
+    def counted_postorder(*args):
+        fallbacks.append(args)
+        return postorder(*args)
+
+    monkeypatch.setattr(decomposition, "postorder", counted_postorder)
+    graph, out = tmp_path / "g.json", tmp_path / "d.json"
+
+    def decompose(data: dict) -> DagDecomposition:
+        graph.write_text(json.dumps(data))
+        assert main(["decompose", str(graph), "--kind", "cfg-json", "--out", str(out)]) == 0
+        return DagDecomposition.from_json(out.read_text())
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        source = generate_random_program(data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 40)))
+        graph_data = json.loads(cfg_from_source(source)[0].to_json())
+        vertices = [rec["id"] for rec in graph_data["vertices"]]
+        ids = dict(zip(vertices, data.draw(st.permutations(vertices))))
+        d = decompose(graph_data)
+        expected = DagDecomposition(nodes=[ids[n] for n in d.nodes], arcs=[(ids[i], ids[j]) for i, j in d.arcs],
+                                    bags={ids[n]: tuple(sorted(map(ids.get, bag))) for n, bag in d.bags.items()})
+        assert decompose(relabelled(graph_data, ids)).to_json() == expected.to_json()
+
+    check()
+    assert len(fallbacks) > 40  # over half of the 80 relabelled graphs went to the DFS
+    for order in itertools.permutations(range(4)):
+        graph.write_text(json.dumps(relabelled(IRREDUCIBLE_CFG_JSON, dict(enumerate(order)))))
+        assert main(["decompose", str(graph), "--kind", "cfg-json"]) == 4
+        assert capsys.readouterr() == ("", "not structured: decomposition arcs contain a cycle\n")
 
 
 def test_an_edge_into_start_exits_four(tmp_path, capsys):
@@ -976,18 +1038,21 @@ def test_a_given_loop_that_no_edge_closes_exits_two(tmp_path, capsys):
 
 
 def test_play_with_a_forest_that_loses_the_robber_exits_four(tmp_path, capsys):
-    """decompose and validate reject this forest as not structured; play
-    fails the same way instead of with a traceback from the strategy."""
+    """Under this forest the decomposition arcs close a cycle, which those
+    of the graph's recovered forest do not, so decompose and validate
+    refuse the forest; play fails as not structured instead of with a
+    traceback from the strategy."""
     prog, graph, forest = tmp_path / "p.spl", tmp_path / "g.json", tmp_path / "loops.json"
     prog.write_text("x; while c { a; if d { break; } do { b; } while e; } y;")
     assert main(["build", str(prog), "--out", str(graph)]) == 0
     forest.write_text('{"loops": [{"entry": 5, "exit": 4, "parent": null}]}')
-    for command in ("decompose", "validate", "play"):
-        assert main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("not structured: ")
-    assert captured.err == "not structured: robber at 2 escaped the current loop\n"
+    for command in ("decompose", "validate"):
+        assert main([command, str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 2
+        assert capsys.readouterr() == ("", "i/o error: bad loop forest JSON: its decomposition arcs "
+                                           "contain a cycle, but those of the graph's recovered loop "
+                                           "forest do not\n")
+    assert main(["play", str(graph), "--kind", "cfg-json", "--forest", str(forest)]) == 4
+    assert capsys.readouterr() == ("", "not structured: robber at 2 escaped the current loop\n")
 
 
 def test_python_m_cfgdag_runs_the_cli():

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import time
+from operator import lt
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from cfgdag import (
     two_loop_cfg,
     validate_cfg_decomposition,
 )
+from cfgdag import decomposition
 from helpers import (
     IRREDUCIBLE_CFG_JSON,
     TWO_LOOP_FOREST_JSON,
@@ -152,7 +154,7 @@ def test_loop_free_decomposition_is_the_graph():
     cfg, forest, _ = pipeline("a; if c { b; } d;")
     d = build_decomposition(cfg, forest)
     assert sorted(d.arcs) == sorted(cfg.edges())
-    assert all(d.bags[v] == frozenset([v]) for v in d.nodes)
+    assert all(set(d.bags[v]) == frozenset([v]) for v in d.nodes)
     assert d.width() == 1
 
 
@@ -162,8 +164,8 @@ def test_while_decomposition():
     d = build_decomposition(cfg, forest)
     start, c, b, x, stop = ids["start"], ids["c"], ids["b"], ids["exit(c)"], ids["stop"]
     assert sorted(d.arcs) == sorted([(start, x), (x, c), (c, b), (x, stop)])
-    assert d.bags[c] == frozenset({c, x})
-    assert d.bags[b] == frozenset({b, c, x})
+    assert set(d.bags[c]) == frozenset({c, x})
+    assert set(d.bags[b]) == frozenset({b, c, x})
     assert d.width() == 3
 
 
@@ -194,7 +196,7 @@ def test_every_arc_introduces_exactly_its_node():
         cfg, forest, _ = pipeline(generate_random_program(seed, 80))
         d = build_decomposition(cfg, forest)
         for i, j in d.arcs:
-            assert d.bags[j] - d.bags[i] == frozenset([j]), (seed, i, j)
+            assert set(d.bags[j]) - set(d.bags[i]) == frozenset([j]), (seed, i, j)
 
 
 def test_decomposition_acyclic_on_many_programs():
@@ -202,6 +204,39 @@ def test_decomposition_acyclic_on_many_programs():
         cfg, forest, _ = pipeline(generate_random_program(seed, 100))
         d = build_decomposition(cfg, forest)
         assert toposort(sorted(d.nodes), d.successors()) is not None
+
+
+def test_arcs_under_builder_and_recovered_forests_climb_the_rank(monkeypatch):
+    """The rank certificate alone proves the arcs acyclic, without the DFS,
+    under the builder's forest and the recovered one of 300 random and 300
+    with_jumps programs."""
+    def no_dfs(*args):
+        raise AssertionError("an arc does not climb the rank")
+
+    monkeypatch.setattr(decomposition, "postorder", no_dfs)
+    sources = [generate_random_program(seed, 1 + seed % 60) for seed in range(300)]
+    sources += [with_jumps(random.Random(seed)) for seed in range(300)]
+    for source in sources:
+        cfg, forest = cfg_from_source(source)
+        build_decomposition(cfg, forest)
+        build_decomposition(cfg, recover_loop_forest(cfg, compute_dominators(cfg)))
+
+
+def ascending(bags: dict) -> bool:
+    """Is every bag a strictly ascending tuple?"""
+    return all(type(bag) is tuple and all(map(lt, bag, bag[1:])) for bag in bags.values())
+
+
+def test_built_and_lifted_bags_are_strictly_ascending_tuples():
+    sources = [generate_random_program(seed, 60) for seed in range(30)]
+    sources += [with_jumps(random.Random(seed)) for seed in range(30)]
+    for k, source in enumerate(sources):
+        cfg, forest, dom = pipeline(source)
+        for f in (forest, recover_loop_forest(cfg, dom)):
+            d = build_decomposition(cfg, f)
+            assert ascending(d.bags), source
+            game = build_product_game(cfg, FormulaSkeleton.chain(1 + k % 4), seed=k)
+            assert ascending(lift_decomposition(d, game).bags), source
 
 
 def test_infinite_loop_decomposition():
@@ -304,6 +339,15 @@ def decomposition_json(draw):
 def test_json_of_loaded_decompositions_is_what_json_dumps_writes(data):
     d = DagDecomposition.from_json(json.dumps(data))
     assert d.to_json() == written_by_json_dumps(d)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(decomposition_json())
+@example({"nodes": [7, 2], "arcs": [], "bags": {"2": [5, 5, 5], "7": [9, 9, -1, 8, -1]}})
+def test_loaded_bags_are_strictly_ascending_tuples_of_their_members(data):
+    d = DagDecomposition.from_json_dict(data)
+    assert ascending(d.bags)
+    assert {n: set(bag) for n, bag in d.bags.items()} == {int(k): set(v) for k, v in data["bags"].items()}
 
 
 def test_decomposition_dot_contains_bags():

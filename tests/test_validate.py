@@ -51,7 +51,7 @@ def test_vertices_covered_on_construction():
 
 def test_vertices_covered_detects_missing():
     cfg, d = while_decomp()
-    d.bags[2] = frozenset()  # empty one bag; vertex 2 is now uncovered
+    d.bags[2] = ()  # empty one bag; vertex 2 is now uncovered
     report = validate_cfg_decomposition(d, cfg)
     assert not report.vertices_covered
     assert ("vertices_covered_missing", (2,)) in report.violations
@@ -67,7 +67,7 @@ def test_connectivity_detects_dropped_guard():
     d = DagDecomposition(
         nodes=[0, 1, 2],
         arcs=[(0, 1), (1, 2)],
-        bags={0: frozenset({0, 9}), 1: frozenset({1}), 2: frozenset({2, 9})},
+        bags={0: (0, 9), 1: (1,), 2: (2, 9)},
     )
     assert not report_on_bags(d).connectivity
 
@@ -77,7 +77,7 @@ def test_connectivity_detects_exit_dropped_from_mid_path_bag():
     ids = by_label(cfg)
     d = build_decomposition(cfg, forest)
     (elem,) = forest.elements
-    d.bags[ids["a"]] = d.bags[ids["a"]] - {elem.exit}
+    d.bags[ids["a"]] = tuple(sorted(set(d.bags[ids["a"]]) - {elem.exit}))
     report = validate_cfg_decomposition(d, cfg)
     assert not report.connectivity and not report.valid
     assert any(kind == "connectivity" and w[-1] == elem.exit for kind, w in report.violations)
@@ -87,7 +87,7 @@ def test_singleton_chain_connectivity():
     d = DagDecomposition(
         nodes=[0, 1, 2],
         arcs=[(0, 1), (1, 2)],
-        bags={0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})},
+        bags={0: (0,), 1: (1,), 2: (2,)},
     )
     report = report_on_bags(d, [(0, 1), (1, 2)])
     assert report.connectivity and report.edges_covered_3a and report.edges_covered_3b
@@ -154,7 +154,7 @@ def test_only_an_edge_from_outside_bag_i_is_a_dropped_target():
     edges = [(0, 1), (1, 2)]
     for bag_0, guarded in [({0, 1, 2}, True), ({0, 2}, False)]:
         d = DagDecomposition(nodes=[0, 1, 2], arcs=[(0, 1), (1, 2)],
-                             bags={0: frozenset(bag_0), 1: frozenset({1}), 2: frozenset({2})})
+                             bags={0: tuple(sorted(bag_0)), 1: (1,), 2: (2,)})
         report = validate_decomposition(d, [0, 1, 2], edges)
         assert report.edges_covered_3a and report.edges_covered_3b and not report.connectivity
         assert report.d3_original is d3_by_scan(d, edges) is guarded
@@ -168,7 +168,7 @@ def _perturb(d: DagDecomposition, rng: random.Random, vertices) -> DagDecomposit
         bag.discard(rng.choice(sorted(bag)))
     else:
         bag.add(rng.choice(sorted(vertices)))
-    bags[node] = frozenset(bag)
+    bags[node] = tuple(sorted(bag))
     return DagDecomposition(nodes=list(d.nodes), arcs=list(d.arcs), bags=bags)
 
 
@@ -263,7 +263,7 @@ def test_report_flags_cycle():
     """A cycle, and a node listed twice, which only a decomposition built in
     code can hold, are both reported as not acyclic."""
     for nodes, arcs in [([0, 1], [(0, 1), (1, 0)]), ([0, 0, 1], [(0, 1)])]:
-        d = DagDecomposition(nodes=nodes, arcs=arcs, bags={0: frozenset({0}), 1: frozenset({1})})
+        d = DagDecomposition(nodes=nodes, arcs=arcs, bags={0: (0,), 1: (1,)})
         report = validate_cfg_decomposition(d, _FakeGraph([0, 1], [(0, 1)]))
         assert not report.acyclic and not report.valid
         assert ("acyclic", ()) in report.violations
@@ -344,9 +344,9 @@ def _damaged(draw, d: DagDecomposition, vertices) -> DagDecomposition:
         if damage == "drop arc" and arcs:
             del arcs[draw(st.integers(0, len(arcs) - 1))]
         elif damage == "shrink bag" and bags[n]:
-            bags[n] -= {draw(st.sampled_from(sorted(bags[n])))}
+            bags[n] = tuple(sorted(set(bags[n]) - {draw(st.sampled_from(bags[n]))}))
         elif damage == "grow bag":
-            bags[n] |= {draw(st.sampled_from([*vertices, max(vertices) + 1]))}
+            bags[n] = tuple(sorted({*bags[n], draw(st.sampled_from([*vertices, max(vertices) + 1]))}))
         elif damage == "cycle":
             succ = {m: [b for a, b in arcs if a == m] for m in nodes}
             end = n
@@ -419,6 +419,6 @@ def test_reach_queries_give_the_reports_of_the_masks(kind):
         # sample, so one is pinned too.
         cfg, forest, _ = pipeline(DROPPED_TARGET_SOURCE)
         d = build_decomposition(cfg, forest)
-        d.bags[0] |= {4}
+        d.bags[0] = tuple(sorted({*d.bags[0], 4}))
         compare(d, cfg.vertex_ids(), list(cfg.edges()))
         assert d in dropped_target_only
