@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import chain
 
 from ._graph import reachable
-from ._json import section
+from ._json import emit, section
 
 
 class EdgeKind(str, Enum):
@@ -124,19 +124,26 @@ class ControlFlowGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_json(self, write=None) -> str | None:
         """``json.dumps(indent=2)`` of the vertices in id order, the sorted
-        edges, start and stop. Labels are strings, so ``%s`` of their JSON
-        text is exact."""
-        ids = sorted(self.labels)
-        edges = sorted(self._kind)
-        labels = map(_encode, map(self.labels.__getitem__, ids))
-        kind = self._kind
-        vertices = section([_VERTEX] * len(ids), tuple(chain.from_iterable(zip(ids, labels))))
-        edges = section([_EDGE] * len(edges),
-                        tuple(chain.from_iterable((u, v, kind[u, v].value) for u, v in edges)))
-        return (f'{{\n  "vertices": {vertices},\n  "edges": {edges},\n'
-                f'  "start": {self.start},\n  "stop": {self.stop}\n}}\n')
+        edges, start and stop, sent to ``write`` in pieces, or returned
+        without it. Labels are strings, so ``%s`` of their JSON text is
+        exact."""
+        labels, kind = self.labels, self._kind
+
+        def vertices(part):
+            return [_VERTEX] * len(part), tuple(chain.from_iterable(
+                zip(part, map(_encode, map(labels.__getitem__, part)))))
+
+        def edges(part):
+            return [_EDGE] * len(part), tuple(chain.from_iterable(
+                (u, v, kind[u, v].value) for u, v in part))
+
+        return emit(chain(
+            ('{\n  "vertices": ',), section(sorted(labels), vertices),
+            (',\n  "edges": ',), section(sorted(kind), edges),
+            (f',\n  "start": {self.start},\n  "stop": {self.stop}\n}}\n',),
+        ), write)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlFlowGraph":

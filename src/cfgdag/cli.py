@@ -67,10 +67,13 @@ def _read(path: str) -> str:
 
 
 def _write(*outputs) -> None:
-    """Write each (path, make) pair's text ("-" is stdout, None no output).
-    Every path is opened, for appending, before any file is truncated or any
-    text made; if one cannot be, the files this call created are removed and
-    the others keep their bytes. No two texts are held at once."""
+    """Write each (path, make) pair's text ("-" is stdout, None no output):
+    make(write) sends the text to write, whole or in pieces, so a make that
+    sends pieces never holds its whole text. Every path is opened, for
+    appending, before any file is truncated or any text made; if one cannot
+    be, the files this call created are removed and the others keep their
+    bytes. If a make or a write fails, the files this call created are
+    removed too, and a file that was there holds what had been written to it."""
     outputs = [(path, make) for path, make in outputs if path is not None]
     streams, created = [], []
     try:
@@ -83,7 +86,7 @@ def _write(*outputs) -> None:
             # A file this call created is empty; ftruncate fails on /dev/null or a FIFO.
             if not new and fh is not sys.stdout and os.path.isfile(path):
                 fh.truncate(0)
-            fh.write(make())
+            make(fh.write)
         created = []  # all written: keep every file
     finally:
         for fh, _ in streams:
@@ -214,7 +217,7 @@ def run(args) -> int:
     cfg, forest = _load(args)
 
     if args.command == "build":
-        _write((args.out, cfg.to_json), (args.forest_out, forest.to_json))
+        _write((args.out, cfg.to_json), (args.forest_out, lambda write: write(forest.to_json())))
         return 0
 
     if args.command in ("decompose", "lift", "export-dot"):
@@ -235,7 +238,7 @@ def run(args) -> int:
         else:
             decomp = _decompose(args, cfg, forest)
         report = validate_cfg_decomposition(decomp, cfg)
-        _write((args.out, report.to_json))
+        _write((args.out, lambda write: write(report.to_json())))
         return 0 if report.valid else 1
 
     if args.command == "play":
@@ -248,12 +251,12 @@ def run(args) -> int:
             robber = OptimalRobber(cfg, k=3)
         trace = play_game(cfg, strategy, robber,
                           robber_start=args.start, max_rounds=args.max_rounds)
-        _write((args.out, trace.to_json))
+        _write((args.out, lambda write: write(trace.to_json())))
         return 0
 
     if args.command == "oracle":
         number = brute_force_cop_number(cfg, k_max=args.k_max)
-        _write((args.out, lambda: f"{number}\n"))
+        _write((args.out, lambda write: write(f"{number}\n")))
         return 0
 
     if args.command == "lift":
@@ -266,9 +269,9 @@ def run(args) -> int:
     if args.command == "export-dot":
         if args.what == "cfg":
             backward = set(partition_edges(cfg, forest).backward)
-            _write((args.out, lambda: cfg.to_dot(backward=backward)))
+            _write((args.out, lambda write: write(cfg.to_dot(backward=backward))))
         else:
-            _write((args.out, decomp.to_dot))
+            _write((args.out, lambda write: write(decomp.to_dot())))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

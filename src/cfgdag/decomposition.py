@@ -24,7 +24,7 @@ from itertools import chain
 from operator import add
 
 from ._graph import postorder
-from ._json import PAIR, section
+from ._json import emit, pairs, section
 from .cfg import ControlFlowGraph
 from .loops import LoopElement, LoopForest, NotStructuredError
 
@@ -105,21 +105,29 @@ class DagDecomposition:
             succ[i].append(j)
         return succ
 
-    def to_json(self) -> str:
+    def to_json(self, write=None) -> str | None:
         """``json.dumps(indent=2)`` of nodes, arcs and bags, each sorted, the
-        bags keyed by their node's id as a string."""
-        order = sorted(self.nodes)
-        arcs = sorted(self.arcs)
-        members = list(map(self.bags.__getitem__, order))
-        lengths = list(map(len, members))
-        values = tuple(chain.from_iterable(map(add, zip(order), members)))  # each node, then its bag
-        # One template per bag length: the node's key, then its members.
-        record = {k: '"%d": [\n      ' + ",\n      ".join(["%d"] * k) + "\n    ]" if k
-                  else '"%d": []' for k in set(lengths)}
-        nodes = section(["%d"] * len(order), tuple(order))
-        arcs = section([PAIR] * len(arcs), tuple(chain.from_iterable(arcs)))
-        bags = section(list(map(record.__getitem__, lengths)), values, "{}")
-        return f'{{\n  "nodes": {nodes},\n  "arcs": {arcs},\n  "bags": {bags}\n}}\n'
+        bags keyed by their node's id as a string, sent to ``write`` in
+        pieces, or returned without it."""
+        order, bags = sorted(self.nodes), self.bags
+
+        def nodes(part):
+            return ["%d"] * len(part), tuple(part)
+
+        def bag_records(part):
+            members = list(map(bags.__getitem__, part))
+            lengths = list(map(len, members))
+            # One template per bag length: the node's key, then its members.
+            record = {k: '"%d": [\n      ' + ",\n      ".join(["%d"] * k) + "\n    ]" if k
+                      else '"%d": []' for k in set(lengths)}
+            values = chain.from_iterable(map(add, zip(part), members))  # each node, then its bag
+            return list(map(record.__getitem__, lengths)), tuple(values)
+
+        return emit(chain(
+            ('{\n  "nodes": ',), section(order, nodes),
+            (',\n  "arcs": ',), section(sorted(self.arcs), pairs),
+            (',\n  "bags": ',), section(order, bag_records, "{}"), ("\n}\n",),
+        ), write)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DagDecomposition":

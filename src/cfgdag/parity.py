@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain, cycle, islice
 from operator import getitem
 
-from ._json import PAIR, section
+from ._json import emit, pairs, section
 from .decomposition import DagDecomposition
 
 
@@ -82,21 +82,31 @@ class GameGraph:
         m = self.m
         return {s * m + q: (s, q) for s in self.states for q in range(m)}
 
-    def to_json(self) -> str:
+    def to_json(self, write=None) -> str | None:
         """``json.dumps(indent=2)`` of m, one record per vertex in id order
-        and the sorted edges."""
+        and the sorted edges, sent to ``write`` in pieces, or returned
+        without it."""
         m, d = self.m, max(self.priority, default=0) + 1
+        states, owner, priority = self.states, self.owner, self.priority
         # record[q][o][p]: the template of a vertex of part q, owner o and
-        # priority p. Vertex i in id order has part i % m.
+        # priority p. Vertex i in id order has part i % m and state states[i // m].
         record = [[[_VERTEX % (q, o, p) for p in range(d)] for o in (0, 1)] for q in range(m)]
-        items = list(map(getitem, map(getitem, cycle(record), self.owner), self.priority))
-        values = [0] * (2 * len(items))
-        values[0::2] = self.vertex_ids()
-        values[1::2] = chain.from_iterable(zip(*[self.states] * m))  # each state m times
-        edges = sorted(self.edges)
-        vertices = section(items, tuple(values))
-        edges = section([PAIR] * len(edges), tuple(chain.from_iterable(edges)))
-        return f'{{\n  "m": {m},\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
+
+        def vertices(part):  # a range of vertex indices
+            lo, hi = part.start, part.stop
+            first, last = lo % m, lo % m + len(part)
+            group = states[lo // m:(hi - 1) // m + 1]
+            items = list(map(getitem, map(getitem, islice(cycle(record), first, last), owner[lo:hi]),
+                             priority[lo:hi]))
+            values = [0] * (2 * len(part))
+            values[0::2] = [b + q for b in [s * m for s in group] for q in range(m)][first:last]
+            values[1::2] = islice(chain.from_iterable(zip(*[group] * m)), first, last)  # each state m times
+            return items, tuple(values)
+
+        return emit(chain(
+            (f'{{\n  "m": {m},\n  "vertices": ',), section(range(len(owner)), vertices),
+            (',\n  "edges": ',), section(sorted(self.edges), pairs), ("\n}\n",),
+        ), write)
 
 
 def _below(rng: random.Random, n: int):

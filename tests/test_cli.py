@@ -19,6 +19,7 @@ from cfgdag import (
     ControlFlowGraph,
     DagDecomposition,
     EdgeKind,
+    GameGraph,
     LoopForest,
     assign_owners,
     cfg_from_source,
@@ -47,6 +48,7 @@ from helpers import (
 )
 from test_golden import PROGRAMS
 from test_loops import GIVEN_FORESTS_BUILT_INVALID
+from test_spans import load_spans
 
 WHILE_SRC = "while c { b; }\n"
 
@@ -425,6 +427,72 @@ def test_a_second_output_that_cannot_be_opened_leaves_no_first(while_file, tmp_p
     written = capsys.readouterr().out.encode()
     assert len(written) < 40_000
     assert out.read_bytes() == written
+
+
+def fail_after_first_piece(monkeypatch, model, error):
+    """Make model.to_json raise error when its second piece reaches write;
+    return the list of pieces it wrote before."""
+    real, written = model.to_json, []
+
+    def to_json(self, write=None):
+        def write_one(piece):
+            if written:
+                raise error
+            written.append(piece)
+            write(piece)
+        return real(self, write_one)
+
+    monkeypatch.setattr(model, "to_json", to_json)
+    return written
+
+
+@pytest.mark.parametrize("command, model", [
+    (["decompose"], DagDecomposition),
+    (["lift", "--game-out", "g.json"], GameGraph),
+])
+def test_a_writer_that_fails_after_its_first_piece_leaves_no_file_it_created(
+        while_file, tmp_path, capsys, monkeypatch, command, model):
+    """The command exits with the fault's code and _write removes each
+    output file it created, the lifted decomposition written whole before the
+    game's failure included. A file that was there holds the first piece; a
+    fault outside the exit code table still propagates, and still removes the
+    files."""
+    monkeypatch.chdir(tmp_path)
+    existing = tmp_path / "existing.json"
+    error = OSError(28, "No space left on device")
+    written = fail_after_first_piece(monkeypatch, model, error)
+    argv = [command[0], str(while_file), "--out", "out.json", *command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "i/o error: [Errno 28] No space left on device\n")
+    assert len(written) == 1 and sorted(tmp_path.iterdir()) == [while_file]
+    if model is DagDecomposition:
+        existing.write_text("kept")
+        written.clear()
+        assert main([*argv[:3], str(existing)]) == 2
+        assert existing.read_text() == written[0] != "kept"
+        existing.unlink()
+
+    def unlisted_fault(self, write=None):
+        write("{")
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(model, "to_json", unlisted_fault)
+    with pytest.raises(ZeroDivisionError):
+        main(argv)
+    assert sorted(tmp_path.iterdir()) == [while_file]
+
+
+def test_a_traced_decompose_times_the_decomposition_writer_with_its_file_writes(while_file, tmp_path):
+    """DagDecomposition.to_json writes the file itself, so its span holds the writes."""
+    tracer = load_spans().Tracer()
+    out = tmp_path / "d.json"
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["decompose", str(while_file), "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and DagDecomposition.from_json(out.read_text()).width() == 3
+    assert "decomposition.DagDecomposition.to_json" in {name for name, *_ in tracer.spans}
 
 
 def test_play_start_that_is_not_a_vertex_exits_two(while_file, capsys):
