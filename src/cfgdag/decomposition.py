@@ -6,12 +6,15 @@ are re-routed to that loop's exit, and each loop entered from outside gets
 an exit-to-entry arc. Bags hold at most a vertex plus the entry and exit of
 the loop element it belongs to, so the width never exceeds three. The whole
 construction is a constant number of passes over the vertices and edges.
+The arcs are the graph's own edge tuples of the kept edges plus the two
+arcs of each re-routed edge, sorted once, with repeats dropped.
 
 The arcs are proved acyclic by a rank certificate: rank(v) = 2v, except
-that each loop's exit gets 2 * entry - 1, just ahead of its entry. Arcs
-that all climb the rank close no cycle. Under the builder's forests and
-those recovered from a structured program's graph every arc climbs; when
-one does not, as under relabelled vertex ids or a bad given forest, one
+that each loop's exit gets 2 * entry - 1, just ahead of its entry; only
+the exits' ranks are kept in a map. Arcs that all climb the rank close no
+cycle. Under the builder's forests and those recovered from a structured
+program's graph every arc climbs; when one does not, as under relabelled
+vertex ids or a bad given forest, the successor lists are built and one
 DFS (_graph.postorder) decides, so the verdict is exact either way.
 """
 
@@ -62,14 +65,17 @@ def partition_edges(cfg: ControlFlowGraph, forest: LoopForest) -> EdgePartition:
 
     for edge in cfg.edges():
         u, v = edge
+        loop = owner[u]
         entry_elem = by_entry.get(v)
-        exit_elem = by_exit.get(v)
-        if owner[u] is entry_elem:
+        if entry_elem is None:  # an entry is never an exit
+            if loop is by_exit.get(v):
+                part.into_exit.append(edge)
+            else:
+                part.plain.append(edge)
+        elif loop is entry_elem:
             part.backward.append(edge)
-        elif owner[u] is exit_elem:
-            part.into_exit.append(edge)
-        elif (entry_elem is not None and entry_elem.exit is not None
-              and u != entry_elem.exit and not forest.contains(entry_elem, u)):
+        elif (entry_elem.exit is not None and u != entry_elem.exit
+              and not forest.contains(entry_elem, u)):
             part.into_entry.append((edge, entry_elem))
         else:
             part.plain.append(edge)
@@ -185,37 +191,28 @@ def build_decomposition(cfg: ControlFlowGraph, forest: LoopForest) -> DagDecompo
     a forest given whole need only pass assign_owners, which does not make it so."""
     part = partition_edges(cfg, forest)
 
-    nodes = cfg.vertex_ids()
-    # Arc heads bucketed by tail: sorting each short bucket orders the arcs
-    # without a global sort, and the buckets double as the successor map of
-    # the DFS that decides when the rank certificate fails.
-    succ: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v in part.plain:
-        succ[u].append(v)
+    # The graph's own edge tuples (sorted already on a frozen graph), then
+    # each re-routed edge's two arcs: to the loop's exit, and from it to the
+    # entry, which hangs below the exit so the edge stays covered. Only a
+    # re-routed arc can repeat; the stable sort puts it after its twin, and
+    # the first of each run is kept.
+    arcs = part.plain
     for (u, _v), elem in part.into_entry:
-        # Re-routed to the exit: the entry hangs below the exit, so the
-        # edge stays covered.
-        succ[u].append(elem.exit)
-        succ[elem.exit].append(elem.entry)
-
-    order = sorted(nodes)
-    arcs: list[Edge] = []
-    add_arc = arcs.append
-    for u in order:
-        heads = succ[u]
-        if len(heads) > 1:
-            heads[:] = sorted(set(heads))
-        for w in heads:
-            add_arc((u, w))
+        arcs += (u, elem.exit), (elem.exit, elem.entry)
+    arcs.sort()
+    if part.into_entry:
+        arcs = [a for a, b in zip(arcs, chain((None,), arcs)) if a != b]
 
     # The rank certificate (see the module docstring), and the DFS only
     # when an arc does not climb.
-    rank = {v: v + v for v in nodes}
-    for elem in forest.elements:
-        if elem.exit is not None:
-            rank[elem.exit] = 2 * elem.entry - 1
-    if not all(rank[u] < rank[w] for u, w in arcs) and not postorder(order, succ)[1]:
-        raise NotStructuredError("decomposition arcs contain a cycle")
+    nodes = cfg.vertex_ids()
+    rank = {elem.exit: 2 * elem.entry - 1 for elem in forest.elements if elem.exit is not None}.get
+    if not all(rank(u, u + u) < rank(w, w + w) for u, w in arcs):
+        succ: dict[int, list[int]] = {v: [] for v in nodes}
+        for u, w in arcs:
+            succ[u].append(w)
+        if not postorder(sorted(nodes), succ)[1]:
+            raise NotStructuredError("decomposition arcs contain a cycle")
 
     # Each bag is a vertex merged into the sorted ends of its element.
     ends = {elem: tuple(sorted(x for x in (elem.entry, elem.exit) if x is not None))

@@ -96,6 +96,13 @@ def _cfg_json(labels: list[str], edges: list[tuple[int, int, str]], stop: int) -
     }
 
 
+def relabelled(data: dict, ids: dict) -> dict:
+    """CFG JSON data with each vertex id v replaced by ids[v]."""
+    return {"vertices": [dict(rec, id=ids[rec["id"]]) for rec in data["vertices"]],
+            "edges": [dict(rec, **{"from": ids[rec["from"]], "to": ids[rec["to"]]}) for rec in data["edges"]],
+            "start": ids[data["start"]], "stop": ids[data["stop"]]}
+
+
 # A while loop beside vertices that start does not reach: d (id 3, between
 # live ids) enters the loop body, and the dead cycle e <-> f leaves for stop.
 DEAD_CFG_JSON = _cfg_json(

@@ -44,6 +44,7 @@ from helpers import (
     cfg_json_dict,
     dominance_clash,
     owner_regions,
+    relabelled,
     with_jumps,
 )
 from test_golden import PROGRAMS
@@ -972,13 +973,6 @@ def test_irreducible_cfg_json_exits_four(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "not structured: decomposition arcs contain a cycle\n"
-
-
-def relabelled(data: dict, ids: dict) -> dict:
-    """CFG JSON data with each vertex id v replaced by ids[v]."""
-    return {"vertices": [dict(rec, id=ids[rec["id"]]) for rec in data["vertices"]],
-            "edges": [dict(rec, **{"from": ids[rec["from"]], "to": ids[rec["to"]]}) for rec in data["edges"]],
-            "start": ids[data["start"]], "stop": ids[data["stop"]]}
 
 
 def test_relabelled_graphs_decompose_as_their_originals(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import time
+import tracemalloc
 from operator import lt
 
 import pytest
@@ -32,6 +33,7 @@ from cfgdag import (
     validate_cfg_decomposition,
 )
 from cfgdag import decomposition
+from cfgdag._graph import postorder
 from helpers import (
     IRREDUCIBLE_CFG_JSON,
     TWO_LOOP_FOREST_JSON,
@@ -39,6 +41,7 @@ from helpers import (
     decomposition_json_dict,
     partition_edges_by_entry_lists,
     pipeline,
+    relabelled,
     toposort,
     with_jumps,
 )
@@ -220,6 +223,94 @@ def test_arcs_under_builder_and_recovered_forests_climb_the_rank(monkeypatch):
         cfg, forest = cfg_from_source(source)
         build_decomposition(cfg, forest)
         build_decomposition(cfg, recover_loop_forest(cfg, compute_dominators(cfg)))
+
+
+@st.composite
+def built_recovered_or_relabelled(draw):
+    """What built_or_recovered draws, or a random program's CFG JSON with its
+    vertex ids permuted under the recovered forest, whose arcs mostly fail
+    the rank certificate."""
+    if draw(st.booleans()):
+        return draw(built_or_recovered())
+    source = generate_random_program(draw(st.integers(0, 10**6)), draw(st.integers(1, 40)))
+    data = json.loads(cfg_from_source(source)[0].to_json())
+    ids = [rec["id"] for rec in data["vertices"]]
+    cfg = ControlFlowGraph.from_json_dict(relabelled(data, dict(zip(ids, draw(st.permutations(ids))))))
+    return cfg, recover_loop_forest(cfg, compute_dominators(cfg))
+
+
+def test_plain_arcs_are_the_graphs_own_edge_tuples(monkeypatch):
+    """The arc of each plain edge is the tuple that keys the edge in the
+    graph, not a copy, and the arcs ascend strictly, whether the rank
+    certificate holds or the DFS decides."""
+    fallbacks = []
+
+    def counted_postorder(*args):
+        fallbacks.append(args)
+        return postorder(*args)
+
+    monkeypatch.setattr(decomposition, "postorder", counted_postorder)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(built_recovered_or_relabelled())
+    def check(drawn):
+        cfg, forest = drawn
+        arcs = build_decomposition(cfg, forest).arcs
+        plain = set(partition_edges(cfg, forest).plain)
+        own = set(map(id, cfg.edges()))
+        from_plain = [a for a in arcs if a in plain]
+        assert len(from_plain) == len(plain)
+        assert from_plain == [a for a in arcs if id(a) in own]
+        assert all(map(lt, arcs, arcs[1:]))
+
+    check()
+    assert len(fallbacks) > 20
+
+
+def hand_built(n: int, edges, loops) -> tuple[ControlFlowGraph, LoopForest]:
+    """The graph on vertices 0 .. n-1, start 0 and stop n-1, filled by
+    add_vertex and add_edge in the order given, under the given loops."""
+    cfg = ControlFlowGraph()
+    for v in range(n):
+        cfg.add_vertex(f"v{v}")
+    cfg.start, cfg.stop = 0, n - 1
+    for u, v in edges:
+        cfg.add_edge(u, v)
+    given = LoopForest.from_json_dict({"loops": [{"entry": entry, "exit": exit_, "parent": None}
+                                                 for entry, exit_ in loops]})
+    return cfg, assign_owners(cfg, compute_dominators(cfg), given)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["edges-in-id-order", "edges-reversed"])
+@pytest.mark.parametrize("n,edges,loops,twice", [
+    # 2 and 3 both enter the loop at 4: each re-routed edge makes (6, 4).
+    (8, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 4), (4, 6), (6, 7)], [(4, 6)], (6, 4)),
+    # 1 goes to the loop's entry 2 and to its exit 4: (1, 4) is plain and re-routed.
+    (6, [(0, 1), (1, 2), (1, 4), (2, 3), (3, 2), (2, 4), (4, 5)], [(2, 4)], (1, 4)),
+], ids=["two-tails-enter-one-loop", "one-tail-to-entry-and-exit"])
+def test_an_arc_made_twice_is_kept_once(n, edges, loops, twice, order):
+    cfg, forest = hand_built(n, edges[::order], loops)
+    d = build_decomposition(cfg, forest)
+    expected = decomposition_by_entry_lists(cfg, forest)
+    assert d.arcs.count(twice) == 1
+    assert d.arcs == sorted(expected.arcs)
+    assert d.to_json() == expected.to_json()
+
+
+def test_the_construction_allocates_little_beyond_what_it_keeps():
+    """At 10^5 statements the peak that build_decomposition traces above
+    what its result keeps stays under half of that result: the arcs reuse
+    the graph's edge tuples, and no tail buckets or rank of every vertex
+    are made along the way."""
+    cfg, forest = cfg_from_source(generate_random_program(424242, 10**5))
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        decomp = build_decomposition(cfg, forest)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(decomp.nodes) == cfg.n_vertices
+    assert peak - kept < kept / 2, (peak, kept)
 
 
 def ascending(bags: dict) -> bool:
